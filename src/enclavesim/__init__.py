@@ -3,7 +3,6 @@ memory/thread model, an untrusted kernel, an in-enclave runtime, and a
 calibrated cost model driving serverless and database experiments."""
 
 from . import (  # noqa: F401
-    cli,
     cost_model,
     enclave_runtime,
     errors,
@@ -14,7 +13,6 @@ from . import (  # noqa: F401
 )
 
 __all__ = [
-    "cli",
     "cost_model",
     "enclave_runtime",
     "errors",

@@ -22,8 +22,7 @@ from .sgx_core import (
     Machine,
     PAGE_SIZE,
     PageType,
-    _FNV_OFFSET,
-    digest_update,
+    content_digest,
     enclave_mode,
 )
 
@@ -58,7 +57,7 @@ class FunctionInstance:
 class FileRow:
     owner_instance: int
     content: bytearray
-    digest: int
+    digest: bytes
 
 
 @dataclass
@@ -70,10 +69,6 @@ class ForkPair:
     private_copies: Dict[Tuple[int, int], int] = field(default_factory=dict)
     dirty_count: int = 0
     live: bool = True
-
-
-def file_digest(content: bytes) -> int:
-    return digest_update(_FNV_OFFSET, bytes(content))
 
 
 class EnclaveRuntime:
@@ -230,7 +225,7 @@ class EnclaveRuntime:
         if name in self.files:
             raise errors.FsFault(f"file {name!r} already exists")
         row = FileRow(instance.instance_id, bytearray(content),
-                      file_digest(content))
+                      content_digest([content]))
         self.files[name] = row
         owner = self.kernel.containers[instance.owner_pid]
         self.kernel.hostfs.put(owner.fs_root, name, content)
@@ -248,19 +243,15 @@ class EnclaveRuntime:
                 f"pid {pid} does not own file {name!r}")
         outside = self.kernel.hostfs.get(
             self.kernel.containers[pid].fs_root, name)
-        if outside is None or file_digest(outside) != row.digest:
+        if outside is None or content_digest([outside]) != row.digest:
             raise errors.FsIntegrityMismatch(
                 f"file {name!r} diverged in caller's namespace")
-        return bytes(row.content)
-
-    def fs_read(self, pid: int, name: str) -> bytes:
-        row = self._owned_row(pid, name)
         return bytes(row.content)
 
     def fs_write(self, pid: int, name: str, content: bytes) -> None:
         row = self._owned_row(pid, name)
         row.content = bytearray(content)
-        row.digest = file_digest(content)
+        row.digest = content_digest([content])
         owner = self.kernel.containers[pid]
         self.kernel.hostfs.put(owner.fs_root, name, content)
 
@@ -333,12 +324,12 @@ class EnclaveRuntime:
         target = pair.private_copies.get((pid, va), va)
         return self.machine.read_page(container.address_space, target, mode)
 
-    def snapshot(self, pair: ForkPair, child_pid: int) -> int:
+    def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest the child's view of the full db extent, then retire the
-        child: its TCS is released and every private copy is freed."""
-        acc = _FNV_OFFSET
-        for va in self.db_vas():
-            acc = digest_update(acc, self.cow_read(pair, child_pid, va))
+        child: its TCS is released, every private copy is freed and its
+        container is destroyed."""
+        digest = content_digest(self.cow_read(pair, child_pid, va)
+                                for va in self.db_vas())
         self.exit(child_pid)
         for (pid, va), copy_va in sorted(pair.private_copies.items()):
             holder = self.kernel.containers[pid]
@@ -355,4 +346,5 @@ class EnclaveRuntime:
         pair.private_copies.clear()
         pair.shared_pages = set(self.db_vas())
         pair.live = False
-        return acc
+        self.kernel.destroy_container(child_pid)
+        return digest

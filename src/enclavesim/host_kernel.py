@@ -76,6 +76,11 @@ class Kernel:
         self.containers[container.pid] = container
         return container
 
+    def destroy_container(self, pid: int) -> None:
+        """Drop a container and its page table; enclave pages it aliased
+        stay with their owner."""
+        del self.containers[pid]
+
     # -- enclave sharing ----------------------------------------------------
 
     def record_enclave_mappings(self, enclave: Enclave) -> MappingRecord:

@@ -9,6 +9,7 @@ at byte level.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,12 +36,12 @@ def fold_page(acc: int, va: int, page_type: "PageType", content: bytes) -> int:
     return digest_update(acc, content)
 
 
-def content_digest(chunks) -> int:
-    """Digest of a sequence of byte strings (same fold as measurement)."""
-    acc = _FNV_OFFSET
+def content_digest(chunks) -> bytes:
+    """SHA-256 over a sequence of byte strings, streamed chunk by chunk."""
+    h = hashlib.sha256()
     for chunk in chunks:
-        acc = digest_update(acc, chunk)
-    return acc
+        h.update(chunk)
+    return h.digest()
 
 
 class PageType(enum.Enum):
@@ -285,7 +286,8 @@ class Machine:
             raise errors.TcsBusy(f"tcs {tcs_va:#x} already bound to a thread")
         tcs.state = TcsState.BUSY
         tcs.saved_context = None
-        registers = (content_digest([tcs.oentry.encode()]), 0, 0, 0)
+        seed = content_digest([tcs.oentry.encode()])[:8]
+        registers = (int.from_bytes(seed, "little"), 0, 0, 0)
         return EnclaveThread(enclave.enclave_id, tcs_va, registers)
 
     def eexit(self, thread: EnclaveThread) -> None:

@@ -9,7 +9,7 @@ import random
 
 from enclavesim.enclave_runtime import DB_BASE, EnclaveRuntime
 from enclavesim.host_kernel import Kernel
-from enclavesim.sgx_core import Machine, PAGE_SIZE
+from enclavesim.sgx_core import Machine, PAGE_SIZE, content_digest
 
 
 class EagerForkOracle:
@@ -30,23 +30,29 @@ class EagerForkOracle:
         return bytes(self.views[pid][va])
 
 
-def build_forked_runtime(n_db_pages, epc_capacity=4096):
+def build_db_runtime(n_db_pages, epc_capacity=4096):
+    """A launched runtime with a database extent and an entered creator."""
     machine = Machine(epc_capacity_pages=epc_capacity)
     kernel = Kernel(machine)
     runtime = EnclaveRuntime(machine, kernel)
     runtime.runtime_init(runtime_pages=1, tcs_count=4)
     runtime.load_db(n_db_pages)
-    parent_pid = runtime.creator.pid
-    runtime.enter(parent_pid)
-    pair = runtime.fork_cow(parent_pid)
-    return machine, runtime, pair
+    runtime.enter(runtime.creator.pid)
+    return machine, runtime
+
+
+def build_forked_runtime(n_db_pages, epc_capacity=4096):
+    machine, runtime = build_db_runtime(n_db_pages, epc_capacity)
+    return machine, runtime, runtime.fork_cow(runtime.creator.pid)
 
 
 def run_cow_trial(seed, max_pages=16, max_ops=200):
     """One random interleaving; returns None on success, else a message."""
     rng = random.Random(seed)
     n_pages = rng.randint(1, max_pages)
-    machine, runtime, pair = build_forked_runtime(n_pages)
+    machine, runtime = build_db_runtime(n_pages)
+    pre_fork_containers = len(runtime.kernel.containers)
+    pair = runtime.fork_cow(runtime.creator.pid)
     parent, child = pair.parent_pid, pair.child_pid
     baseline = machine.epc_used
 
@@ -79,7 +85,13 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
             if runtime.cow_read(pair, pid, va) != oracle.read(pid, va):
                 return f"seed {seed}: final view mismatch pid {pid} va {va:#x}"
 
-    runtime.snapshot(pair, child)
+    want = content_digest(oracle.read(child, va) for va in runtime.db_vas())
+    if runtime.snapshot(pair, child) != want:
+        return f"seed {seed}: snapshot digest differs from the child's view"
+    if child in runtime.kernel.containers:
+        return f"seed {seed}: child container {child} survived the snapshot"
+    if len(runtime.kernel.containers) != pre_fork_containers:
+        return f"seed {seed}: container count not restored after snapshot"
     if machine.epc_used != baseline:
         return f"seed {seed}: occupancy not restored after snapshot"
     # Parent's view must survive the merge.

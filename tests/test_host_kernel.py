@@ -34,6 +34,15 @@ class TestContainers:
         assert kernel.create_container("/a").pid != \
             kernel.create_container("/b").pid
 
+    def test_destroy_leaves_aliased_pages(self, machine, kernel):
+        _, creator = make_enclave(machine, kernel)
+        other = kernel.create_container("/b")
+        other.address_space.page_table.update(creator.address_space.page_table)
+        kernel.destroy_container(other.pid)
+        assert other.pid not in kernel.containers
+        assert machine.translate_access(creator.address_space, 0x10,
+                                        Access.READ, enclave_mode(1))
+
     def test_initially_disjoint_tables(self, machine, kernel):
         _, creator = make_enclave(machine, kernel)
         other = kernel.create_container("/b")

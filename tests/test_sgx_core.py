@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from enclavesim.sgx_core import (
     PAGE_SIZE,
     PageType,
     TcsState,
+    content_digest,
     enclave_mode,
 )
 
@@ -134,6 +136,11 @@ class TestMeasurement:
             return machine.einit(e)
 
         assert digest([(0x10, 1), (0x11, 2)]) != digest([(0x11, 2), (0x10, 1)])
+
+    def test_content_digest_is_streamed_sha256(self):
+        chunks = [b"ab", b"", page(3)]
+        assert content_digest(iter(chunks)) == \
+            hashlib.sha256(b"".join(chunks)).digest()
 
 
 class TestTranslate:
