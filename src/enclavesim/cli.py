@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -77,6 +78,20 @@ def _parse_bool(raw: str, line_no: int) -> bool:
     raise errors.ParseError(line_no, f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"expected a count >= 1, got {raw!r}")
+    return value
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse one bracketed scenario section of '#'-commented key=value lines."""
     scenario = None
@@ -115,26 +130,26 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key == "seed":
                 config.seed = int(value)
             elif key == "n_requests":
-                config.n_requests = int(value)
+                config.n_requests = _parse_count(value)
             elif key == "workers":
-                config.workers = int(value)
+                config.workers = _parse_count(value)
             elif key == "rate_per_s":
-                config.rate_per_s = float(value)
+                config.rate_per_s = _parse_float(value)
             elif key == "duration_s":
-                config.duration_s = float(value)
+                config.duration_s = _parse_float(value)
             elif key == "prediction":
                 config.prediction = _parse_bool(value, line_no)
             elif key == "db_mib":
-                config.db_mib = float(value)
+                config.db_mib = _parse_float(value)
             elif key == "write_ratio":
-                config.write_ratio = float(value)
+                config.write_ratio = _parse_float(value)
             elif key == "snapshot_interval_s":
-                config.snapshot_interval_s = float(value)
+                config.snapshot_interval_s = _parse_float(value)
             elif key == "schedules":
-                config.schedules = int(value)
+                config.schedules = _parse_count(value)
             elif key.startswith("t_exec."):
                 config.overrides.setdefault("t_exec", {})[
-                    key[len("t_exec."):]] = float(value)
+                    key[len("t_exec."):]] = _parse_float(value)
             elif key in _PARAM_FIELDS:
                 if key == "epc_alloc_serialized":
                     config.overrides[key] = _parse_bool(value, line_no)
@@ -142,7 +157,7 @@ def parse_config(text: str) -> ScenarioConfig:
                     raise errors.UnknownKey(
                         "override exec times via t_exec.<workload>")
                 else:
-                    config.overrides[key] = float(value)
+                    config.overrides[key] = _parse_float(value)
             else:
                 raise errors.UnknownKey(f"unknown key {key!r}")
         except ValueError as exc:
@@ -210,16 +225,13 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
             if config.scenario == "serverless_macro":
                 trace = gen_poisson(config.rate_per_s, config.duration_s,
                                     config.seed, workload)
-                workers = config.workers or 8
             else:
                 trace = gen_burst(config.n_requests, workload)
-                if config.scenario in ("serverless_memory",
-                                       "serverless_throughput"):
-                    workers = config.workers or config.n_requests
-                else:
-                    workers = config.workers or 8
-            model = ExecutionModel(variant, params.warm_keepalive_s,
-                                   config.prediction)
+            workers = config.workers
+            if workers is None:
+                workers = (config.n_requests if config.scenario in (
+                    "serverless_memory", "serverless_throughput") else 8)
+            model = ExecutionModel(variant, config.prediction)
             results[label] = run_serverless(model, trace, params, workers)
     return results
 
@@ -288,7 +300,7 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
 
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return [csv_path, summary_path]
 
@@ -308,7 +320,7 @@ def run_security_suite(config: ScenarioConfig, out_dir: str) -> int:
         all_ok = all_ok and not failures
     summary["all_detected"] = all_ok
     with open(os.path.join(out_dir, "summary.json"), "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -22,6 +22,8 @@ from .sgx_core import (
     Machine,
     PAGE_SIZE,
     PageType,
+    PhysicalPage,
+    TcsState,
     content_digest,
     enclave_mode,
 )
@@ -36,7 +38,6 @@ COPY_BASE = 0x800000
 
 class InstanceState(enum.Enum):
     LOADED = "loaded"
-    RUNNING = "running"
     DONE = "done"
 
 
@@ -64,7 +65,6 @@ class FileRow:
 class ForkPair:
     parent_pid: int
     child_pid: int
-    child_tcs_va: int
     shared_pages: Set[int]
     private_copies: Dict[Tuple[int, int], int] = field(default_factory=dict)
     dirty_count: int = 0
@@ -75,11 +75,12 @@ class EnclaveRuntime:
     """One shared enclave plus the software that manages sharing inside it."""
 
     def __init__(self, machine: Machine, kernel: Kernel, enclave_id: int = 1,
-                 fs_root: str = "/app", now: float = 0.0):
+                 fs_root: str = "/app"):
         self.machine = machine
         self.kernel = kernel
-        self.creator: Container = kernel.create_container(fs_root, now)
+        self.creator: Container = kernel.create_container(fs_root)
         self.enclave: Enclave = machine.ecreate(enclave_id)
+        self._mode = enclave_mode(enclave_id)
         self.tcs_table: Optional[TcsTable] = None
         self.threads: Dict[int, Tuple[EnclaveThread, int]] = {}
         self.instances: Dict[int, FunctionInstance] = {}
@@ -126,14 +127,66 @@ class EnclaveRuntime:
         return thread
 
     def exit(self, pid: int) -> None:
-        thread, tcs_va = self.threads.pop(pid)
+        thread, tcs_va = self.threads[pid]
         self.machine.eexit(thread)
+        del self.threads[pid]
         self.kernel.tcs_release(self.tcs_table, tcs_va)
+
+    def suspend(self, pid: int) -> None:
+        """AEX: the context is saved in the TCS, which stays held."""
+        thread, _ = self.threads[pid]
+        self.machine.aex(thread)
+
+    def resume(self, pid: int) -> EnclaveThread:
+        _, tcs_va = self.threads[pid]
+        space = self.kernel.containers[pid].address_space
+        thread = self.machine.eresume(space, tcs_va)
+        self.threads[pid] = (thread, tcs_va)
+        return thread
 
     def attach_container(self, container: Container) -> None:
         """Alias the enclave's current pages into another container."""
         record = self.kernel.record_enclave_mappings(self.enclave)
         self.kernel.alias_enclave(container, record)
+
+    # -- enclave memory -----------------------------------------------------
+
+    def _resolve(self, pid: int, va: int, access: Access) -> PhysicalPage:
+        """Translate in enclave mode, then apply the sandbox check: the
+        hardware lets enclave code touch unprotected pages, so an
+        enclave-private va resolving to one is an isolation fault."""
+        space = self.kernel.containers[pid].address_space
+        page = self.machine.pages[
+            self.machine.translate_access(space, va, access, self._mode)]
+        if va in self.private_vas and not page.is_epc:
+            raise errors.IsolationFault(
+                f"enclave-private va {va:#x} backed by unprotected page")
+        return page
+
+    def read(self, pid: int, va: int) -> bytes:
+        return bytes(self._resolve(pid, va, Access.READ).content)
+
+    def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
+        page = self._resolve(pid, va, Access.WRITE)
+        if offset + len(data) > PAGE_SIZE:
+            raise ValueError("write crosses page boundary")
+        page.content[offset:offset + len(data)] = data
+
+    def check_invariants(self) -> None:
+        """EPC conservation, at most one live thread per TCS, and the
+        kernel's TCS table agreeing with the hardware BUSY state."""
+        self.machine.check_epc_conservation()
+        live = [tcs_va for thread, tcs_va in self.threads.values()
+                if thread.live]
+        if len(live) != len(set(live)):
+            raise errors.InvariantViolation(
+                "a TCS is bound to more than one live thread")
+        for row in self.tcs_table.rows:
+            busy = self.enclave.tcs_for(row.tcs_va).state is TcsState.BUSY
+            if (row.holder is not None) != busy:
+                raise errors.InvariantViolation(
+                    f"tcs {row.tcs_va:#x}: kernel holder {row.holder}, "
+                    f"hardware busy {busy}")
 
     # -- function instances -------------------------------------------------
 
@@ -188,16 +241,10 @@ class EnclaveRuntime:
                 raise errors.IsolationFault(
                     f"instance {instance.instance_id} denied {access.value} "
                     f"at va {va:#x}")
-        owner = self.kernel.containers[instance.owner_pid]
-        mode = enclave_mode(self.enclave.enclave_id)
-        pa = self.machine.translate_access(owner.address_space, va, access, mode)
-        if va in self.private_vas and not self.machine.pages[pa].is_epc:
-            raise errors.IsolationFault(
-                f"enclave-private va {va:#x} backed by unprotected page")
         if access is Access.WRITE:
-            self.machine.pages[pa].content[:len(data)] = data
+            self.write(instance.owner_pid, va, data)
             return b""
-        return bytes(self.machine.pages[pa].content)
+        return self.read(instance.owner_pid, va)
 
     def instance_destroy(self, instance: FunctionInstance) -> None:
         if instance.state is not InstanceState.DONE:
@@ -234,13 +281,7 @@ class EnclaveRuntime:
         """Open with an in-enclave integrity check against the caller's
         current namespace view; a swapped environment with divergent
         content is caught here."""
-        row = self.files.get(name)
-        if row is None:
-            raise errors.FsNotFound(name)
-        caller = self._instance_of(pid)
-        if row.owner_instance != caller.instance_id:
-            raise errors.FsNotOwner(
-                f"pid {pid} does not own file {name!r}")
+        row = self._owned_row(pid, name)
         outside = self.kernel.hostfs.get(
             self.kernel.containers[pid].fs_root, name)
         if outside is None or content_digest([outside]) != row.digest:
@@ -279,7 +320,7 @@ class EnclaveRuntime:
     def db_vas(self) -> List[int]:
         return [DB_BASE + i for i in range(self.db_pages)]
 
-    def fork_cow(self, parent_pid: int, now: float = 0.0) -> ForkPair:
+    def fork_cow(self, parent_pid: int) -> ForkPair:
         """Fork by aliasing: the child gets the same enclave, a fresh TCS
         and a page table equal to the parent's view; nothing is copied."""
         thread, _ = self.threads[parent_pid]
@@ -288,41 +329,33 @@ class EnclaveRuntime:
         if not self.tcs_table.free_rows():
             raise errors.NoFreeTcs("no TCS available for the child")
         parent = self.kernel.containers[parent_pid]
-        child = self.kernel.create_container(parent.fs_root, now)
+        child = self.kernel.create_container(parent.fs_root)
         self.attach_container(child)
-        child_thread = self.enter(child.pid)
-        assert child_thread.live
-        _, child_tcs = self.threads[child.pid]
-        return ForkPair(parent_pid, child.pid, child_tcs,
-                        shared_pages=set(self.db_vas()))
+        self.enter(child.pid)
+        return ForkPair(parent_pid, child.pid, shared_pages=set(self.db_vas()))
 
     def cow_write(self, pair: ForkPair, writer_pid: int, va: int,
                   value: bytes, offset: int = 0) -> None:
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
-        writer = self.kernel.containers[writer_pid]
-        mode = enclave_mode(self.enclave.enclave_id)
         target = pair.private_copies.get((writer_pid, va))
         if target is None and va in pair.shared_pages:
             # First write since fork: privatize on the writer side only.
+            original = self.read(writer_pid, va)
             copy_va = self._next_copy_va
             self._next_copy_va += 1
-            original = self.machine.read_page(writer.address_space, va, mode)
-            self._eadd_mapped(writer, copy_va, original)
+            self._eadd_mapped(self.kernel.containers[writer_pid], copy_va,
+                              original)
             pair.private_copies[(writer_pid, va)] = copy_va
             pair.shared_pages.discard(va)
             pair.dirty_count += 1
             target = copy_va
         if target is None:
             target = va  # other side privatized already; write the original
-        self.machine.write_page(writer.address_space, target, value, mode,
-                                offset)
+        self.write(writer_pid, target, value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
-        container = self.kernel.containers[pid]
-        mode = enclave_mode(self.enclave.enclave_id)
-        target = pair.private_copies.get((pid, va), va)
-        return self.machine.read_page(container.address_space, target, mode)
+        return self.read(pid, pair.private_copies.get((pid, va), va))
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest the child's view of the full db extent, then retire the

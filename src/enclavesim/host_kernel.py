@@ -19,7 +19,6 @@ class Container:
     pid: int
     address_space: AddressSpace
     fs_root: str
-    created_at: float
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class Kernel:
 
     # -- containers ---------------------------------------------------------
 
-    def create_container(self, fs_root: str, now: float = 0.0) -> Container:
-        container = Container(self._next_pid, AddressSpace(), fs_root, now)
+    def create_container(self, fs_root: str) -> Container:
+        container = Container(self._next_pid, AddressSpace(), fs_root)
         self._next_pid += 1
         self.containers[container.pid] = container
         return container

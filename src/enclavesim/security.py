@@ -2,6 +2,9 @@
 adversary schedules, TCS exclusivity schedules and environment-swap
 detection. Each probe returns (trials, failures) where failures lists a
 description per undetected violation; an empty list means the suite holds.
+Remap enumeration probes the hardware's EPCM check directly; the schedule
+probes drive ``EnclaveRuntime`` (``read``/``write``, ``enter``/``suspend``/
+``resume``/``exit``) and run its ``check_invariants`` after every step.
 """
 
 from __future__ import annotations
@@ -10,17 +13,9 @@ import random
 from typing import List, Tuple
 
 from . import errors
-from .enclave_runtime import DB_BASE, EnclaveRuntime, InstanceState
+from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import (
-    Access,
-    Machine,
-    NON_ENCLAVE,
-    PAGE_SIZE,
-    PageType,
-    TcsState,
-    enclave_mode,
-)
+from .sgx_core import Access, Machine, PAGE_SIZE, enclave_mode
 
 
 def _page(tag: int) -> bytes:
@@ -42,7 +37,7 @@ def remap_enumeration(n_pages: int = 4, n_spaces: int = 3) -> Tuple[int, List[st
     for i, va in enumerate(victim_vas[:2]):
         machine.eadd(other, va, _page(0xA0 + i))
     machine.einit(other)
-    plain = machine.alloc_plain_page(b"untrusted")
+    machine.alloc_plain_page(b"untrusted")
 
     spaces = [kernel.create_container(f"/c{i}").address_space
               for i in range(n_spaces)]
@@ -76,15 +71,16 @@ def remap_enumeration(n_pages: int = 4, n_spaces: int = 3) -> Tuple[int, List[st
                     if expect_ok:
                         failures.append(
                             f"honest mapping va {va:#x} -> pa {pa:#x} faulted")
-    del plain
     return trials, failures
 
 
 def random_adversary_schedules(n_schedules: int = 1000,
                                seed: int = 0) -> Tuple[int, List[str]]:
-    """Randomized kernel schedules over a small shared enclave; every read
-    must either fault, trip the runtime sandbox check, or return exactly the
-    bytes an honest shadow copy predicts."""
+    """Randomized kernel schedules over a small shared enclave. Enclave
+    writes and reads go through ``EnclaveRuntime.write``/``read``, so the
+    shipped sandbox check is what is tested; every read must fault, trip
+    that check, or return exactly the bytes an honest shadow copy predicts.
+    ``check_invariants`` runs after every step."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -93,62 +89,56 @@ def random_adversary_schedules(n_schedules: int = 1000,
         runtime = EnclaveRuntime(machine, kernel)
         runtime.runtime_init(runtime_pages=3, tcs_count=2)
         runtime.load_db(3)
-        reader = runtime.creator
+        writer = runtime.creator
         second = kernel.create_container("/c2")
         runtime.attach_container(second)
-        containers = [reader, second]
-        plain = machine.alloc_plain_page(b"\x66" * 16)
+        containers = [writer, second]
+        machine.alloc_plain_page(b"\x66" * 16)
 
         vas = runtime.db_vas()
-        shadow = {va: bytes(machine.pages[runtime.enclave.pages[va]].content)
-                  for va in vas}
-        mode = enclave_mode(runtime.enclave.enclave_id)
         honest = {va: runtime.enclave.pages[va] for va in vas}
+        shadow = {va: bytearray(machine.pages[honest[va]].content)
+                  for va in vas}
         all_pas = sorted(machine.pages)
 
-        for _ in range(20):
-            op = rng.randrange(4)
-            container = containers[rng.randrange(len(containers))]
-            va = vas[rng.randrange(len(vas))]
-            if op == 0:  # honest in-enclave write via the creator's view
-                value = bytes([rng.randrange(256)]) * 8
-                try:
-                    pa = machine.translate_access(reader.address_space, va,
-                                                  Access.WRITE, mode)
-                    if not machine.pages[pa].is_epc:
-                        continue  # runtime sandbox check: caught
-                    machine.write_page(reader.address_space, va, value, mode)
-                except errors.Fault:
-                    continue  # writer's own view was remapped: caught
-                shadow[va] = bytes(
-                    machine.pages[honest[va]].content)
-            elif op == 1:  # adversary remap to an arbitrary physical page
-                kernel.adversary_remap(container.address_space, va,
-                                       all_pas[rng.randrange(len(all_pas))])
-            elif op == 2:  # kernel restores the honest mapping
-                container.address_space.map(va, honest[va])
-            else:  # read through the runtime's sandboxed path
-                try:
-                    pa = machine.translate_access(container.address_space, va,
-                                                  Access.READ, mode)
-                    if va in runtime.private_vas and \
-                            not machine.pages[pa].is_epc:
-                        raise errors.IsolationFault("non-protected backing")
-                    got = bytes(machine.pages[pa].content)
-                    if got != shadow[va]:
-                        failures.append(
-                            f"schedule {schedule}: wrong bytes at va {va:#x}")
-                except (errors.Fault, errors.IsolationFault):
-                    pass  # detected
-        del plain
+        try:
+            for _ in range(20):
+                op = rng.randrange(4)
+                container = containers[rng.randrange(len(containers))]
+                va = vas[rng.randrange(len(vas))]
+                if op == 0:  # honest in-enclave write via the creator's view
+                    value = bytes([rng.randrange(256)]) * 8
+                    try:
+                        runtime.write(writer.pid, va, value)
+                        shadow[va][:len(value)] = value
+                    except (errors.Fault, errors.IsolationFault):
+                        pass  # writer's own view was remapped: caught
+                elif op == 1:  # adversary remap to an arbitrary physical page
+                    kernel.adversary_remap(
+                        container.address_space, va,
+                        all_pas[rng.randrange(len(all_pas))])
+                elif op == 2:  # kernel restores the honest mapping
+                    container.address_space.map(va, honest[va])
+                else:  # read through the runtime's sandboxed path
+                    try:
+                        if runtime.read(container.pid, va) != shadow[va]:
+                            failures.append(
+                                f"schedule {schedule}: wrong bytes at va "
+                                f"{va:#x}")
+                    except (errors.Fault, errors.IsolationFault):
+                        pass  # detected
+                runtime.check_invariants()
+        except errors.InvariantViolation as exc:
+            failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures
 
 
 def tcs_exclusivity_schedules(n_schedules: int = 1000,
                               seed: int = 0) -> Tuple[int, List[str]]:
-    """Randomized acquire/enter/aex/resume/exit schedules; after every step
-    each TCS must be bound to at most one live thread and the kernel table
-    must agree with the hardware state."""
+    """Randomized enter/suspend/resume/exit schedules driven through
+    ``EnclaveRuntime``; after every step ``check_invariants`` must hold:
+    each TCS bound to at most one live thread and the kernel table agreeing
+    with the hardware state."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -161,49 +151,28 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
             c = kernel.create_container(f"/c{i}")
             runtime.attach_container(c)
             pids.append(c.pid)
-        suspended = {}
 
-        def check() -> bool:
-            live_by_tcs = {}
-            for pid, (thread, tcs_va) in runtime.threads.items():
-                if thread.live:
-                    live_by_tcs.setdefault(tcs_va, []).append(pid)
-            for tcs_va, holders in live_by_tcs.items():
-                if len(holders) > 1:
-                    return False
-            for row in runtime.tcs_table.rows:
-                tcs = runtime.enclave.tcs_for(row.tcs_va)
-                busy = tcs.state is TcsState.BUSY
-                if (row.holder is not None) != busy:
-                    return False
-            return True
-
-        for _ in range(25):
-            pid = pids[rng.randrange(len(pids))]
-            has_thread = pid in runtime.threads
-            action = rng.randrange(3)
-            try:
-                if not has_thread and action != 2:
-                    runtime.enter(pid)
-                elif has_thread and pid in suspended and action == 0:
-                    # resume from the saved context
-                    thread, tcs_va = runtime.threads[pid]
-                    container = kernel.containers[pid]
-                    new = machine.eresume(container.address_space, tcs_va)
-                    runtime.threads[pid] = (new, tcs_va)
-                    del suspended[pid]
-                elif has_thread and pid not in suspended and action == 0:
-                    thread, tcs_va = runtime.threads[pid]
-                    machine.aex(thread)
-                    suspended[pid] = True
-                elif has_thread and pid not in suspended:
-                    runtime.exit(pid)
-                    suspended.pop(pid, None)
-            except (errors.Fault, errors.NoFreeTcs):
-                pass
-            if not check():
-                failures.append(f"schedule {schedule}: exclusivity broken")
-                break
+        try:
+            for _ in range(25):
+                pid = pids[rng.randrange(len(pids))]
+                held = runtime.threads.get(pid)
+                action = rng.randrange(3)
+                try:
+                    if held is None:
+                        if action != 2:
+                            runtime.enter(pid)
+                    elif not held[0].live:
+                        if action == 0:
+                            runtime.resume(pid)
+                    elif action == 0:
+                        runtime.suspend(pid)
+                    else:
+                        runtime.exit(pid)
+                except (errors.Fault, errors.NoFreeTcs):
+                    pass
+                runtime.check_invariants()
+        except errors.InvariantViolation as exc:
+            failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures
 
 

@@ -52,7 +52,6 @@ class PageType(enum.Enum):
 class Access(enum.Enum):
     READ = "read"
     WRITE = "write"
-    EXECUTE = "execute"
 
 
 class TcsState(enum.Enum):

@@ -45,7 +45,6 @@ class DbModel(enum.Enum):
 @dataclass
 class ExecutionModel:
     variant: Variant
-    warm_keepalive_s: float = 30.0  # only meaningful for CC_WARM
     prediction: bool = False  # always-warm mode for throughput runs
 
 
@@ -287,7 +286,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                     state["free_containers"] += 1
                 elif variant is Variant.CC_WARM and not model.prediction:
                     state["warm_pool"].append(
-                        loop.now + model.warm_keepalive_s * 1000.0)
+                        loop.now + params.warm_keepalive_s * 1000.0)
                 pool.release()
                 state["done"] += 1
 

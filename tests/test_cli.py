@@ -74,6 +74,14 @@ class TestParseConfig:
         with pytest.raises(errors.ParseError):
             parse_config("[security_suite]\nseed = banana\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_rejected(self, raw):
+        text = ("[serverless_macro]\nmodel = teemate\nworkload = crypto-aes\n"
+                f"rate_per_s = 1\nduration_s = {raw}\nseed = 0\n")
+        with pytest.raises(errors.ParseError) as info:
+            parse_config(text)
+        assert info.value.line_no == 5
+
     def test_param_override_and_exec_override(self):
         config = parse_config(LATENCY_CFG +
                               "t_alias = 2.5\nt_exec.crypto-aes = 950\n")
@@ -134,6 +142,20 @@ class TestMain:
     def test_invariant_violation_exit_code(self, tmp_path):
         cfg = self.write_cfg(tmp_path, LATENCY_CFG + "t_alias = 9.0\n")
         assert main([cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        LATENCY_CFG + "t_container_create = nan\n",
+        LATENCY_CFG + "t_exec.crypto-aes = inf\n",
+        LATENCY_CFG + "workers = 0\n",
+        LATENCY_CFG + "n_requests = 0\n",
+        "[security_suite]\nseed = 1\nschedules = -4\n",
+    ], ids=["nan-param", "inf-exec", "zero-workers", "zero-requests",
+            "negative-schedules"])
+    def test_bad_value_exits_one(self, tmp_path, text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG)

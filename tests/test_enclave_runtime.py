@@ -48,6 +48,31 @@ class TestThreads:
         with pytest.raises(errors.NoFreeTcs):
             runtime.enter(pids[4])
 
+    def test_exit_on_suspended_thread_keeps_tcs_held(self, rt):
+        _, _, runtime = rt
+        pid = runtime.creator.pid
+        runtime.enter(pid)
+        runtime.suspend(pid)
+        threads = dict(runtime.threads)
+        holders = [row.holder for row in runtime.tcs_table.rows]
+        with pytest.raises(errors.SimError):
+            runtime.exit(pid)
+        assert runtime.threads == threads
+        assert [row.holder for row in runtime.tcs_table.rows] == holders
+        runtime.check_invariants()
+        assert runtime.resume(pid).live
+        runtime.exit(pid)
+        assert pid not in runtime.threads
+        assert len(runtime.tcs_table.free_rows()) == 4
+
+    def test_check_invariants_flags_table_drift(self, rt):
+        _, _, runtime = rt
+        runtime.enter(runtime.creator.pid)
+        runtime.check_invariants()
+        runtime.tcs_table.rows[0].holder = None
+        with pytest.raises(errors.InvariantViolation):
+            runtime.check_invariants()
+
 
 class TestInstances:
     def test_create_maps_epc_pages(self, rt):
@@ -228,6 +253,32 @@ class TestForkCow:
         runtime2.cow_write(pair2, pair2.child_pid, DB_BASE, b"dirty")
         d2 = runtime2.snapshot(pair2, pair2.child_pid)
         assert d1 != d2
+
+    def remap_child_to_plain(self, machine, runtime, pair):
+        plain = machine.alloc_plain_page(b"attacker")
+        child = runtime.kernel.containers[pair.child_pid]
+        runtime.kernel.adversary_remap(child.address_space, DB_BASE, plain.pa)
+
+    def test_cow_read_rejects_plain_backing(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        self.remap_child_to_plain(machine, runtime, pair)
+        with pytest.raises(errors.IsolationFault):
+            runtime.cow_read(pair, pair.child_pid, DB_BASE)
+
+    def test_cow_write_rejects_plain_backing(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        used = machine.epc_used
+        self.remap_child_to_plain(machine, runtime, pair)
+        with pytest.raises(errors.IsolationFault):
+            runtime.cow_write(pair, pair.child_pid, DB_BASE, b"x")
+        assert pair.private_copies == {} and pair.dirty_count == 0
+        assert machine.epc_used == used
+
+    def test_snapshot_rejects_plain_backing(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        self.remap_child_to_plain(machine, runtime, pair)
+        with pytest.raises(errors.IsolationFault):
+            runtime.snapshot(pair, pair.child_pid)
 
     def test_fork_requires_live_parent_thread(self):
         machine = Machine(epc_capacity_pages=64)

@@ -27,7 +27,7 @@ def make_enclave(machine, kernel, n_pages=2):
 
 class TestContainers:
     def test_fresh_container(self, kernel):
-        c = kernel.create_container("/app-A", 0)
+        c = kernel.create_container("/app-A")
         assert c.pid == 1 and c.address_space.page_table == {}
 
     def test_distinct_pids(self, kernel):

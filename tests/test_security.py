@@ -1,6 +1,8 @@
 """Smaller-scale runs of the adversary probe suites; the acceptance suite
 runs them at full size."""
 
+from enclavesim.enclave_runtime import EnclaveRuntime
+from enclavesim.host_kernel import Kernel
 from enclavesim.security import (
     environment_swap_detection,
     random_adversary_schedules,
@@ -40,3 +42,21 @@ def test_tcs_exclusivity_sample():
 def test_environment_swap_sample():
     trials, failures = environment_swap_detection(10, seed=0)
     assert trials == 10 and failures == []
+
+
+def test_adversary_schedules_rely_on_runtime_sandbox_check(monkeypatch):
+    def resolve_without_sandbox_check(self, pid, va, access):
+        space = self.kernel.containers[pid].address_space
+        return self.machine.pages[
+            self.machine.translate_access(space, va, access, self._mode)]
+
+    monkeypatch.setattr(EnclaveRuntime, "_resolve",
+                        resolve_without_sandbox_check)
+    _, failures = random_adversary_schedules(200, seed=0)
+    assert failures
+
+
+def test_tcs_schedules_catch_a_leaked_tcs_row(monkeypatch):
+    monkeypatch.setattr(Kernel, "tcs_release", lambda self, table, va: None)
+    _, failures = tcs_exclusivity_schedules(200, seed=0)
+    assert failures

@@ -103,17 +103,17 @@ class TestServerlessLatency:
         assert ENCLAVE_CREATE not in second.components
 
     def test_warm_pool_skips_setup_within_keepalive(self, params):
+        params.warm_keepalive_s = 30
         trace = RequestTrace([(0.0, "sleep"), (12000.0, "sleep")])
-        m = run_serverless(ExecutionModel(Variant.CC_WARM, warm_keepalive_s=30),
-                           trace, params)
+        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
         cold, warm = m.requests
         assert ENCLAVE_CREATE in cold.components
         assert warm.components == {"exec": params.exec_ms("sleep")}
 
     def test_warm_pool_expires(self, params):
+        params.warm_keepalive_s = 30
         trace = RequestTrace([(0.0, "sleep"), (50000.0, "sleep")])
-        m = run_serverless(ExecutionModel(Variant.CC_WARM, warm_keepalive_s=30),
-                           trace, params)
+        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
         assert ENCLAVE_CREATE in m.requests[1].components
 
     def test_native_has_no_enclave_cost(self, params):
