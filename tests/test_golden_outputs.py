@@ -1,0 +1,182 @@
+"""Golden outputs: ``cli.main`` over a fixed matrix of configs and seeds.
+
+Each case pins the sha256 of the ``summary.json`` bytes followed by the
+``metrics.csv`` bytes. The matrix covers queueing on the worker pool and
+on the EPC-expand lock, the warm pool with and without prediction, an
+unserialized expand, bursts of several sizes and database runs on both
+sides of the copy-on-write window, so a change to the event loop, the
+database loop or the output writer that alters any simulated number or
+any output byte fails here.
+
+Regenerate the table (only for a deliberate output change, which
+CHANGES.md must then name) with::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from enclavesim.cli import main
+
+ALL_MODELS = "native, cc_cold, cc_warm, teemate"
+
+MACRO = ("[serverless_macro]\nmodel = {models}\nworkload = {workload}\n"
+         "rate_per_s = {rate}\nduration_s = {duration}\nseed = 0\n")
+BURST = ("[{scenario}]\nmodel = " + ALL_MODELS + "\nworkload = all\n"
+         "n_requests = {n}\nseed = 0\n")
+DATABASE = ("[database]\nmodel = strawman, teemate\ndb_mib = {db_mib}\n"
+            "write_ratio = {write_ratio}\nsnapshot_interval_s = {interval}\n"
+            "duration_s = {duration}\nseed = 0\n")
+
+CASES = {
+    # 4 requests/s backs up cc_cold's 8 workers and the expand lock.
+    "macro-contended": MACRO.format(models=ALL_MODELS, workload="crypto-aes",
+                                    rate=4, duration=150),
+    "macro-short-keepalive": MACRO.format(
+        models=ALL_MODELS, workload="dynamic-html", rate=1.5,
+        duration=90) + "warm_keepalive_s = 1.5\nworkers = 3\n",
+    "macro-prediction": MACRO.format(
+        models="cc_warm, teemate, native", workload="regexp-dna", rate=3,
+        duration=40) + "prediction = true\n",
+    "macro-unserialized-expand": MACRO.format(
+        models="teemate, cc_cold", workload="sleep", rate=3,
+        duration=40) + "epc_alloc_serialized = false\nworkers = 2\n",
+    "macro-non-dyadic": MACRO.format(
+        models=ALL_MODELS, workload="uploader", rate=2.5,
+        duration=30) + "t_alias = 2.41\nt_epc_alloc_per_page = 0.1031\n"
+                       "t_exec.uploader = 1234.567\n",
+    "db-write0": DATABASE.format(db_mib=512, write_ratio=0, interval=2,
+                                 duration=60),
+    "db-write0.3": DATABASE.format(db_mib=512, write_ratio=0.3, interval=2,
+                                   duration=60),
+    "db-write1": DATABASE.format(db_mib=64, write_ratio=1, interval=1,
+                                 duration=20),
+    "db-non-dyadic": DATABASE.format(db_mib=96, write_ratio=0.45,
+                                     interval=1.3, duration=25)
+    + "t_db_exec = 0.3\nt_cow_copy = 0.07\n",
+    "db-interval-past-duration": DATABASE.format(
+        db_mib=32, write_ratio=0.5, interval=100, duration=60),
+}
+for _scenario in ("serverless_throughput", "serverless_memory",
+                  "serverless_latency"):
+    for _n in (1, 8, 65):
+        CASES[f"{_scenario}-{_n}"] = BURST.format(scenario=_scenario, n=_n)
+CASES["serverless_throughput-8-on-3-workers"] = \
+    BURST.format(scenario="serverless_throughput", n=8) + "workers = 3\n"
+
+SEEDS = (0, 20231)
+
+# Computed before the flat event loop, the RNG-free database tail and the
+# one-pass CSV writer replaced the code they cover.
+GOLDEN = {
+    "db-interval-past-duration@0":
+        "8bc443d71629bbd6d8e89278d276148b27d7f6150faf24d3426f2f5d06e68246",
+    "db-interval-past-duration@20231":
+        "c3aac82390a3c7b03c3a2e8165ec4c64cdaf3c2e2e00f7d4e301494c9d8b2c8d",
+    "db-non-dyadic@0":
+        "eacc9aa0aefa155df8a811fec5dd3c68b1a726a19009bd44438bf497ee5dcbd8",
+    "db-non-dyadic@20231":
+        "50a27935ac9bd6d330cb17cd61b64b3d15c145b1112474c837a58ba032293849",
+    "db-write0@0":
+        "d026637d3bcf4193f375b14823bd0c23616348696aa634f5ba5b75e7892022cf",
+    "db-write0@20231":
+        "9a5fe1b0d64928c657cd3986f5537d9de1bcfc4899d42477f577e296755328dd",
+    "db-write0.3@0":
+        "bc0c7c643abfbb4b9495048744ca6f1a71898e441fbb193d80474302eb746a49",
+    "db-write0.3@20231":
+        "d8f513ee6ddfa29a98948e09c471f9b4bddd99a20ecf6c9886eca4275a998788",
+    "db-write1@0":
+        "6397ac01a421b185adcfc054d448a523f3c6e92e05b7411b354a794e9e81c8ff",
+    "db-write1@20231":
+        "4fbd4c01033ef695c70016d301165ff386096a4b77a17518f2d0b0c2ce78ea7a",
+    "macro-contended@0":
+        "11f278a12aa127457d9a1ce0c848e218a5a18dcdd3c0a556f15ee31ed1a69d9d",
+    "macro-contended@20231":
+        "f172a02f82debb88c8b7297005ee6e669482691ea9349ec796d1e5da94305eb9",
+    "macro-non-dyadic@0":
+        "4ff35684fd93846f72318e26e9680afd0da7d3fdcdfd1aad5ee16eb1ccaa85e8",
+    "macro-non-dyadic@20231":
+        "54ae07d63546f65632d411267177629f16a985cf347286f780e6aeaeccdb7ec4",
+    "macro-prediction@0":
+        "ba5a3a9e943a3e5a652b366858c3e012f89f7e3cc7ac224e5cd4b415739ef8d5",
+    "macro-prediction@20231":
+        "d7ee073b02834fb3ef726fadb0e1497d377551bc1ea93135b420c5bce7d4799b",
+    "macro-short-keepalive@0":
+        "9008e86cdd33cd39eabb6e617d00b840f0c78a0aa819097261a71bb20d13c424",
+    "macro-short-keepalive@20231":
+        "13069bb4025c55e218638e5779ff03e0d966cd8f7d459784c05c4b3cf97a0afd",
+    "macro-unserialized-expand@0":
+        "3cae08d6ff33cb61bab1dc65f32ad1eac612446dad0d2514941669abbeccf781",
+    "macro-unserialized-expand@20231":
+        "b3638913e2dbe3b3f600c126fef02d494eb067b129f9736da49c16b669aac025",
+    "serverless_latency-1@0":
+        "149ad259f7277e5961e7442c79d26b65410953c9d8d1040939f0d84861df818c",
+    "serverless_latency-1@20231":
+        "c8a8b3278360e697d26cf04932d9280ab97aaabb3fa5928e7baa92fd07afd42c",
+    "serverless_latency-65@0":
+        "ece41bc28fab145b70ef0ce8ebf8e07ec6b88b062e8e5de746f17bf8191c072c",
+    "serverless_latency-65@20231":
+        "296fe5c944c619b7f7e4236ba50d1231d0029f99995e6f51ac5addd259fe3db5",
+    "serverless_latency-8@0":
+        "f6be96af120ac49a1d60bf13ae9e173777f78d7c2247d17e1bc396b7c68c462b",
+    "serverless_latency-8@20231":
+        "4a57f023952646681ad106665471b3adaa541e698b7f90b1051d7e4d1ff9b56a",
+    "serverless_memory-1@0":
+        "71ffcd722471d5b4debd34f5db60d2ebe164b4a81981c29e36c99e8d582cc01a",
+    "serverless_memory-1@20231":
+        "e99879b9289ddbc4bcfa6ab52b2e8c56595c35a7fc42ba30f579e6d5724e72e8",
+    "serverless_memory-65@0":
+        "2dac39aa09875bf6772405847b5cdeeef013439679e8382730a3ea96c70051c3",
+    "serverless_memory-65@20231":
+        "e5fafd8fb24c572219fc828e5f004eb6dcd35c33f2d78690e2eb36c27e1538d8",
+    "serverless_memory-8@0":
+        "6a117fd1cc7a11d2062340eae0ad02741e1389defe0b33fa8878e4c4311fe4fd",
+    "serverless_memory-8@20231":
+        "c23d5ea25284506e88fd38dcacb6c667fa50dcd02c10ce47b15f214895f1d8ea",
+    "serverless_throughput-1@0":
+        "bdf6fefde6ce799b9c10215758880911c6f2bb24eec0d746f03a6753b92fd78f",
+    "serverless_throughput-1@20231":
+        "ec863f324a175c0aced1840247f830fb283476b3817f81ca9ba9f4aa6739413f",
+    "serverless_throughput-65@0":
+        "17aaa274f5249513f9c73b091a2bb7754ac5aa501f1d0f8777eaabcb4b986bcf",
+    "serverless_throughput-65@20231":
+        "c54c7a098048b121dfdcdf889175570a9494a134911f50cd5cd2316253461a37",
+    "serverless_throughput-8@0":
+        "61dc5647be1df038146e069d238cef910b566e7b2a0c1ee02b36a7d6bdbd4cf0",
+    "serverless_throughput-8@20231":
+        "37ff0a856fd8694ce7c5250a5d49c4fbcddb1e8e2327f525e2ee00962249e09a",
+    "serverless_throughput-8-on-3-workers@0":
+        "8c5885182969c3259755142ed7499208b9627dae2d72e40c9e96505524e9bcfd",
+    "serverless_throughput-8-on-3-workers@20231":
+        "986347a78bc94b538bcde63046a5d3dab925e3dfaa02f28fc153eb96662bad2e",
+}
+
+
+def output_digest(tmp_path, name, seed):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(CASES[name])
+    out = tmp_path / f"{name}-{seed}"
+    assert main([str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+    return hashlib.sha256((out / "summary.json").read_bytes()
+                          + (out / "metrics.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_golden(tmp_path, name, seed):
+    assert output_digest(tmp_path, name, seed) == GOLDEN[f"{name}@{seed}"]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in sorted(CASES):
+            for case_seed in SEEDS:
+                digest = output_digest(pathlib.Path(scratch), case, case_seed)
+                sys.stdout.write(f'    "{case}@{case_seed}":\n'
+                                 f'        "{digest}",\n')
