@@ -24,6 +24,7 @@ from .workload_harness import (
     ExecutionModel,
     Metrics,
     Variant,
+    db_cycle,
     gen_burst,
     gen_poisson,
     run_database,
@@ -49,6 +50,11 @@ SCENARIOS = {
 }
 
 _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(CostParams)}
+
+# Work bounds, checked before any simulation starts: a larger run could
+# hang the process or exhaust its memory.
+MAX_ARRIVALS = 10**6  # requests of one serverless run (expected, for macro)
+MAX_DB_REQUESTS = 10**7  # requests of one database run
 
 
 @dataclass
@@ -78,10 +84,14 @@ def _parse_bool(raw: str, line_no: int) -> bool:
     raise errors.ParseError(line_no, f"expected a boolean, got {raw!r}")
 
 
-def _parse_float(raw: str) -> float:
+def _parse_float(raw: str, low: float = -math.inf,
+                 high: float = math.inf) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
+    if not low <= value <= high:
+        raise ValueError(f"expected a number in [{low:g}, {high:g}], "
+                         f"got {raw!r}")
     return value
 
 
@@ -121,10 +131,14 @@ def parse_config(text: str) -> ScenarioConfig:
     config = ScenarioConfig(scenario=scenario, seed=0)
     seen = set()
     for line_no, key, value in pairs:
+        if key in seen:
+            raise errors.ParseError(line_no, f"duplicate key {key!r}")
         seen.add(key)
         try:
             if key == "model":
                 config.models = [m.strip() for m in value.split(",") if m.strip()]
+                if not config.models:
+                    raise ValueError("expected at least one model")
             elif key == "workload":
                 config.workload = value
             elif key == "seed":
@@ -142,9 +156,9 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key == "db_mib":
                 config.db_mib = _parse_float(value)
             elif key == "write_ratio":
-                config.write_ratio = _parse_float(value)
+                config.write_ratio = _parse_float(value, 0.0, 1.0)
             elif key == "snapshot_interval_s":
-                config.snapshot_interval_s = _parse_float(value)
+                config.snapshot_interval_s = _parse_float(value, 0.0)
             elif key == "schedules":
                 config.schedules = _parse_count(value)
             elif key.startswith("t_exec."):
@@ -202,18 +216,42 @@ def _workloads(config: ScenarioConfig, params: CostParams) -> List[str]:
     return [config.workload]
 
 
+def _db_model(name: str) -> DbModel:
+    try:
+        return DbModel(name)
+    except ValueError:
+        raise errors.UnknownKey(f"unknown database model {name!r}")
+
+
+def _check_work_bounds(config: ScenarioConfig, params: CostParams) -> None:
+    if config.scenario == "database":
+        for name in config.models:
+            end = db_cycle(_db_model(name), config.db_mib,
+                           config.snapshot_interval_s, config.duration_s,
+                           params).end
+            if end / params.t_db_exec > MAX_DB_REQUESTS:
+                raise errors.ConfigError(
+                    f"{name}: {end / 1000.0:g} s of {params.t_db_exec:g} ms "
+                    f"requests exceeds {MAX_DB_REQUESTS} requests")
+        return
+    if config.scenario == "serverless_macro":
+        arrivals = config.rate_per_s * config.duration_s
+    else:
+        arrivals = config.n_requests
+    if arrivals > MAX_ARRIVALS:
+        raise errors.ConfigError(
+            f"{arrivals:g} arrivals per run exceeds {MAX_ARRIVALS}")
+
+
 def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
     """Execute the configured scenario; returns {label: metrics}."""
     params = build_params(config)
+    _check_work_bounds(config, params)
     results: Dict[str, Metrics] = {}
     if config.scenario == "database":
         for name in config.models:
-            try:
-                model = DbModel(name)
-            except ValueError:
-                raise errors.UnknownKey(f"unknown database model {name!r}")
             results[name] = run_database(
-                model, config.db_mib, config.write_ratio,
+                _db_model(name), config.db_mib, config.write_ratio,
                 config.snapshot_interval_s, config.duration_s, config.seed,
                 params)
         return results
@@ -254,17 +292,19 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                   out_dir: str) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
+    # Labels are model and workload names and request ids are indices or
+    # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
+    row_format = "%s/%s" + ",%.6f" * (len(COMPONENTS) + 2) + "\r\n"
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["request_id", "arrival_ms", *COMPONENTS, "total_ms"])
+        handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
+                               "total_ms"]) + "\r\n")
         for label, metrics in results.items():
-            for record in metrics.requests:
-                row = [f"{label}/{record.request_id}",
-                       f"{record.arrival_ms:.6f}"]
-                row += [f"{record.components.get(c, 0.0):.6f}"
-                        for c in COMPONENTS]
-                row.append(f"{record.total_ms:.6f}")
-                writer.writerow(row)
+            handle.write("".join([
+                row_format % (label, record.request_id, record.arrival_ms,
+                              *[record.components.get(c, 0.0)
+                                for c in COMPONENTS],
+                              record.total_ms)
+                for record in metrics.requests]))
 
     summary = {"scenario": config.scenario, "seed": config.seed, "models": {}}
     baseline_label = next(iter(results), None)

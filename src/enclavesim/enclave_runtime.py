@@ -360,9 +360,15 @@ class EnclaveRuntime:
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest the child's view of the full db extent, then retire the
         child: its TCS is released, every private copy is freed and its
-        container is destroyed."""
-        digest = content_digest(self.cow_read(pair, child_pid, va)
-                                for va in self.db_vas())
+        container is destroyed. A fault while digesting (a remapped va)
+        still retires the child before it propagates."""
+        try:
+            return content_digest(self.cow_read(pair, child_pid, va)
+                                  for va in self.db_vas())
+        finally:
+            self._retire_child(pair, child_pid)
+
+    def _retire_child(self, pair: ForkPair, child_pid: int) -> None:
         self.exit(child_pid)
         for (pid, va), copy_va in sorted(pair.private_copies.items()):
             holder = self.kernel.containers[pid]
@@ -380,4 +386,3 @@ class EnclaveRuntime:
         pair.shared_pages = set(self.db_vas())
         pair.live = False
         self.kernel.destroy_container(child_pid)
-        return digest

@@ -14,7 +14,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import errors
 from .cost_model import (
@@ -111,51 +111,23 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Minimal event engine.
-
-class _EventLoop:
-    def __init__(self):
-        self._queue = []
-        self._counter = itertools.count()
-        self.now = 0.0
-
-    def at(self, t: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._queue, (t, next(self._counter), fn))
-
-    def after(self, delay: float, fn: Callable[[], None]) -> None:
-        self.at(self.now + delay, fn)
-
-    def run(self) -> None:
-        while self._queue:
-            t, _, fn = heapq.heappop(self._queue)
-            self.now = t
-            fn()
-
-
-class _Resource:
-    """FIFO counting resource (worker pool, allocation lock)."""
-
-    def __init__(self, loop: _EventLoop, capacity: int):
-        self.loop = loop
-        self.free = capacity
-        self.queue = deque()
-
-    def acquire(self, fn: Callable[[], None]) -> None:
-        if self.free > 0:
-            self.free -= 1
-            self.loop.after(0.0, fn)
-        else:
-            self.queue.append(fn)
-
-    def release(self) -> None:
-        if self.queue:
-            self.loop.after(0.0, self.queue.popleft())
-        else:
-            self.free += 1
-
-
-# ---------------------------------------------------------------------------
 # Serverless scenario.
+
+# Event kinds. Only these points touch state shared between requests.
+_ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
+
+
+class _Job:
+    """A request in flight: its record, its steps and the next step."""
+
+    __slots__ = ("record", "steps", "pos", "mem")
+
+    def __init__(self, record: RequestRecord):
+        self.record = record
+        self.steps: List[Tuple[bool, str, float]] = []
+        self.pos = 0
+        self.mem = 0.0
+
 
 def run_serverless(model, trace: RequestTrace, params: CostParams,
                    workers: int = 8, pre_registered: bool = True) -> Metrics:
@@ -165,25 +137,41 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     the shared-enclave registration phase (container + enclave creation +
     runtime load) completes before the first arrival and is reported under
     ``extras`` rather than inside any request's latency.
+
+    One heap of ``(time, seq, kind, job)`` events drives the run; events at
+    the same time run in scheduling order (``seq``), arrivals first. A
+    request wakes only where it touches shared state: on arrival (worker
+    pool), at start (warm pool, free containers, occupancy), at the
+    EPC-expand lock (acquire, grant, unlock) and at finish. Between those
+    points its steps touch nothing shared, so they are charged together,
+    one ledger charge per step, and the wake time is their running sum.
+    Grants from the pool or the lock are separate zero-delay events.
     """
     if isinstance(model, Variant):
         model = ExecutionModel(model)
     params.validate()
     variant = model.variant
+    serialized = params.epc_alloc_serialized
 
-    loop = _EventLoop()
     ledger = CostLedger()
-    pool = _Resource(loop, workers)
-    expand_lock = _Resource(loop, 1) if params.epc_alloc_serialized else None
+    charge = ledger.charge
+    records = [RequestRecord(str(idx), arrival, workload)
+               for idx, (arrival, workload) in enumerate(trace.arrivals)]
+    events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
+              for idx, record in enumerate(records)]
+    heapq.heapify(events)
+    push = heapq.heappush
+    seq = itertools.count(len(events))
 
-    records: List[RequestRecord] = []
-    state = {
-        "free_containers": 0,
-        "live_instances": 0,
-        "warm_pool": [],  # expiry times of idle warm environments
-        "registration_pending": False,
-        "done": 0,
-    }
+    free_workers = workers
+    pool_queue: deque = deque()
+    lock_free = True
+    lock_queue: deque = deque()
+    free_containers = 0
+    live_instances = 0
+    warm_pool: List[float] = []  # expiry times of idle warm environments
+    registration_pending = False
+    done = 0
 
     registration_ms = 0.0
     if variant is Variant.TEEMATE:
@@ -194,13 +182,14 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             ledger.charge(ENCLAVE_CREATE, params.t_enclave_create,
                           "registration")
             ledger.occupy(0.0, params.m_teemate_base)
-            state["free_containers"] = 1
+            free_containers = 1
         else:
-            state["registration_pending"] = True
+            registration_pending = True
     baseline_mib = ledger.occupancy
 
-    def build_steps(record: RequestRecord):
+    def build_steps(record: RequestRecord, now: float):
         """Return ([(needs_lock, component, duration)], mem_delta)."""
+        nonlocal free_containers, live_instances, registration_pending
         exec_ms = params.exec_ms(record.workload)
         if variant is Variant.NATIVE:
             return [(False, CONTAINER_CREATE, params.t_container_create),
@@ -214,10 +203,9 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
         if variant is Variant.CC_WARM:
             warm = model.prediction
             if not warm:
-                pool_t = state["warm_pool"]
-                for i, expiry in enumerate(pool_t):
-                    if expiry >= loop.now:
-                        pool_t.pop(i)
+                for i, expiry in enumerate(warm_pool):
+                    if expiry >= now:
+                        warm_pool.pop(i)
                         warm = True
                         break
             if warm:
@@ -230,13 +218,13 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             return steps, params.m_strawman_per_request
         # Shared-enclave model.
         steps = []
-        if state["registration_pending"]:
-            state["registration_pending"] = False
-            ledger.occupy(loop.now, params.m_teemate_base)
+        if registration_pending:
+            registration_pending = False
+            ledger.occupy(now, params.m_teemate_base)
             steps.append((False, CONTAINER_CREATE, params.t_container_create))
             steps.append((False, ENCLAVE_CREATE, params.t_enclave_create))
-        elif state["free_containers"] > 0:
-            state["free_containers"] -= 1
+        elif free_containers > 0:
+            free_containers -= 1
             steps.append((False, CONTAINER_CREATE, 0.0))
         else:
             steps.append((False, CONTAINER_CREATE, params.t_container_create))
@@ -244,67 +232,82 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
         steps.append((True, EPC_EXPAND, params.t_epc_expand))
         steps.append((False, INSTANCE_LOAD, params.t_instance_load_teemate))
         steps.append((False, EXEC, exec_ms))
-        state["live_instances"] += 1
-        mem = params.m_teemate_per_instance if state["live_instances"] > 1 \
-            else 0.0
+        live_instances += 1
+        mem = params.m_teemate_per_instance if live_instances > 1 else 0.0
         return steps, mem
 
-    def launch(record: RequestRecord):
-        def start():
-            steps, mem = build_steps(record)
-            if mem:
-                ledger.occupy(loop.now, mem)
-            step_iter = iter(steps)
+    def advance(job: _Job, now: float) -> None:
+        """Charge the steps up to the next lock step or the end and wake
+        the request there."""
+        steps = job.steps
+        pos = job.pos
+        request_id = job.record.request_id
+        t = now
+        while pos < len(steps):
+            needs_lock, component, duration = steps[pos]
+            if needs_lock and serialized:
+                break
+            charge(component, duration, request_id)
+            t = t + duration
+            pos += 1
+        job.pos = pos
+        push(events, (t, next(seq), _ACQUIRE if pos < len(steps) else _FINISH,
+                      job))
 
-            def next_step():
-                step = next(step_iter, None)
-                if step is None:
-                    finish()
-                    return
-                needs_lock, component, duration = step
-                if needs_lock and expand_lock is not None:
-                    def locked():
-                        ledger.charge(component, duration, record.request_id)
-                        def unlock():
-                            expand_lock.release()
-                            next_step()
-                        loop.after(duration, unlock)
-                    expand_lock.acquire(locked)
-                else:
-                    ledger.charge(component, duration, record.request_id)
-                    loop.after(duration, next_step)
+    while events:
+        now, _, kind, job = heapq.heappop(events)
+        if kind == _ARRIVE:
+            if free_workers > 0:
+                free_workers -= 1
+                push(events, (now, next(seq), _START, job))
+            else:
+                pool_queue.append(job)
+        elif kind == _START:
+            job.steps, job.mem = build_steps(job.record, now)
+            if job.mem:
+                ledger.occupy(now, job.mem)
+            advance(job, now)
+        elif kind == _ACQUIRE:
+            if lock_free:
+                lock_free = False
+                push(events, (now, next(seq), _LOCKED, job))
+            else:
+                lock_queue.append(job)
+        elif kind == _LOCKED:
+            _, component, duration = job.steps[job.pos]
+            charge(component, duration, job.record.request_id)
+            job.pos += 1
+            push(events, (now + duration, next(seq), _UNLOCK, job))
+        elif kind == _UNLOCK:
+            if lock_queue:
+                push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
+            else:
+                lock_free = True
+            advance(job, now)
+        else:
+            record = job.record
+            record.finish_ms = now
+            record.components = dict(
+                ledger.breakdowns.get(record.request_id, {}))
+            record.total_ms = sum(record.components.values())
+            if job.mem:
+                ledger.occupy(now, -job.mem)
+            if variant is Variant.TEEMATE:
+                live_instances -= 1
+                free_containers += 1
+            elif variant is Variant.CC_WARM and not model.prediction:
+                warm_pool.append(now + params.warm_keepalive_s * 1000.0)
+            if pool_queue:
+                push(events, (now, next(seq), _START, pool_queue.popleft()))
+            else:
+                free_workers += 1
+            done += 1
 
-            def finish():
-                record.finish_ms = loop.now
-                record.components = dict(
-                    ledger.breakdowns.get(record.request_id, {}))
-                record.total_ms = sum(record.components.values())
-                if mem:
-                    ledger.occupy(loop.now, -mem)
-                if variant is Variant.TEEMATE:
-                    state["live_instances"] -= 1
-                    state["free_containers"] += 1
-                elif variant is Variant.CC_WARM and not model.prediction:
-                    state["warm_pool"].append(
-                        loop.now + params.warm_keepalive_s * 1000.0)
-                pool.release()
-                state["done"] += 1
-
-            next_step()
-
-        pool.acquire(start)
-
-    for idx, (arrival, workload) in enumerate(trace.arrivals):
-        record = RequestRecord(str(idx), arrival, workload)
-        records.append(record)
-        loop.at(arrival, (lambda r=record: launch(r)))
-    loop.run()
-
-    if state["done"] != len(records):
+    if done != len(records):
         raise errors.InvariantViolation("not all requests completed")
     expected_final = baseline_mib
     if variant is Variant.TEEMATE and not pre_registered \
-            and not state["registration_pending"]:
+            and not registration_pending:
         # Registration ran inside the first request; its base footprint
         # stays resident, so the post-run baseline includes it.
         expected_final += params.m_teemate_base
@@ -351,6 +354,37 @@ def _metrics(model_name: str, records: List[RequestRecord],
 # ---------------------------------------------------------------------------
 # Database scenario.
 
+class DbCycle(NamedTuple):
+    """Timeline of one fork/snapshot cycle, in simulated ms."""
+    fork_ms: float
+    fork_components: Dict[str, float]
+    fork_start: float
+    fork_end: float
+    window_end: float  # the snapshot is written out by then
+    end: float  # the request stream stops here
+
+
+def db_cycle(model: DbModel, db_mib: float, snapshot_interval_s: float,
+             duration_s: float, params: CostParams) -> DbCycle:
+    """The full-copy model forks by creating an enclave and copying the
+    whole database; the shared-enclave model aliases it into a child."""
+    if model is DbModel.STRAWMAN:
+        fork_ms = params.t_enclave_create + params.t_fork_copy_per_mib * db_mib
+        fork_components = {ENCLAVE_CREATE: params.t_enclave_create,
+                           INSTANCE_LOAD: params.t_fork_copy_per_mib * db_mib}
+    else:
+        fork_ms = params.t_alias + params.t_tcs_op + params.t_fork_child_setup
+        fork_components = {CONTAINER_CREATE: params.t_fork_child_setup,
+                           ALIAS: params.t_alias + params.t_tcs_op}
+    fork_start = snapshot_interval_s * 1000.0
+    fork_end = fork_start + fork_ms
+    write_ms = db_mib / params.snapshot_write_mib_per_s * 1000.0
+    window_end = fork_end + write_ms
+    end = max(duration_s * 1000.0, window_end)
+    return DbCycle(fork_ms, fork_components, fork_start, fork_end,
+                   window_end, end)
+
+
 def run_database(model, db_mib: float, write_ratio: float,
                  snapshot_interval_s: float, duration_s: float, seed: int,
                  params: CostParams) -> Metrics:
@@ -373,19 +407,8 @@ def run_database(model, db_mib: float, write_ratio: float,
                          else params.m_db_runtime_teemate)
     ledger.occupy(0.0, base_mib)
 
-    fork_start = snapshot_interval_s * 1000.0
-    if strawman:
-        fork_ms = params.t_enclave_create + params.t_fork_copy_per_mib * db_mib
-        fork_components = {ENCLAVE_CREATE: params.t_enclave_create,
-                           INSTANCE_LOAD: params.t_fork_copy_per_mib * db_mib}
-    else:
-        fork_ms = params.t_alias + params.t_tcs_op + params.t_fork_child_setup
-        fork_components = {CONTAINER_CREATE: params.t_fork_child_setup,
-                           ALIAS: params.t_alias + params.t_tcs_op}
-    fork_end = fork_start + fork_ms
-    write_ms = db_mib / params.snapshot_write_mib_per_s * 1000.0
-    window_end = fork_end + write_ms
-    end = max(duration_s * 1000.0, window_end)
+    fork_ms, fork_components, fork_start, fork_end, window_end, end = \
+        db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
     db_pages = max(1, round(db_mib / params.page_mib))
 
     if strawman:
@@ -396,13 +419,15 @@ def run_database(model, db_mib: float, write_ratio: float,
     served_window = 0
     service_sum = 0.0
     t = 0.0
-    while t < end:
+    # A draw matters only while a later copy-on-write draw can consume it:
+    # before window_end in the shared-enclave model, never in the full-copy
+    # model, which writes nothing in place.
+    while t < window_end:
         if fork_start <= t < fork_end:
             t = fork_end  # requests blocked while the fork call runs
             continue
         service = params.t_db_exec
-        is_write = rng.random() < write_ratio
-        if not strawman and is_write and fork_end <= t < window_end:
+        if not strawman and rng.random() < write_ratio and fork_end <= t:
             key = rng.randrange(db_pages)
             if key not in dirty:
                 dirty.add(key)
@@ -416,6 +441,18 @@ def run_database(model, db_mib: float, write_ratio: float,
         if fork_start <= finish <= window_end:
             served_window += 1
         t = finish
+    else:
+        # Past window_end no request copies a page and no finish lands in
+        # the window: count the rest without drawing. The float additions
+        # run one by one, in the same order, so the sums match bit for bit.
+        service = params.t_db_exec
+        while t < end:
+            finish = t + service
+            if finish > end:
+                break
+            served_total += 1
+            service_sum += service
+            t = finish
 
     snapshot_peak = ledger.peak_between(fork_start, window_end)
     if strawman:

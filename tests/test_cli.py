@@ -157,6 +157,65 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        DB_CFG + "write_ratio = 7\n",
+        DB_CFG + "write_ratio = -0.1\n",
+        DB_CFG.replace("snapshot_interval_s = 2", "snapshot_interval_s = -3"),
+        DB_CFG.replace("model = strawman, teemate", "model = "),
+        LATENCY_CFG.replace("model = cc_cold, teemate", "model = ,"),
+        LATENCY_CFG + "seed = 4\n",
+        LATENCY_CFG + "t_alias = 2.5\nt_alias = 2.6\n",
+    ], ids=["write-ratio-above-one", "write-ratio-negative",
+            "negative-snapshot-interval", "empty-db-model",
+            "empty-serverless-model", "duplicate-seed", "duplicate-param"])
+    def test_out_of_range_or_repeated_exits_one(self, tmp_path, text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[serverless_macro]\nmodel = teemate\nworkload = sleep\n"
+        "rate_per_s = 1000\nduration_s = 1001\nseed = 0\n",
+        "[serverless_throughput]\nmodel = native\nworkload = sleep\n"
+        "n_requests = 1000001\nseed = 0\n",
+        DB_CFG.replace("duration_s = 10", "duration_s = 1e9"),
+        DB_CFG.replace("snapshot_interval_s = 2", "snapshot_interval_s = 1e9"),
+        DB_CFG.replace("db_mib = 128", "db_mib = 1e9"),
+    ], ids=["macro-arrivals", "burst-size", "db-duration", "db-interval",
+            "db-size"])
+    def test_oversized_run_exits_one_before_simulating(self, tmp_path,
+                                                        monkeypatch, text):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        for name in ("gen_poisson", "gen_burst", "run_serverless",
+                     "run_database"):
+            monkeypatch.setattr(f"enclavesim.cli.{name}", no_simulation)
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[serverless_macro]\nmodel = teemate\nworkload = sleep\n"
+        "rate_per_s = 1000\nduration_s = 1000\nseed = 0\n",
+        DB_CFG.replace("duration_s = 10", "duration_s = 5000"),
+    ], ids=["macro-arrivals", "db-duration"])
+    def test_run_at_the_bound_reaches_simulation(self, tmp_path, monkeypatch,
+                                                 text):
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr("enclavesim.cli.gen_poisson", started)
+        monkeypatch.setattr("enclavesim.cli.run_database", started)
+        cfg = self.write_cfg(tmp_path, text)
+        with pytest.raises(Started):
+            main([cfg, "--out", str(tmp_path / "out")])
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG)
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ from enclavesim.enclave_runtime import (
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import Access, Machine, PAGE_SIZE
 
-from cow_oracle import build_forked_runtime, run_cow_trial
+from cow_oracle import build_db_runtime, build_forked_runtime, run_cow_trial
 
 
 @pytest.fixture
@@ -279,6 +279,21 @@ class TestForkCow:
         self.remap_child_to_plain(machine, runtime, pair)
         with pytest.raises(errors.IsolationFault):
             runtime.snapshot(pair, pair.child_pid)
+
+    def test_faulting_snapshot_still_retires_child(self):
+        machine, runtime = build_db_runtime(2)
+        pre_fork_used = machine.epc_used
+        pair = runtime.fork_cow(runtime.creator.pid)
+        runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"parent")
+        runtime.cow_write(pair, pair.child_pid, DB_BASE + 1, b"child")
+        self.remap_child_to_plain(machine, runtime, pair)
+        with pytest.raises(errors.IsolationFault):
+            runtime.snapshot(pair, pair.child_pid)
+        assert not pair.live
+        assert pair.child_pid not in runtime.threads
+        assert pair.child_pid not in runtime.kernel.containers
+        assert machine.epc_used == pre_fork_used
+        runtime.check_invariants()
 
     def test_fork_requires_live_parent_thread(self):
         machine = Machine(epc_capacity_pages=64)
