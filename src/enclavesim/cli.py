@@ -95,6 +95,13 @@ def _parse_float(raw: str, low: float = -math.inf,
     return value
 
 
+def _parse_positive(raw: str) -> float:
+    value = _parse_float(raw)
+    if value <= 0:
+        raise ValueError(f"expected a positive number, got {raw!r}")
+    return value
+
+
 def _parse_count(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -148,13 +155,13 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key == "workers":
                 config.workers = _parse_count(value)
             elif key == "rate_per_s":
-                config.rate_per_s = _parse_float(value)
+                config.rate_per_s = _parse_positive(value)
             elif key == "duration_s":
-                config.duration_s = _parse_float(value)
+                config.duration_s = _parse_positive(value)
             elif key == "prediction":
                 config.prediction = _parse_bool(value, line_no)
             elif key == "db_mib":
-                config.db_mib = _parse_float(value)
+                config.db_mib = _parse_positive(value)
             elif key == "write_ratio":
                 config.write_ratio = _parse_float(value, 0.0, 1.0)
             elif key == "snapshot_interval_s":
@@ -256,20 +263,23 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
                 params)
         return results
 
-    for name in config.models:
-        variant = _serverless_variant(name)
-        for workload in _workloads(config, params):
+    variants = [_serverless_variant(name) for name in config.models]
+    # Every model runs the same trace of a workload; none changes it.
+    if config.scenario == "serverless_macro":
+        traces = {workload: gen_poisson(config.rate_per_s, config.duration_s,
+                                        config.seed, workload)
+                  for workload in _workloads(config, params)}
+    else:
+        traces = {workload: gen_burst(config.n_requests, workload)
+                  for workload in _workloads(config, params)}
+    workers = config.workers
+    if workers is None:
+        workers = (config.n_requests if config.scenario in (
+            "serverless_memory", "serverless_throughput") else 8)
+    for name, variant in zip(config.models, variants):
+        model = ExecutionModel(variant, config.prediction)
+        for workload, trace in traces.items():
             label = f"{name}:{workload}" if config.workload == "all" else name
-            if config.scenario == "serverless_macro":
-                trace = gen_poisson(config.rate_per_s, config.duration_s,
-                                    config.seed, workload)
-            else:
-                trace = gen_burst(config.n_requests, workload)
-            workers = config.workers
-            if workers is None:
-                workers = (config.n_requests if config.scenario in (
-                    "serverless_memory", "serverless_throughput") else 8)
-            model = ExecutionModel(variant, config.prediction)
             results[label] = run_serverless(model, trace, params, workers)
     return results
 
@@ -294,17 +304,27 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
     csv_path = os.path.join(out_dir, "metrics.csv")
     # Labels are model and workload names and request ids are indices or
     # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
-    row_format = "%s/%s" + ",%.6f" * (len(COMPONENTS) + 2) + "\r\n"
+    # Most requests repeat one of a few breakdowns, so each distinct
+    # (total, components) tail is formatted once. No duration is -0.0, the
+    # one float that equals another (0.0) but prints differently.
+    tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
+    tails: Dict[tuple, str] = {}
     with open(csv_path, "w", newline="") as handle:
         handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
                                "total_ms"]) + "\r\n")
         for label, metrics in results.items():
-            handle.write("".join([
-                row_format % (label, record.request_id, record.arrival_ms,
-                              *[record.components.get(c, 0.0)
-                                for c in COMPONENTS],
-                              record.total_ms)
-                for record in metrics.requests]))
+            rows = []
+            for record in metrics.requests:
+                components = record.components
+                key = (record.total_ms, *components.items())
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = tail_format % (
+                        *[components.get(c, 0.0) for c in COMPONENTS],
+                        record.total_ms)
+                rows.append("%s/%s,%.6f%s" % (label, record.request_id,
+                                              record.arrival_ms, tail))
+            handle.write("".join(rows))
 
     summary = {"scenario": config.scenario, "seed": config.seed, "models": {}}
     baseline_label = next(iter(results), None)

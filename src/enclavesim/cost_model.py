@@ -138,7 +138,6 @@ class CostLedger:
 
     def __init__(self):
         self.breakdowns: Dict[object, Dict[str, float]] = {}
-        self.order: List[object] = []
         self.timeline: List[Tuple[float, float]] = []
         self.occupancy = 0.0
         self.peak_epc = 0.0
@@ -148,10 +147,7 @@ class CostLedger:
         if duration_ms < 0:
             raise errors.NegativeDuration(
                 f"{component}: {duration_ms} ms")
-        if request_id not in self.breakdowns:
-            self.breakdowns[request_id] = {}
-            self.order.append(request_id)
-        record = self.breakdowns[request_id]
+        record = self.breakdowns.setdefault(request_id, {})
         record[component] = record.get(component, 0.0) + duration_ms
 
     def occupy(self, time_ms: float, delta_mib: float) -> None:
@@ -159,7 +155,7 @@ class CostLedger:
         if new_level < -1e-9:
             raise errors.NegativeOccupancy(
                 f"occupancy would drop to {new_level} MiB")
-        self.occupancy = max(new_level, 0.0)
+        self.occupancy = 0.0 if new_level < 0.0 else new_level
         self.timeline.append((time_ms, self.occupancy))
         if self.occupancy > self.peak_epc:
             self.peak_epc = self.occupancy

@@ -12,6 +12,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -54,9 +55,10 @@ class RequestTrace:
     seed: int = 0
 
     def __post_init__(self):
-        if any(t < 0 for t, _ in self.arrivals):
+        arrivals = self.arrivals
+        if any(t < 0 for t, _ in arrivals):
             raise errors.InvariantViolation("negative arrival time")
-        if self.arrivals != sorted(self.arrivals, key=lambda a: a[0]):
+        if any(a[0] > b[0] for a, b in zip(arrivals, arrivals[1:])):
             raise errors.InvariantViolation("arrivals must be sorted")
 
 
@@ -117,15 +119,67 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 _ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
 
 
-class _Job:
-    """A request in flight: its record, its steps and the next step."""
+class _Plan(NamedTuple):
+    """The steps of one kind of request, built once per run.
 
-    __slots__ = ("record", "steps", "pos", "mem")
+    ``head`` runs from the start, ``locked`` (None if the EPC-expand step
+    is not serialized) holds the lock and ``tail`` runs after it.
+    """
+    head: Tuple[float, ...]
+    locked: Optional[float]
+    tail: Tuple[float, ...]
+    components: Dict[str, float]
+    total: float
+
+
+def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
+    """Plan a request of ``kind``: native, cold or warm (a confidential
+    container without or with a warm environment), or a shared-enclave
+    request that registers the enclave, takes a pooled container or
+    creates one."""
+    create = params.t_container_create
+    if kind == "native":
+        steps = [(CONTAINER_CREATE, create),
+                 (INSTANCE_LOAD, params.t_instance_load_cold)]
+    elif kind == "cold":
+        steps = [(CONTAINER_CREATE, create),
+                 (ENCLAVE_CREATE, params.t_enclave_create),
+                 (INSTANCE_LOAD, params.t_instance_load_cold)]
+    elif kind == "warm":
+        steps = []
+    elif kind == "register":
+        steps = [(CONTAINER_CREATE, create),
+                 (ENCLAVE_CREATE, params.t_enclave_create)]
+    else:
+        steps = [(CONTAINER_CREATE, 0.0 if kind == "pooled" else create)]
+    if kind in ("register", "pooled", "create"):
+        steps += [(ALIAS, params.t_alias + params.t_tcs_op),
+                  (EPC_EXPAND, params.t_epc_expand),
+                  (INSTANCE_LOAD, params.t_instance_load_teemate)]
+    steps.append((EXEC, exec_ms))
+    # A ledger of the plan's own rejects negative durations and sums the
+    # components in step order.
+    ledger = CostLedger()
+    for component, duration in steps:
+        ledger.charge(component, duration)
+    components = ledger.breakdowns[None]
+    durations = tuple(duration for _, duration in steps)
+    total = sum(components.values())
+    if params.epc_alloc_serialized and EPC_EXPAND in components:
+        lock = [component for component, _ in steps].index(EPC_EXPAND)
+        return _Plan(durations[:lock], durations[lock], durations[lock + 1:],
+                     components, total)
+    return _Plan(durations, None, (), components, total)
+
+
+class _Job:
+    """A request in flight: its record, its plan and its memory."""
+
+    __slots__ = ("record", "plan", "mem")
 
     def __init__(self, record: RequestRecord):
         self.record = record
-        self.steps: List[Tuple[bool, str, float]] = []
-        self.pos = 0
+        self.plan: Optional[_Plan] = None
         self.mem = 0.0
 
 
@@ -143,18 +197,20 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     request wakes only where it touches shared state: on arrival (worker
     pool), at start (warm pool, free containers, occupancy), at the
     EPC-expand lock (acquire, grant, unlock) and at finish. Between those
-    points its steps touch nothing shared, so they are charged together,
-    one ledger charge per step, and the wake time is their running sum.
-    Grants from the pool or the lock are separate zero-delay events.
+    points its steps touch nothing shared; the wake time is their running
+    sum from the current time. Each kind of request is planned once per
+    run and workload (``_plan``); at finish the request's record gets a
+    copy of its plan's components, which the ledger keeps as the request's
+    breakdown. Grants from the pool or the lock are separate zero-delay
+    events.
     """
     if isinstance(model, Variant):
         model = ExecutionModel(model)
     params.validate()
     variant = model.variant
-    serialized = params.epc_alloc_serialized
 
     ledger = CostLedger()
-    charge = ledger.charge
+    breakdowns = ledger.breakdowns
     records = [RequestRecord(str(idx), arrival, workload)
                for idx, (arrival, workload) in enumerate(trace.arrivals)]
     events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
@@ -172,6 +228,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     warm_pool: List[float] = []  # expiry times of idle warm environments
     registration_pending = False
     done = 0
+    plans: Dict[Tuple[str, str], _Plan] = {}
 
     registration_ms = 0.0
     if variant is Variant.TEEMATE:
@@ -187,20 +244,16 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             registration_pending = True
     baseline_mib = ledger.occupancy
 
-    def build_steps(record: RequestRecord, now: float):
-        """Return ([(needs_lock, component, duration)], mem_delta)."""
+    def start(job: _Job, now: float) -> None:
+        """Pick the request's plan, take its memory and run its steps up
+        to the lock or the end."""
         nonlocal free_containers, live_instances, registration_pending
-        exec_ms = params.exec_ms(record.workload)
         if variant is Variant.NATIVE:
-            return [(False, CONTAINER_CREATE, params.t_container_create),
-                    (False, INSTANCE_LOAD, params.t_instance_load_cold),
-                    (False, EXEC, exec_ms)], 0.0
-        if variant is Variant.CC_COLD:
-            return [(False, CONTAINER_CREATE, params.t_container_create),
-                    (False, ENCLAVE_CREATE, params.t_enclave_create),
-                    (False, INSTANCE_LOAD, params.t_instance_load_cold),
-                    (False, EXEC, exec_ms)], params.m_strawman_per_request
-        if variant is Variant.CC_WARM:
+            kind = "native"
+        elif variant is Variant.CC_COLD:
+            kind = "cold"
+            job.mem = params.m_strawman_per_request
+        elif variant is Variant.CC_WARM:
             warm = model.prediction
             if not warm:
                 for i, expiry in enumerate(warm_pool):
@@ -208,51 +261,34 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                         warm_pool.pop(i)
                         warm = True
                         break
-            if warm:
-                steps = [(False, EXEC, exec_ms)]
-            else:
-                steps = [(False, CONTAINER_CREATE, params.t_container_create),
-                         (False, ENCLAVE_CREATE, params.t_enclave_create),
-                         (False, INSTANCE_LOAD, params.t_instance_load_cold),
-                         (False, EXEC, exec_ms)]
-            return steps, params.m_strawman_per_request
-        # Shared-enclave model.
-        steps = []
-        if registration_pending:
-            registration_pending = False
-            ledger.occupy(now, params.m_teemate_base)
-            steps.append((False, CONTAINER_CREATE, params.t_container_create))
-            steps.append((False, ENCLAVE_CREATE, params.t_enclave_create))
-        elif free_containers > 0:
-            free_containers -= 1
-            steps.append((False, CONTAINER_CREATE, 0.0))
+            kind = "warm" if warm else "cold"
+            job.mem = params.m_strawman_per_request
         else:
-            steps.append((False, CONTAINER_CREATE, params.t_container_create))
-        steps.append((False, ALIAS, params.t_alias + params.t_tcs_op))
-        steps.append((True, EPC_EXPAND, params.t_epc_expand))
-        steps.append((False, INSTANCE_LOAD, params.t_instance_load_teemate))
-        steps.append((False, EXEC, exec_ms))
-        live_instances += 1
-        mem = params.m_teemate_per_instance if live_instances > 1 else 0.0
-        return steps, mem
-
-    def advance(job: _Job, now: float) -> None:
-        """Charge the steps up to the next lock step or the end and wake
-        the request there."""
-        steps = job.steps
-        pos = job.pos
-        request_id = job.record.request_id
+            if registration_pending:
+                registration_pending = False
+                ledger.occupy(now, params.m_teemate_base)
+                kind = "register"
+            elif free_containers > 0:
+                free_containers -= 1
+                kind = "pooled"
+            else:
+                kind = "create"
+            live_instances += 1
+            if live_instances > 1:
+                job.mem = params.m_teemate_per_instance
+        workload = job.record.workload
+        plan = plans.get((kind, workload))
+        if plan is None:
+            plan = plans[kind, workload] = _plan(
+                kind, params.exec_ms(workload), params)
+        job.plan = plan
+        if job.mem:
+            ledger.occupy(now, job.mem)
         t = now
-        while pos < len(steps):
-            needs_lock, component, duration = steps[pos]
-            if needs_lock and serialized:
-                break
-            charge(component, duration, request_id)
+        for duration in plan.head:
             t = t + duration
-            pos += 1
-        job.pos = pos
-        push(events, (t, next(seq), _ACQUIRE if pos < len(steps) else _FINISH,
-                      job))
+        push(events, (t, next(seq),
+                      _FINISH if plan.locked is None else _ACQUIRE, job))
 
     while events:
         now, _, kind, job = heapq.heappop(events)
@@ -263,10 +299,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             else:
                 pool_queue.append(job)
         elif kind == _START:
-            job.steps, job.mem = build_steps(job.record, now)
-            if job.mem:
-                ledger.occupy(now, job.mem)
-            advance(job, now)
+            start(job, now)
         elif kind == _ACQUIRE:
             if lock_free:
                 lock_free = False
@@ -274,22 +307,22 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             else:
                 lock_queue.append(job)
         elif kind == _LOCKED:
-            _, component, duration = job.steps[job.pos]
-            charge(component, duration, job.record.request_id)
-            job.pos += 1
-            push(events, (now + duration, next(seq), _UNLOCK, job))
+            push(events, (now + job.plan.locked, next(seq), _UNLOCK, job))
         elif kind == _UNLOCK:
             if lock_queue:
                 push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
             else:
                 lock_free = True
-            advance(job, now)
+            t = now
+            for duration in job.plan.tail:
+                t = t + duration
+            push(events, (t, next(seq), _FINISH, job))
         else:
             record = job.record
             record.finish_ms = now
-            record.components = dict(
-                ledger.breakdowns.get(record.request_id, {}))
-            record.total_ms = sum(record.components.values())
+            record.components = breakdowns[record.request_id] = dict(
+                job.plan.components)
+            record.total_ms = job.plan.total
             if job.mem:
                 ledger.occupy(now, -job.mem)
             if variant is Variant.TEEMATE:
@@ -385,6 +418,56 @@ def db_cycle(model: DbModel, db_mib: float, snapshot_interval_s: float,
                    window_end, end)
 
 
+_MIN_NORMAL = sys.float_info.min
+_TOP = (1 << 53) - 1  # largest significand, in units of the binade's ulp
+
+
+def skip_ahead(x: float, step: float, limit: float = math.inf,
+               max_steps: float = math.inf) -> Tuple[int, float]:
+    """Take ``x = x + step`` while ``x + step <= limit`` and fewer than
+    ``max_steps`` steps are taken; return ``(steps, x)``.
+
+    The result is bit for bit that of the step-by-step loop, for
+    ``step > 0``. Inside one binade every addition adds ``step`` rounded
+    to the binade's ulp, so a run of steps is one integer addition on the
+    significand. Where ``step``'s remainder is exactly half an ulp (ties
+    round to even, which alternates) and at each binade crossing the loop
+    takes single float steps.
+    """
+    steps = 0
+    while steps < max_steps:
+        if step < x and x >= _MIN_NORMAL:
+            shift = 53 - math.frexp(x)[1]
+            sig = int(math.ldexp(x, shift))  # x = sig * ulp, exactly
+            units = math.ldexp(step, shift)
+            ulps = int(units)
+            rest = units - ulps
+            if rest != 0.5:
+                if rest > 0.5:
+                    ulps += 1
+                if ulps:
+                    run = (_TOP - sig) // ulps
+                    if limit < x + x:  # the limit lies inside the binade
+                        run = min(run,
+                                  (int(math.ldexp(limit, shift)) - sig) // ulps)
+                    run = min(run, max_steps - steps)
+                    if run > 0:
+                        steps += run
+                        x = math.ldexp(sig + run * ulps, -shift)
+                        continue
+        nxt = x + step
+        if nxt > limit:
+            break
+        if nxt == x:
+            if max_steps == math.inf:
+                raise errors.InvariantViolation(
+                    f"a step of {step} ms does not advance {x} ms")
+            return int(max_steps), x
+        x = nxt
+        steps += 1
+    return steps, x
+
+
 def run_database(model, db_mib: float, write_ratio: float,
                  snapshot_interval_s: float, duration_s: float, seed: int,
                  params: CostParams) -> Metrics:
@@ -393,6 +476,14 @@ def run_database(model, db_mib: float, write_ratio: float,
     The full-copy model blocks every request for the whole fork (enclave
     creation plus a full memory copy); the shared-enclave model blocks only
     for the aliasing fork and pays per-page copy-on-write afterwards.
+
+    Requests run back to back. Only the shared-enclave model's requests
+    between the fork's end and the end of the snapshot window can copy a
+    page, so only they run one by one. The other stretches (requests that
+    finish before the fork, the full-copy model's window and the tail
+    after the window) take ``skip_ahead``, which gives the same float sums
+    as adding each request in turn. The shared-enclave model still draws
+    one number per request before the fork, so the random stream matches.
     """
     if isinstance(model, str):
         model = DbModel(model)
@@ -414,45 +505,68 @@ def run_database(model, db_mib: float, write_ratio: float,
     if strawman:
         ledger.occupy(fork_end, db_mib + params.m_db_runtime_strawman)
 
+    exec_ms = params.t_db_exec
+    draw = rng.random
     dirty = set()
-    served_total = 0
-    served_window = 0
-    service_sum = 0.0
-    t = 0.0
-    # A draw matters only while a later copy-on-write draw can consume it:
-    # before window_end in the shared-enclave model, never in the full-copy
-    # model, which writes nothing in place.
-    while t < window_end:
-        if fork_start <= t < fork_end:
-            t = fork_end  # requests blocked while the fork call runs
-            continue
-        service = params.t_db_exec
-        if not strawman and rng.random() < write_ratio and fork_end <= t:
-            key = rng.randrange(db_pages)
-            if key not in dirty:
-                dirty.add(key)
-                service += params.t_cow_copy
-                ledger.occupy(t, params.page_mib)
-        finish = t + service
-        if finish > end:
-            break
-        served_total += 1
-        service_sum += service
-        if fork_start <= finish <= window_end:
-            served_window += 1
-        t = finish
-    else:
-        # Past window_end no request copies a page and no finish lands in
-        # the window: count the rest without drawing. The float additions
-        # run one by one, in the same order, so the sums match bit for bit.
-        service = params.t_db_exec
-        while t < end:
-            finish = t + service
-            if finish > end:
-                break
+    # Requests that finish by the fork's start; the last may finish on it.
+    served_total, t = skip_ahead(0.0, exec_ms, fork_start)
+    _, service_sum = skip_ahead(0.0, exec_ms, max_steps=served_total)
+    served_window = 1 if served_total and t == fork_start else 0
+    if not strawman:
+        for _ in itertools.repeat(None, served_total):
+            draw()  # no page can be copied before the fork
+    if t < fork_start:
+        # This request straddles the fork's start and runs to its end; it
+        # draws but copies nothing. If it would end past ``end``, the stream
+        # stops: t passes ``end`` and no later request is served.
+        if not strawman:
+            draw()
+        finish = t + exec_ms
+        if finish <= end:
             served_total += 1
+            service_sum += exec_ms
+            if finish <= window_end:
+                served_window += 1
+        t = finish
+    t = max(t, fork_end)  # requests blocked while the fork call runs
+    if strawman:
+        # Nothing is written in place: every request that ends by
+        # window_end ends inside the window.
+        steps, t = skip_ahead(t, exec_ms, window_end)
+        _, service_sum = skip_ahead(service_sum, exec_ms, max_steps=steps)
+        served_total += steps
+        served_window += steps
+    else:
+        # The copy-on-write window: each request draws, and a write to a
+        # page not yet copied copies it first. Only the last request can
+        # end past window_end.
+        cow_ms = exec_ms + params.t_cow_copy
+        in_window = 0
+        while t < window_end:
+            service = exec_ms
+            if draw() < write_ratio:
+                key = rng.randrange(db_pages)
+                if key not in dirty:
+                    dirty.add(key)
+                    service = cow_ms
+                    ledger.occupy(t, params.page_mib)
+            finish = t + service
+            if finish > window_end:
+                if finish <= end:
+                    served_total += 1
+                    service_sum += service
+                t = finish
+                break
+            in_window += 1
             service_sum += service
             t = finish
+        served_total += in_window
+        served_window += in_window
+    # Past window_end no request copies a page and no finish lands in the
+    # window.
+    steps, t = skip_ahead(t, exec_ms, end)
+    _, service_sum = skip_ahead(service_sum, exec_ms, max_steps=steps)
+    served_total += steps
 
     snapshot_peak = ledger.peak_between(fork_start, window_end)
     if strawman:

@@ -29,6 +29,15 @@ duration_s = 10
 seed = 5
 """
 
+MACRO_CFG = """\
+[serverless_macro]
+model = teemate
+workload = sleep
+rate_per_s = 2
+duration_s = 10
+seed = 1
+"""
+
 
 class TestParseConfig:
     def test_valid_latency_config(self):
@@ -169,6 +178,23 @@ class TestMain:
             "negative-snapshot-interval", "empty-db-model",
             "empty-serverless-model", "duplicate-seed", "duplicate-param"])
     def test_out_of_range_or_repeated_exits_one(self, tmp_path, text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 0"),
+        MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = -1"),
+        MACRO_CFG.replace("duration_s = 10", "duration_s = -10"),
+        MACRO_CFG.replace("duration_s = 10", "duration_s = 0"),
+        DB_CFG.replace("db_mib = 128", "db_mib = -5"),
+        DB_CFG.replace("db_mib = 128", "db_mib = 0"),
+        DB_CFG.replace("duration_s = 10", "duration_s = -1"),
+    ], ids=["zero-rate", "negative-rate", "negative-macro-duration",
+            "zero-macro-duration", "negative-db-size", "zero-db-size",
+            "negative-db-duration"])
+    def test_non_positive_size_exits_one(self, tmp_path, text):
         cfg = self.write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main([cfg, "--out", str(out)]) == 1

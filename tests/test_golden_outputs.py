@@ -4,7 +4,11 @@ Each case pins the sha256 of the ``summary.json`` bytes followed by the
 ``metrics.csv`` bytes. The matrix covers queueing on the worker pool and
 on the EPC-expand lock, the warm pool with and without prediction, an
 unserialized expand, bursts of several sizes and database runs on both
-sides of the copy-on-write window, so a change to the event loop, the
+sides of the copy-on-write window. The database cases also cover the
+boundaries of the skip-ahead through request stretches that draw nothing
+that can dirty a page: long non-dyadic sums that cross many binades, a
+fork at time zero, and a fork, window or run that ends exactly where a
+request ends. So a change to the event loop, the request plans, the
 database loop or the output writer that alters any simulated number or
 any output byte fails here.
 
@@ -59,6 +63,22 @@ CASES = {
     + "t_db_exec = 0.3\nt_cow_copy = 0.07\n",
     "db-interval-past-duration": DATABASE.format(
         db_mib=32, write_ratio=0.5, interval=100, duration=60),
+    # 0.7 ms is not dyadic: over 300 s the running sums cross many binades.
+    "db-non-dyadic-300s": DATABASE.format(db_mib=128, write_ratio=0.3,
+                                          interval=2, duration=300)
+    + "t_db_exec = 0.7\n",
+    "db-interval-zero": DATABASE.format(db_mib=64, write_ratio=0.4,
+                                        interval=0, duration=20),
+    # The shared-enclave fork ends at 1025 ms, exactly when the request
+    # that started at 984 ms (24 x 41 ms) finishes.
+    "db-fork-ends-on-request": DATABASE.format(db_mib=64, write_ratio=0.5,
+                                               interval=1, duration=30)
+    + "t_db_exec = 41\nsnapshot_write_mib_per_s = 128\n",
+    # Fork start, fork end, window end and end all fall on request
+    # boundaries of both models.
+    "db-window-ends-on-request": DATABASE.format(db_mib=64, write_ratio=0.5,
+                                                 interval=1, duration=30)
+    + "t_db_exec = 0.25\nsnapshot_write_mib_per_s = 128\n",
 }
 for _scenario in ("serverless_throughput", "serverless_memory",
                   "serverless_latency"):
@@ -66,20 +86,43 @@ for _scenario in ("serverless_throughput", "serverless_memory",
         CASES[f"{_scenario}-{_n}"] = BURST.format(scenario=_scenario, n=_n)
 CASES["serverless_throughput-8-on-3-workers"] = \
     BURST.format(scenario="serverless_throughput", n=8) + "workers = 3\n"
+CASES["serverless_memory-16-unserialized-expand"] = \
+    BURST.format(scenario="serverless_memory", n=16) \
+    + "epc_alloc_serialized = false\n"
 
 SEEDS = (0, 20231)
 
 # Computed before the flat event loop, the RNG-free database tail and the
-# one-pass CSV writer replaced the code they cover.
+# one-pass CSV writer replaced the code they cover. The db-non-dyadic-300s,
+# db-interval-zero, db-fork-ends-on-request, db-window-ends-on-request and
+# serverless_memory-16-unserialized-expand entries were computed before the
+# database skip-ahead, the per-kind request plans and the once-per-tail CSV
+# formatting replaced the code they cover.
 GOLDEN = {
+    "db-fork-ends-on-request@0":
+        "fc43d8d7122d84c5e276a9330289fe5f51712e23244c099564e22112e0b8ed37",
+    "db-fork-ends-on-request@20231":
+        "18244ba40777e5a43b4d0539ed2cac437282c0fbda79d0e4e4d2a87fad06282d",
     "db-interval-past-duration@0":
         "8bc443d71629bbd6d8e89278d276148b27d7f6150faf24d3426f2f5d06e68246",
     "db-interval-past-duration@20231":
         "c3aac82390a3c7b03c3a2e8165ec4c64cdaf3c2e2e00f7d4e301494c9d8b2c8d",
+    "db-interval-zero@0":
+        "a69a25112243a663ed9d7b7cd6f50b8ef7d96e962676d7ac2e8c0e709a63fc17",
+    "db-interval-zero@20231":
+        "0fdffdd67c5152bf80578baedba4b59d272a5c5a0c6baa60b2c745b068ec7769",
     "db-non-dyadic@0":
         "eacc9aa0aefa155df8a811fec5dd3c68b1a726a19009bd44438bf497ee5dcbd8",
     "db-non-dyadic@20231":
         "50a27935ac9bd6d330cb17cd61b64b3d15c145b1112474c837a58ba032293849",
+    "db-non-dyadic-300s@0":
+        "f1d79e7a3d146140cf78537619fe6f22c39558e49883c9f2ddeed1fd74e9ae67",
+    "db-non-dyadic-300s@20231":
+        "d333475caa850dde31f4832ce89a2cae25dd73ac769a7db6d60863b83822770d",
+    "db-window-ends-on-request@0":
+        "cfd6bb13d44b0ac650de8c11b11e7f987d769ea343a423358cf9dfb77fd0359d",
+    "db-window-ends-on-request@20231":
+        "0fa98b26848111d8d916c7f48a2c8be31ef4c8461fcf13a01ddf6b7a50960f8b",
     "db-write0@0":
         "d026637d3bcf4193f375b14823bd0c23616348696aa634f5ba5b75e7892022cf",
     "db-write0@20231":
@@ -128,6 +171,10 @@ GOLDEN = {
         "71ffcd722471d5b4debd34f5db60d2ebe164b4a81981c29e36c99e8d582cc01a",
     "serverless_memory-1@20231":
         "e99879b9289ddbc4bcfa6ab52b2e8c56595c35a7fc42ba30f579e6d5724e72e8",
+    "serverless_memory-16-unserialized-expand@0":
+        "5f4a415004ffe3b8a08eabdbdf63df6f18375f433306b397d97a5fa4e9cfacc2",
+    "serverless_memory-16-unserialized-expand@20231":
+        "1c216f7122c0b1180dd3e1c3932b889ebc8775ffffc7a14dfe1e7dc844fe58c2",
     "serverless_memory-65@0":
         "2dac39aa09875bf6772405847b5cdeeef013439679e8382730a3ea96c70051c3",
     "serverless_memory-65@20231":

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 import statistics
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from db_oracle import run_database_stepwise
 
 from enclavesim import errors
 from enclavesim.cost_model import (
@@ -20,6 +24,7 @@ from enclavesim.workload_harness import (
     gen_poisson,
     run_database,
     run_serverless,
+    skip_ahead,
 )
 
 
@@ -218,3 +223,103 @@ class TestDatabase:
             run_database(DbModel.TEEMATE, db_mib=0.0, write_ratio=0.1,
                          snapshot_interval_s=1.0, duration_s=5.0, seed=0,
                          params=default_params())
+
+
+def stepwise(x, step, limit=math.inf, max_steps=math.inf):
+    """The loop ``skip_ahead`` stands for."""
+    steps = 0
+    while steps < max_steps and x + step <= limit:
+        x = x + step
+        steps += 1
+    return steps, x
+
+
+def same_float(a, b):
+    return a.hex() == b.hex()
+
+
+class TestSkipAhead:
+    @given(x=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+           step=st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 41.0]),
+                          st.floats(1e-3, 1e3)),
+           max_steps=st.integers(0, 3000))
+    @example(x=1.0, step=1.5 * 2.0 ** -52, max_steps=1000)  # half an ulp
+    @example(x=2.0, step=0.7, max_steps=5)  # half an ulp of [2, 4)
+    @example(x=1000.0, step=0.7, max_steps=3000)  # crosses 1024 and 2048
+    @example(x=2.0 - 3 * 2.0 ** -52, step=4.4 * 2.0 ** -52,
+             max_steps=3)  # the first step leaves the binade
+    @example(x=0.0, step=0.1, max_steps=1000)
+    @example(x=1e6, step=1e-11, max_steps=7)  # the step rounds away
+    @settings(deadline=None)
+    def test_capped_run_matches_stepwise(self, x, step, max_steps):
+        steps, y = skip_ahead(x, step, max_steps=max_steps)
+        want_steps, want = stepwise(x, step, max_steps=max_steps)
+        assert steps == want_steps and same_float(y, want)
+
+    @given(x=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+           step=st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 41.0]),
+                          st.floats(1e-2, 1e3)),
+           span=st.floats(0.0, 3000.0), stretch=st.floats(0.0, 1.0))
+    @example(x=0.0, step=0.25, span=400.0, stretch=0.0)  # lands on it
+    @example(x=1000.0, step=0.7, span=3000.0, stretch=0.0)
+    @example(x=2.0, step=0.7, span=2.0, stretch=0.0)
+    @settings(deadline=None)
+    def test_limited_run_matches_stepwise(self, x, step, span, stretch):
+        limit = x + span * step + stretch * step
+        steps, y = skip_ahead(x, step, limit)
+        want_steps, want = stepwise(x, step, limit, max_steps=4000)
+        assert want_steps < 4000
+        assert steps == want_steps and same_float(y, want)
+
+    def test_limit_reached_exactly(self):
+        assert skip_ahead(0.0, 0.25, 100.0) == (400, 100.0)
+        assert skip_ahead(0.0, 0.25, 100.0, max_steps=399) == (399, 99.75)
+
+    def test_stalled_step_needs_a_cap(self):
+        assert skip_ahead(1e6, 1e-11, max_steps=5) == (5, 1e6)
+        with pytest.raises(errors.InvariantViolation):
+            skip_ahead(1e6, 1e-11, 2e6)
+
+
+def observed(metrics):
+    """Every field of ``metrics`` and of its ledger, for ``==``."""
+    fields = {f.name: getattr(metrics, f.name)
+              for f in dataclasses.fields(metrics) if f.name != "ledger"}
+    fields["ledger"] = vars(metrics.ledger)
+    return fields
+
+
+class TestDatabaseOracle:
+    @given(model=st.sampled_from(list(DbModel)),
+           db_mib=st.floats(0.01, 16.0),
+           write_ratio=st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0)),
+           snapshot_interval_s=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           duration_s=st.floats(0.001, 1.0),
+           t_db_exec=st.one_of(st.sampled_from([0.5, 0.7, 1.1, 41.0]),
+                               st.floats(0.5, 50.0)),
+           t_cow_copy=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           seed=st.integers(0, 2**32))
+    # The first request straddles the fork's start (10 ms) and ends at
+    # 41 ms, past the shared-enclave window (40 ms): inside the run, then
+    # past its end.
+    @example(model=DbModel.TEEMATE, db_mib=0.5, write_ratio=0.5,
+             snapshot_interval_s=0.01, duration_s=1.0, t_db_exec=41.0,
+             t_cow_copy=0.0, seed=0)
+    @example(model=DbModel.TEEMATE, db_mib=0.5, write_ratio=0.5,
+             snapshot_interval_s=0.01, duration_s=0.001, t_db_exec=41.0,
+             t_cow_copy=0.0, seed=0)
+    @settings(deadline=None)
+    def test_matches_stepwise_run(self, model, db_mib, write_ratio,
+                                  snapshot_interval_s, duration_s, t_db_exec,
+                                  t_cow_copy, seed):
+        # A short full-copy fork keeps each run to about 2,000 requests.
+        params = default_params()
+        params.t_enclave_create = 50.0
+        params.t_fork_copy_per_mib = 2.0
+        params.t_db_exec = t_db_exec
+        params.t_cow_copy = t_cow_copy
+        args = (model, db_mib, write_ratio, snapshot_interval_s, duration_s,
+                seed, params)
+        assert observed(run_database(*args)) == \
+            observed(run_database_stepwise(*args))
