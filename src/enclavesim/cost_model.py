@@ -176,7 +176,9 @@ class CostLedger:
 
 
 def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile on a sorted copy; q in [0, 100]."""
+    """The element at index ``round(q / 100 * (n - 1))`` of a sorted copy,
+    q in [0, 100]; ``round`` halves to even. Not nearest-rank: p99 of
+    1..64 is 63 and p50 of 1..100 is 51."""
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -167,10 +167,7 @@ class EnclaveRuntime:
         return bytes(self._resolve(pid, va, Access.READ).content)
 
     def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
-        page = self._resolve(pid, va, Access.WRITE)
-        if offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses page boundary")
-        page.content[offset:offset + len(data)] = data
+        self._resolve(pid, va, Access.WRITE).write(data, offset)
 
     def check_invariants(self) -> None:
         """EPC conservation, at most one live thread per TCS, and the
@@ -361,10 +358,18 @@ class EnclaveRuntime:
         """Digest the child's view of the full db extent, then retire the
         child: its TCS is released, every private copy is freed and its
         container is destroyed. A fault while digesting (a remapped va)
-        still retires the child before it propagates."""
+        still retires the child before it propagates.
+
+        The digest is two-level: SHA-256 over the SHA-256 of each page the
+        child sees, in va order. Every page is still resolved through the
+        sandbox check; only pages written since their last digest are
+        rehashed."""
+        copies = pair.private_copies
         try:
-            return content_digest(self.cow_read(pair, child_pid, va)
-                                  for va in self.db_vas())
+            return content_digest(
+                self._resolve(child_pid, copies.get((child_pid, va), va),
+                              Access.READ).digest()
+                for va in self.db_vas())
         finally:
             self._retire_child(pair, child_pid)
 
@@ -375,10 +380,9 @@ class EnclaveRuntime:
             if pid != child_pid:
                 # Fold the surviving side's writes back onto the original
                 # page so occupancy returns exactly to the pre-fork level.
-                original_pa = self.enclave.pages[va]
-                copy_pa = self.enclave.pages[copy_va]
-                self.machine.pages[original_pa].content[:] = \
-                    self.machine.pages[copy_pa].content
+                pages = self.machine.pages
+                pages[self.enclave.pages[va]].write(
+                    pages[self.enclave.pages[copy_va]].content)
             self.machine.eremove(self.enclave, copy_va)
             holder.address_space.unmap(copy_va)
             self.private_vas.discard(copy_va)

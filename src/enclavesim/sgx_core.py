@@ -65,10 +65,6 @@ class CpuMode:
 
     enclave_id: Optional[int] = None
 
-    @property
-    def in_enclave(self) -> bool:
-        return self.enclave_id is not None
-
 
 NON_ENCLAVE = CpuMode()
 
@@ -79,9 +75,26 @@ def enclave_mode(enclave_id: int) -> CpuMode:
 
 @dataclass
 class PhysicalPage:
+    """One physical page. Its content changes only through ``write``, which
+    drops the cached digest, so ``digest`` rehashes a page only after a
+    write since its last digest."""
+
     pa: int
     content: bytearray
     is_epc: bool
+    _digest: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def digest(self) -> bytes:
+        """SHA-256 of the content, computed on first use and cached."""
+        if self._digest is None:
+            self._digest = content_digest((self.content,))
+        return self._digest
+
+    def write(self, data: bytes, offset: int = 0) -> None:
+        if offset + len(data) > PAGE_SIZE:
+            raise ValueError("write crosses page boundary")
+        self.content[offset:offset + len(data)] = data
+        self._digest = None
 
 
 @dataclass
@@ -223,15 +236,15 @@ class Machine:
         No process identity participates in the check: any address space
         holding the creating (va, pa) mapping may access the page.
         """
-        if va not in space.page_table:
+        pa = space.page_table.get(va)
+        if pa is None:
             raise errors.NotMapped(f"va {va:#x} not mapped")
-        pa = space.page_table[va]
         page = self.pages.get(pa)
         if page is None:
             raise errors.NotMapped(f"pa {pa:#x} does not exist")
         if not page.is_epc:
             return pa
-        if not mode.in_enclave:
+        if mode.enclave_id is None:
             raise errors.AbortPage(
                 f"non-enclave access to protected page {pa:#x}")
         entry = self.epcm.get(pa)
@@ -251,9 +264,7 @@ class Machine:
     def write_page(self, space: AddressSpace, va: int, data: bytes,
                    mode: CpuMode, offset: int = 0) -> None:
         pa = self.translate_access(space, va, Access.WRITE, mode)
-        if offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses page boundary")
-        self.pages[pa].content[offset:offset + len(data)] = data
+        self.pages[pa].write(data, offset)
 
     # -- enclave threads ----------------------------------------------------
 

@@ -5,11 +5,12 @@ The oracle duplicates every page at fork time; the lazy implementation must
 be observationally equivalent to it byte-for-byte.
 """
 
+import hashlib
 import random
 
 from enclavesim.enclave_runtime import DB_BASE, EnclaveRuntime
 from enclavesim.host_kernel import Kernel
-from enclavesim.sgx_core import Machine, PAGE_SIZE, content_digest
+from enclavesim.sgx_core import Machine, PAGE_SIZE
 
 
 class EagerForkOracle:
@@ -30,6 +31,15 @@ class EagerForkOracle:
         return bytes(self.views[pid][va])
 
 
+def expected_snapshot(oracle, child_pid, vas):
+    """The snapshot digest of the oracle's child view, computed with hashlib
+    alone: SHA-256 over each page's SHA-256, in va order."""
+    outer = hashlib.sha256()
+    for va in vas:
+        outer.update(hashlib.sha256(oracle.read(child_pid, va)).digest())
+    return outer.digest()
+
+
 def build_db_runtime(n_db_pages, epc_capacity=4096):
     """A launched runtime with a database extent and an entered creator."""
     machine = Machine(epc_capacity_pages=epc_capacity)
@@ -44,6 +54,21 @@ def build_db_runtime(n_db_pages, epc_capacity=4096):
 def build_forked_runtime(n_db_pages, epc_capacity=4096):
     machine, runtime = build_db_runtime(n_db_pages, epc_capacity)
     return machine, runtime, runtime.fork_cow(runtime.creator.pid)
+
+
+def _random_access(rng, runtime, pair, oracle, n_pages):
+    """One random cow_write or cow_read on either side; returns a message
+    if a read differs from the oracle, else None."""
+    pid = pair.parent_pid if rng.random() < 0.5 else pair.child_pid
+    va = DB_BASE + rng.randrange(n_pages)
+    if rng.random() < 0.6:
+        offset = rng.randrange(PAGE_SIZE - 8)
+        value = bytes(rng.randrange(256) for _ in range(8))
+        runtime.cow_write(pair, pid, va, value, offset)
+        oracle.write(pid, va, value, offset)
+    elif runtime.cow_read(pair, pid, va) != oracle.read(pid, va):
+        return f"view mismatch at {va:#x}"
+    return None
 
 
 def run_cow_trial(seed, max_pages=16, max_ops=200):
@@ -62,18 +87,9 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
     oracle.fork(parent, child)
 
     for op_idx in range(rng.randint(1, max_ops)):
-        pid = parent if rng.random() < 0.5 else child
-        va = DB_BASE + rng.randrange(n_pages)
-        if rng.random() < 0.6:
-            offset = rng.randrange(PAGE_SIZE - 8)
-            value = bytes(rng.randrange(256) for _ in range(8))
-            runtime.cow_write(pair, pid, va, value, offset)
-            oracle.write(pid, va, value, offset)
-        else:
-            got = runtime.cow_read(pair, pid, va)
-            want = oracle.read(pid, va)
-            if got != want:
-                return f"seed {seed} op {op_idx}: view mismatch at {va:#x}"
+        mismatch = _random_access(rng, runtime, pair, oracle, n_pages)
+        if mismatch:
+            return f"seed {seed} op {op_idx}: {mismatch}"
         extra = machine.epc_used - baseline
         if extra != pair.dirty_count:
             return (f"seed {seed} op {op_idx}: extra pages {extra} != "
@@ -85,7 +101,7 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
             if runtime.cow_read(pair, pid, va) != oracle.read(pid, va):
                 return f"seed {seed}: final view mismatch pid {pid} va {va:#x}"
 
-    want = content_digest(oracle.read(child, va) for va in runtime.db_vas())
+    want = expected_snapshot(oracle, child, runtime.db_vas())
     if runtime.snapshot(pair, child) != want:
         return f"seed {seed}: snapshot digest differs from the child's view"
     if child in runtime.kernel.containers:
@@ -99,4 +115,34 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
         got = bytes(machine.pages[runtime.enclave.pages[va]].content)
         if got != oracle.read(parent, va):
             return f"seed {seed}: parent view lost after snapshot at {va:#x}"
+    return None
+
+
+def run_multi_cycle_trial(seed, cycles=6, n_pages=12, ops_per_cycle=40):
+    """Repeated fork -> random cow_write/cow_read -> snapshot cycles on one
+    runtime. Each cycle's oracle forks from the parent's view after the
+    previous cycle's writes were folded back, and each snapshot is compared
+    with ``expected_snapshot`` of that cycle's child view. Returns None on
+    success, else a message."""
+    rng = random.Random(seed)
+    machine, runtime = build_db_runtime(n_pages)
+    vas = runtime.db_vas()
+    parent_view = {va: machine.pages[runtime.enclave.pages[va]].content
+                   for va in vas}
+    for cycle in range(cycles):
+        pair = runtime.fork_cow(runtime.creator.pid)
+        oracle = EagerForkOracle(parent_view)
+        oracle.fork(pair.parent_pid, pair.child_pid)
+        for op_idx in range(ops_per_cycle):
+            mismatch = _random_access(rng, runtime, pair, oracle, n_pages)
+            if mismatch:
+                return f"seed {seed} cycle {cycle} op {op_idx}: {mismatch}"
+        if runtime.snapshot(pair, pair.child_pid) != expected_snapshot(
+                oracle, pair.child_pid, vas):
+            return f"seed {seed} cycle {cycle}: snapshot digest differs"
+        parent_view = oracle.views[pair.parent_pid]
+        for va in vas:
+            page = machine.pages[runtime.enclave.pages[va]]
+            if page.content != parent_view[va]:
+                return f"seed {seed} cycle {cycle}: fold-back lost {va:#x}"
     return None

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from enclavesim import errors
@@ -8,9 +10,14 @@ from enclavesim.enclave_runtime import (
     RUNTIME_BASE,
 )
 from enclavesim.host_kernel import Kernel
-from enclavesim.sgx_core import Access, Machine, PAGE_SIZE
+from enclavesim.sgx_core import Access, Machine, PAGE_SIZE, PhysicalPage
 
-from cow_oracle import build_db_runtime, build_forked_runtime, run_cow_trial
+from cow_oracle import (
+    build_db_runtime,
+    build_forked_runtime,
+    run_cow_trial,
+    run_multi_cycle_trial,
+)
 
 
 @pytest.fixture
@@ -303,6 +310,42 @@ class TestForkCow:
         runtime.load_db(2)
         with pytest.raises(KeyError):
             runtime.fork_cow(runtime.creator.pid)
+
+    def test_write_drops_cached_digest(self):
+        machine, runtime = build_db_runtime(2)
+        page = machine.pages[runtime.enclave.pages[DB_BASE]]
+        stale = page.digest()
+        runtime.write(runtime.creator.pid, DB_BASE, b"new", offset=3)
+        assert page.digest() != stale
+        assert page.digest() == hashlib.sha256(page.content).digest()
+
+    def test_fold_back_drops_cached_digest(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        original = machine.pages[runtime.enclave.pages[DB_BASE]]
+        runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"parent")
+        # The parent wrote a private copy; the original is unchanged.
+        stale = original.digest()
+        runtime.snapshot(pair, pair.child_pid)
+        assert original.content[:6] == b"parent"
+        assert original.digest() != stale
+        assert original.digest() == hashlib.sha256(original.content).digest()
+
+    def test_repeated_snapshots_match_hashlib_digest(self):
+        for seed in range(20):
+            assert run_multi_cycle_trial(seed) is None
+
+    def test_stale_fold_back_fails_repeated_snapshots(self, monkeypatch):
+        write = PhysicalPage.write
+
+        def write_keeping_stale_digest(page, data, offset=0):
+            # Only the fold-back writes whole pages: it keeps the old digest.
+            if len(data) == PAGE_SIZE:
+                page.content[:] = data
+            else:
+                write(page, data, offset)
+
+        monkeypatch.setattr(PhysicalPage, "write", write_keeping_stale_digest)
+        assert run_multi_cycle_trial(0) is not None
 
     def test_random_interleavings_match_eager_oracle(self):
         # Oracle-backed sample; the acceptance suite runs the full 500.

@@ -11,6 +11,7 @@ from enclavesim.sgx_core import (
     NON_ENCLAVE,
     PAGE_SIZE,
     PageType,
+    PhysicalPage,
     TcsState,
     content_digest,
     enclave_mode,
@@ -141,6 +142,38 @@ class TestMeasurement:
         chunks = [b"ab", b"", page(3)]
         assert content_digest(iter(chunks)) == \
             hashlib.sha256(b"".join(chunks)).digest()
+
+
+class TestPageDigest:
+    def test_new_pages_carry_no_digest(self, machine):
+        enclave = machine.ecreate(1)
+        pa, _ = machine.eadd(enclave, 0x10, b"epc")
+        pages = [machine.pages[pa], machine.alloc_plain_page(b"plain")]
+        for p in pages:
+            assert p._digest is None
+            assert p.digest() == hashlib.sha256(p.content).digest()
+
+    def test_write_page_drops_cached_digest(self, machine):
+        e, space = build_enclave(machine)
+        p = machine.pages[e.pages[0x10]]
+        stale = p.digest()
+        machine.write_page(space, 0x10, b"new", enclave_mode(1), offset=7)
+        assert p.digest() != stale
+        assert p.digest() == hashlib.sha256(p.content).digest()
+
+    def test_digest_is_cached_until_write(self):
+        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        first = p.digest()
+        assert p.digest() is first
+        p.write(b"x", offset=PAGE_SIZE - 1)
+        assert p.digest() == hashlib.sha256(p.content).digest() != first
+
+    def test_write_across_page_boundary_keeps_content(self):
+        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        digest = p.digest()
+        with pytest.raises(ValueError):
+            p.write(b"xy", offset=PAGE_SIZE - 1)
+        assert p.content == page(1) and p.digest() is digest
 
 
 class TestTranslate:
