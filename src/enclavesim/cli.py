@@ -55,6 +55,7 @@ _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(CostParams)}
 # hang the process or exhaust its memory.
 MAX_ARRIVALS = 10**6  # requests of one serverless run (expected, for macro)
 MAX_DB_REQUESTS = 10**7  # requests of one database run
+MAX_SCHEDULES = 10**4  # schedules of each randomized security probe
 
 
 @dataclass
@@ -291,7 +292,15 @@ def _check_invariants(results: Dict[str, Metrics]) -> None:
             if abs(identity - metrics.throughput_rps) > 1e-9 * max(1.0, identity):
                 raise errors.InvariantViolation(
                     f"{label}: throughput != count / completion_time")
+        # Records of one request kind share their plan's components, so
+        # each distinct (components, total) pair is summed once. Ids are
+        # unique here: every mapping is alive while its record is.
+        checked = set()
         for record in metrics.requests:
+            key = (id(record.components), record.total_ms)
+            if key in checked:
+                continue
+            checked.add(key)
             if abs(sum(record.components.values()) - record.total_ms) > 1e-9:
                 raise errors.InvariantViolation(
                     f"{label}/{record.request_id}: components do not sum "
@@ -300,32 +309,6 @@ def _check_invariants(results: Dict[str, Metrics]) -> None:
 
 def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                   out_dir: str) -> List[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    # Labels are model and workload names and request ids are indices or
-    # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
-    # Most requests repeat one of a few breakdowns, so each distinct
-    # (total, components) tail is formatted once. No duration is -0.0, the
-    # one float that equals another (0.0) but prints differently.
-    tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
-    tails: Dict[tuple, str] = {}
-    with open(csv_path, "w", newline="") as handle:
-        handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
-                               "total_ms"]) + "\r\n")
-        for label, metrics in results.items():
-            rows = []
-            for record in metrics.requests:
-                components = record.components
-                key = (record.total_ms, *components.items())
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = tail_format % (
-                        *[components.get(c, 0.0) for c in COMPONENTS],
-                        record.total_ms)
-                rows.append("%s/%s,%.6f%s" % (label, record.request_id,
-                                              record.arrival_ms, tail))
-            handle.write("".join(rows))
-
     summary = {"scenario": config.scenario, "seed": config.seed, "models": {}}
     baseline_label = next(iter(results), None)
     base = results.get(baseline_label)
@@ -358,14 +341,50 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
             entry["ratios"] = ratios
         summary["models"][label] = entry
 
+    try:
+        summary_text = json.dumps(summary, indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n"
+    except ValueError:
+        # Finite costs and sizes whose sums overflow (queueing, memory).
+        raise errors.ConfigError(
+            "a summary value is not finite: the config's values overflow")
+
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "metrics.csv")
+    # Labels are model and workload names and request ids are indices or
+    # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
+    # Records of one request kind share their plan's components, so each
+    # distinct (components, total) tail is formatted once; ids are unique
+    # while the records hold the mappings.
+    tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
+    tails: Dict[Tuple[int, float], str] = {}
+    with open(csv_path, "w", newline="") as handle:
+        handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
+                               "total_ms"]) + "\r\n")
+        for label, metrics in results.items():
+            rows = []
+            for record in metrics.requests:
+                components = record.components
+                key = (id(components), record.total_ms)
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = tail_format % (
+                        *[components.get(c, 0.0) for c in COMPONENTS],
+                        record.total_ms)
+                rows.append("%s/%s,%.6f%s" % (label, record.request_id,
+                                              record.arrival_ms, tail))
+            handle.write("".join(rows))
+
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(summary_text)
     return [csv_path, summary_path]
 
 
 def run_security_suite(config: ScenarioConfig, out_dir: str) -> int:
+    if config.schedules > MAX_SCHEDULES:
+        raise errors.ConfigError(
+            f"{config.schedules} schedules exceeds {MAX_SCHEDULES}")
     outcome = security.run_all(config.seed, config.schedules)
     os.makedirs(out_dir, exist_ok=True)
     summary = {"scenario": "security_suite", "seed": config.seed,

@@ -14,6 +14,7 @@ the system being modeled:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -98,6 +99,10 @@ class CostParams:
                      "snapshot_write_mib_per_s"):
             if getattr(self, name) <= 0:
                 raise errors.InvariantViolation(f"{name} must be positive")
+        if self.t_cow_copy < 0:
+            # A negative copy cost could stop the copy-on-write window's
+            # clock while it copies pages.
+            raise errors.InvariantViolation("t_cow_copy must be >= 0")
         if not 2.32 <= self.t_alias <= 3.01:
             raise errors.InvariantViolation(
                 "t_alias outside the calibrated 2.32-3.01 ms band")
@@ -105,6 +110,13 @@ class CostParams:
             if value <= 0:
                 raise errors.InvariantViolation(
                     f"exec time for {workload!r} must be positive")
+        # Finite values whose derived costs overflow are a config error.
+        pages = self.m_teemate_per_instance / self.page_mib
+        if not math.isfinite(pages):
+            raise errors.ConfigError(
+                f"m_teemate_per_instance / page_mib = {pages} pages")
+        if not math.isfinite(self.t_epc_expand):
+            raise errors.ConfigError(f"t_epc_expand = {self.t_epc_expand} ms")
 
 
 def default_params() -> CostParams:

@@ -13,9 +13,10 @@ import itertools
 import math
 import random
 import sys
+import types
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import errors
 from .cost_model import (
@@ -62,12 +63,14 @@ class RequestTrace:
             raise errors.InvariantViolation("arrivals must be sorted")
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
+    """One served request. A serverless record's ``components`` is its
+    plan's read-only mapping, shared by every request of that kind."""
     request_id: str
     arrival_ms: float
     workload: str
-    components: Dict[str, float] = field(default_factory=dict)
+    components: Mapping[str, float] = field(default_factory=dict)
     total_ms: float = 0.0
     finish_ms: float = 0.0
 
@@ -99,10 +102,12 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
     seeded generator; arrivals confined to [0, duration]."""
     if rate_per_s <= 0:
         raise errors.InvariantViolation("arrival rate must be positive")
+    horizon = duration_s * 1000.0
+    if not math.isfinite(horizon):  # no arrival would pass it
+        raise errors.ConfigError(f"duration_s * 1000 = {horizon} ms")
     rng = random.Random(seed)
     arrivals: List[Tuple[float, str]] = []
     t = 0.0
-    horizon = duration_s * 1000.0
     while True:
         u = rng.random()
         t += -math.log(1.0 - u) / rate_per_s * 1000.0
@@ -124,11 +129,12 @@ class _Plan(NamedTuple):
 
     ``head`` runs from the start, ``locked`` (None if the EPC-expand step
     is not serialized) holds the lock and ``tail`` runs after it.
+    ``components`` is read-only: every record of the kind shares it.
     """
     head: Tuple[float, ...]
     locked: Optional[float]
     tail: Tuple[float, ...]
-    components: Dict[str, float]
+    components: Mapping[str, float]
     total: float
 
 
@@ -162,25 +168,16 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     ledger = CostLedger()
     for component, duration in steps:
         ledger.charge(component, duration)
-    components = ledger.breakdowns[None]
+    components = types.MappingProxyType(ledger.breakdowns[None])
     durations = tuple(duration for _, duration in steps)
     total = sum(components.values())
+    if not math.isfinite(total):
+        raise errors.ConfigError(f"a {kind} request takes {total} ms")
     if params.epc_alloc_serialized and EPC_EXPAND in components:
         lock = [component for component, _ in steps].index(EPC_EXPAND)
         return _Plan(durations[:lock], durations[lock], durations[lock + 1:],
                      components, total)
     return _Plan(durations, None, (), components, total)
-
-
-class _Job:
-    """A request in flight: its record, its plan and its memory."""
-
-    __slots__ = ("record", "plan", "mem")
-
-    def __init__(self, record: RequestRecord):
-        self.record = record
-        self.plan: Optional[_Plan] = None
-        self.mem = 0.0
 
 
 def run_serverless(model, trace: RequestTrace, params: CostParams,
@@ -192,17 +189,15 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     runtime load) completes before the first arrival and is reported under
     ``extras`` rather than inside any request's latency.
 
-    One heap of ``(time, seq, kind, job)`` events drives the run; events at
-    the same time run in scheduling order (``seq``), arrivals first. A
-    request wakes only where it touches shared state: on arrival (worker
-    pool), at start (warm pool, free containers, occupancy), at the
-    EPC-expand lock (acquire, grant, unlock) and at finish. Between those
-    points its steps touch nothing shared; the wake time is their running
-    sum from the current time. Each kind of request is planned once per
-    run and workload (``_plan``); at finish the request's record gets a
-    copy of its plan's components, which the ledger keeps as the request's
-    breakdown. Grants from the pool or the lock are separate zero-delay
-    events.
+    Arrivals are read in order from the trace and a heap holds the events
+    in flight, ``(time, seq, kind, index, plan, mem)``. Events at one time
+    run in scheduling order, arrivals first (an arrival's seq is its index,
+    below every heap seq). A request wakes only where it touches shared
+    state: arrival, start, the EPC-expand lock (acquire, grant, unlock) and
+    finish; its wake time is the running sum of its plan's steps (``_plan``,
+    once per kind and workload). A pool or lock grant runs inline when
+    nothing else is pending at its time, as it would then be popped next;
+    otherwise it is a zero-delay event. Records are built at finish.
     """
     if isinstance(model, Variant):
         model = ExecutionModel(model)
@@ -210,14 +205,12 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     variant = model.variant
 
     ledger = CostLedger()
-    breakdowns = ledger.breakdowns
-    records = [RequestRecord(str(idx), arrival, workload)
-               for idx, (arrival, workload) in enumerate(trace.arrivals)]
-    events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
-              for idx, record in enumerate(records)]
-    heapq.heapify(events)
+    arrivals = trace.arrivals
+    n = len(arrivals)
+    records: List[Optional[RequestRecord]] = [None] * n
+    events: List[tuple] = []
     push = heapq.heappush
-    seq = itertools.count(len(events))
+    seq = itertools.count(n)
 
     free_workers = workers
     pool_queue: deque = deque()
@@ -227,7 +220,6 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     live_instances = 0
     warm_pool: List[float] = []  # expiry times of idle warm environments
     registration_pending = False
-    done = 0
     plans: Dict[Tuple[str, str], _Plan] = {}
 
     registration_ms = 0.0
@@ -244,15 +236,15 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             registration_pending = True
     baseline_mib = ledger.occupancy
 
-    def start(job: _Job, now: float) -> None:
-        """Pick the request's plan, take its memory and run its steps up
-        to the lock or the end."""
+    def start(idx: int, now: float) -> None:
+        """Take the request's plan and memory; run it to the lock or end."""
         nonlocal free_containers, live_instances, registration_pending
+        mem = 0.0
         if variant is Variant.NATIVE:
             kind = "native"
         elif variant is Variant.CC_COLD:
             kind = "cold"
-            job.mem = params.m_strawman_per_request
+            mem = params.m_strawman_per_request
         elif variant is Variant.CC_WARM:
             warm = model.prediction
             if not warm:
@@ -262,7 +254,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                         warm = True
                         break
             kind = "warm" if warm else "cold"
-            job.mem = params.m_strawman_per_request
+            mem = params.m_strawman_per_request
         else:
             if registration_pending:
                 registration_pending = False
@@ -275,68 +267,84 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                 kind = "create"
             live_instances += 1
             if live_instances > 1:
-                job.mem = params.m_teemate_per_instance
-        workload = job.record.workload
+                mem = params.m_teemate_per_instance
+        workload = arrivals[idx][1]
         plan = plans.get((kind, workload))
         if plan is None:
             plan = plans[kind, workload] = _plan(
                 kind, params.exec_ms(workload), params)
-        job.plan = plan
-        if job.mem:
-            ledger.occupy(now, job.mem)
+        if mem:
+            ledger.occupy(now, mem)
         t = now
         for duration in plan.head:
             t = t + duration
         push(events, (t, next(seq),
-                      _FINISH if plan.locked is None else _ACQUIRE, job))
+                      _FINISH if plan.locked is None else _ACQUIRE,
+                      idx, plan, mem))
 
-    while events:
-        now, _, kind, job = heapq.heappop(events)
-        if kind == _ARRIVE:
-            if free_workers > 0:
-                free_workers -= 1
-                push(events, (now, next(seq), _START, job))
-            else:
-                pool_queue.append(job)
-        elif kind == _START:
-            start(job, now)
-        elif kind == _ACQUIRE:
-            if lock_free:
-                lock_free = False
-                push(events, (now, next(seq), _LOCKED, job))
-            else:
-                lock_queue.append(job)
-        elif kind == _LOCKED:
-            push(events, (now + job.plan.locked, next(seq), _UNLOCK, job))
-        elif kind == _UNLOCK:
-            if lock_queue:
-                push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
-            else:
-                lock_free = True
-            t = now
-            for duration in job.plan.tail:
-                t = t + duration
-            push(events, (t, next(seq), _FINISH, job))
+    i = 0
+    next_arrival = arrivals[0][0] if n else math.inf
+    while i < n or events:
+        if i < n and (not events or next_arrival <= events[0][0]):
+            now, kind, idx = next_arrival, _ARRIVE, i
+            i += 1
+            next_arrival = arrivals[i][0] if i < n else math.inf
         else:
-            record = job.record
-            record.finish_ms = now
-            record.components = breakdowns[record.request_id] = dict(
-                job.plan.components)
-            record.total_ms = job.plan.total
-            if job.mem:
-                ledger.occupy(now, -job.mem)
+            now, _, kind, idx, plan, mem = heapq.heappop(events)
+        # Nothing else is pending now: a grant would be the next event popped.
+        idle = now < next_arrival and (not events or now < events[0][0])
+        if kind == _ARRIVE:
+            pool_queue.append(idx)
+        elif kind == _FINISH:
+            records[idx] = RequestRecord(str(idx), *arrivals[idx],
+                                         plan.components, plan.total, now)
+            if mem:
+                ledger.occupy(now, -mem)
             if variant is Variant.TEEMATE:
                 live_instances -= 1
                 free_containers += 1
             elif variant is Variant.CC_WARM and not model.prediction:
                 warm_pool.append(now + params.warm_keepalive_s * 1000.0)
-            if pool_queue:
-                push(events, (now, next(seq), _START, pool_queue.popleft()))
+            free_workers += 1
+        elif kind == _START:
+            start(idx, now)
+        elif kind == _ACQUIRE:
+            if not lock_free:
+                lock_queue.append((idx, plan, mem))
             else:
-                free_workers += 1
-            done += 1
+                lock_free = False
+                if idle:
+                    push(events, (now + plan.locked, next(seq), _UNLOCK,
+                                  idx, plan, mem))
+                else:
+                    push(events, (now, next(seq), _LOCKED, idx, plan, mem))
+        elif kind == _LOCKED:
+            push(events, (now + plan.locked, next(seq), _UNLOCK, idx, plan,
+                          mem))
+        else:
+            t = now
+            for duration in plan.tail:
+                t = t + duration
+            # A waiting grant goes before this finish, an inline one after.
+            if not lock_queue:
+                lock_free = True
+            elif not idle:
+                push(events, (now, next(seq), _LOCKED, *lock_queue.popleft()))
+            push(events, (t, next(seq), _FINISH, idx, plan, mem))
+            if lock_queue and idle:
+                idx, plan, mem = lock_queue.popleft()
+                push(events, (now + plan.locked, next(seq), _UNLOCK, idx,
+                              plan, mem))
+        # A queue forms only while every worker is busy.
+        if free_workers and pool_queue:
+            free_workers -= 1
+            if idle:
+                start(pool_queue.popleft(), now)
+            else:
+                push(events, (now, next(seq), _START, pool_queue.popleft(),
+                              None, 0.0))
 
-    if done != len(records):
+    if not all(records):
         raise errors.InvariantViolation("not all requests completed")
     expected_final = baseline_mib
     if variant is Variant.TEEMATE and not pre_registered \
@@ -409,6 +417,8 @@ def db_cycle(model: DbModel, db_mib: float, snapshot_interval_s: float,
         fork_ms = params.t_alias + params.t_tcs_op + params.t_fork_child_setup
         fork_components = {CONTAINER_CREATE: params.t_fork_child_setup,
                            ALIAS: params.t_alias + params.t_tcs_op}
+    if not math.isfinite(fork_ms):
+        raise errors.ConfigError(f"the {model.value} fork takes {fork_ms} ms")
     fork_start = snapshot_interval_s * 1000.0
     fork_end = fork_start + fork_ms
     write_ms = db_mib / params.snapshot_write_mib_per_s * 1000.0
@@ -468,6 +478,16 @@ def skip_ahead(x: float, step: float, limit: float = math.inf,
     return steps, x
 
 
+_SKIP_CHUNK = 1 << 14  # draws skipped per getrandbits call
+
+
+def skip_draws(rng: random.Random, n: int) -> None:
+    """Advance ``rng`` exactly as ``n`` calls of ``rng.random()`` would:
+    each takes two 32-bit words, as does every 64 bits of ``getrandbits``."""
+    for left in range(n, 0, -_SKIP_CHUNK):
+        rng.getrandbits(64 * min(left, _SKIP_CHUNK))
+
+
 def run_database(model, db_mib: float, write_ratio: float,
                  snapshot_interval_s: float, duration_s: float, seed: int,
                  params: CostParams) -> Metrics:
@@ -482,8 +502,9 @@ def run_database(model, db_mib: float, write_ratio: float,
     page, so only they run one by one. The other stretches (requests that
     finish before the fork, the full-copy model's window and the tail
     after the window) take ``skip_ahead``, which gives the same float sums
-    as adding each request in turn. The shared-enclave model still draws
-    one number per request before the fork, so the random stream matches.
+    as adding each request in turn. The shared-enclave model still skips
+    one draw per request before the fork (``skip_draws``), so the random
+    stream matches.
     """
     if isinstance(model, str):
         model = DbModel(model)
@@ -500,7 +521,10 @@ def run_database(model, db_mib: float, write_ratio: float,
 
     fork_ms, fork_components, fork_start, fork_end, window_end, end = \
         db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
-    db_pages = max(1, round(db_mib / params.page_mib))
+    pages = db_mib / params.page_mib
+    if not math.isfinite(pages):
+        raise errors.ConfigError(f"db_mib / page_mib = {pages} pages")
+    db_pages = max(1, round(pages))
 
     if strawman:
         ledger.occupy(fork_end, db_mib + params.m_db_runtime_strawman)
@@ -513,8 +537,7 @@ def run_database(model, db_mib: float, write_ratio: float,
     _, service_sum = skip_ahead(0.0, exec_ms, max_steps=served_total)
     served_window = 1 if served_total and t == fork_start else 0
     if not strawman:
-        for _ in itertools.repeat(None, served_total):
-            draw()  # no page can be copied before the fork
+        skip_draws(rng, served_total)  # no page can be copied before the fork
     if t < fork_start:
         # This request straddles the fork's start and runs to its end; it
         # draws but copies nothing. If it would end past ``end``, the stream

@@ -1,0 +1,212 @@
+"""Event-by-event serverless oracle.
+
+``run_serverless_heaped`` is ``workload_harness.run_serverless`` as it
+was before arrivals left the event heap: every arrival, pool grant and
+lock grant is a heap event, each request is a ``_Job`` whose record is
+built on arrival, and each finish copies its plan's components into the
+record and into ``ledger.breakdowns[request_id]``. The harness must give
+the same ``Metrics`` and records, field for field and bit for bit.
+"""
+
+import heapq
+import itertools
+from collections import deque
+from typing import Dict, List, Optional, Tuple
+
+from enclavesim import errors
+from enclavesim.cost_model import (
+    CONTAINER_CREATE,
+    ENCLAVE_CREATE,
+    CostLedger,
+    CostParams,
+)
+from enclavesim.workload_harness import (
+    ExecutionModel,
+    Metrics,
+    RequestRecord,
+    RequestTrace,
+    Variant,
+    _Plan,
+    _metrics,
+    _plan,
+)
+
+# Event kinds. Only these points touch state shared between requests.
+_ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
+
+
+class _Job:
+    """A request in flight: its record, its plan and its memory."""
+
+    __slots__ = ("record", "plan", "mem")
+
+    def __init__(self, record: RequestRecord):
+        self.record = record
+        self.plan: Optional[_Plan] = None
+        self.mem = 0.0
+
+
+def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
+                          workers: int = 8,
+                          pre_registered: bool = True) -> Metrics:
+    """Run one execution model over a request trace.
+
+    ``model`` may be a Variant or an ExecutionModel. With ``pre_registered``
+    the shared-enclave registration phase (container + enclave creation +
+    runtime load) completes before the first arrival and is reported under
+    ``extras`` rather than inside any request's latency.
+
+    One heap of ``(time, seq, kind, job)`` events drives the run; events at
+    the same time run in scheduling order (``seq``), arrivals first. A
+    request wakes only where it touches shared state: on arrival (worker
+    pool), at start (warm pool, free containers, occupancy), at the
+    EPC-expand lock (acquire, grant, unlock) and at finish. Between those
+    points its steps touch nothing shared; the wake time is their running
+    sum from the current time. Each kind of request is planned once per
+    run and workload (``_plan``); at finish the request's record gets a
+    copy of its plan's components, which the ledger keeps as the request's
+    breakdown. Grants from the pool or the lock are separate zero-delay
+    events.
+    """
+    if isinstance(model, Variant):
+        model = ExecutionModel(model)
+    params.validate()
+    variant = model.variant
+
+    ledger = CostLedger()
+    breakdowns = ledger.breakdowns
+    records = [RequestRecord(str(idx), arrival, workload)
+               for idx, (arrival, workload) in enumerate(trace.arrivals)]
+    events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
+              for idx, record in enumerate(records)]
+    heapq.heapify(events)
+    push = heapq.heappush
+    seq = itertools.count(len(events))
+
+    free_workers = workers
+    pool_queue: deque = deque()
+    lock_free = True
+    lock_queue: deque = deque()
+    free_containers = 0
+    live_instances = 0
+    warm_pool: List[float] = []  # expiry times of idle warm environments
+    registration_pending = False
+    done = 0
+    plans: Dict[Tuple[str, str], _Plan] = {}
+
+    registration_ms = 0.0
+    if variant is Variant.TEEMATE:
+        registration_ms = params.t_container_create + params.t_enclave_create
+        if pre_registered:
+            ledger.charge(CONTAINER_CREATE, params.t_container_create,
+                          "registration")
+            ledger.charge(ENCLAVE_CREATE, params.t_enclave_create,
+                          "registration")
+            ledger.occupy(0.0, params.m_teemate_base)
+            free_containers = 1
+        else:
+            registration_pending = True
+    baseline_mib = ledger.occupancy
+
+    def start(job: _Job, now: float) -> None:
+        """Pick the request's plan, take its memory and run its steps up
+        to the lock or the end."""
+        nonlocal free_containers, live_instances, registration_pending
+        if variant is Variant.NATIVE:
+            kind = "native"
+        elif variant is Variant.CC_COLD:
+            kind = "cold"
+            job.mem = params.m_strawman_per_request
+        elif variant is Variant.CC_WARM:
+            warm = model.prediction
+            if not warm:
+                for i, expiry in enumerate(warm_pool):
+                    if expiry >= now:
+                        warm_pool.pop(i)
+                        warm = True
+                        break
+            kind = "warm" if warm else "cold"
+            job.mem = params.m_strawman_per_request
+        else:
+            if registration_pending:
+                registration_pending = False
+                ledger.occupy(now, params.m_teemate_base)
+                kind = "register"
+            elif free_containers > 0:
+                free_containers -= 1
+                kind = "pooled"
+            else:
+                kind = "create"
+            live_instances += 1
+            if live_instances > 1:
+                job.mem = params.m_teemate_per_instance
+        workload = job.record.workload
+        plan = plans.get((kind, workload))
+        if plan is None:
+            plan = plans[kind, workload] = _plan(
+                kind, params.exec_ms(workload), params)
+        job.plan = plan
+        if job.mem:
+            ledger.occupy(now, job.mem)
+        t = now
+        for duration in plan.head:
+            t = t + duration
+        push(events, (t, next(seq),
+                      _FINISH if plan.locked is None else _ACQUIRE, job))
+
+    while events:
+        now, _, kind, job = heapq.heappop(events)
+        if kind == _ARRIVE:
+            if free_workers > 0:
+                free_workers -= 1
+                push(events, (now, next(seq), _START, job))
+            else:
+                pool_queue.append(job)
+        elif kind == _START:
+            start(job, now)
+        elif kind == _ACQUIRE:
+            if lock_free:
+                lock_free = False
+                push(events, (now, next(seq), _LOCKED, job))
+            else:
+                lock_queue.append(job)
+        elif kind == _LOCKED:
+            push(events, (now + job.plan.locked, next(seq), _UNLOCK, job))
+        elif kind == _UNLOCK:
+            if lock_queue:
+                push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
+            else:
+                lock_free = True
+            t = now
+            for duration in job.plan.tail:
+                t = t + duration
+            push(events, (t, next(seq), _FINISH, job))
+        else:
+            record = job.record
+            record.finish_ms = now
+            record.components = breakdowns[record.request_id] = dict(
+                job.plan.components)
+            record.total_ms = job.plan.total
+            if job.mem:
+                ledger.occupy(now, -job.mem)
+            if variant is Variant.TEEMATE:
+                live_instances -= 1
+                free_containers += 1
+            elif variant is Variant.CC_WARM and not model.prediction:
+                warm_pool.append(now + params.warm_keepalive_s * 1000.0)
+            if pool_queue:
+                push(events, (now, next(seq), _START, pool_queue.popleft()))
+            else:
+                free_workers += 1
+            done += 1
+
+    if done != len(records):
+        raise errors.InvariantViolation("not all requests completed")
+    expected_final = baseline_mib
+    if variant is Variant.TEEMATE and not pre_registered \
+            and not registration_pending:
+        # Registration ran inside the first request; its base footprint
+        # stays resident, so the post-run baseline includes it.
+        expected_final += params.m_teemate_base
+    return _metrics(variant.value, records, ledger, registration_ms,
+                    expected_final)

@@ -1,16 +1,22 @@
 import csv
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from enclavesim import errors
 from enclavesim.cli import (
+    MAX_SCHEDULES,
+    SCENARIOS,
     build_params,
     main,
     parse_config,
     run_scenario,
 )
-from enclavesim.cost_model import COMPONENTS
+from enclavesim.cost_model import COMPONENTS, WORKLOADS, CostParams
 
 LATENCY_CFG = """\
 # latency comparison
@@ -242,6 +248,56 @@ class TestMain:
         with pytest.raises(Started):
             main([cfg, "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("text", [
+        LATENCY_CFG + "t_container_create = 1e308\nt_enclave_create = 1e308\n",
+        LATENCY_CFG + "t_epc_alloc_per_page = 1e308\n",
+        LATENCY_CFG + "page_mib = 1e-320\n",
+        DB_CFG + "page_mib = 1e-307\nm_teemate_per_instance = 1e-10\n",
+        DB_CFG + "t_tcs_op = 1e308\nt_fork_child_setup = 1e308\n",
+        "[serverless_latency]\nmodel = native\nworkload = sleep\n"
+        "n_requests = 2\nworkers = 1\nseed = 0\nt_exec.sleep = 1e308\n",
+        MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 1e-304").replace(
+            "duration_s = 10", "duration_s = 1e306"),
+    ], ids=["request-total", "epc-expand", "instance-pages", "db-pages",
+            "fork", "queued-finish", "poisson-horizon"])
+    def test_overflowing_value_exits_one_without_output(self, tmp_path,
+                                                        text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_negative_copy_cost_exits_two(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, DB_CFG + "t_cow_copy = -0.1\n")
+        assert main([cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_too_many_schedules_exit_one_before_probing(self, tmp_path,
+                                                         monkeypatch):
+        def no_probes(*args, **kwargs):
+            raise AssertionError("probes started")
+
+        monkeypatch.setattr("enclavesim.security.run_all", no_probes)
+        cfg = self.write_cfg(tmp_path, "[security_suite]\nseed = 1\n"
+                                       "schedules = 1000000000\n")
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_schedules_at_the_bound_reach_the_probes(self, tmp_path,
+                                                     monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(seed, schedules):
+            assert schedules == MAX_SCHEDULES
+            raise Started
+
+        monkeypatch.setattr("enclavesim.security.run_all", started)
+        cfg = self.write_cfg(tmp_path, "[security_suite]\nseed = 1\n"
+                                       f"schedules = {MAX_SCHEDULES}\n")
+        with pytest.raises(Started):
+            main([cfg, "--out", str(tmp_path / "out")])
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG)
         out = tmp_path / "out"
@@ -274,3 +330,89 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_detected"] is True
         assert summary["probes"]["remap_enumeration"]["failures"] == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "3", "0.5", "64", "1e308", "-1e308",
+                     "1e-320", "1e-307", "-0.0", "nan", "inf", "2.7", "x"]),
+    st.integers(-3, 100).map(str),
+    st.floats().map(repr))
+PARAM_KEYS = [f.name for f in dataclasses.fields(CostParams)
+              if f.name != "t_exec"] + ["t_exec.sleep", "t_exec.bogus"]
+SERVERLESS_MODELS = ["native", "cc_cold", "cc_warm", "teemate"]
+# Values that mostly pass parsing, so most runs reach the simulation.
+VALID = {
+    "seed": st.integers(-5, 2**40).map(str),
+    "n_requests": st.integers(1, 120).map(str),
+    "workers": st.integers(1, 70).map(str),
+    "rate_per_s": st.floats(0.01, 20.0).map(repr),
+    "duration_s": st.floats(0.01, 20.0).map(repr),
+    "db_mib": st.floats(0.5, 64.0).map(repr),
+    "write_ratio": st.floats(0.0, 1.0).map(repr),
+    "snapshot_interval_s": st.floats(0.0, 5.0).map(repr),
+    "schedules": st.integers(1, 3).map(str),
+    "workload": st.sampled_from(list(WORKLOADS) + ["all"]),
+    "prediction": st.sampled_from(["true", "false"]),
+    "epc_alloc_serialized": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """A scenario section with most of its keys, mostly valid values and
+    a few cost overrides, which may be extreme; sometimes a junk line or
+    arbitrary text."""
+    # Hypothesis favours the first element of a sampled list, and shrinks
+    # towards it; ``often`` puts the usual choice there.
+    def often(n):
+        return draw(st.sampled_from([True] * n + [False]))
+
+    if not often(19):
+        return draw(st.text(st.characters(blacklist_categories=("Cs",))))
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    spec = SCENARIOS[scenario]
+    keys = sorted(spec["optional"] | spec["required"])
+    keys = [k for k in keys if often(39 if k in spec["required"] else 2)]
+    keys += draw(st.lists(st.sampled_from(PARAM_KEYS), max_size=3,
+                          unique=True))
+    lines = [f"[{scenario}]"]
+    for key in keys:
+        if key == "model":
+            models = (["strawman", "teemate"] if scenario == "database"
+                      else SERVERLESS_MODELS)
+            value = ", ".join(draw(st.lists(st.sampled_from(models),
+                                            min_size=1, max_size=4)))
+        elif key in VALID and often(9):
+            value = draw(VALID[key])
+        else:
+            value = draw(NUMBERS)
+        lines.append(f"{key} = {value}")
+    if not often(9):
+        lines.append(draw(st.text(st.characters(
+            blacklist_categories=("Cs",)), max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+class TestMainProperty:
+    # Lower work bounds keep every example small; the shipped ones hold
+    # elsewhere.
+    @given(text=config_texts())
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_config_exits_cleanly(self, monkeypatch, text):
+        monkeypatch.setattr("enclavesim.cli.MAX_ARRIVALS", 200)
+        monkeypatch.setattr("enclavesim.cli.MAX_DB_REQUESTS", 50000)
+        monkeypatch.setattr("enclavesim.cli.MAX_SCHEDULES", 3)
+        with tempfile.TemporaryDirectory() as scratch:
+            cfg = Path(scratch) / "scenario.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            out = Path(scratch) / "out"
+            code = main([str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 0:
+                json.loads((out / "summary.json").read_text(),
+                           parse_constant=_reject_constant)

@@ -8,7 +8,9 @@ sides of the copy-on-write window. The database cases also cover the
 boundaries of the skip-ahead through request stretches that draw nothing
 that can dirty a page: long non-dyadic sums that cross many binades, a
 fork at time zero, and a fork, window or run that ends exactly where a
-request ends. So a change to the event loop, the request plans, the
+request ends. The serverless cases also cover events that land at one
+time: a single worker, integer-ms costs and an EPC-expand step as long
+as its tail. So a change to the event loop, the request plans, the
 database loop or the output writer that alters any simulated number or
 any output byte fails here.
 
@@ -89,6 +91,28 @@ CASES["serverless_throughput-8-on-3-workers"] = \
 CASES["serverless_memory-16-unserialized-expand"] = \
     BURST.format(scenario="serverless_memory", n=16) \
     + "epc_alloc_serialized = false\n"
+# Events that land at one time: every grant from the single worker falls
+# on the finish that frees it, while later arrivals still wait at 0.
+CASES["serverless_throughput-8-on-1-worker"] = \
+    BURST.format(scenario="serverless_throughput", n=8) + "workers = 1\n"
+# Integer-ms costs (alias 2.5 + 0.5; expand 6400 x 0.0625 = 400 ms, as
+# long as its tail, 100 + 300 ms): under lock contention a request's
+# finish lands on the unlock of the request it granted the lock, and
+# queued requests start on the finishes that free their workers. Poisson
+# arrivals are random floats, so none lands on a finish; the serverless
+# oracle test covers that tie with integer arrival times.
+INTEGER_MS = ("t_container_create = 500\nt_enclave_create = 1000\n"
+              "t_alias = 2.5\nt_tcs_op = 0.5\nt_epc_alloc_per_page = 0.0625\n"
+              "t_instance_load_cold = 200\nt_instance_load_teemate = 100\n"
+              "t_exec.sleep = 300\n")
+CASES["macro-integer-ms"] = MACRO.format(
+    models=ALL_MODELS, workload="sleep", rate=5, duration=40) + INTEGER_MS \
+    + "workers = 3\nwarm_keepalive_s = 0.3\n"
+# The same costs in a burst: the lock is granted at each unlock while the
+# previous holder's finish lands on the next unlock.
+CASES["serverless_throughput-expand-equals-tail"] = (
+    "[serverless_throughput]\nmodel = " + ALL_MODELS + "\nworkload = sleep\n"
+    "n_requests = 12\nseed = 0\nworkers = 5\n" + INTEGER_MS)
 
 SEEDS = (0, 20231)
 
@@ -97,7 +121,10 @@ SEEDS = (0, 20231)
 # db-interval-zero, db-fork-ends-on-request, db-window-ends-on-request and
 # serverless_memory-16-unserialized-expand entries were computed before the
 # database skip-ahead, the per-kind request plans and the once-per-tail CSV
-# formatting replaced the code they cover.
+# formatting replaced the code they cover. The macro-integer-ms,
+# serverless_throughput-8-on-1-worker and
+# serverless_throughput-expand-equals-tail entries were computed before
+# arrivals left the event heap and grants began to run inline.
 GOLDEN = {
     "db-fork-ends-on-request@0":
         "fc43d8d7122d84c5e276a9330289fe5f51712e23244c099564e22112e0b8ed37",
@@ -139,6 +166,10 @@ GOLDEN = {
         "11f278a12aa127457d9a1ce0c848e218a5a18dcdd3c0a556f15ee31ed1a69d9d",
     "macro-contended@20231":
         "f172a02f82debb88c8b7297005ee6e669482691ea9349ec796d1e5da94305eb9",
+    "macro-integer-ms@0":
+        "039e170dea3c5c4c11055136417a19b3482067366c75a16c14c35ee6bc6f610d",
+    "macro-integer-ms@20231":
+        "d1559e8a9738f4fa6e145d4c59d397adafe28942aa2df28dcb63d404ab9e1126",
     "macro-non-dyadic@0":
         "4ff35684fd93846f72318e26e9680afd0da7d3fdcdfd1aad5ee16eb1ccaa85e8",
     "macro-non-dyadic@20231":
@@ -195,10 +226,18 @@ GOLDEN = {
         "61dc5647be1df038146e069d238cef910b566e7b2a0c1ee02b36a7d6bdbd4cf0",
     "serverless_throughput-8@20231":
         "37ff0a856fd8694ce7c5250a5d49c4fbcddb1e8e2327f525e2ee00962249e09a",
+    "serverless_throughput-8-on-1-worker@0":
+        "18e20fbde724cc1fb2a74065d4426a35703c44bcba3ee038882f6a477fc1f738",
+    "serverless_throughput-8-on-1-worker@20231":
+        "bfcdb9a5aa158c47eb3a5919708d9b54941b2d2800e4c0c47ca1cfaa8f3c9dcf",
     "serverless_throughput-8-on-3-workers@0":
         "8c5885182969c3259755142ed7499208b9627dae2d72e40c9e96505524e9bcfd",
     "serverless_throughput-8-on-3-workers@20231":
         "986347a78bc94b538bcde63046a5d3dab925e3dfaa02f28fc153eb96662bad2e",
+    "serverless_throughput-expand-equals-tail@0":
+        "31a272f26944587fab665cca0594b37eada4eff6a61d204ecde4727f599abe0b",
+    "serverless_throughput-expand-equals-tail@20231":
+        "3fb2dfa4508e129ffd02fca8ef34da6d1eac7fe2268e7388a365bc89347dc8f2",
 }
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import random
 import statistics
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from db_oracle import run_database_stepwise
+from serverless_oracle import run_serverless_heaped
 
 from enclavesim import errors
 from enclavesim.cost_model import (
@@ -25,6 +27,7 @@ from enclavesim.workload_harness import (
     run_database,
     run_serverless,
     skip_ahead,
+    skip_draws,
 )
 
 
@@ -281,6 +284,21 @@ class TestSkipAhead:
             skip_ahead(1e6, 1e-11, 2e6)
 
 
+class TestSkipDraws:
+    @given(n=st.integers(0, 40000), seed=st.integers(0, 2**64))
+    @example(n=1, seed=0)
+    @example(n=7, seed=1)
+    @example(n=4000, seed=2)
+    @example(n=200000, seed=3)  # several chunks and a partial one
+    @settings(deadline=None)
+    def test_state_matches_random_calls(self, n, seed):
+        skipped, drawn = random.Random(seed), random.Random(seed)
+        skip_draws(skipped, n)
+        for _ in range(n):
+            drawn.random()
+        assert skipped.getstate() == drawn.getstate()
+
+
 def observed(metrics):
     """Every field of ``metrics`` and of its ledger, for ``==``."""
     fields = {f.name: getattr(metrics, f.name)
@@ -323,3 +341,80 @@ class TestDatabaseOracle:
                 seed, params)
         assert observed(run_database(*args)) == \
             observed(run_database_stepwise(*args))
+
+
+# Integer costs make finishes land on arrivals, grants and each other; the
+# others are not dyadic, so their sums round.
+COSTS = st.sampled_from([100.0, 200.0, 300.0, 400.0, 0.1, 0.3, 41.7, 1234.567])
+
+
+@st.composite
+def serverless_traces(draw):
+    """A Poisson trace, or arrivals tied on a 100 ms grid, over two
+    workloads."""
+    if draw(st.booleans()):
+        times = [t for t, _ in gen_poisson(
+            draw(st.floats(1.0, 40.0)), draw(st.floats(0.05, 3.0)),
+            draw(st.integers(0, 2**32)), "a").arrivals]
+    else:
+        times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
+        times = [100.0 * k for k in times]
+    names = draw(st.lists(st.sampled_from("ab"), min_size=len(times),
+                          max_size=len(times)))
+    return RequestTrace(list(zip(times, names)))
+
+
+def record_fields(metrics):
+    return [(r.request_id, r.arrival_ms, r.workload, r.components,
+             r.total_ms, r.finish_ms) for r in metrics.requests]
+
+
+class TestServerlessOracle:
+    @given(trace=serverless_traces(), variant=st.sampled_from(list(Variant)),
+           workers=st.integers(1, 4), prediction=st.booleans(),
+           serialized=st.booleans(), pre_registered=st.booleans(),
+           keepalive_s=st.sampled_from([0.0, 0.0001, 0.1, 0.3]),
+           create=COSTS, enclave=COSTS, load_cold=COSTS, load_shared=COSTS,
+           exec_a=COSTS, exec_b=COSTS,
+           alias=st.sampled_from([2.32, 2.5, 2.7, 3.01]),
+           tcs_op=st.sampled_from([0.5, 0.1]),
+           alloc_per_page=st.sampled_from([0.0625, 0.015625, 0.1031]))
+    # The second request finishes at infinity, after the last arrival.
+    @example(trace=RequestTrace([(0.0, "a"), (0.0, "a")]),
+             variant=Variant.NATIVE, workers=1, prediction=False,
+             serialized=True, pre_registered=True, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
+             tcs_op=0.1, alloc_per_page=0.0625)
+    @settings(deadline=None)
+    def test_matches_heaped_run(self, trace, variant, workers, prediction,
+                                serialized, pre_registered, keepalive_s,
+                                create, enclave, load_cold, load_shared,
+                                exec_a, exec_b, alias, tcs_op,
+                                alloc_per_page):
+        params = default_params()
+        params.t_container_create = create
+        params.t_enclave_create = enclave
+        params.t_instance_load_cold = load_cold
+        params.t_instance_load_teemate = load_shared
+        params.t_exec = {"a": exec_a, "b": exec_b}
+        params.t_alias = alias
+        params.t_tcs_op = tcs_op
+        params.t_epc_alloc_per_page = alloc_per_page
+        params.epc_alloc_serialized = serialized
+        params.warm_keepalive_s = keepalive_s
+        model = ExecutionModel(variant, prediction)
+        got = run_serverless(model, trace, params, workers, pre_registered)
+        want = run_serverless_heaped(model, trace, params, workers,
+                                     pre_registered)
+        for f in dataclasses.fields(got):
+            if f.name not in ("requests", "ledger"):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert record_fields(got) == record_fields(want)
+        # The oracle also keeps each request's breakdown in the ledger.
+        ids = {r.request_id for r in want.requests}
+        assert got.ledger.breakdowns == {
+            k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
+        assert got.ledger.timeline == want.ledger.timeline
+        assert got.ledger.occupancy == want.ledger.occupancy
+        assert got.ledger.peak_epc == want.ledger.peak_epc
