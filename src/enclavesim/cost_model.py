@@ -144,6 +144,9 @@ def default_params() -> CostParams:
     return params
 
 
+_UNSUMMABLE = ": the config's memory figures cannot be summed in floating point"
+
+
 class CostLedger:
     """Per-experiment record of latency components and an EPC occupancy
     timeline (peak tracked as the max prefix of the deltas)."""
@@ -165,12 +168,36 @@ class CostLedger:
     def occupy(self, time_ms: float, delta_mib: float) -> None:
         new_level = self.occupancy + delta_mib
         if new_level < -1e-9:
-            raise errors.NegativeOccupancy(
-                f"occupancy would drop to {new_level} MiB")
+            message = f"occupancy would drop to {new_level} MiB"
+            if -new_level <= self._rounding_slack():
+                raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
+            raise errors.NegativeOccupancy(message)
         self.occupancy = 0.0 if new_level < 0.0 else new_level
         self.timeline.append((time_ms, self.occupancy))
         if self.occupancy > self.peak_epc:
             self.peak_epc = self.occupancy
+
+    def _rounding_slack(self) -> float:
+        """Bound on the rounding in the occupancy level: each ``occupy``
+        rounds the level it writes by at most half an ulp of the peak."""
+        return len(self.timeline) * math.ulp(self.peak_epc)
+
+    def check_returned(self, baseline_mib: float) -> None:
+        """Raise unless the occupancy is back at ``baseline_mib``.
+
+        A gap within the rounding slack comes from memory figures too far
+        apart in magnitude to add exactly (an overflow to ``inf``, or a
+        base absorbed by a huge figure), so it is a config error; a larger
+        gap is a leak.
+        """
+        gap = abs(self.occupancy - baseline_mib)
+        if gap <= 1e-6:
+            return
+        message = (f"occupancy {self.occupancy} MiB did not return to "
+                   f"baseline {baseline_mib} MiB")
+        if gap <= self._rounding_slack():
+            raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
+        raise errors.InvariantViolation(message)
 
     def request_total(self, request_id: object = None) -> float:
         return sum(self.breakdowns.get(request_id, {}).values())

@@ -385,10 +385,7 @@ def _metrics(model_name: str, records: List[RequestRecord],
         },
         ledger=ledger,
     )
-    if abs(metrics.ledger.occupancy - baseline_mib) > 1e-6:
-        raise errors.InvariantViolation(
-            f"occupancy {ledger.occupancy} MiB did not return to baseline "
-            f"{baseline_mib} MiB")
+    ledger.check_returned(baseline_mib)
     return metrics
 
 
@@ -625,6 +622,5 @@ def run_database(model, db_mib: float, write_ratio: float,
         },
         ledger=ledger,
     )
-    if abs(ledger.occupancy - base_mib) > 1e-6:
-        raise errors.InvariantViolation("db occupancy leaked")
+    ledger.check_returned(base_mib)
     return metrics

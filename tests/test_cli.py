@@ -267,6 +267,36 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
+        "n_requests = 2\nseed = 0\nm_strawman_per_request = 1e308\n",
+        "[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
+        "n_requests = 2\nseed = 0\nm_teemate_per_instance = 1e308\n"
+        "page_mib = 1e300\n",
+        "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
+        "n_requests = 7\nseed = 0\nm_strawman_per_request = 1e300\n",
+        DB_CFG + "m_db_runtime_strawman = 1e308\n",
+    ], ids=["overflow-to-inf", "absorbed-base", "rounded-below-zero",
+            "db-overflow-to-inf"])
+    def test_unsummable_memory_exits_one_without_output(self, tmp_path,
+                                                        text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_large_summable_memory_exits_zero(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, (
+            "[serverless_memory]\nmodel = cc_cold, teemate\n"
+            "workload = sleep\nn_requests = 64\nseed = 0\n"
+            "m_strawman_per_request = 1e15\nm_teemate_base = 1e15\n"
+            "m_teemate_per_instance = 1e15\npage_mib = 1e6\n"))
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 0
+        models = json.loads((out / "summary.json").read_text())["models"]
+        assert models["cc_cold"]["peak_epc_mib"] == 64e15
+        assert models["teemate"]["peak_epc_mib"] == 64e15
+
     def test_negative_copy_cost_exits_two(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG + "t_cow_copy = -0.1\n")
         assert main([cfg, "--out", str(tmp_path / "out")]) == 2

@@ -101,6 +101,50 @@ class TestLedgerOccupancy:
         with pytest.raises(errors.NegativeOccupancy):
             ledger.occupy(1.0, -20.0)
 
+    def test_returned_within_a_micro_mib_passes(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 207.0)
+        ledger.occupy(1.0, 0.1)
+        ledger.occupy(2.0, -0.1)
+        ledger.check_returned(207.0)
+
+    def test_leak_is_an_invariant_violation(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 207.0)
+        ledger.occupy(1.0, 25.0)
+        with pytest.raises(errors.InvariantViolation):
+            ledger.check_returned(207.0)
+
+    def test_overflow_to_inf_is_a_config_error(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 1e308)
+        ledger.occupy(1.0, 1e308)
+        ledger.occupy(2.0, -1e308)
+        ledger.occupy(3.0, -1e308)
+        assert ledger.occupancy == math.inf
+        with pytest.raises(errors.ConfigError):
+            ledger.check_returned(0.0)
+
+    def test_absorbed_base_is_a_config_error(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 207.0)
+        ledger.occupy(1.0, 1e308)
+        ledger.occupy(2.0, -1e308)
+        assert ledger.occupancy == 0.0
+        with pytest.raises(errors.ConfigError):
+            ledger.check_returned(207.0)
+
+    def test_rounding_below_zero_is_a_config_error(self):
+        # Seven equal figures of 1e300 summed up and taken back off round
+        # to a level below zero on the last step.
+        ledger = CostLedger()
+        for _ in range(7):
+            ledger.occupy(0.0, 1e300)
+        for _ in range(6):
+            ledger.occupy(1.0, -1e300)
+        with pytest.raises(errors.ConfigError):
+            ledger.occupy(1.0, -1e300)
+
     def test_peak_between_includes_carry_in(self):
         ledger = CostLedger()
         ledger.occupy(0.0, 100.0)

@@ -2,8 +2,11 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from enclavesim import errors
+from enclavesim import errors, security
+from enclavesim.enclave_runtime import EnclaveRuntime
+from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
     Access,
     AddressSpace,
@@ -14,6 +17,7 @@ from enclavesim.sgx_core import (
     PhysicalPage,
     TcsState,
     content_digest,
+    digest_update,
     enclave_mode,
 )
 
@@ -142,6 +146,62 @@ class TestMeasurement:
         chunks = [b"ab", b"", page(3)]
         assert content_digest(iter(chunks)) == \
             hashlib.sha256(b"".join(chunks)).digest()
+
+
+def fnv1a_reference(acc, data):
+    """64-bit FNV-1a, one octet at a time."""
+    for b in data:
+        acc = ((acc ^ b) * 0x100000001B3) % 2**64
+    return acc
+
+
+# Byte strings built from runs: non-zero-heavy chunks and zero runs of up
+# to two pages, so trailing and interior zero runs both occur.
+_RUNS = st.lists(st.one_of(st.binary(max_size=40),
+                           st.integers(1, 2 * PAGE_SIZE).map(bytes)),
+                 max_size=6).map(b"".join)
+
+
+class TestDigestUpdate:
+    @given(acc=st.integers(0, 2**64 - 1),
+           data=st.one_of(_RUNS, _RUNS.map(bytearray)))
+    @example(acc=0xCBF29CE484222325, data=b"")
+    @example(acc=0xCBF29CE484222325, data=bytes(PAGE_SIZE))
+    @example(acc=2**64 - 1, data=bytes(PAGE_SIZE - 1) + b"\x01")
+    @example(acc=0, data=b"\x07" + bytes(PAGE_SIZE - 2) + b"\x09")
+    @example(acc=1, data=bytearray(b"\xff" + bytes(100) + b"\x80"))
+    def test_matches_byte_at_a_time_fnv1a(self, acc, data):
+        assert digest_update(acc, data) == fnv1a_reference(acc, data)
+
+
+class TestPinnedMeasurements:
+    """Launch measurements computed before the digest's zero runs were
+    folded in closed form; they must never move."""
+
+    @pytest.mark.parametrize("runtime_pages, tcs_count, measurement", [
+        (3, 2, 0x22F1E06861D91C07),
+        (1, 3, 0xE1CBA6CC1DDCB3FC),
+        (2, 2, 0x9C8CA3BDDBE3A959),
+        (16, 4, 0xC523D82DB0F7DED5),
+    ])
+    def test_runtime_init(self, runtime_pages, tcs_count, measurement):
+        machine = Machine()
+        runtime = EnclaveRuntime(machine, Kernel(machine))
+        assert runtime.runtime_init(runtime_pages, tcs_count) == measurement
+        assert runtime.enclave.measurement == measurement
+
+    def test_remap_enumeration_enclaves(self, monkeypatch):
+        measured = {}
+        einit = Machine.einit
+
+        def recording_einit(machine, enclave):
+            measured[enclave.enclave_id] = einit(machine, enclave)
+            return measured[enclave.enclave_id]
+
+        monkeypatch.setattr(Machine, "einit", recording_einit)
+        trials, failures = security.remap_enumeration()
+        assert trials and not failures
+        assert measured == {1: 0xE43669D908765F11, 2: 0x394EFC82B18714DA}
 
 
 class TestPageDigest:
