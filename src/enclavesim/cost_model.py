@@ -145,6 +145,8 @@ def default_params() -> CostParams:
 
 
 _UNSUMMABLE = ": the config's memory figures cannot be summed in floating point"
+# Occupancy changes and levels this small are rounding, not memory.
+_TOLERANCE_MIB = 1e-9
 
 
 class CostLedger:
@@ -167,7 +169,14 @@ class CostLedger:
 
     def occupy(self, time_ms: float, delta_mib: float) -> None:
         new_level = self.occupancy + delta_mib
-        if new_level < -1e-9:
+        # A finite level too large to take a real change would leave that
+        # memory out of the peak; a level at inf is left to check_returned.
+        if new_level == self.occupancy and abs(delta_mib) > _TOLERANCE_MIB \
+                and math.isfinite(new_level):
+            raise errors.ConfigError(
+                f"a change of {delta_mib} MiB leaves occupancy "
+                f"{self.occupancy} MiB unchanged{_UNSUMMABLE}")
+        if new_level < -_TOLERANCE_MIB:
             message = f"occupancy would drop to {new_level} MiB"
             if -new_level <= self._rounding_slack():
                 raise errors.ConfigError(f"{message}{_UNSUMMABLE}")

@@ -276,8 +276,16 @@ class TestMain:
         "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
         "n_requests = 7\nseed = 0\nm_strawman_per_request = 1e300\n",
         DB_CFG + "m_db_runtime_strawman = 1e308\n",
+        # Each copied page or 25 MiB instance rounds away against a 1e300
+        # MiB base, so the reported peak would equal the base.
+        "[database]\nmodel = teemate\ndb_mib = 128\n"
+        "snapshot_interval_s = 2\nduration_s = 10\nseed = 5\n"
+        "m_db_runtime_teemate = 1e300\n",
+        "[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
+        "n_requests = 8\nseed = 0\nm_teemate_base = 1e300\n",
     ], ids=["overflow-to-inf", "absorbed-base", "rounded-below-zero",
-            "db-overflow-to-inf"])
+            "db-overflow-to-inf", "absorbed-db-copied-pages",
+            "absorbed-instance-memory"])
     def test_unsummable_memory_exits_one_without_output(self, tmp_path,
                                                         text):
         cfg = self.write_cfg(tmp_path, text)

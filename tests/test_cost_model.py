@@ -134,6 +134,16 @@ class TestLedgerOccupancy:
         with pytest.raises(errors.ConfigError):
             ledger.check_returned(207.0)
 
+    def test_absorbed_change_is_a_config_error(self):
+        # A page added to a 1e300 MiB level rounds away, so the peak would
+        # leave it out.
+        ledger = CostLedger()
+        ledger.occupy(0.0, 1e300)
+        with pytest.raises(errors.ConfigError):
+            ledger.occupy(1.0, 4096 / (1 << 20))
+        assert ledger.occupancy == 1e300
+        assert len(ledger.timeline) == 1
+
     def test_rounding_below_zero_is_a_config_error(self):
         # Seven equal figures of 1e300 summed up and taken back off round
         # to a level below zero on the last step.

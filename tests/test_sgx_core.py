@@ -8,6 +8,7 @@ from enclavesim import errors, security
 from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
+    _FNV_OFFSET,
     Access,
     AddressSpace,
     Machine,
@@ -155,11 +156,32 @@ def fnv1a_reference(acc, data):
     return acc
 
 
-# Byte strings built from runs: non-zero-heavy chunks and zero runs of up
-# to two pages, so trailing and interior zero runs both occur.
-_RUNS = st.lists(st.one_of(st.binary(max_size=40),
-                           st.integers(1, 2 * PAGE_SIZE).map(bytes)),
-                 max_size=6).map(b"".join)
+def low_byte_period(b, low):
+    """Steps until FNV-1a over byte ``b`` brings the low byte back to
+    ``low``."""
+    x, steps = low, 0
+    while True:
+        x = ((x ^ b) * 0x100000001B3) % 256
+        steps += 1
+        if x == low:
+            return steps
+
+
+# Byte strings built from runs: short arbitrary chunks, constant runs of any
+# byte value and zero runs, each of up to two pages, so runs of every value
+# start from every kind of low byte and zero runs occur inside and at the
+# end.
+_RUNS = st.lists(
+    st.one_of(st.binary(max_size=40),
+              st.tuples(st.integers(0, 255), st.integers(1, 2 * PAGE_SIZE))
+              .map(lambda run: bytes([run[0]]) * run[1]),
+              st.integers(1, 2 * PAGE_SIZE).map(bytes)),
+    max_size=6).map(b"".join)
+
+# From the FNV offset basis (low byte 0x25), 0x52 returns to its start
+# after 16 steps and 0x01 after 256.
+_PERIOD_52 = low_byte_period(0x52, _FNV_OFFSET & 0xFF)
+_PERIOD_01 = low_byte_period(0x01, _FNV_OFFSET & 0xFF)
 
 
 class TestDigestUpdate:
@@ -170,8 +192,38 @@ class TestDigestUpdate:
     @example(acc=2**64 - 1, data=bytes(PAGE_SIZE - 1) + b"\x01")
     @example(acc=0, data=b"\x07" + bytes(PAGE_SIZE - 2) + b"\x09")
     @example(acc=1, data=bytearray(b"\xff" + bytes(100) + b"\x80"))
+    # With the zero page above, a page of each byte value the shipped code
+    # measures: the runtime filler (runtime_init's image_byte) and the
+    # probes' page tags 0-3, 0xA0 and 0xA1.
+    @example(acc=_FNV_OFFSET, data=b"\x52" * PAGE_SIZE)
+    @example(acc=_FNV_OFFSET, data=b"\x01" * PAGE_SIZE)
+    @example(acc=_FNV_OFFSET, data=b"\x02" * PAGE_SIZE)
+    @example(acc=_FNV_OFFSET, data=b"\x03" * PAGE_SIZE)
+    @example(acc=_FNV_OFFSET, data=b"\xa0" * PAGE_SIZE)
+    @example(acc=_FNV_OFFSET, data=b"\xa1" * PAGE_SIZE)
+    # Exactly one period, and one period plus a leftover byte.
+    @example(acc=_FNV_OFFSET, data=b"\x52" * _PERIOD_52)
+    @example(acc=_FNV_OFFSET, data=b"\x52" * (_PERIOD_52 + 1))
+    @example(acc=_FNV_OFFSET, data=b"\x01" * _PERIOD_01)
+    @example(acc=_FNV_OFFSET, data=b"\x01" * (_PERIOD_01 + 1))
+    @example(acc=_FNV_OFFSET, data=b"\x01" * (3 * _PERIOD_01 - 1))
+    # Low byte 0x15 is a fixed point of byte 0x02: a period of one step.
+    @example(acc=0xABCDEF15, data=b"\x02" * 1000)
+    # Runs of length 1 only, 0x0A included.
+    @example(acc=_FNV_OFFSET, data=bytes(range(256)))
+    @example(acc=3, data=b"\x0a\x00\x0a\x52\x00")
     def test_matches_byte_at_a_time_fnv1a(self, acc, data):
         assert digest_update(acc, data) == fnv1a_reference(acc, data)
+
+    def test_page_of_every_byte_value(self):
+        for b in range(256):
+            page_data = bytes([b]) * PAGE_SIZE
+            assert digest_update(_FNV_OFFSET, page_data) == \
+                fnv1a_reference(_FNV_OFFSET, page_data), b
+
+    def test_example_periods(self):
+        assert (_PERIOD_52, _PERIOD_01) == (16, 256)
+        assert low_byte_period(0x02, 0x15) == 1
 
 
 class TestPinnedMeasurements:
