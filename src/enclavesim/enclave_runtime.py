@@ -24,6 +24,7 @@ from .sgx_core import (
     PageType,
     PhysicalPage,
     TcsState,
+    check_span,
     content_digest,
     enclave_mode,
 )
@@ -155,10 +156,11 @@ class EnclaveRuntime:
         """Translate in enclave mode, then apply the sandbox check: the
         hardware lets enclave code touch unprotected pages, so an
         enclave-private va resolving to one is an isolation fault."""
-        space = self.kernel.containers[pid].address_space
-        page = self.machine.pages[
-            self.machine.translate_access(space, va, access, self._mode)]
-        if va in self.private_vas and not page.is_epc:
+        machine = self.machine
+        page = machine.pages[machine.translate_access(
+            self.kernel.containers[pid].address_space, va, access,
+            self._mode)]
+        if not page.is_epc and va in self.private_vas:
             raise errors.IsolationFault(
                 f"enclave-private va {va:#x} backed by unprotected page")
         return page
@@ -315,7 +317,10 @@ class EnclaveRuntime:
         self.db_pages = n_pages
 
     def db_vas(self) -> List[int]:
-        return [DB_BASE + i for i in range(self.db_pages)]
+        return list(self._db_range())
+
+    def _db_range(self) -> range:
+        return range(DB_BASE, DB_BASE + self.db_pages)
 
     def fork_cow(self, parent_pid: int) -> ForkPair:
         """Fork by aliasing: the child gets the same enclave, a fresh TCS
@@ -329,30 +334,41 @@ class EnclaveRuntime:
         child = self.kernel.create_container(parent.fs_root)
         self.attach_container(child)
         self.enter(child.pid)
-        return ForkPair(parent_pid, child.pid, shared_pages=set(self.db_vas()))
+        return ForkPair(parent_pid, child.pid,
+                        shared_pages=set(self._db_range()))
 
     def cow_write(self, pair: ForkPair, writer_pid: int, va: int,
                   value: bytes, offset: int = 0) -> None:
+        """Write through the writer's view of a db page. A repeat write
+        makes one translation (the write). The first write to a shared page
+        makes two: it resolves the original page, copies it once into a
+        fresh private page, then writes the copy. The write's span is
+        checked before anything is privatized."""
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
-        target = pair.private_copies.get((writer_pid, va))
-        if target is None and va in pair.shared_pages:
-            # First write since fork: privatize on the writer side only.
-            original = self.read(writer_pid, va)
-            copy_va = self._next_copy_va
-            self._next_copy_va += 1
-            self._eadd_mapped(self.kernel.containers[writer_pid], copy_va,
-                              original)
-            pair.private_copies[(writer_pid, va)] = copy_va
-            pair.shared_pages.discard(va)
-            pair.dirty_count += 1
-            target = copy_va
+        key = (writer_pid, va)
+        target = pair.private_copies.get(key)
         if target is None:
-            target = va  # other side privatized already; write the original
-        self.write(writer_pid, target, value, offset)
+            if va in pair.shared_pages:
+                # First write since fork: privatize on the writer side only.
+                check_span(offset, len(value))
+                original = self._resolve(writer_pid, va, Access.READ)
+                target = self._next_copy_va
+                self._next_copy_va += 1
+                self._eadd_mapped(self.kernel.containers[writer_pid], target,
+                                  original.content)
+                pair.private_copies[key] = target
+                pair.shared_pages.discard(va)
+                pair.dirty_count += 1
+            else:
+                # The other side privatized already; write the original.
+                target = va
+        self._resolve(writer_pid, target, Access.WRITE).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
-        return self.read(pid, pair.private_copies.get((pid, va), va))
+        """The pid's view of a db page, through one translation."""
+        return bytes(self._resolve(
+            pid, pair.private_copies.get((pid, va), va), Access.READ).content)
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest the child's view of the full db extent, then retire the
@@ -361,32 +377,34 @@ class EnclaveRuntime:
         still retires the child before it propagates.
 
         The digest is two-level: SHA-256 over the SHA-256 of each page the
-        child sees, in va order. Every page is still resolved through the
-        sandbox check; only pages written since their last digest are
-        rehashed."""
-        copies = pair.private_copies
+        child sees, in va order, fed as one joined string. Each page makes
+        one translation and passes the sandbox check; only pages written
+        since their last digest are rehashed."""
+        copies = {va: copy_va for (pid, va), copy_va
+                  in pair.private_copies.items() if pid == child_pid}
+        resolve, read = self._resolve, Access.READ
         try:
-            return content_digest(
-                self._resolve(child_pid, copies.get((child_pid, va), va),
-                              Access.READ).digest()
-                for va in self.db_vas())
+            return content_digest((b"".join([
+                resolve(child_pid, copies.get(va, va), read).digest()
+                for va in self._db_range()]),))
         finally:
             self._retire_child(pair, child_pid)
 
     def _retire_child(self, pair: ForkPair, child_pid: int) -> None:
         self.exit(child_pid)
-        for (pid, va), copy_va in sorted(pair.private_copies.items()):
-            holder = self.kernel.containers[pid]
+        machine, enclave = self.machine, self.enclave
+        pages, containers = machine.pages, self.kernel.containers
+        for (pid, va), copy_va in pair.private_copies.items():
+            holder = containers[pid]
             if pid != child_pid:
                 # Fold the surviving side's writes back onto the original
                 # page so occupancy returns exactly to the pre-fork level.
-                pages = self.machine.pages
-                pages[self.enclave.pages[va]].write(
-                    pages[self.enclave.pages[copy_va]].content)
-            self.machine.eremove(self.enclave, copy_va)
+                pages[enclave.pages[va]].write(
+                    pages[enclave.pages[copy_va]].content)
+            machine.eremove(enclave, copy_va)
             holder.address_space.unmap(copy_va)
             self.private_vas.discard(copy_va)
         pair.private_copies.clear()
-        pair.shared_pages = set(self.db_vas())
+        pair.shared_pages = set(self._db_range())
         pair.live = False
         self.kernel.destroy_container(child_pid)

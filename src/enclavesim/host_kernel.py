@@ -93,12 +93,12 @@ class Kernel:
         """Insert the recorded mappings into the target's page table so it
         resolves every recorded va to the same physical page as the origin."""
         table = target.address_space.page_table
-        for va, pa in record.entries:
-            if va in table and table[va] != pa:
+        mappings = dict(record.entries)
+        for va in sorted(table.keys() & mappings.keys()):
+            if table[va] != mappings[va]:
                 raise errors.VaConflict(
                     f"container {target.pid} already maps va {va:#x}")
-        for va, pa in record.entries:
-            table[va] = pa
+        table.update(mappings)
 
     # -- TCS bookkeeping ----------------------------------------------------
 

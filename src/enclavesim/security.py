@@ -15,7 +15,7 @@ from typing import List, Tuple
 from . import errors
 from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import Access, Machine, PAGE_SIZE, enclave_mode
+from .sgx_core import Access, Machine, PAGE_SIZE, TcsState, enclave_mode
 
 
 def _page(tag: int) -> bytes:
@@ -138,7 +138,9 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
     """Randomized enter/suspend/resume/exit schedules driven through
     ``EnclaveRuntime``; after every step ``check_invariants`` must hold:
     each TCS bound to at most one live thread and the kernel table agreeing
-    with the hardware state."""
+    with the hardware state. After the schedule the untrusted kernel runs
+    ``eenter`` on the first TCS the hardware still holds BUSY, bypassing
+    its own table; the hardware must refuse that entry."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -171,6 +173,15 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                 except (errors.Fault, errors.NoFreeTcs):
                     pass
                 runtime.check_invariants()
+            bound = next((t.tcs_va for t in runtime.enclave.tcs_table
+                          if t.state is TcsState.BUSY), None)
+            if bound is not None:
+                try:
+                    machine.eenter(runtime.creator.address_space, bound)
+                    failures.append(f"schedule {schedule}: bound tcs "
+                                    f"{bound:#x} entered again")
+                except errors.TcsBusy:
+                    pass
         except errors.InvariantViolation as exc:
             failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from . import errors
 
 PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -92,6 +93,15 @@ def fold_page(acc: int, va: int, page_type: "PageType", content: bytes) -> int:
     return digest_update(acc, content)
 
 
+def check_span(offset: int, length: int) -> None:
+    """Raise ``ValueError`` unless ``length`` bytes at ``offset`` lie
+    inside one page."""
+    if offset < 0:
+        raise ValueError(f"negative write offset {offset}")
+    if offset + length > PAGE_SIZE:
+        raise ValueError("write crosses page boundary")
+
+
 def content_digest(chunks) -> bytes:
     """SHA-256 over a sequence of byte strings, streamed chunk by chunk."""
     h = hashlib.sha256()
@@ -129,7 +139,7 @@ def enclave_mode(enclave_id: int) -> CpuMode:
     return CpuMode(enclave_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysicalPage:
     """One physical page. Its content changes only through ``write``, which
     drops the cached digest, so ``digest`` rehashes a page only after a
@@ -147,13 +157,12 @@ class PhysicalPage:
         return self._digest
 
     def write(self, data: bytes, offset: int = 0) -> None:
-        if offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses page boundary")
+        check_span(offset, len(data))
         self.content[offset:offset + len(data)] = data
         self._digest = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EpcmEntry:
     pa: int
     va: int
@@ -221,6 +230,10 @@ class Machine:
     # -- page allocation ----------------------------------------------------
 
     def _alloc_page(self, content: bytes, is_epc: bool) -> PhysicalPage:
+        """Allocate a page holding ``content`` zero-padded to one page. The
+        content is copied once, into the page's own ``bytearray``."""
+        content = bytearray(content)
+        content += _ZERO_PAGE[len(content):]
         if len(content) != PAGE_SIZE:
             raise ValueError("page content must be exactly one page")
         if is_epc:
@@ -228,14 +241,13 @@ class Machine:
                 raise errors.OutOfEpc(
                     f"EPC capacity of {self.epc_capacity_pages} pages exhausted")
             self.epc_used += 1
-        page = PhysicalPage(self._next_pa, bytearray(content), is_epc)
+        page = PhysicalPage(self._next_pa, content, is_epc)
         self._next_pa += 1
         self.pages[page.pa] = page
         return page
 
     def alloc_plain_page(self, content: bytes = b"") -> PhysicalPage:
         """Allocate an ordinary (unprotected) physical page."""
-        content = bytes(content).ljust(PAGE_SIZE, b"\x00")
         return self._alloc_page(content, is_epc=False)
 
     # -- enclave lifecycle --------------------------------------------------
@@ -251,7 +263,6 @@ class Machine:
              page_type: PageType = PageType.REGULAR) -> Tuple[int, EpcmEntry]:
         if va in enclave.pages:
             raise errors.VaAlreadyMapped(f"va {va:#x} already present")
-        content = bytes(content).ljust(PAGE_SIZE, b"\x00")
         page = self._alloc_page(content, is_epc=True)
         entry = EpcmEntry(page.pa, va, enclave.enclave_id, page_type)
         self.epcm[page.pa] = entry
@@ -259,7 +270,8 @@ class Machine:
         if not enclave.initialized:
             # Pre-init pages extend the measurement; post-init adds model
             # SGX2 dynamic allocation and stay unmeasured.
-            enclave._acc = fold_page(enclave._acc, va, page_type, content)
+            enclave._acc = fold_page(enclave._acc, va, page_type,
+                                     page.content)
         if page_type is PageType.TCS:
             enclave.tcs_table.append(TcsPage(va, oentry=f"oentry:{va:#x}"))
         return page.pa, entry
@@ -281,7 +293,9 @@ class Machine:
         entry.valid = False
         del self.pages[pa]
         self.epc_used -= 1
-        enclave.tcs_table = [t for t in enclave.tcs_table if t.tcs_va != va]
+        if entry.page_type is PageType.TCS:
+            enclave.tcs_table = [t for t in enclave.tcs_table
+                                 if t.tcs_va != va]
 
     # -- address translation ------------------------------------------------
 
@@ -300,17 +314,18 @@ class Machine:
             raise errors.NotMapped(f"pa {pa:#x} does not exist")
         if not page.is_epc:
             return pa
-        if mode.enclave_id is None:
+        enclave_id = mode.enclave_id
+        if enclave_id is None:
             raise errors.AbortPage(
                 f"non-enclave access to protected page {pa:#x}")
         entry = self.epcm.get(pa)
         if entry is None or not entry.valid:
             raise errors.EpcmMismatch(f"no valid EPCM entry for pa {pa:#x}")
-        if entry.enclave_id != mode.enclave_id or entry.va != va:
+        if entry.enclave_id != enclave_id or entry.va != va:
             raise errors.EpcmMismatch(
                 f"EPCM({pa:#x}) records (va={entry.va:#x}, "
                 f"id={entry.enclave_id}); access was (va={va:#x}, "
-                f"id={mode.enclave_id})")
+                f"id={enclave_id})")
         return pa
 
     def read_page(self, space: AddressSpace, va: int, mode: CpuMode) -> bytes:
@@ -392,6 +407,7 @@ class Machine:
         epc_pages = sum(1 for p in self.pages.values() if p.is_epc)
         if valid_entries != epc_pages or epc_pages != self.epc_used:
             raise errors.InvariantViolation(
-                f"EPCM entries {valid_entries} != protected pages {epc_pages}")
+                f"valid EPCM entries {valid_entries}, protected pages "
+                f"{epc_pages} and epc_used {self.epc_used} differ")
         if self.epc_used > self.epc_capacity_pages:
             raise errors.InvariantViolation("EPC capacity exceeded")

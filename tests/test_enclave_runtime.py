@@ -347,7 +347,72 @@ class TestForkCow:
         monkeypatch.setattr(PhysicalPage, "write", write_keeping_stale_digest)
         assert run_multi_cycle_trial(0) is not None
 
+    def test_write_rejects_negative_offset(self):
+        machine, runtime = build_db_runtime(1)
+        page = machine.pages[runtime.enclave.pages[DB_BASE]]
+        before = bytes(page.content)
+        with pytest.raises(ValueError):
+            runtime.write(runtime.creator.pid, DB_BASE, b"xy", offset=-2)
+        assert page.content == before and len(page.content) == PAGE_SIZE
+
+    @pytest.mark.parametrize("offset, value", [
+        (-2, b"xy"), (PAGE_SIZE - 1, b"xy"), (0, b"x" * (PAGE_SIZE + 1))],
+        ids=["negative-offset", "crosses-page", "longer-than-page"])
+    def test_rejected_cow_write_privatizes_nothing(self, offset, value):
+        machine, runtime, pair = build_forked_runtime(2)
+        used = machine.epc_used
+        for pid in (pair.child_pid, pair.parent_pid):
+            with pytest.raises(ValueError):
+                runtime.cow_write(pair, pid, DB_BASE, value, offset)
+        assert pair.private_copies == {} and pair.dirty_count == 0
+        assert machine.epc_used == used
+        # The page is still shared: the next valid write privatizes it.
+        runtime.cow_write(pair, pair.child_pid, DB_BASE, b"ok")
+        assert pair.dirty_count == 1 and machine.epc_used == used + 1
+
     def test_random_interleavings_match_eager_oracle(self):
         # Oracle-backed sample; the acceptance suite runs the full 500.
         for seed in range(60):
             assert run_cow_trial(seed) is None
+
+
+class TestTranslationsPerAccess:
+    """Every copy-on-write access is translated by the hardware model: one
+    translation per ``cow_read``, per repeat ``cow_write`` and per snapshot
+    page, two per first ``cow_write``."""
+
+    def test_one_fork_snapshot_cycle(self, monkeypatch):
+        machine, runtime, pair = build_forked_runtime(8)
+        vas = []
+        translate = Machine.translate_access
+
+        def counted(self, space, va, access, mode):
+            vas.append(va)
+            return translate(self, space, va, access, mode)
+
+        monkeypatch.setattr(Machine, "translate_access", counted)
+
+        def translations(method, *args):
+            vas.clear()
+            method(pair, *args)
+            return len(vas)
+
+        parent, child = pair.parent_pid, pair.child_pid
+        steps = [
+            (runtime.cow_read, (child, DB_BASE), 1),
+            (runtime.cow_write, (child, DB_BASE, b"first"), 2),
+            (runtime.cow_write, (child, DB_BASE, b"again", 9), 1),
+            (runtime.cow_read, (child, DB_BASE), 1),
+            # The child privatized the page: the parent writes the original.
+            (runtime.cow_write, (parent, DB_BASE, b"parent"), 1),
+            (runtime.cow_write, (parent, DB_BASE + 1, b"first"), 2),
+            (runtime.cow_write, (parent, DB_BASE + 1, b"again"), 1),
+            (runtime.cow_read, (parent, DB_BASE + 1), 1),
+            (runtime.cow_read, (child, DB_BASE + 1), 1),
+        ]
+        for method, args, want in steps:
+            assert translations(method, *args) == want, (method, args)
+        assert pair.dirty_count == 2
+        copy_va = pair.private_copies[(child, DB_BASE)]
+        assert translations(runtime.snapshot, child) == 8
+        assert vas == [copy_va] + [DB_BASE + i for i in range(1, 8)]

@@ -1,6 +1,13 @@
 """Smaller-scale runs of the adversary probe suites; the acceptance suite
 runs them at full size."""
 
+import __future__
+import inspect
+import sys
+import textwrap
+
+import pytest
+
 from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.security import (
@@ -9,6 +16,7 @@ from enclavesim.security import (
     remap_enumeration,
     tcs_exclusivity_schedules,
 )
+from enclavesim.sgx_core import Machine
 
 
 def test_remap_enumeration_exhaustive():
@@ -60,3 +68,50 @@ def test_tcs_schedules_catch_a_leaked_tcs_row(monkeypatch):
     monkeypatch.setattr(Kernel, "tcs_release", lambda self, table, va: None)
     _, failures = tcs_exclusivity_schedules(200, seed=0)
     assert failures
+
+
+def _mutant(cls, name, check, replacement):
+    """``cls.name`` recompiled from its source with the text ``check``
+    replaced; the text must occur exactly once, so a rewritten check fails
+    here rather than leaving its row testing nothing."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert source.count(check) == 1, f"{name}: {check!r}"
+    code = compile(source.replace(check, replacement), f"<mutant {name}>",
+                   "exec", flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    namespace = {}
+    exec(code, vars(sys.modules[cls.__module__]), namespace)
+    return namespace[name]
+
+
+# (shipped check, class, method, text of the check, text that disables it)
+SHIPPED_CHECKS = [
+    ("EPCM va", Machine, "translate_access", " or entry.va != va", ""),
+    ("EPCM enclave id", Machine, "translate_access",
+     "entry.enclave_id != enclave_id or ", ""),
+    ("is_epc sandbox", EnclaveRuntime, "_resolve",
+     "not page.is_epc and va in self.private_vas", "False"),
+    ("TCS busy", Machine, "eenter", "tcs.state is TcsState.BUSY", "False"),
+    ("file digest", EnclaveRuntime, "fs_open",
+     " or content_digest([outside]) != row.digest", ""),
+]
+
+
+def _probe_failures():
+    return {
+        "remap_enumeration": remap_enumeration()[1],
+        "adversary_schedules": random_adversary_schedules(200, seed=0)[1],
+        "tcs_exclusivity": tcs_exclusivity_schedules(200, seed=0)[1],
+        "environment_swap": environment_swap_detection(10, seed=0)[1],
+    }
+
+
+@pytest.mark.parametrize("check, cls, name, text, replacement",
+                         SHIPPED_CHECKS,
+                         ids=[row[0] for row in SHIPPED_CHECKS])
+def test_disabling_a_shipped_check_fails_some_probe(monkeypatch, check, cls,
+                                                    name, text, replacement):
+    monkeypatch.setattr(cls, name, _mutant(cls, name, text, replacement))
+    failing = [probe for probe, failures in _probe_failures().items()
+               if failures]
+    assert failing, f"no probe notices the {check} check disabled"

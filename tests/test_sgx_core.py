@@ -100,6 +100,23 @@ class TestLifecycle:
         assert machine.epc_used == used
         machine.check_epc_conservation()
 
+    def test_conservation_names_a_drifted_epc_used(self, machine):
+        e, _ = build_enclave(machine)  # two regular pages and one TCS page
+        machine.epc_used += 1
+        with pytest.raises(errors.InvariantViolation) as caught:
+            machine.check_epc_conservation()
+        assert str(caught.value) == (
+            "valid EPCM entries 3, protected pages 3 and epc_used 4 differ")
+
+    def test_eadd_copies_and_pads_content(self, machine):
+        e = machine.ecreate(1)
+        content = bytearray(b"epc")
+        pa, _ = machine.eadd(e, 0x10, content)
+        content[0] = 0
+        assert machine.pages[pa].content == b"epc".ljust(PAGE_SIZE, b"\0")
+        with pytest.raises(ValueError):
+            machine.eadd(e, 0x11, page(1) + b"x")
+
 
 class TestMeasurement:
     def test_identical_sequences_equal(self):
@@ -285,6 +302,13 @@ class TestPageDigest:
         digest = p.digest()
         with pytest.raises(ValueError):
             p.write(b"xy", offset=PAGE_SIZE - 1)
+        assert p.content == page(1) and p.digest() is digest
+
+    def test_negative_write_offset_keeps_content(self):
+        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        digest = p.digest()
+        with pytest.raises(ValueError):
+            p.write(b"xy", offset=-2)
         assert p.content == page(1) and p.digest() is digest
 
 
