@@ -147,6 +147,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 config.models = [m.strip() for m in value.split(",") if m.strip()]
                 if not config.models:
                     raise ValueError("expected at least one model")
+                for i, name in enumerate(config.models):
+                    if name in config.models[:i]:
+                        raise ValueError(f"model {name!r} listed twice")
             elif key == "workload":
                 config.workload = value
             elif key == "seed":
@@ -170,8 +173,12 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key == "schedules":
                 config.schedules = _parse_count(value)
             elif key.startswith("t_exec."):
+                workload = key[len("t_exec."):]
+                if workload not in WORKLOADS:
+                    raise errors.UnknownKey(
+                        f"unknown workload {workload!r} in {key!r}")
                 config.overrides.setdefault("t_exec", {})[
-                    key[len("t_exec."):]] = _parse_float(value)
+                    workload] = _parse_float(value)
             elif key in _PARAM_FIELDS:
                 if key == "epc_alloc_serialized":
                     config.overrides[key] = _parse_bool(value, line_no)

@@ -15,7 +15,8 @@ from typing import List, Tuple
 from . import errors
 from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import Access, Machine, PAGE_SIZE, TcsState, enclave_mode
+from .sgx_core import (Access, Machine, NON_ENCLAVE, PAGE_SIZE, TcsState,
+                       enclave_mode)
 
 
 def _page(tag: int) -> bytes:
@@ -80,7 +81,9 @@ def random_adversary_schedules(n_schedules: int = 1000,
     writes and reads go through ``EnclaveRuntime.write``/``read``, so the
     shipped sandbox check is what is tested; every read must fault, trip
     that check, or return exactly the bytes an honest shadow copy predicts.
-    ``check_invariants`` runs after every step."""
+    ``check_invariants`` runs after every step. After the schedule the
+    kernel maps a database va back to its page and reads it in non-enclave
+    mode; the hardware must raise ``AbortPage``."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -128,6 +131,20 @@ def random_adversary_schedules(n_schedules: int = 1000,
                     except (errors.Fault, errors.IsolationFault):
                         pass  # detected
                 runtime.check_invariants()
+            # The host reads a live enclave page through its honest
+            # mapping in non-enclave mode; the hardware must abort it.
+            va = vas[0]
+            second.address_space.map(va, honest[va])
+            try:
+                machine.translate_access(second.address_space, va,
+                                         Access.READ, NON_ENCLAVE)
+                failures.append(f"schedule {schedule}: host read of va "
+                                f"{va:#x} not aborted")
+            except errors.AbortPage:
+                pass
+            except errors.Fault as exc:
+                failures.append(f"schedule {schedule}: host read of va "
+                                f"{va:#x} raised {type(exc).__name__}")
         except errors.InvariantViolation as exc:
             failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures

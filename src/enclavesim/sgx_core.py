@@ -23,10 +23,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MOD64 = 1 << 64
 _MASK64 = _MOD64 - 1
-# One match per run of a single byte value; DOTALL so 0x0A matches too.
-# Zero runs, the most common, are matched as a literal repeat, which scans
-# several times faster than the back-reference.
-_RUN = re.compile(rb"\x00+|(.)\1*", re.DOTALL)
+# One literal-repeat pattern per byte value: ``_RUNS[b].match(data, i)``
+# spans the run of ``b`` starting at ``i``. A literal repeat scans several
+# times faster than a back-reference, and ``re.escape`` keeps
+# metacharacters and 0x0A literal.
+_RUNS = [re.compile(re.escape(bytes((b,))) + b"+") for b in range(256)]
 
 
 def digest_update(acc: int, data: bytes) -> int:
@@ -48,19 +49,23 @@ def digest_update(acc: int, data: bytes) -> int:
     applied for the remaining whole periods in one modular power, and the
     ``n mod L`` leftover bytes are stepped. A zero byte leaves
     ``acc ^ 0 = acc``, so ``K = 0`` and a zero run is one multiply by
-    ``_FNV_PRIME**n``. Cost per run: at most ``L + (n mod L) < 512``
-    stepped bytes, exactly ``L <= 256`` when 256 divides ``n`` (every full
-    page), plus about ``log2(n)`` multiplies. The result equals the
-    byte-at-a-time loop for every input.
+    ``_FNV_PRIME**n``. Cost per run: one match of the literal repeat of
+    its byte value (``_RUNS``), which scans the run without Python-level
+    steps, then at most ``L + (n mod L) < 512`` stepped bytes, exactly
+    ``L <= 256`` when 256 divides ``n`` (every full page), plus about
+    ``log2(n)`` multiplies. The result equals the byte-at-a-time loop for
+    every input.
 
     The launch measurement (``Enclave.measurement``, set by ``einit``) is
     this digest, started at ``_FNV_OFFSET``, over every pre-init EADD
     record in order: the page's va as 8 little-endian bytes, its page type
     as one byte, then its content padded to ``PAGE_SIZE`` (``fold_page``).
     """
-    for run in _RUN.finditer(data):
-        start, end = run.span()
-        b, n = data[start], end - start
+    start, size = 0, len(data)
+    while start < size:
+        b = data[start]
+        end = _RUNS[b].match(data, start).end()
+        n, start = end - start, end
         if not b:
             acc = (acc * pow(_FNV_PRIME, n, _MOD64)) & _MASK64
             continue

@@ -189,6 +189,33 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", [
+        "t_exec.crypto_aes", "t_exec.bogus", "t_exec.", "t_exec.all",
+    ])
+    def test_exec_override_of_no_workload_exits_one(self, tmp_path, capsys,
+                                                    key):
+        cfg = self.write_cfg(tmp_path, LATENCY_CFG + f"{key} = 5\n")
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        MACRO_CFG.replace("model = teemate", "model = teemate, teemate"),
+        LATENCY_CFG.replace("model = cc_cold, teemate",
+                            "model = cc_cold, teemate,cc_cold"),
+        LATENCY_CFG.replace("crypto-aes", "all").replace(
+            "model = cc_cold, teemate", "model = teemate, teemate"),
+        DB_CFG.replace("model = strawman, teemate",
+                       "model = teemate, strawman, teemate"),
+    ], ids=["macro", "latency", "all-workloads", "database"])
+    def test_model_listed_twice_exits_one(self, tmp_path, capsys, text):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "listed twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 0"),
         MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = -1"),

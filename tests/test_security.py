@@ -92,6 +92,8 @@ SHIPPED_CHECKS = [
     ("is_epc sandbox", EnclaveRuntime, "_resolve",
      "not page.is_epc and va in self.private_vas", "False"),
     ("TCS busy", Machine, "eenter", "tcs.state is TcsState.BUSY", "False"),
+    ("AbortPage", Machine, "translate_access", "if enclave_id is None:",
+     "if False:"),
     ("file digest", EnclaveRuntime, "fs_open",
      " or content_digest([outside]) != row.digest", ""),
 ]

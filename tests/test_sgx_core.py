@@ -242,6 +242,30 @@ class TestDigestUpdate:
         assert (_PERIOD_52, _PERIOD_01) == (16, 256)
         assert low_byte_period(0x02, 0x15) == 1
 
+    @given(acc=st.integers(0, 2**64 - 1), prefix=_RUNS,
+           b=st.integers(0, 255), left=st.integers(1, 2 * PAGE_SIZE),
+           right=st.integers(1, 2 * PAGE_SIZE), suffix=_RUNS)
+    @example(acc=_FNV_OFFSET, prefix=b"", b=0x52, left=_PERIOD_52,
+             right=PAGE_SIZE - _PERIOD_52, suffix=b"")
+    @example(acc=_FNV_OFFSET, prefix=b"\x01", b=0x2E, left=3,
+             right=PAGE_SIZE, suffix=b"\x2f")
+    @example(acc=0, prefix=b"", b=0, left=1, right=1, suffix=b"\x0a")
+    def test_split_inside_a_run(self, acc, prefix, b, left, right, suffix):
+        head = prefix + bytes([b]) * left
+        tail = bytes([b]) * right + suffix
+        assert digest_update(digest_update(acc, head), tail) == \
+            digest_update(acc, head + tail)
+
+    # Bytes that ``re.escape`` must escape: newline, '+', '.', '[', '\'.
+    # Each run is longer than any period (at most 256 steps) and ends
+    # before a different byte.
+    @pytest.mark.parametrize("b", [0x0A, 0x2B, 0x2E, 0x5B, 0x5C])
+    def test_runs_of_escaped_bytes(self, b):
+        run = bytes([b]) * (PAGE_SIZE + 3)
+        for data in (run, run + b"\x52" + run, b"\x00" + run + b"\x0b"):
+            assert digest_update(_FNV_OFFSET, data) == \
+                fnv1a_reference(_FNV_OFFSET, data), data[:2]
+
 
 class TestPinnedMeasurements:
     """Launch measurements computed before the digest's zero runs were
