@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import errors, security
-from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
+from .cost_model import (COMPONENTS, WORKLOADS, CostParams, default_params,
+                         sum_in_order)
 from .workload_harness import (
     DbModel,
     ExecutionModel,
@@ -49,8 +50,6 @@ SCENARIOS = {
     "security_suite": {"required": {"seed"}, "optional": {"schedules"}},
 }
 
-_PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(CostParams)}
-
 # Work bounds, checked before any simulation starts: a larger run could
 # hang the process or exhaust its memory.
 MAX_ARRIVALS = 10**6  # requests of one serverless run (expected, for macro)
@@ -58,31 +57,13 @@ MAX_DB_REQUESTS = 10**7  # requests of one database run
 MAX_SCHEDULES = 10**4  # schedules of each randomized security probe
 
 
-@dataclass
-class ScenarioConfig:
-    scenario: str
-    seed: int
-    models: List[str] = field(default_factory=list)
-    workload: str = ""
-    n_requests: int = 1
-    rate_per_s: float = 1.0
-    duration_s: float = 60.0
-    workers: Optional[int] = None
-    prediction: bool = False
-    db_mib: float = 128.0
-    write_ratio: float = 0.3
-    snapshot_interval_s: float = 2.0
-    schedules: int = 1000
-    overrides: Dict[str, object] = field(default_factory=dict)
-
-
-def _parse_bool(raw: str, line_no: int) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise errors.ParseError(line_no, f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_float(raw: str, low: float = -math.inf,
@@ -108,6 +89,51 @@ def _parse_count(raw: str) -> int:
     if value < 1:
         raise ValueError(f"expected a count >= 1, got {raw!r}")
     return value
+
+
+def _parse_models(raw: str) -> List[str]:
+    models = [m.strip() for m in raw.split(",") if m.strip()]
+    if not models:
+        raise ValueError("expected at least one model")
+    for i, name in enumerate(models):
+        if name in models[:i]:
+            raise ValueError(f"model {name!r} listed twice")
+    return models
+
+
+@dataclass
+class ScenarioConfig:
+    scenario: str
+    seed: int = field(metadata={"parse": int})
+    models: List[str] = field(default_factory=list, metadata={
+        "key": "model", "parse": _parse_models})
+    workload: str = field(default="", metadata={"parse": str})
+    n_requests: int = field(default=1, metadata={"parse": _parse_count})
+    rate_per_s: float = field(default=1.0,
+                              metadata={"parse": _parse_positive})
+    duration_s: float = field(default=60.0,
+                              metadata={"parse": _parse_positive})
+    workers: Optional[int] = field(default=None,
+                                   metadata={"parse": _parse_count})
+    prediction: bool = field(default=False, metadata={"parse": _parse_bool})
+    db_mib: float = field(default=128.0, metadata={"parse": _parse_positive})
+    write_ratio: float = field(default=0.3, metadata={
+        "parse": lambda raw: _parse_float(raw, 0.0, 1.0)})
+    snapshot_interval_s: float = field(default=2.0, metadata={
+        "parse": lambda raw: _parse_float(raw, 0.0)})
+    schedules: int = field(default=1000, metadata={"parse": _parse_count})
+    overrides: Dict[str, object] = field(default_factory=dict)
+
+
+# Config key -> (ScenarioConfig field, parser): ``key = value`` sets the
+# field to ``parse(value)``. The key is the field's name unless a "key"
+# entry in its metadata names another.
+_CONFIG_KEYS = {f.metadata.get("key", f.name): (f.name, f.metadata["parse"])
+                for f in dataclasses.fields(ScenarioConfig) if f.metadata}
+# CostParams field -> parser of an override; t_exec is set per workload.
+_PARAM_FIELDS = {f.name: (_parse_bool if isinstance(f.default, bool)
+                          else _parse_float)
+                 for f in dataclasses.fields(CostParams)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -143,35 +169,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise errors.ParseError(line_no, f"duplicate key {key!r}")
         seen.add(key)
         try:
-            if key == "model":
-                config.models = [m.strip() for m in value.split(",") if m.strip()]
-                if not config.models:
-                    raise ValueError("expected at least one model")
-                for i, name in enumerate(config.models):
-                    if name in config.models[:i]:
-                        raise ValueError(f"model {name!r} listed twice")
-            elif key == "workload":
-                config.workload = value
-            elif key == "seed":
-                config.seed = int(value)
-            elif key == "n_requests":
-                config.n_requests = _parse_count(value)
-            elif key == "workers":
-                config.workers = _parse_count(value)
-            elif key == "rate_per_s":
-                config.rate_per_s = _parse_positive(value)
-            elif key == "duration_s":
-                config.duration_s = _parse_positive(value)
-            elif key == "prediction":
-                config.prediction = _parse_bool(value, line_no)
-            elif key == "db_mib":
-                config.db_mib = _parse_positive(value)
-            elif key == "write_ratio":
-                config.write_ratio = _parse_float(value, 0.0, 1.0)
-            elif key == "snapshot_interval_s":
-                config.snapshot_interval_s = _parse_float(value, 0.0)
-            elif key == "schedules":
-                config.schedules = _parse_count(value)
+            if key in _CONFIG_KEYS:
+                name, parse = _CONFIG_KEYS[key]
+                setattr(config, name, parse(value))
             elif key.startswith("t_exec."):
                 workload = key[len("t_exec."):]
                 if workload not in WORKLOADS:
@@ -179,14 +179,11 @@ def parse_config(text: str) -> ScenarioConfig:
                         f"unknown workload {workload!r} in {key!r}")
                 config.overrides.setdefault("t_exec", {})[
                     workload] = _parse_float(value)
+            elif key == "t_exec":
+                raise errors.UnknownKey(
+                    "override exec times via t_exec.<workload>")
             elif key in _PARAM_FIELDS:
-                if key == "epc_alloc_serialized":
-                    config.overrides[key] = _parse_bool(value, line_no)
-                elif key == "t_exec":
-                    raise errors.UnknownKey(
-                        "override exec times via t_exec.<workload>")
-                else:
-                    config.overrides[key] = _parse_float(value)
+                config.overrides[key] = _PARAM_FIELDS[key](value)
             else:
                 raise errors.UnknownKey(f"unknown key {key!r}")
         except ValueError as exc:
@@ -308,7 +305,8 @@ def _check_invariants(results: Dict[str, Metrics]) -> None:
             if key in checked:
                 continue
             checked.add(key)
-            if abs(sum(record.components.values()) - record.total_ms) > 1e-9:
+            if abs(sum_in_order(record.components.values())
+                   - record.total_ms) > 1e-9:
                 raise errors.InvariantViolation(
                     f"{label}/{record.request_id}: components do not sum "
                     f"to the total")

@@ -14,9 +14,11 @@ the system being modeled:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import errors
 
@@ -103,6 +105,12 @@ class CostParams:
             # A negative copy cost could stop the copy-on-write window's
             # clock while it copies pages.
             raise errors.InvariantViolation("t_cow_copy must be >= 0")
+        # A negative runtime footprint would hide part of the database's
+        # occupancy from the peak.
+        for name in ("m_db_runtime_strawman", "m_db_runtime_teemate",
+                     "warm_keepalive_s"):
+            if getattr(self, name) < 0:
+                raise errors.InvariantViolation(f"{name} must be >= 0")
         if not 2.32 <= self.t_alias <= 3.01:
             raise errors.InvariantViolation(
                 "t_alias outside the calibrated 2.32-3.01 ms band")
@@ -208,9 +216,6 @@ class CostLedger:
             raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
         raise errors.InvariantViolation(message)
 
-    def request_total(self, request_id: object = None) -> float:
-        return sum(self.breakdowns.get(request_id, {}).values())
-
     def peak_between(self, t0: float, t1: float) -> float:
         """Max occupancy over [t0, t1], including the level carried in."""
         peak = 0.0
@@ -221,6 +226,13 @@ class CostLedger:
             elif t <= t1:
                 peak = max(peak, occ)
         return max(peak, carry)
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right from 0.0, which is
+    what builtin ``sum`` gave before Python 3.12; from 3.12 it compensates
+    for rounding, so its last bit can differ."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def percentile(values: List[float], q: float) -> float:

@@ -2,9 +2,9 @@
 adversary schedules, TCS exclusivity schedules and environment-swap
 detection. Each probe returns (trials, failures) where failures lists a
 description per undetected violation; an empty list means the suite holds.
-Remap enumeration probes the hardware's EPCM check directly; the schedule
-probes drive ``EnclaveRuntime`` (``read``/``write``, ``enter``/``suspend``/
-``resume``/``exit``) and run its ``check_invariants`` after every step.
+Every probe drives the shipped ``EnclaveRuntime`` (``read``/``write``,
+``enter``/``suspend``/``resume``/``exit``, ``fs_open``); the schedule probes
+run its ``check_invariants`` after every step.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import List, Tuple
 from . import errors
 from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import (Access, Machine, NON_ENCLAVE, PAGE_SIZE, TcsState,
-                       enclave_mode)
+from .sgx_core import Access, Machine, NON_ENCLAVE, PAGE_SIZE, TcsState
 
 
 def _page(tag: int) -> bytes:
@@ -24,54 +23,49 @@ def _page(tag: int) -> bytes:
 
 
 def remap_enumeration(n_pages: int = 4, n_spaces: int = 3) -> Tuple[int, List[str]]:
-    """Exhaustively point every (space, va) at every physical page and check
-    that enclave-mode access succeeds exactly for the EPCM-recorded pair."""
+    """Exhaustively point every (container, db va) at every physical page
+    and read it through ``EnclaveRuntime.read``: a read must succeed
+    exactly for the EPCM-recorded pair and return that page's bytes. The
+    pages are the runtime's own, a foreign enclave's at the same vas and
+    a plain page."""
     machine = Machine(epc_capacity_pages=64)
     kernel = Kernel(machine)
-    victim = machine.ecreate(1)
+    runtime = EnclaveRuntime(machine, kernel)
+    runtime.runtime_init(runtime_pages=0, tcs_count=0)
+    runtime.load_db(n_pages, fill=_page)
+    vas = runtime.db_vas()
+    honest = runtime.enclave.pages
+    # Foreign pages sharing the same virtual addresses as the runtime's.
     other = machine.ecreate(2)
-    victim_vas = [0x10 + i for i in range(n_pages)]
-    for i, va in enumerate(victim_vas):
-        machine.eadd(victim, va, _page(i))
-    machine.einit(victim)
-    # Foreign pages sharing the same virtual addresses as the victim's.
-    for i, va in enumerate(victim_vas[:2]):
+    for i, va in enumerate(vas[:2]):
         machine.eadd(other, va, _page(0xA0 + i))
     machine.einit(other)
     machine.alloc_plain_page(b"untrusted")
 
-    spaces = [kernel.create_container(f"/c{i}").address_space
-              for i in range(n_spaces)]
+    containers = [kernel.create_container(f"/c{i}") for i in range(n_spaces)]
     all_pas = sorted(machine.pages)
-    mode = enclave_mode(1)
 
     trials = 0
     failures: List[str] = []
-    for space in spaces:
-        for va in victim_vas:
+    for container in containers:
+        table = container.address_space.page_table
+        for i, va in enumerate(vas):
             for pa in all_pas:
-                space.page_table.clear()
-                space.page_table[va] = pa
-                honest = machine.epcm.get(pa)
-                expect_ok = (honest is not None and honest.valid
-                             and honest.enclave_id == 1 and honest.va == va)
+                table.clear()
+                table[va] = pa
                 trials += 1
                 try:
-                    got = machine.translate_access(space, va, Access.READ, mode)
-                    if not machine.pages[got].is_epc:
-                        # Hardware lets the enclave touch unprotected memory;
-                        # the runtime's sandbox check flags it for these
-                        # enclave-private addresses.
-                        if expect_ok:
-                            failures.append(
-                                f"honest va {va:#x} resolved to plain page")
-                    elif not expect_ok or got != pa:
-                        failures.append(
-                            f"va {va:#x} -> pa {pa:#x} accessed undetected")
-                except errors.Fault:
-                    if expect_ok:
+                    got = runtime.read(container.pid, va)
+                except (errors.Fault, errors.IsolationFault):
+                    if pa == honest[va]:
                         failures.append(
                             f"honest mapping va {va:#x} -> pa {pa:#x} faulted")
+                    continue
+                if pa != honest[va]:
+                    failures.append(
+                        f"va {va:#x} -> pa {pa:#x} accessed undetected")
+                elif got != _page(i):
+                    failures.append(f"honest va {va:#x} read wrong bytes")
     return trials, failures
 
 

@@ -173,7 +173,6 @@ class EpcmEntry:
     va: int
     enclave_id: int
     page_type: PageType
-    valid: bool = True
 
 
 @dataclass
@@ -290,12 +289,12 @@ class Machine:
         return enclave.measurement
 
     def eremove(self, enclave: Enclave, va: int) -> None:
-        """Deallocate one enclave page; the EPCM entry is invalidated
-        atomically with the page (deallocation ordering is an assumption,
-        the hardware spec leaves it open)."""
+        """Deallocate one enclave page; its EPCM entry is dropped
+        atomically with the page, so every entry in ``epcm`` is valid
+        (deallocation ordering is an assumption, the hardware spec leaves it
+        open)."""
         pa = enclave.pages.pop(va)
         entry = self.epcm.pop(pa)
-        entry.valid = False
         del self.pages[pa]
         self.epc_used -= 1
         if entry.page_type is PageType.TCS:
@@ -324,7 +323,7 @@ class Machine:
             raise errors.AbortPage(
                 f"non-enclave access to protected page {pa:#x}")
         entry = self.epcm.get(pa)
-        if entry is None or not entry.valid:
+        if entry is None:
             raise errors.EpcmMismatch(f"no valid EPCM entry for pa {pa:#x}")
         if entry.enclave_id != enclave_id or entry.va != va:
             raise errors.EpcmMismatch(
@@ -352,7 +351,7 @@ class Machine:
         if page is None or not page.is_epc:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a protected page")
         entry = self.epcm.get(pa)
-        if entry is None or not entry.valid or entry.va != tcs_va:
+        if entry is None or entry.va != tcs_va:
             raise errors.EpcmMismatch(f"EPCM check failed for tcs {tcs_va:#x}")
         if entry.page_type is not PageType.TCS:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a TCS page")
@@ -408,7 +407,7 @@ class Machine:
     # -- invariants ---------------------------------------------------------
 
     def check_epc_conservation(self) -> None:
-        valid_entries = sum(1 for e in self.epcm.values() if e.valid)
+        valid_entries = len(self.epcm)
         epc_pages = sum(1 for p in self.pages.values() if p.is_epc)
         if valid_entries != epc_pages or epc_pages != self.epc_used:
             raise errors.InvariantViolation(

@@ -29,6 +29,7 @@ from .cost_model import (
     CostLedger,
     CostParams,
     percentile,
+    sum_in_order,
 )
 
 
@@ -141,8 +142,7 @@ class _Plan(NamedTuple):
 def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     """Plan a request of ``kind``: native, cold or warm (a confidential
     container without or with a warm environment), or a shared-enclave
-    request that registers the enclave, takes a pooled container or
-    creates one."""
+    request that takes a pooled container or creates one."""
     create = params.t_container_create
     if kind == "native":
         steps = [(CONTAINER_CREATE, create),
@@ -153,15 +153,11 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
                  (INSTANCE_LOAD, params.t_instance_load_cold)]
     elif kind == "warm":
         steps = []
-    elif kind == "register":
-        steps = [(CONTAINER_CREATE, create),
-                 (ENCLAVE_CREATE, params.t_enclave_create)]
     else:
-        steps = [(CONTAINER_CREATE, 0.0 if kind == "pooled" else create)]
-    if kind in ("register", "pooled", "create"):
-        steps += [(ALIAS, params.t_alias + params.t_tcs_op),
-                  (EPC_EXPAND, params.t_epc_expand),
-                  (INSTANCE_LOAD, params.t_instance_load_teemate)]
+        steps = [(CONTAINER_CREATE, 0.0 if kind == "pooled" else create),
+                 (ALIAS, params.t_alias + params.t_tcs_op),
+                 (EPC_EXPAND, params.t_epc_expand),
+                 (INSTANCE_LOAD, params.t_instance_load_teemate)]
     steps.append((EXEC, exec_ms))
     # A ledger of the plan's own rejects negative durations and sums the
     # components in step order.
@@ -170,7 +166,7 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
         ledger.charge(component, duration)
     components = types.MappingProxyType(ledger.breakdowns[None])
     durations = tuple(duration for _, duration in steps)
-    total = sum(components.values())
+    total = sum_in_order(components.values())
     if not math.isfinite(total):
         raise errors.ConfigError(f"a {kind} request takes {total} ms")
     if params.epc_alloc_serialized and EPC_EXPAND in components:
@@ -181,13 +177,13 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
 
 
 def run_serverless(model, trace: RequestTrace, params: CostParams,
-                   workers: int = 8, pre_registered: bool = True) -> Metrics:
+                   workers: int = 8) -> Metrics:
     """Run one execution model over a request trace.
 
-    ``model`` may be a Variant or an ExecutionModel. With ``pre_registered``
-    the shared-enclave registration phase (container + enclave creation +
-    runtime load) completes before the first arrival and is reported under
-    ``extras`` rather than inside any request's latency.
+    ``model`` may be a Variant or an ExecutionModel. The shared-enclave
+    registration (container and enclave creation) completes before the
+    first arrival and is reported under ``extras``, not inside any
+    request's latency; its container is the first pooled one.
 
     Arrivals are read in order from the trace and a heap holds the events
     in flight, ``(time, seq, kind, index, plan, mem)``. Events at one time
@@ -219,26 +215,21 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     free_containers = 0
     live_instances = 0
     warm_pool: List[float] = []  # expiry times of idle warm environments
-    registration_pending = False
     plans: Dict[Tuple[str, str], _Plan] = {}
 
     registration_ms = 0.0
     if variant is Variant.TEEMATE:
         registration_ms = params.t_container_create + params.t_enclave_create
-        if pre_registered:
-            ledger.charge(CONTAINER_CREATE, params.t_container_create,
-                          "registration")
-            ledger.charge(ENCLAVE_CREATE, params.t_enclave_create,
-                          "registration")
-            ledger.occupy(0.0, params.m_teemate_base)
-            free_containers = 1
-        else:
-            registration_pending = True
+        ledger.charge(CONTAINER_CREATE, params.t_container_create,
+                      "registration")
+        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
+        ledger.occupy(0.0, params.m_teemate_base)
+        free_containers = 1
     baseline_mib = ledger.occupancy
 
     def start(idx: int, now: float) -> None:
         """Take the request's plan and memory; run it to the lock or end."""
-        nonlocal free_containers, live_instances, registration_pending
+        nonlocal free_containers, live_instances
         mem = 0.0
         if variant is Variant.NATIVE:
             kind = "native"
@@ -256,11 +247,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             kind = "warm" if warm else "cold"
             mem = params.m_strawman_per_request
         else:
-            if registration_pending:
-                registration_pending = False
-                ledger.occupy(now, params.m_teemate_base)
-                kind = "register"
-            elif free_containers > 0:
+            if free_containers > 0:
                 free_containers -= 1
                 kind = "pooled"
             else:
@@ -346,14 +333,8 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
 
     if not all(records):
         raise errors.InvariantViolation("not all requests completed")
-    expected_final = baseline_mib
-    if variant is Variant.TEEMATE and not pre_registered \
-            and not registration_pending:
-        # Registration ran inside the first request; its base footprint
-        # stays resident, so the post-run baseline includes it.
-        expected_final += params.m_teemate_base
     return _metrics(variant.value, records, ledger, registration_ms,
-                    expected_final)
+                    baseline_mib)
 
 
 def _metrics(model_name: str, records: List[RequestRecord],
@@ -372,7 +353,7 @@ def _metrics(model_name: str, records: List[RequestRecord],
         model=model_name,
         requests=records,
         count=count,
-        mean_latency_ms=sum(latencies) / count if count else 0.0,
+        mean_latency_ms=sum_in_order(latencies) / count if count else 0.0,
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
         peak_epc_mib=ledger.peak_epc,

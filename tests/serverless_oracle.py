@@ -47,14 +47,13 @@ class _Job:
 
 
 def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
-                          workers: int = 8,
-                          pre_registered: bool = True) -> Metrics:
+                          workers: int = 8) -> Metrics:
     """Run one execution model over a request trace.
 
-    ``model`` may be a Variant or an ExecutionModel. With ``pre_registered``
-    the shared-enclave registration phase (container + enclave creation +
-    runtime load) completes before the first arrival and is reported under
-    ``extras`` rather than inside any request's latency.
+    ``model`` may be a Variant or an ExecutionModel. The shared-enclave
+    registration (container and enclave creation) completes before the
+    first arrival and is reported under ``extras``, not inside any
+    request's latency.
 
     One heap of ``(time, seq, kind, job)`` events drives the run; events at
     the same time run in scheduling order (``seq``), arrivals first. A
@@ -90,28 +89,23 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
     free_containers = 0
     live_instances = 0
     warm_pool: List[float] = []  # expiry times of idle warm environments
-    registration_pending = False
     done = 0
     plans: Dict[Tuple[str, str], _Plan] = {}
 
     registration_ms = 0.0
     if variant is Variant.TEEMATE:
         registration_ms = params.t_container_create + params.t_enclave_create
-        if pre_registered:
-            ledger.charge(CONTAINER_CREATE, params.t_container_create,
-                          "registration")
-            ledger.charge(ENCLAVE_CREATE, params.t_enclave_create,
-                          "registration")
-            ledger.occupy(0.0, params.m_teemate_base)
-            free_containers = 1
-        else:
-            registration_pending = True
+        ledger.charge(CONTAINER_CREATE, params.t_container_create,
+                      "registration")
+        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
+        ledger.occupy(0.0, params.m_teemate_base)
+        free_containers = 1
     baseline_mib = ledger.occupancy
 
     def start(job: _Job, now: float) -> None:
         """Pick the request's plan, take its memory and run its steps up
         to the lock or the end."""
-        nonlocal free_containers, live_instances, registration_pending
+        nonlocal free_containers, live_instances
         if variant is Variant.NATIVE:
             kind = "native"
         elif variant is Variant.CC_COLD:
@@ -128,11 +122,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
             kind = "warm" if warm else "cold"
             job.mem = params.m_strawman_per_request
         else:
-            if registration_pending:
-                registration_pending = False
-                ledger.occupy(now, params.m_teemate_base)
-                kind = "register"
-            elif free_containers > 0:
+            if free_containers > 0:
                 free_containers -= 1
                 kind = "pooled"
             else:
@@ -202,11 +192,5 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
 
     if done != len(records):
         raise errors.InvariantViolation("not all requests completed")
-    expected_final = baseline_mib
-    if variant is Variant.TEEMATE and not pre_registered \
-            and not registration_pending:
-        # Registration ran inside the first request; its base footprint
-        # stays resident, so the post-run baseline includes it.
-        expected_final += params.m_teemate_base
     return _metrics(variant.value, records, ledger, registration_ms,
-                    expected_final)
+                    baseline_mib)

@@ -336,6 +336,24 @@ class TestMain:
         cfg = self.write_cfg(tmp_path, DB_CFG + "t_cow_copy = -0.1\n")
         assert main([cfg, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("text, name", [
+        (DB_CFG + "m_db_runtime_strawman = -1\n", "m_db_runtime_strawman"),
+        (DB_CFG + "m_db_runtime_teemate = -100\n", "m_db_runtime_teemate"),
+        (LATENCY_CFG + "warm_keepalive_s = -0.5\n", "warm_keepalive_s"),
+    ], ids=["strawman-runtime", "teemate-runtime", "keepalive"])
+    def test_negative_figure_exits_two(self, tmp_path, capsys, text, name):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{name} must be >= 0" in capsys.readouterr().err
+
+    def test_zero_figures_exit_zero(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, DB_CFG + (
+            "m_db_runtime_strawman = 0\nm_db_runtime_teemate = 0\n"
+            "warm_keepalive_s = 0\n"))
+        assert main([cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_too_many_schedules_exit_one_before_probing(self, tmp_path,
                                                          monkeypatch):
         def no_probes(*args, **kwargs):

