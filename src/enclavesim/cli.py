@@ -54,6 +54,7 @@ SCENARIOS = {
 # hang the process or exhaust its memory.
 MAX_ARRIVALS = 10**6  # requests of one serverless run (expected, for macro)
 MAX_DB_REQUESTS = 10**7  # requests of one database run
+MAX_DB_PAGES = 2**25  # 128 GiB of 4 KiB pages; one byte each in a run
 MAX_SCHEDULES = 10**4  # schedules of each randomized security probe
 
 
@@ -238,12 +239,16 @@ def _db_model(name: str) -> DbModel:
 def _check_work_bounds(config: ScenarioConfig, params: CostParams) -> None:
     if config.scenario == "database":
         for name in config.models:
-            end = db_cycle(_db_model(name), config.db_mib,
-                           config.snapshot_interval_s, config.duration_s,
-                           params).end
-            if end / params.t_db_exec > MAX_DB_REQUESTS:
+            cycle = db_cycle(_db_model(name), config.db_mib,
+                             config.snapshot_interval_s, config.duration_s,
+                             params)
+            if cycle.pages > MAX_DB_PAGES:
                 raise errors.ConfigError(
-                    f"{name}: {end / 1000.0:g} s of {params.t_db_exec:g} ms "
+                    f"{name}: {cycle.pages} database pages exceeds "
+                    f"{MAX_DB_PAGES}")
+            if cycle.end // cycle.exec_ns > MAX_DB_REQUESTS:
+                raise errors.ConfigError(
+                    f"{name}: {cycle.end / 10**9:g} s of {cycle.exec_ns} ns "
                     f"requests exceeds {MAX_DB_REQUESTS} requests")
         return
     if config.scenario == "serverless_macro":

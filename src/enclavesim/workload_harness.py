@@ -1,8 +1,10 @@
 """Discrete-event driver for the serverless execution models and the
-database fork/snapshot scenario.
+database fork/snapshot scenario; all randomness flows from explicit seeds.
 
-Logical concurrency is simulated on a single-threaded event loop over
-simulated milliseconds; all randomness flows from explicit seeds.
+Costs, traces, ``RequestRecord``, ``Metrics`` and the ``CostLedger`` carry
+ms and MiB. ``run_serverless`` runs a single-threaded event loop on float
+ms. ``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
+Python ints, rounding each duration once, and report in ms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import heapq
 import itertools
 import math
 import random
-import sys
 import types
 from collections import deque
 from dataclasses import dataclass, field
@@ -371,99 +372,62 @@ def _metrics(model_name: str, records: List[RequestRecord],
 
 
 # ---------------------------------------------------------------------------
-# Database scenario.
+# Database scenario. Its clock counts whole simulated nanoseconds as Python
+# ints, so a stretch of equal requests is one floor division. Costs come
+# in, and outputs go out, in ms and MiB.
+
+def _ns(ms: float, what: str) -> int:
+    """A duration of ``ms``, rounded once to whole nanoseconds."""
+    ns = ms * 1e6
+    if not math.isfinite(ns):
+        raise errors.ConfigError(f"{what} takes {ms} ms")
+    return round(ns)
+
+
+def _ms(ns: int) -> float:
+    return ns / 1_000_000  # one correctly rounded division of two ints
+
 
 class DbCycle(NamedTuple):
-    """Timeline of one fork/snapshot cycle, in simulated ms."""
-    fork_ms: float
-    fork_components: Dict[str, float]
-    fork_start: float
-    fork_end: float
-    window_end: float  # the snapshot is written out by then
-    end: float  # the request stream stops here
+    """One fork/snapshot cycle; each time and duration in whole ns."""
+    exec_ns: int  # a request that copies no page
+    pages: int  # of the database
+    fork_components: Dict[str, int]
+    fork_start: int
+    fork_end: int
+    window_end: int  # the snapshot is written out by then
+    end: int  # the request stream stops here
 
 
 def db_cycle(model: DbModel, db_mib: float, snapshot_interval_s: float,
              duration_s: float, params: CostParams) -> DbCycle:
     """The full-copy model forks by creating an enclave and copying the
-    whole database; the shared-enclave model aliases it into a child."""
+    whole database; the shared-enclave model aliases it into a child. The
+    fork takes the sum of its components, each rounded to ns."""
     if model is DbModel.STRAWMAN:
-        fork_ms = params.t_enclave_create + params.t_fork_copy_per_mib * db_mib
-        fork_components = {ENCLAVE_CREATE: params.t_enclave_create,
-                           INSTANCE_LOAD: params.t_fork_copy_per_mib * db_mib}
+        fork_ms = {ENCLAVE_CREATE: params.t_enclave_create,
+                   INSTANCE_LOAD: params.t_fork_copy_per_mib * db_mib}
     else:
-        fork_ms = params.t_alias + params.t_tcs_op + params.t_fork_child_setup
-        fork_components = {CONTAINER_CREATE: params.t_fork_child_setup,
-                           ALIAS: params.t_alias + params.t_tcs_op}
-    if not math.isfinite(fork_ms):
-        raise errors.ConfigError(f"the {model.value} fork takes {fork_ms} ms")
-    fork_start = snapshot_interval_s * 1000.0
-    fork_end = fork_start + fork_ms
-    write_ms = db_mib / params.snapshot_write_mib_per_s * 1000.0
-    window_end = fork_end + write_ms
-    end = max(duration_s * 1000.0, window_end)
-    return DbCycle(fork_ms, fork_components, fork_start, fork_end,
-                   window_end, end)
-
-
-_MIN_NORMAL = sys.float_info.min
-_TOP = (1 << 53) - 1  # largest significand, in units of the binade's ulp
-
-
-def skip_ahead(x: float, step: float, limit: float = math.inf,
-               max_steps: float = math.inf) -> Tuple[int, float]:
-    """Take ``x = x + step`` while ``x + step <= limit`` and fewer than
-    ``max_steps`` steps are taken; return ``(steps, x)``.
-
-    The result is bit for bit that of the step-by-step loop, for
-    ``step > 0``. Inside one binade every addition adds ``step`` rounded
-    to the binade's ulp, so a run of steps is one integer addition on the
-    significand. Where ``step``'s remainder is exactly half an ulp (ties
-    round to even, which alternates) and at each binade crossing the loop
-    takes single float steps.
-    """
-    steps = 0
-    while steps < max_steps:
-        if step < x and x >= _MIN_NORMAL:
-            shift = 53 - math.frexp(x)[1]
-            sig = int(math.ldexp(x, shift))  # x = sig * ulp, exactly
-            units = math.ldexp(step, shift)
-            ulps = int(units)
-            rest = units - ulps
-            if rest != 0.5:
-                if rest > 0.5:
-                    ulps += 1
-                if ulps:
-                    run = (_TOP - sig) // ulps
-                    if limit < x + x:  # the limit lies inside the binade
-                        run = min(run,
-                                  (int(math.ldexp(limit, shift)) - sig) // ulps)
-                    run = min(run, max_steps - steps)
-                    if run > 0:
-                        steps += run
-                        x = math.ldexp(sig + run * ulps, -shift)
-                        continue
-        nxt = x + step
-        if nxt > limit:
-            break
-        if nxt == x:
-            if max_steps == math.inf:
-                raise errors.InvariantViolation(
-                    f"a step of {step} ms does not advance {x} ms")
-            return int(max_steps), x
-        x = nxt
-        steps += 1
-    return steps, x
-
-
-_SKIP_CHUNK = 1 << 14  # draws skipped per getrandbits call
-
-
-def skip_draws(rng: random.Random, n: int) -> None:
-    """Advance ``rng`` exactly as ``n`` calls of ``rng.random()`` would:
-    each takes two 32-bit words, as does every 64 bits of ``getrandbits``."""
-    for left in range(n, 0, -_SKIP_CHUNK):
-        rng.getrandbits(64 * min(left, _SKIP_CHUNK))
+        fork_ms = {CONTAINER_CREATE: params.t_fork_child_setup,
+                   ALIAS: params.t_alias + params.t_tcs_op}
+    fork_components = {component: _ns(ms, f"the fork's {component}")
+                       for component, ms in fork_ms.items()}
+    exec_ns = _ns(params.t_db_exec, "a database request")
+    if exec_ns == 0:  # the clock would never advance
+        raise errors.ConfigError(
+            f"t_db_exec = {params.t_db_exec} ms rounds to 0 ns")
+    pages = db_mib / params.page_mib
+    if not math.isfinite(pages):
+        raise errors.ConfigError(f"db_mib / page_mib = {pages} pages")
+    fork_start = _ns(snapshot_interval_s * 1000.0, "the wait for the fork")
+    fork_end = fork_start + sum(fork_components.values())
+    window_end = fork_end + _ns(
+        db_mib / params.snapshot_write_mib_per_s * 1000.0, "the snapshot")
+    if window_end == fork_start:
+        raise errors.ConfigError("the snapshot window rounds to 0 ns")
+    end = max(_ns(duration_s * 1000.0, "the run"), window_end)
+    return DbCycle(exec_ns, max(1, round(pages)), fork_components,
+                   fork_start, fork_end, window_end, end)
 
 
 def run_database(model, db_mib: float, write_ratio: float,
@@ -475,21 +439,21 @@ def run_database(model, db_mib: float, write_ratio: float,
     creation plus a full memory copy); the shared-enclave model blocks only
     for the aliasing fork and pays per-page copy-on-write afterwards.
 
-    Requests run back to back. Only the shared-enclave model's requests
-    between the fork's end and the end of the snapshot window can copy a
-    page, so only they run one by one. The other stretches (requests that
-    finish before the fork, the full-copy model's window and the tail
-    after the window) take ``skip_ahead``, which gives the same float sums
-    as adding each request in turn. The shared-enclave model still skips
-    one draw per request before the fork (``skip_draws``), so the random
-    stream matches.
+    Requests run back to back on ``db_cycle``'s clock of whole ns. Only
+    the shared-enclave model's requests between the fork's end and the end
+    of the snapshot window can copy a page, so only they draw random
+    numbers and run one by one. ``dirty`` holds one byte per database page,
+    and the ledger takes every copied page in one step, at the last copy.
+    Every other stretch (requests that end by the fork's start, the
+    full-copy model's window and the tail after the window) is one floor
+    division. ``Metrics``, its extras, the fork record and the ledger's
+    timeline are in ms and MiB.
     """
     if isinstance(model, str):
         model = DbModel(model)
     if db_mib <= 0:
         raise errors.InvariantViolation("db size must be positive")
     params.validate()
-    rng = random.Random(seed)
     ledger = CostLedger()
 
     strawman = model is DbModel.STRAWMAN
@@ -497,107 +461,93 @@ def run_database(model, db_mib: float, write_ratio: float,
                          else params.m_db_runtime_teemate)
     ledger.occupy(0.0, base_mib)
 
-    fork_ms, fork_components, fork_start, fork_end, window_end, end = \
-        db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
-    pages = db_mib / params.page_mib
-    if not math.isfinite(pages):
-        raise errors.ConfigError(f"db_mib / page_mib = {pages} pages")
-    db_pages = max(1, round(pages))
-
+    (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
+     end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
     if strawman:
-        ledger.occupy(fork_end, db_mib + params.m_db_runtime_strawman)
+        ledger.occupy(_ms(fork_end), db_mib + params.m_db_runtime_strawman)
 
-    exec_ms = params.t_db_exec
-    draw = rng.random
-    dirty = set()
-    # Requests that finish by the fork's start; the last may finish on it.
-    served_total, t = skip_ahead(0.0, exec_ms, fork_start)
-    _, service_sum = skip_ahead(0.0, exec_ms, max_steps=served_total)
+    # Requests that end by the fork's start; the last may end on it.
+    served_total = fork_start // exec_ns
+    t = service_ns = served_total * exec_ns
     served_window = 1 if served_total and t == fork_start else 0
-    if not strawman:
-        skip_draws(rng, served_total)  # no page can be copied before the fork
     if t < fork_start:
-        # This request straddles the fork's start and runs to its end; it
-        # draws but copies nothing. If it would end past ``end``, the stream
-        # stops: t passes ``end`` and no later request is served.
-        if not strawman:
-            draw()
-        finish = t + exec_ms
-        if finish <= end:
+        # This request straddles the fork's start and runs to its end,
+        # copying nothing. If it ends past ``end``, the stream stops: t
+        # passes ``end`` and no later request is served.
+        t += exec_ns
+        if t <= end:
             served_total += 1
-            service_sum += exec_ms
-            if finish <= window_end:
-                served_window += 1
-        t = finish
+            service_ns += exec_ns
+            served_window += t <= window_end
     t = max(t, fork_end)  # requests blocked while the fork call runs
+    copies = 0
     if strawman:
-        # Nothing is written in place: every request that ends by
-        # window_end ends inside the window.
-        steps, t = skip_ahead(t, exec_ms, window_end)
-        _, service_sum = skip_ahead(service_sum, exec_ms, max_steps=steps)
-        served_total += steps
-        served_window += steps
+        # Nothing is written in place: the requests that end by window_end
+        # end inside the window, and the tail below counts them.
+        served_window += max(0, (window_end - t) // exec_ns)
     else:
         # The copy-on-write window: each request draws, and a write to a
         # page not yet copied copies it first. Only the last request can
         # end past window_end.
-        cow_ms = exec_ms + params.t_cow_copy
-        in_window = 0
+        rng = random.Random(seed)
+        draw, pick = rng.random, rng.randrange
+        cow_ns = _ns(params.t_cow_copy, "a page copy")
+        dirty = bytearray(db_pages)
         while t < window_end:
-            service = exec_ms
+            service = exec_ns
             if draw() < write_ratio:
-                key = rng.randrange(db_pages)
-                if key not in dirty:
-                    dirty.add(key)
-                    service = cow_ms
-                    ledger.occupy(t, params.page_mib)
-            finish = t + service
-            if finish > window_end:
-                if finish <= end:
-                    served_total += 1
-                    service_sum += service
-                t = finish
-                break
-            in_window += 1
-            service_sum += service
-            t = finish
-        served_total += in_window
-        served_window += in_window
-    # Past window_end no request copies a page and no finish lands in the
-    # window.
-    steps, t = skip_ahead(t, exec_ms, end)
-    _, service_sum = skip_ahead(service_sum, exec_ms, max_steps=steps)
-    served_total += steps
+                page = pick(db_pages)
+                if not dirty[page]:
+                    dirty[page] = 1
+                    copies += 1
+                    copied_at = t
+                    service += cow_ns
+            t += service
+            if t <= end:
+                served_total += 1
+                service_ns += service
+                served_window += t <= window_end
+        if copies:
+            ledger.occupy(_ms(copied_at), copies * params.page_mib)
+    # The rest copy no page: the tail past window_end and, in the
+    # full-copy model, its window too.
+    n = max(0, (end - t) // exec_ns)
+    served_total += n
+    service_ns += n * exec_ns
 
-    snapshot_peak = ledger.peak_between(fork_start, window_end)
+    snapshot_peak = ledger.peak_between(_ms(fork_start), _ms(window_end))
     if strawman:
-        ledger.occupy(window_end, -(db_mib + params.m_db_runtime_strawman))
-    elif dirty:
-        ledger.occupy(window_end, -len(dirty) * params.page_mib)
+        ledger.occupy(_ms(window_end),
+                      -(db_mib + params.m_db_runtime_strawman))
+    elif copies:
+        ledger.occupy(_ms(window_end), -copies * params.page_mib)
 
-    for component, duration in fork_components.items():
-        ledger.charge(component, duration, "fork")
-    fork_record = RequestRecord("fork", fork_start, "db-fork",
-                                dict(ledger.breakdowns["fork"]),
-                                fork_ms, fork_end)
+    for component, ns in fork_components.items():
+        ledger.charge(component, _ms(ns), "fork")
+    fork = ledger.breakdowns["fork"]
+    fork_ms = sum_in_order(fork.values())
+    fork_record = RequestRecord("fork", _ms(fork_start), "db-fork",
+                                dict(fork), fork_ms, _ms(fork_end))
 
-    window_s = (window_end - fork_start) / 1000.0
+    completion_ms = _ms(end)
+    window_s = _ms(window_end - fork_start) / 1000.0
     metrics = Metrics(
         model=model.value,
         requests=[fork_record],
         count=served_total,
-        mean_latency_ms=service_sum / served_total if served_total else 0.0,
-        p50_ms=params.t_db_exec,
-        p99_ms=params.t_db_exec + (0.0 if strawman else params.t_cow_copy),
+        mean_latency_ms=(_ms(service_ns) / served_total if served_total
+                         else 0.0),
+        p50_ms=_ms(exec_ns),
+        p99_ms=_ms(exec_ns if strawman else exec_ns + cow_ns),
         peak_epc_mib=ledger.peak_epc,
-        throughput_rps=served_total / (end / 1000.0),
-        completion_time_ms=end,
+        throughput_rps=served_total / (completion_ms / 1000.0),
+        completion_time_ms=completion_ms,
         extras={
             "fork_latency_ms": fork_ms,
             "snapshot_window_s": window_s,
             "snapshot_window_throughput_rps": served_window / window_s,
             "snapshot_peak_mib": snapshot_peak,
-            "dirty_pages": float(len(dirty)),
+            "dirty_pages": float(copies),
             "baseline_mib": base_mib,
             "final_mib": ledger.occupancy,
         },

@@ -1,15 +1,15 @@
 """Step-by-step database oracle.
 
 ``run_database_stepwise`` serves every request in its own loop iteration
-and adds each service time to the running sums one at a time. The
-skip-ahead in ``workload_harness.run_database`` must give the same
-``Metrics``, field for field and bit for bit.
+on a clock of whole nanoseconds and adds each service time to the running
+sums one at a time. The floor divisions in ``workload_harness.run_database``
+must give the same ``Metrics``, field for field.
 """
 
 import random
 
 from enclavesim import errors
-from enclavesim.cost_model import CostLedger, CostParams
+from enclavesim.cost_model import CostLedger, CostParams, sum_in_order
 from enclavesim.workload_harness import (
     DbModel,
     Metrics,
@@ -35,76 +35,73 @@ def run_database_stepwise(model, db_mib: float, write_ratio: float,
                          else params.m_db_runtime_teemate)
     ledger.occupy(0.0, base_mib)
 
-    fork_ms, fork_components, fork_start, fork_end, window_end, end = \
-        db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
-    db_pages = max(1, round(db_mib / params.page_mib))
+    (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
+     end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
+    cow_ns = round(params.t_cow_copy * 1e6)
 
     if strawman:
-        ledger.occupy(fork_end, db_mib + params.m_db_runtime_strawman)
+        ledger.occupy(fork_end / 10**6, db_mib + params.m_db_runtime_strawman)
 
     dirty = set()
+    last_copy = None
     served_total = 0
     served_window = 0
-    service_sum = 0.0
-    t = 0.0
-    # A draw matters only while a later copy-on-write draw can consume it:
-    # before window_end in the shared-enclave model, never in the full-copy
-    # model, which writes nothing in place.
-    while t < window_end:
+    service_ns = 0
+    t = 0
+    while t < end:
         if fork_start <= t < fork_end:
             t = fork_end  # requests blocked while the fork call runs
             continue
-        service = params.t_db_exec
-        if not strawman and rng.random() < write_ratio and fork_end <= t:
+        service = exec_ns
+        # Only a shared-enclave request that starts inside the window draws:
+        # no other can copy a page.
+        if not strawman and fork_end <= t < window_end \
+                and rng.random() < write_ratio:
             key = rng.randrange(db_pages)
             if key not in dirty:
                 dirty.add(key)
-                service += params.t_cow_copy
-                ledger.occupy(t, params.page_mib)
+                last_copy = t
+                service += cow_ns
         finish = t + service
         if finish > end:
             break
         served_total += 1
-        service_sum += service
+        service_ns += service
         if fork_start <= finish <= window_end:
             served_window += 1
         t = finish
-    else:
-        # Past window_end no request copies a page and no finish lands in
-        # the window: count the rest without drawing. The float additions
-        # run one by one, in the same order, so the sums match bit for bit.
-        service = params.t_db_exec
-        while t < end:
-            finish = t + service
-            if finish > end:
-                break
-            served_total += 1
-            service_sum += service
-            t = finish
 
-    snapshot_peak = ledger.peak_between(fork_start, window_end)
+    # Occupancy only rises inside the window: one step at the last copy.
+    if dirty:
+        ledger.occupy(last_copy / 10**6, len(dirty) * params.page_mib)
+    snapshot_peak = ledger.peak_between(fork_start / 10**6,
+                                        window_end / 10**6)
     if strawman:
-        ledger.occupy(window_end, -(db_mib + params.m_db_runtime_strawman))
+        ledger.occupy(window_end / 10**6,
+                      -(db_mib + params.m_db_runtime_strawman))
     elif dirty:
-        ledger.occupy(window_end, -len(dirty) * params.page_mib)
+        ledger.occupy(window_end / 10**6, -len(dirty) * params.page_mib)
 
-    for component, duration in fork_components.items():
-        ledger.charge(component, duration, "fork")
-    fork_record = RequestRecord("fork", fork_start, "db-fork",
+    for component, ns in fork_components.items():
+        ledger.charge(component, ns / 10**6, "fork")
+    fork_ms = sum_in_order(ledger.breakdowns["fork"].values())
+    fork_record = RequestRecord("fork", fork_start / 10**6, "db-fork",
                                 dict(ledger.breakdowns["fork"]),
-                                fork_ms, fork_end)
+                                fork_ms, fork_end / 10**6)
 
-    window_s = (window_end - fork_start) / 1000.0
+    completion_ms = end / 10**6
+    window_s = (window_end - fork_start) / 10**6 / 1000.0
     metrics = Metrics(
         model=model.value,
         requests=[fork_record],
         count=served_total,
-        mean_latency_ms=service_sum / served_total if served_total else 0.0,
-        p50_ms=params.t_db_exec,
-        p99_ms=params.t_db_exec + (0.0 if strawman else params.t_cow_copy),
+        mean_latency_ms=(service_ns / 10**6 / served_total if served_total
+                         else 0.0),
+        p50_ms=exec_ns / 10**6,
+        p99_ms=(exec_ns + (0 if strawman else cow_ns)) / 10**6,
         peak_epc_mib=ledger.peak_epc,
-        throughput_rps=served_total / (end / 1000.0),
-        completion_time_ms=end,
+        throughput_rps=served_total / (completion_ms / 1000.0),
+        completion_time_ms=completion_ms,
         extras={
             "fork_latency_ms": fork_ms,
             "snapshot_window_s": window_s,

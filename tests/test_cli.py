@@ -35,6 +35,19 @@ duration_s = 10
 seed = 5
 """
 
+SUB_NS_REQUEST_CFG = """\
+[database]
+model = teemate
+db_mib = 0.001
+snapshot_interval_s = 0
+duration_s = 0.001
+seed = 0
+t_db_exec = 4e-7
+t_alias = 2.32
+t_tcs_op = 0.001
+t_fork_child_setup = 0.001
+"""
+
 MACRO_CFG = """\
 [serverless_macro]
 model = teemate
@@ -241,8 +254,14 @@ class TestMain:
         DB_CFG.replace("duration_s = 10", "duration_s = 1e9"),
         DB_CFG.replace("snapshot_interval_s = 2", "snapshot_interval_s = 1e9"),
         DB_CFG.replace("db_mib = 128", "db_mib = 1e9"),
+        # 2**25 + 256 pages, in under 4,000 requests of 1 s.
+        DB_CFG.replace("db_mib = 128", "db_mib = 131073")
+        + "t_db_exec = 1000\n",
+        # A 2.32 ms run of 0.4 ns requests stays under the request bound,
+        # but a request that rounds to 0 ns would never advance the clock.
+        SUB_NS_REQUEST_CFG,
     ], ids=["macro-arrivals", "burst-size", "db-duration", "db-interval",
-            "db-size"])
+            "db-size", "db-pages", "sub-ns-request"])
     def test_oversized_run_exits_one_before_simulating(self, tmp_path,
                                                         monkeypatch, text):
         def no_simulation(*args, **kwargs):
@@ -252,6 +271,26 @@ class TestMain:
                      "run_database"):
             monkeypatch.setattr(f"enclavesim.cli.{name}", no_simulation)
         cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_sub_ns_fork_component_exits_zero(self, tmp_path):
+        # The full-copy fork copies for 20 x 96.123456789 ms, which has
+        # digits below a nanosecond; the fork record's components must
+        # still sum to its total.
+        cfg = self.write_cfg(tmp_path, DB_CFG.replace(
+            "db_mib = 128", "db_mib = 96.123456789"))
+        assert main([cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_zero_ns_snapshot_window_exits_one(self, tmp_path):
+        # A 100 ps fork and a 1 ps write leave no window to report a
+        # throughput over.
+        cfg = self.write_cfg(tmp_path, DB_CFG.replace(
+            "model = strawman, teemate", "model = strawman").replace(
+            "db_mib = 128", "db_mib = 0.001")
+            + "t_enclave_create = 1e-7\nt_fork_copy_per_mib = 1e-7\n"
+              "snapshot_write_mib_per_s = 1e9\n")
         out = tmp_path / "out"
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()

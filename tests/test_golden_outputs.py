@@ -5,8 +5,8 @@ Each case pins the sha256 of the ``summary.json`` bytes followed by the
 on the EPC-expand lock, the warm pool with and without prediction, an
 unserialized expand, bursts of several sizes and database runs on both
 sides of the copy-on-write window. The database cases also cover the
-boundaries of the skip-ahead through request stretches that draw nothing
-that can dirty a page: long non-dyadic sums that cross many binades, a
+boundaries of the request stretches that no page copy can touch, each one
+floor division on the whole-nanosecond clock: long non-dyadic runs, a
 fork at time zero, and a fork, window or run that ends exactly where a
 request ends. The serverless cases also cover events that land at one
 time: a single worker, integer-ms costs and an EPC-expand step as long
@@ -119,49 +119,55 @@ SEEDS = (0, 20231)
 # Computed before the flat event loop, the RNG-free database tail and the
 # one-pass CSV writer replaced the code they cover. The db-non-dyadic-300s,
 # db-interval-zero, db-fork-ends-on-request, db-window-ends-on-request and
-# serverless_memory-16-unserialized-expand entries were computed before the
-# database skip-ahead, the per-kind request plans and the once-per-tail CSV
-# formatting replaced the code they cover. The macro-integer-ms,
+# serverless_memory-16-unserialized-expand entries were computed before
+# the database's draw-free stretches were skipped in one step, and before
+# the per-kind request plans and the once-per-tail CSV formatting replaced
+# the code they cover. The macro-integer-ms,
 # serverless_throughput-8-on-1-worker and
 # serverless_throughput-expand-equals-tail entries were computed before
-# arrivals left the event heap and grants began to run inline.
+# arrivals left the event heap and grants began to run inline. The
+# database clock then moved to whole nanoseconds, and the shared-enclave
+# model stopped drawing before its copy-on-write window, which re-pinned
+# 13 database entries once: db-interval-past-duration, db-non-dyadic,
+# db-non-dyadic-300s, db-window-ends-on-request, db-write0.3 and db-write1
+# at both seeds, and db-interval-zero at seed 20231.
 GOLDEN = {
     "db-fork-ends-on-request@0":
         "fc43d8d7122d84c5e276a9330289fe5f51712e23244c099564e22112e0b8ed37",
     "db-fork-ends-on-request@20231":
         "18244ba40777e5a43b4d0539ed2cac437282c0fbda79d0e4e4d2a87fad06282d",
     "db-interval-past-duration@0":
-        "8bc443d71629bbd6d8e89278d276148b27d7f6150faf24d3426f2f5d06e68246",
+        "024f5a53b4c0330a1c8e6fd96cadcedc768f7e6659e0ba7aeb862eff5a47f2a1",
     "db-interval-past-duration@20231":
-        "c3aac82390a3c7b03c3a2e8165ec4c64cdaf3c2e2e00f7d4e301494c9d8b2c8d",
+        "c4adfb2d68128e885788a9643a803280fa405fcf6c5d7cb0a7d96af3ad34672f",
     "db-interval-zero@0":
         "a69a25112243a663ed9d7b7cd6f50b8ef7d96e962676d7ac2e8c0e709a63fc17",
     "db-interval-zero@20231":
-        "0fdffdd67c5152bf80578baedba4b59d272a5c5a0c6baa60b2c745b068ec7769",
+        "714af3cff07a458bdb159e9506d3285f234a24739a40785a1544b3e23233ebde",
     "db-non-dyadic@0":
-        "eacc9aa0aefa155df8a811fec5dd3c68b1a726a19009bd44438bf497ee5dcbd8",
+        "6fb7b2abf1d556756857d7e6aef195485595eae4afcddb16453a3b61fd85d665",
     "db-non-dyadic@20231":
-        "50a27935ac9bd6d330cb17cd61b64b3d15c145b1112474c837a58ba032293849",
+        "db6026e346219482ef25809f7bc09370ce31f45f03f2004d15124db55b41b4ae",
     "db-non-dyadic-300s@0":
-        "f1d79e7a3d146140cf78537619fe6f22c39558e49883c9f2ddeed1fd74e9ae67",
+        "464f1209df0bba96be9685ccafd0829d2400fe6810a2dcd8cf9678592acdc1e7",
     "db-non-dyadic-300s@20231":
-        "d333475caa850dde31f4832ce89a2cae25dd73ac769a7db6d60863b83822770d",
+        "c24653ed3ff55e88a5119ae300dc3c3b81440b1d0de910a334f32338e3dae345",
     "db-window-ends-on-request@0":
-        "cfd6bb13d44b0ac650de8c11b11e7f987d769ea343a423358cf9dfb77fd0359d",
+        "fabaf83feb36b6ac99c12f6507784e04b8a3d005296f8f45cc0ccc01ad93b522",
     "db-window-ends-on-request@20231":
-        "0fa98b26848111d8d916c7f48a2c8be31ef4c8461fcf13a01ddf6b7a50960f8b",
+        "8d8a4cf30fbb0a61ad5557ba4dbe1617e2352cc8c957728a03aac3b015094055",
     "db-write0@0":
         "d026637d3bcf4193f375b14823bd0c23616348696aa634f5ba5b75e7892022cf",
     "db-write0@20231":
         "9a5fe1b0d64928c657cd3986f5537d9de1bcfc4899d42477f577e296755328dd",
     "db-write0.3@0":
-        "bc0c7c643abfbb4b9495048744ca6f1a71898e441fbb193d80474302eb746a49",
+        "703c28044aad43c0fa79a5291329063374670b06074609a5ecebf2f24e11cafa",
     "db-write0.3@20231":
-        "d8f513ee6ddfa29a98948e09c471f9b4bddd99a20ecf6c9886eca4275a998788",
+        "1503e24bd3ca0a2b2a0e5aeeeb05feca0d74cdc160cb37552c055e0298e67710",
     "db-write1@0":
-        "6397ac01a421b185adcfc054d448a523f3c6e92e05b7411b354a794e9e81c8ff",
+        "a26984993a984b3b95548a0eea8803132a9172ddb75120403fc8082a832e23a6",
     "db-write1@20231":
-        "4fbd4c01033ef695c70016d301165ff386096a4b77a17518f2d0b0c2ce78ea7a",
+        "a931d4de515183689243e2fb9127acca421f75f5db8fabfbb6bb4b9822c0a4fc",
     "macro-contended@0":
         "11f278a12aa127457d9a1ce0c848e218a5a18dcdd3c0a556f15ee31ed1a69d9d",
     "macro-contended@20231":

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 import statistics
 
 import pytest
@@ -26,8 +25,6 @@ from enclavesim.workload_harness import (
     gen_poisson,
     run_database,
     run_serverless,
-    skip_ahead,
-    skip_draws,
 )
 
 
@@ -267,75 +264,54 @@ class TestDatabase:
                          params=default_params())
 
 
-def stepwise(x, step, limit=math.inf, max_steps=math.inf):
-    """The loop ``skip_ahead`` stands for."""
-    steps = 0
-    while steps < max_steps and x + step <= limit:
-        x = x + step
-        steps += 1
-    return steps, x
+def within_4_stderr(samples, expected):
+    stderr = statistics.stdev(samples) / math.sqrt(len(samples))
+    return abs(statistics.fmean(samples) - expected) <= 4 * stderr
 
 
-def same_float(a, b):
-    return a.hex() == b.hex()
+class TestDirtyPageOracle:
+    """In the shared-enclave copy-on-write window each request writes with
+    probability w to one of N pages drawn uniformly, and the first write to
+    a page copies it. After k requests a page is still clean with
+    probability (1 - w/N)^k, so D = N(1 - (1 - w/N)^k) pages are dirty,
+    and a window of W ms holds the k with k * t_db_exec + D * t_cow_copy =
+    W. Over 32 seeds the mean dirty-page count and window throughput must
+    lie within 4 standard errors of the values that follow."""
 
+    SEEDS = range(32)
 
-class TestSkipAhead:
-    @given(x=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
-           step=st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 41.0]),
-                          st.floats(1e-3, 1e3)),
-           max_steps=st.integers(0, 3000))
-    @example(x=1.0, step=1.5 * 2.0 ** -52, max_steps=1000)  # half an ulp
-    @example(x=2.0, step=0.7, max_steps=5)  # half an ulp of [2, 4)
-    @example(x=1000.0, step=0.7, max_steps=3000)  # crosses 1024 and 2048
-    @example(x=2.0 - 3 * 2.0 ** -52, step=4.4 * 2.0 ** -52,
-             max_steps=3)  # the first step leaves the binade
-    @example(x=0.0, step=0.1, max_steps=1000)
-    @example(x=1e6, step=1e-11, max_steps=7)  # the step rounds away
-    @settings(deadline=None)
-    def test_capped_run_matches_stepwise(self, x, step, max_steps):
-        steps, y = skip_ahead(x, step, max_steps=max_steps)
-        want_steps, want = stepwise(x, step, max_steps=max_steps)
-        assert steps == want_steps and same_float(y, want)
+    @pytest.mark.parametrize("write_ratio", [0.2, 1.0])
+    @pytest.mark.parametrize("db_mib", [128.0, 512.0])
+    def test_dirty_pages_and_window_throughput(self, params, db_mib,
+                                               write_ratio):
+        runs = [run_database(DbModel.TEEMATE, db_mib, write_ratio,
+                             snapshot_interval_s=2.0, duration_s=1.0,
+                             seed=seed, params=params)
+                for seed in self.SEEDS]
+        pages = db_mib / params.page_mib
+        window_ms = db_mib / params.snapshot_write_mib_per_s * 1000.0
 
-    @given(x=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
-           step=st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 41.0]),
-                          st.floats(1e-2, 1e3)),
-           span=st.floats(0.0, 3000.0), stretch=st.floats(0.0, 1.0))
-    @example(x=0.0, step=0.25, span=400.0, stretch=0.0)  # lands on it
-    @example(x=1000.0, step=0.7, span=3000.0, stretch=0.0)
-    @example(x=2.0, step=0.7, span=2.0, stretch=0.0)
-    @settings(deadline=None)
-    def test_limited_run_matches_stepwise(self, x, step, span, stretch):
-        limit = x + span * step + stretch * step
-        steps, y = skip_ahead(x, step, limit)
-        want_steps, want = stepwise(x, step, limit, max_steps=4000)
-        assert want_steps < 4000
-        assert steps == want_steps and same_float(y, want)
+        def dirty(k):
+            return pages * (1.0 - (1.0 - write_ratio / pages) ** k)
 
-    def test_limit_reached_exactly(self):
-        assert skip_ahead(0.0, 0.25, 100.0) == (400, 100.0)
-        assert skip_ahead(0.0, 0.25, 100.0, max_steps=399) == (399, 99.75)
-
-    def test_stalled_step_needs_a_cap(self):
-        assert skip_ahead(1e6, 1e-11, max_steps=5) == (5, 1e6)
-        with pytest.raises(errors.InvariantViolation):
-            skip_ahead(1e6, 1e-11, 2e6)
-
-
-class TestSkipDraws:
-    @given(n=st.integers(0, 40000), seed=st.integers(0, 2**64))
-    @example(n=1, seed=0)
-    @example(n=7, seed=1)
-    @example(n=4000, seed=2)
-    @example(n=200000, seed=3)  # several chunks and a partial one
-    @settings(deadline=None)
-    def test_state_matches_random_calls(self, n, seed):
-        skipped, drawn = random.Random(seed), random.Random(seed)
-        skip_draws(skipped, n)
-        for _ in range(n):
-            drawn.random()
-        assert skipped.getstate() == drawn.getstate()
+        low, high = 0.0, window_ms / params.t_db_exec
+        for _ in range(100):  # bisect: the window's time grows with k
+            k = (low + high) / 2.0
+            if k * params.t_db_exec + dirty(k) * params.t_cow_copy < window_ms:
+                low = k
+            else:
+                high = k
+        assert within_4_stderr([m.extras["dirty_pages"] for m in runs],
+                               dirty(k))
+        # On average k - 1/2 requests end inside the copy window: the last
+        # that fits ends half a request before its end. One more ends
+        # during the fork, the one running when it starts, and the
+        # reported window spans the fork too.
+        fork_ms = params.t_alias + params.t_tcs_op + params.t_fork_child_setup
+        throughput = (k + 0.5) / ((fork_ms + window_ms) / 1000.0)
+        assert within_4_stderr(
+            [m.extras["snapshot_window_throughput_rps"] for m in runs],
+            throughput)
 
 
 def observed(metrics):
