@@ -106,7 +106,7 @@ class EnclaveRuntime:
         return pa
 
     def runtime_init(self, runtime_pages: int, tcs_count: int = 8,
-                     image_byte: int = 0x52) -> int:
+                     image_byte: int = 0x52) -> bytes:
         """Measure and launch the shared enclave: runtime image + TCS pages."""
         filler = bytes([image_byte]) * PAGE_SIZE
         for i in range(runtime_pages):
@@ -181,7 +181,12 @@ class EnclaveRuntime:
             raise errors.InvariantViolation(
                 "a TCS is bound to more than one live thread")
         for row in self.tcs_table.rows:
-            busy = self.enclave.tcs_for(row.tcs_va).state is TcsState.BUSY
+            tcs = self.enclave.tcs_for(row.tcs_va)
+            if tcs is None:
+                raise errors.InvariantViolation(
+                    f"tcs {row.tcs_va:#x}: in the kernel's table, not in "
+                    f"the hardware")
+            busy = tcs.state is TcsState.BUSY
             if (row.holder is not None) != busy:
                 raise errors.InvariantViolation(
                     f"tcs {row.tcs_va:#x}: kernel holder {row.holder}, "

@@ -4,13 +4,15 @@ instructions and TCS-based enclave threads.
 Addresses are page-granular integers (virtual/physical page numbers); page
 contents are real byte arrays so aliasing and copy-on-write are observable
 at byte level.
+
+The launch measurement is SHA-256 over each pre-init EADD record, in order:
+va, page type and padded content (``digest_update``).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -19,83 +21,12 @@ from . import errors
 PAGE_SIZE = 4096
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MOD64 = 1 << 64
-_MASK64 = _MOD64 - 1
-# One literal-repeat pattern per byte value: ``_RUNS[b].match(data, i)``
-# spans the run of ``b`` starting at ``i``. A literal repeat scans several
-# times faster than a back-reference, and ``re.escape`` keeps
-# metacharacters and 0x0A literal.
-_RUNS = [re.compile(re.escape(bytes((b,))) + b"+") for b in range(256)]
 
-
-def digest_update(acc: int, data: bytes) -> int:
-    """64-bit FNV-1a over a byte string, continuing from ``acc``.
-
-    Each octet ``b`` maps ``acc`` to ``((acc ^ b) * _FNV_PRIME) mod 2**64``.
-    The data is taken as runs of one byte value, each folded in closed form:
-
-    - ``(acc ^ b) - acc`` depends only on ``acc & 0xFF``, and the next low
-      byte ``((acc ^ b) * _FNV_PRIME) & 0xFF`` only on the current one.
-    - That low-byte map is a bijection, so from a start byte it returns to
-      it after a period of ``L <= 256`` steps (a power of two: xor and an
-      odd multiply keep each low bit a function of the bits below it).
-    - Those ``L`` steps map ``acc`` to ``acc * _FNV_PRIME**L + K`` (mod
-      2**64), with ``K`` fixed by ``b`` and the start byte.
-
-    So a run of ``n`` bytes ``b`` is stepped one byte at a time until the
-    low byte returns to its start, the affine map ``(_FNV_PRIME**L, K)`` is
-    applied for the remaining whole periods in one modular power, and the
-    ``n mod L`` leftover bytes are stepped. A zero byte leaves
-    ``acc ^ 0 = acc``, so ``K = 0`` and a zero run is one multiply by
-    ``_FNV_PRIME**n``. Cost per run: one match of the literal repeat of
-    its byte value (``_RUNS``), which scans the run without Python-level
-    steps, then at most ``L + (n mod L) < 512`` stepped bytes, exactly
-    ``L <= 256`` when 256 divides ``n`` (every full page), plus about
-    ``log2(n)`` multiplies. The result equals the byte-at-a-time loop for
-    every input.
-
-    The launch measurement (``Enclave.measurement``, set by ``einit``) is
-    this digest, started at ``_FNV_OFFSET``, over every pre-init EADD
-    record in order: the page's va as 8 little-endian bytes, its page type
-    as one byte, then its content padded to ``PAGE_SIZE`` (``fold_page``).
-    """
-    start, size = 0, len(data)
-    while start < size:
-        b = data[start]
-        end = _RUNS[b].match(data, start).end()
-        n, start = end - start, end
-        if not b:
-            acc = (acc * pow(_FNV_PRIME, n, _MOD64)) & _MASK64
-            continue
-        low, before = acc & 0xFF, acc
-        for period in range(1, n + 1):
-            acc = ((acc ^ b) * _FNV_PRIME) & _MASK64
-            if acc & 0xFF == low:
-                break
-        else:
-            continue  # the run ends inside its first period
-        whole, rest = divmod(n - period, period)
-        if whole:
-            mult = pow(_FNV_PRIME, period, _MOD64)
-            offset = (acc - before * mult) & _MASK64
-            # mult**whole modulo (mult - 1) * 2**64 gives both mult**whole
-            # and the geometric sum 1 + mult + ... + mult**(whole - 1)
-            # modulo 2**64, so all whole periods cost one power.
-            power = pow(mult, whole, (mult - 1) << 64)
-            acc = (power * acc
-                   + offset * ((power - 1) // (mult - 1))) & _MASK64
-        for _ in range(rest):
-            acc = ((acc ^ b) * _FNV_PRIME) & _MASK64
-    return acc
-
-
-def fold_page(acc: int, va: int, page_type: "PageType", content: bytes) -> int:
-    """Order-sensitive accumulation of one page into a digest."""
-    acc = digest_update(acc, va.to_bytes(8, "little"))
-    acc = digest_update(acc, bytes([page_type.value]))
-    return digest_update(acc, content)
+def digest_update(measurement: hashlib._Hash, data: bytes) -> None:
+    """Feed ``data`` to a launch measurement: one SHA-256 over each pre-init
+    EADD record in order, the va as 8 little-endian bytes, the page type as
+    one byte, then the content padded to ``PAGE_SIZE``."""
+    measurement.update(data)
 
 
 def check_span(offset: int, length: int) -> None:
@@ -196,9 +127,10 @@ class Enclave:
     enclave_id: int
     pages: Dict[int, int] = field(default_factory=dict)  # va -> pa
     tcs_table: List[TcsPage] = field(default_factory=list)
-    measurement: Optional[int] = None
+    measurement: Optional[bytes] = None
     initialized: bool = False
-    _acc: int = _FNV_OFFSET
+    _hash: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False,
+                                 compare=False)
 
     def tcs_for(self, tcs_va: int) -> Optional[TcsPage]:
         for tcs in self.tcs_table:
@@ -274,18 +206,19 @@ class Machine:
         if not enclave.initialized:
             # Pre-init pages extend the measurement; post-init adds model
             # SGX2 dynamic allocation and stay unmeasured.
-            enclave._acc = fold_page(enclave._acc, va, page_type,
-                                     page.content)
+            digest_update(enclave._hash, va.to_bytes(8, "little"))
+            digest_update(enclave._hash, bytes([page_type.value]))
+            digest_update(enclave._hash, page.content)
         if page_type is PageType.TCS:
             enclave.tcs_table.append(TcsPage(va, oentry=f"oentry:{va:#x}"))
         return page.pa, entry
 
-    def einit(self, enclave: Enclave) -> int:
+    def einit(self, enclave: Enclave) -> bytes:
         if enclave.initialized:
             raise errors.AlreadyInitialized(
                 f"enclave {enclave.enclave_id} already initialized")
         enclave.initialized = True
-        enclave.measurement = enclave._acc
+        enclave.measurement = enclave._hash.digest()
         return enclave.measurement
 
     def eremove(self, enclave: Enclave, va: int) -> None:

@@ -8,6 +8,7 @@ from enclavesim.enclave_runtime import (
     EnclaveRuntime,
     InstanceState,
     RUNTIME_BASE,
+    TCS_BASE,
 )
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import Access, Machine, PAGE_SIZE, PhysicalPage
@@ -71,6 +72,15 @@ class TestThreads:
         runtime.exit(pid)
         assert pid not in runtime.threads
         assert len(runtime.tcs_table.free_rows()) == 4
+
+    def test_check_invariants_names_a_removed_tcs(self):
+        # The untrusted kernel EREMOVEs a TCS page its table still lists.
+        machine = Machine()
+        runtime = EnclaveRuntime(machine, Kernel(machine))
+        runtime.runtime_init(runtime_pages=1, tcs_count=2)
+        machine.eremove(runtime.enclave, TCS_BASE + 1)
+        with pytest.raises(errors.InvariantViolation, match="tcs 0x101"):
+            runtime.check_invariants()
 
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt

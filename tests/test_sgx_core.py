@@ -8,7 +8,6 @@ from enclavesim import errors
 from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
-    _FNV_OFFSET,
     Access,
     AddressSpace,
     Machine,
@@ -166,122 +165,85 @@ class TestMeasurement:
             hashlib.sha256(b"".join(chunks)).digest()
 
 
-def fnv1a_reference(acc, data):
-    """64-bit FNV-1a, one octet at a time."""
-    for b in data:
-        acc = ((acc ^ b) * 0x100000001B3) % 2**64
-    return acc
+# One EADD record: a va, a page type and content that is empty, short, or a
+# full page (a short random head on a run of one byte value).
+_RECORDS = st.lists(
+    st.tuples(st.integers(0, 2**64 - 1),
+              st.sampled_from(PageType),
+              st.one_of(st.just(b""), st.binary(max_size=64),
+                        st.tuples(st.binary(max_size=64), st.integers(0, 255))
+                        .map(lambda p: p[0].ljust(PAGE_SIZE, bytes([p[1]]))))),
+    min_size=1, max_size=8, unique_by=lambda record: record[0])
 
 
-def low_byte_period(b, low):
-    """Steps until FNV-1a over byte ``b`` brings the low byte back to
-    ``low``."""
-    x, steps = low, 0
-    while True:
-        x = ((x ^ b) * 0x100000001B3) % 256
-        steps += 1
-        if x == low:
-            return steps
-
-
-# Byte strings built from runs: short arbitrary chunks, constant runs of any
-# byte value and zero runs, each of up to two pages, so runs of every value
-# start from every kind of low byte and zero runs occur inside and at the
-# end.
-_RUNS = st.lists(
-    st.one_of(st.binary(max_size=40),
-              st.tuples(st.integers(0, 255), st.integers(1, 2 * PAGE_SIZE))
-              .map(lambda run: bytes([run[0]]) * run[1]),
-              st.integers(1, 2 * PAGE_SIZE).map(bytes)),
-    max_size=6).map(b"".join)
-
-# From the FNV offset basis (low byte 0x25), 0x52 returns to its start
-# after 16 steps and 0x01 after 256.
-_PERIOD_52 = low_byte_period(0x52, _FNV_OFFSET & 0xFF)
-_PERIOD_01 = low_byte_period(0x01, _FNV_OFFSET & 0xFF)
+class TestLaunchMeasurement:
+    @given(records=_RECORDS)
+    def test_sha256_over_pre_init_records(self, records):
+        """Every record but the last is added before EINIT; the last one
+        after it, which must leave the measurement as it was."""
+        machine = Machine()
+        enclave = machine.ecreate(1)
+        expected = hashlib.sha256()
+        for va, page_type, content in records[:-1]:
+            machine.eadd(enclave, va, content, page_type)
+            expected.update(va.to_bytes(8, "little") + bytes([page_type.value])
+                            + content.ljust(PAGE_SIZE, b"\0"))
+        measurement = machine.einit(enclave)
+        assert measurement == expected.digest() == enclave.measurement
+        va, page_type, content = records[-1]
+        machine.eadd(enclave, va, content, page_type)
+        assert enclave.measurement == measurement
 
 
 class TestDigestUpdate:
-    @given(acc=st.integers(0, 2**64 - 1),
-           data=st.one_of(_RUNS, _RUNS.map(bytearray)))
-    @example(acc=0xCBF29CE484222325, data=b"")
-    @example(acc=0xCBF29CE484222325, data=bytes(PAGE_SIZE))
-    @example(acc=2**64 - 1, data=bytes(PAGE_SIZE - 1) + b"\x01")
-    @example(acc=0, data=b"\x07" + bytes(PAGE_SIZE - 2) + b"\x09")
-    @example(acc=1, data=bytearray(b"\xff" + bytes(100) + b"\x80"))
-    # With the zero page above, a page of each byte value the shipped code
-    # measures: the runtime filler (runtime_init's image_byte) and the
-    # probes' page tags 0-3, 0xA0 and 0xA1.
-    @example(acc=_FNV_OFFSET, data=b"\x52" * PAGE_SIZE)
-    @example(acc=_FNV_OFFSET, data=b"\x01" * PAGE_SIZE)
-    @example(acc=_FNV_OFFSET, data=b"\x02" * PAGE_SIZE)
-    @example(acc=_FNV_OFFSET, data=b"\x03" * PAGE_SIZE)
-    @example(acc=_FNV_OFFSET, data=b"\xa0" * PAGE_SIZE)
-    @example(acc=_FNV_OFFSET, data=b"\xa1" * PAGE_SIZE)
-    # Exactly one period, and one period plus a leftover byte.
-    @example(acc=_FNV_OFFSET, data=b"\x52" * _PERIOD_52)
-    @example(acc=_FNV_OFFSET, data=b"\x52" * (_PERIOD_52 + 1))
-    @example(acc=_FNV_OFFSET, data=b"\x01" * _PERIOD_01)
-    @example(acc=_FNV_OFFSET, data=b"\x01" * (_PERIOD_01 + 1))
-    @example(acc=_FNV_OFFSET, data=b"\x01" * (3 * _PERIOD_01 - 1))
-    # Low byte 0x15 is a fixed point of byte 0x02: a period of one step.
-    @example(acc=0xABCDEF15, data=b"\x02" * 1000)
-    # Runs of length 1 only, 0x0A included.
-    @example(acc=_FNV_OFFSET, data=bytes(range(256)))
-    @example(acc=3, data=b"\x0a\x00\x0a\x52\x00")
-    def test_matches_byte_at_a_time_fnv1a(self, acc, data):
-        assert digest_update(acc, data) == fnv1a_reference(acc, data)
+    """``digest_update`` is the measurement's one update step: it feeds its
+    bytes to the running SHA-256 as they are."""
 
     def test_page_of_every_byte_value(self):
         for b in range(256):
             page_data = bytes([b]) * PAGE_SIZE
-            assert digest_update(_FNV_OFFSET, page_data) == \
-                fnv1a_reference(_FNV_OFFSET, page_data), b
+            measurement = hashlib.sha256()
+            digest_update(measurement, page_data)
+            assert measurement.digest() == \
+                hashlib.sha256(page_data).digest(), b
 
-    def test_example_periods(self):
-        assert (_PERIOD_52, _PERIOD_01) == (16, 256)
-        assert low_byte_period(0x02, 0x15) == 1
-
-    @given(acc=st.integers(0, 2**64 - 1), prefix=_RUNS,
-           b=st.integers(0, 255), left=st.integers(1, 2 * PAGE_SIZE),
-           right=st.integers(1, 2 * PAGE_SIZE), suffix=_RUNS)
-    @example(acc=_FNV_OFFSET, prefix=b"", b=0x52, left=_PERIOD_52,
-             right=PAGE_SIZE - _PERIOD_52, suffix=b"")
-    @example(acc=_FNV_OFFSET, prefix=b"\x01", b=0x2E, left=3,
-             right=PAGE_SIZE, suffix=b"\x2f")
-    @example(acc=0, prefix=b"", b=0, left=1, right=1, suffix=b"\x0a")
-    def test_split_inside_a_run(self, acc, prefix, b, left, right, suffix):
+    @given(prefix=st.binary(max_size=64), b=st.integers(0, 255),
+           left=st.integers(1, 2 * PAGE_SIZE),
+           right=st.integers(1, 2 * PAGE_SIZE), suffix=st.binary(max_size=64))
+    # Splits on, just before and just after a 64-byte SHA-256 block edge.
+    @example(prefix=b"", b=0x52, left=64, right=PAGE_SIZE - 64, suffix=b"")
+    @example(prefix=b"\x01", b=0x2E, left=62, right=PAGE_SIZE, suffix=b"\x2f")
+    @example(prefix=b"", b=0, left=65, right=1, suffix=b"\x0a")
+    def test_split_inside_a_run(self, prefix, b, left, right, suffix):
         head = prefix + bytes([b]) * left
         tail = bytes([b]) * right + suffix
-        assert digest_update(digest_update(acc, head), tail) == \
-            digest_update(acc, head + tail)
-
-    # Bytes that ``re.escape`` must escape: newline, '+', '.', '[', '\'.
-    # Each run is longer than any period (at most 256 steps) and ends
-    # before a different byte.
-    @pytest.mark.parametrize("b", [0x0A, 0x2B, 0x2E, 0x5B, 0x5C])
-    def test_runs_of_escaped_bytes(self, b):
-        run = bytes([b]) * (PAGE_SIZE + 3)
-        for data in (run, run + b"\x52" + run, b"\x00" + run + b"\x0b"):
-            assert digest_update(_FNV_OFFSET, data) == \
-                fnv1a_reference(_FNV_OFFSET, data), data[:2]
+        split, whole = hashlib.sha256(), hashlib.sha256()
+        digest_update(split, head)
+        digest_update(split, tail)
+        digest_update(whole, bytearray(head + tail))
+        assert split.digest() == whole.digest() == \
+            hashlib.sha256(head + tail).digest()
 
 
 class TestPinnedMeasurements:
-    """Launch measurements computed before the digest's zero runs were
-    folded in closed form; they must never move."""
+    """Launch measurements of fixed enclaves; they must never move."""
 
     @pytest.mark.parametrize("runtime_pages, tcs_count, measurement", [
-        (3, 2, 0x22F1E06861D91C07),
-        (1, 3, 0xE1CBA6CC1DDCB3FC),
-        (2, 2, 0x9C8CA3BDDBE3A959),
-        (16, 4, 0xC523D82DB0F7DED5),
+        (3, 2, "48a8a33def6aa73b988deb1401e3e44b"
+               "01817293cb2ab3f6af96f9b9a8fdc312"),
+        (1, 3, "4705ca80586fccd6f1fc864338375cdc"
+               "65085cc7269cc818f059ef032c3632e2"),
+        (2, 2, "0b0ee4498a79d9179e4e360623316a9a"
+               "8ae56250d07434adeef4760a8ee6a1bb"),
+        (16, 4, "71abeed195ea17754e7b1fc69c3cfd13"
+                "f1f14337895348262c5faf6c3335d103"),
     ])
     def test_runtime_init(self, runtime_pages, tcs_count, measurement):
         machine = Machine()
         runtime = EnclaveRuntime(machine, Kernel(machine))
-        assert runtime.runtime_init(runtime_pages, tcs_count) == measurement
-        assert runtime.enclave.measurement == measurement
+        assert runtime.runtime_init(runtime_pages, tcs_count).hex() == \
+            measurement
+        assert runtime.enclave.measurement.hex() == measurement
 
     def test_single_byte_pages(self, machine):
         """Enclaves of pages each filled with one byte value, at vas 0x10
@@ -291,8 +253,11 @@ class TestPinnedMeasurements:
             enclave = machine.ecreate(enclave_id)
             for i, tag in enumerate(tags):
                 machine.eadd(enclave, 0x10 + i, page(tag))
-            measured.append(machine.einit(enclave))
-        assert measured == [0xE43669D908765F11, 0x394EFC82B18714DA]
+            measured.append(machine.einit(enclave).hex())
+        assert measured == [
+            "e0fd3903303ed607fdbdc3cf3fd3e141b602fe7d4a4da2142c408e6de67b763f",
+            "25d57f7e7e4e7b6a02850b1d7bd7d3e0bfc45bf97a1a7264ba672d0eae8d5145",
+        ]
 
 
 class TestPageDigest:
