@@ -172,16 +172,23 @@ class EnclaveRuntime:
         self._resolve(pid, va, Access.WRITE).write(data, offset)
 
     def check_invariants(self) -> None:
-        """EPC conservation, at most one live thread per TCS, and the
-        kernel's TCS table agreeing with the hardware BUSY state."""
-        self.machine.check_epc_conservation()
+        """The per-step check, O(TCS pages + threads) and independent of
+        the enclave's size: EPC conservation from the machine's kept counts
+        (``check_epc_counts``), at most one live thread per TCS, and the
+        kernel's TCS table agreeing with the hardware BUSY state. Before
+        ``runtime_init`` there is no TCS table, so no rows to check. The
+        O(pages) recount is ``Machine.check_epc_conservation``, the audit
+        the probes run once at the end of each schedule."""
+        self.machine.check_epc_counts()
         live = [tcs_va for thread, tcs_va in self.threads.values()
                 if thread.live]
         if len(live) != len(set(live)):
             raise errors.InvariantViolation(
                 "a TCS is bound to more than one live thread")
-        for row in self.tcs_table.rows:
-            tcs = self.enclave.tcs_for(row.tcs_va)
+        rows = self.tcs_table.rows if self.tcs_table is not None else ()
+        tcs_pages = self.enclave.tcs_table
+        for row in rows:
+            tcs = tcs_pages.get(row.tcs_va)
             if tcs is None:
                 raise errors.InvariantViolation(
                     f"tcs {row.tcs_va:#x}: in the kernel's table, not in "
@@ -348,7 +355,10 @@ class EnclaveRuntime:
         makes one translation (the write). The first write to a shared page
         makes two: it resolves the original page, copies it once into a
         fresh private page, then writes the copy. The write's span is
-        checked before anything is privatized."""
+        checked before anything is privatized. A retired pair is refused."""
+        if not pair.live:
+            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
+                                     f"is retired")
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
         key = (writer_pid, va)
@@ -372,6 +382,9 @@ class EnclaveRuntime:
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation."""
+        if not pair.live:
+            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
+                                     f"is retired")
         return bytes(self._resolve(
             pid, pair.private_copies.get((pid, va), va), Access.READ).content)
 
@@ -384,7 +397,11 @@ class EnclaveRuntime:
         The digest is two-level: SHA-256 over the SHA-256 of each page the
         child sees, in va order, fed as one joined string. Each page makes
         one translation and passes the sandbox check; only pages written
-        since their last digest are rehashed."""
+        since their last digest are rehashed. A retired pair is refused
+        before anything is read or retired."""
+        if not pair.live:
+            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
+                                     f"is retired")
         copies = {va: copy_va for (pid, va), copy_va
                   in pair.private_copies.items() if pid == child_pid}
         resolve, read = self._resolve, Access.READ

@@ -78,6 +78,10 @@ class IsolationFault(SimError):
     """Sandboxed instance touched memory outside its own region."""
 
 
+class PairRetired(Fault):
+    """Copy-on-write access or snapshot through a retired fork pair."""
+
+
 class RegionExhausted(SimError):
     pass
 

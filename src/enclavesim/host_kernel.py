@@ -103,7 +103,7 @@ class Kernel:
     # -- TCS bookkeeping ----------------------------------------------------
 
     def build_tcs_table(self, enclave: Enclave) -> TcsTable:
-        return TcsTable([TcsRow(t.tcs_va) for t in enclave.tcs_table])
+        return TcsTable([TcsRow(tcs_va) for tcs_va in enclave.tcs_table])
 
     def tcs_acquire(self, table: TcsTable, pid: int) -> int:
         # Lowest free index wins so replays are deterministic.

@@ -3,8 +3,10 @@ adversary schedules, TCS exclusivity schedules and environment-swap
 detection. Each probe returns (trials, failures) where failures lists a
 description per undetected violation; an empty list means the suite holds.
 Every probe drives the shipped ``EnclaveRuntime`` (``read``/``write``,
-``enter``/``suspend``/``resume``/``exit``, ``fs_open``); the schedule probes
-run its ``check_invariants`` after every step.
+``enter``/``suspend``/``resume``/``exit``, ``fs_open``). The schedule probes
+run its ``check_invariants`` after every step; that check costs the same at
+any enclave size. They run the full audit, ``Machine.check_epc_conservation``,
+which recounts every physical page, once at the end of each schedule.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def random_adversary_schedules(n_schedules: int = 1000,
     that check, or return exactly the bytes an honest shadow copy predicts.
     ``check_invariants`` runs after every step. After the schedule the
     kernel maps a database va back to its page and reads it in non-enclave
-    mode; the hardware must raise ``AbortPage``."""
+    mode; the hardware must raise ``AbortPage``. The full EPC audit then
+    closes the schedule."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -139,6 +142,7 @@ def random_adversary_schedules(n_schedules: int = 1000,
             except errors.Fault as exc:
                 failures.append(f"schedule {schedule}: host read of va "
                                 f"{va:#x} raised {type(exc).__name__}")
+            machine.check_epc_conservation()
         except errors.InvariantViolation as exc:
             failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures
@@ -151,7 +155,8 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
     each TCS bound to at most one live thread and the kernel table agreeing
     with the hardware state. After the schedule the untrusted kernel runs
     ``eenter`` on the first TCS the hardware still holds BUSY, bypassing
-    its own table; the hardware must refuse that entry."""
+    its own table; the hardware must refuse that entry. The full EPC audit
+    then closes the schedule."""
     rng = random.Random(seed)
     failures: List[str] = []
     for schedule in range(n_schedules):
@@ -184,7 +189,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                 except (errors.Fault, errors.NoFreeTcs):
                     pass
                 runtime.check_invariants()
-            bound = next((t.tcs_va for t in runtime.enclave.tcs_table
+            bound = next((t.tcs_va for t in runtime.enclave.tcs_table.values()
                           if t.state is TcsState.BUSY), None)
             if bound is not None:
                 try:
@@ -193,6 +198,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                                     f"{bound:#x} entered again")
                 except errors.TcsBusy:
                     pass
+            machine.check_epc_conservation()
         except errors.InvariantViolation as exc:
             failures.append(f"schedule {schedule}: {exc}")
     return n_schedules, failures

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import errors
 
@@ -126,17 +126,15 @@ class EnclaveThread:
 class Enclave:
     enclave_id: int
     pages: Dict[int, int] = field(default_factory=dict)  # va -> pa
-    tcs_table: List[TcsPage] = field(default_factory=list)
+    # tcs va -> TCS, in EADD order.
+    tcs_table: Dict[int, TcsPage] = field(default_factory=dict)
     measurement: Optional[bytes] = None
     initialized: bool = False
     _hash: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False,
                                  compare=False)
 
     def tcs_for(self, tcs_va: int) -> Optional[TcsPage]:
-        for tcs in self.tcs_table:
-            if tcs.tcs_va == tcs_va:
-                return tcs
-        return None
+        return self.tcs_table.get(tcs_va)
 
 
 class AddressSpace:
@@ -162,6 +160,9 @@ class Machine:
         self.enclaves: Dict[int, Enclave] = {}
         self._next_pa = 1
         self.epc_used = 0
+        # Plain pages are allocated, never freed, so the protected-page
+        # count is len(pages) - plain_pages, kept apart from epc_used.
+        self.plain_pages = 0
 
     # -- page allocation ----------------------------------------------------
 
@@ -177,6 +178,8 @@ class Machine:
                 raise errors.OutOfEpc(
                     f"EPC capacity of {self.epc_capacity_pages} pages exhausted")
             self.epc_used += 1
+        else:
+            self.plain_pages += 1
         page = PhysicalPage(self._next_pa, content, is_epc)
         self._next_pa += 1
         self.pages[page.pa] = page
@@ -210,7 +213,7 @@ class Machine:
             digest_update(enclave._hash, bytes([page_type.value]))
             digest_update(enclave._hash, page.content)
         if page_type is PageType.TCS:
-            enclave.tcs_table.append(TcsPage(va, oentry=f"oentry:{va:#x}"))
+            enclave.tcs_table[va] = TcsPage(va, oentry=f"oentry:{va:#x}")
         return page.pa, entry
 
     def einit(self, enclave: Enclave) -> bytes:
@@ -231,8 +234,7 @@ class Machine:
         del self.pages[pa]
         self.epc_used -= 1
         if entry.page_type is PageType.TCS:
-            enclave.tcs_table = [t for t in enclave.tcs_table
-                                 if t.tcs_va != va]
+            del enclave.tcs_table[va]
 
     # -- address translation ------------------------------------------------
 
@@ -289,9 +291,7 @@ class Machine:
         if entry.page_type is not PageType.TCS:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a TCS page")
         enclave = self.enclaves[entry.enclave_id]
-        tcs = enclave.tcs_for(tcs_va)
-        assert tcs is not None
-        return enclave, tcs
+        return enclave, enclave.tcs_table[tcs_va]
 
     def eenter(self, space: AddressSpace, tcs_va: int) -> EnclaveThread:
         """Start an enclave thread at the TCS entry point.
@@ -339,12 +339,25 @@ class Machine:
 
     # -- invariants ---------------------------------------------------------
 
-    def check_epc_conservation(self) -> None:
+    def check_epc_counts(self) -> None:
+        """EPC conservation from the kept counts, in O(1): valid EPCM
+        entries, protected pages (``len(pages)`` less the plain pages) and
+        ``epc_used`` agree, within capacity. This is the per-step check."""
         valid_entries = len(self.epcm)
-        epc_pages = sum(1 for p in self.pages.values() if p.is_epc)
+        epc_pages = len(self.pages) - self.plain_pages
         if valid_entries != epc_pages or epc_pages != self.epc_used:
             raise errors.InvariantViolation(
                 f"valid EPCM entries {valid_entries}, protected pages "
                 f"{epc_pages} and epc_used {self.epc_used} differ")
         if self.epc_used > self.epc_capacity_pages:
             raise errors.InvariantViolation("EPC capacity exceeded")
+
+    def check_epc_conservation(self) -> None:
+        """The full audit, O(pages): recount the protected pages, check the
+        recount against the kept count, then ``check_epc_counts``."""
+        epc_pages = sum(1 for p in self.pages.values() if p.is_epc)
+        kept = len(self.pages) - self.plain_pages
+        if epc_pages != kept:
+            raise errors.InvariantViolation(
+                f"recounted protected pages {epc_pages}, kept count {kept}")
+        self.check_epc_counts()

@@ -82,6 +82,15 @@ class TestThreads:
         with pytest.raises(errors.InvariantViolation, match="tcs 0x101"):
             runtime.check_invariants()
 
+    def test_check_invariants_before_runtime_init(self):
+        # No TCS table yet: no rows to check, but the EPC counts still are.
+        machine = Machine()
+        runtime = EnclaveRuntime(machine, Kernel(machine))
+        runtime.check_invariants()
+        machine.epc_used += 1
+        with pytest.raises(errors.InvariantViolation, match="epc_used 1"):
+            runtime.check_invariants()
+
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt
         runtime.enter(runtime.creator.pid)
@@ -261,6 +270,28 @@ class TestForkCow:
         assert machine.epc_used == baseline and not pair.live
         machine.check_epc_conservation()
 
+    def test_retired_pair_refuses_cow_write(self):
+        machine, runtime, pair = build_forked_runtime(4)
+        runtime.snapshot(pair, pair.child_pid)
+        used = machine.epc_used
+        with pytest.raises(errors.Fault):
+            runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"late")
+        assert machine.epc_used == used and pair.private_copies == {}
+        runtime.check_invariants()
+
+    def test_retired_pair_refuses_cow_read(self):
+        _, runtime, pair = build_forked_runtime(2)
+        runtime.snapshot(pair, pair.child_pid)
+        with pytest.raises(errors.Fault):
+            runtime.cow_read(pair, pair.parent_pid, DB_BASE)
+
+    def test_second_snapshot_raises_a_fault(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        runtime.snapshot(pair, pair.child_pid)
+        with pytest.raises(errors.Fault):
+            runtime.snapshot(pair, pair.child_pid)
+        machine.check_epc_conservation()
+
     def test_snapshot_digest_tracks_child_view(self):
         machine, runtime, pair = build_forked_runtime(3)
         runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"noise")
@@ -384,6 +415,32 @@ class TestForkCow:
         # Oracle-backed sample; the acceptance suite runs the full 500.
         for seed in range(60):
             assert run_cow_trial(seed) is None
+
+
+class _PagesIterated(Exception):
+    pass
+
+
+class _UnwalkablePages(dict):
+    """A page map that raises if its pages are walked; len and lookups
+    still work."""
+
+    def values(self):
+        raise _PagesIterated()
+
+    items = keys = __iter__ = values
+
+
+class TestInvariantCost:
+    def test_per_step_check_walks_no_pages(self):
+        machine, runtime = build_db_runtime(4096, epc_capacity=8192)
+        other = runtime.kernel.create_container("/b")
+        runtime.attach_container(other)
+        runtime.enter(other.pid)
+        machine.pages = _UnwalkablePages(machine.pages)
+        runtime.check_invariants()
+        with pytest.raises(_PagesIterated):
+            machine.check_epc_conservation()
 
 
 class TestTranslationsPerAccess:

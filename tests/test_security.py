@@ -8,7 +8,8 @@ import textwrap
 
 import pytest
 
-from enclavesim.enclave_runtime import EnclaveRuntime
+from enclavesim import errors
+from enclavesim.enclave_runtime import DB_BASE, EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.security import (
     environment_swap_detection,
@@ -126,3 +127,54 @@ def test_disabling_a_shipped_check_fails_some_probe(monkeypatch, check, cls,
     failing = [probe for probe, failures in _probe_failures().items()
                if failures]
     assert failing, f"no probe notices the {check} check disabled"
+
+
+# (leak, class, method, its EPC bookkeeping step, text that drops it)
+EPC_LEAKS = [
+    ("epc_used not raised", Machine, "_alloc_page", "self.epc_used += 1",
+     "pass"),
+    ("EPCM entry not stored", Machine, "eadd", "self.epcm[page.pa] = entry",
+     "pass"),
+]
+
+
+@pytest.mark.parametrize("leak, cls, name, text, replacement", EPC_LEAKS,
+                         ids=[row[0] for row in EPC_LEAKS])
+def test_per_step_check_reports_an_epc_leak(monkeypatch, leak, cls, name,
+                                            text, replacement):
+    monkeypatch.setattr(cls, name, _mutant(cls, name, text, replacement))
+    # With the end-of-schedule audit off, only the per-step check reports.
+    monkeypatch.setattr(Machine, "check_epc_conservation", lambda self: None)
+    reports = [failure for failures in _probe_failures().values()
+               for failure in failures
+               if failure.startswith("schedule 0: valid EPCM entries")]
+    assert reports, f"no probe's per-step check reports the {leak} leak"
+
+
+# Two leaks no probe can show, checked directly: a page missing from
+# ``Machine.pages`` makes the probes' setup raise KeyError, and no probe
+# calls ``eremove``.
+def _db_runtime():
+    machine = Machine()
+    runtime = EnclaveRuntime(machine, Kernel(machine))
+    runtime.runtime_init(runtime_pages=1, tcs_count=2)
+    runtime.load_db(2)
+    return machine, runtime
+
+
+def test_check_invariants_catches_an_unregistered_page(monkeypatch):
+    monkeypatch.setattr(Machine, "_alloc_page", _mutant(
+        Machine, "_alloc_page", "self.pages[page.pa] = page", "pass"))
+    _, runtime = _db_runtime()
+    with pytest.raises(errors.InvariantViolation):
+        runtime.check_invariants()
+
+
+def test_check_invariants_catches_eremove_keeping_epc_used(monkeypatch):
+    monkeypatch.setattr(Machine, "eremove", _mutant(
+        Machine, "eremove", "self.epc_used -= 1", "pass"))
+    machine, runtime = _db_runtime()
+    runtime.check_invariants()
+    machine.eremove(runtime.enclave, DB_BASE)
+    with pytest.raises(errors.InvariantViolation):
+        runtime.check_invariants()

@@ -107,6 +107,19 @@ class TestLifecycle:
         assert str(caught.value) == (
             "valid EPCM entries 3, protected pages 3 and epc_used 4 differ")
 
+    def test_audit_recount_checks_the_kept_count(self, machine):
+        e, _ = build_enclave(machine)
+        machine.alloc_plain_page(b"plain")
+        machine.check_epc_conservation()
+        # A protected page turned plain behind the counters' back: only the
+        # audit's recount sees it.
+        machine.pages[e.pages[0x10]].is_epc = False
+        machine.check_epc_counts()
+        with pytest.raises(errors.InvariantViolation) as caught:
+            machine.check_epc_conservation()
+        assert str(caught.value) == (
+            "recounted protected pages 2, kept count 3")
+
     def test_eadd_copies_and_pads_content(self, machine):
         e = machine.ecreate(1)
         content = bytearray(b"epc")
