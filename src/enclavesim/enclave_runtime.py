@@ -17,6 +17,7 @@ from . import errors
 from .host_kernel import Container, Kernel, TcsTable
 from .sgx_core import (
     Access,
+    AddressSpace,
     Enclave,
     EnclaveThread,
     Machine,
@@ -64,10 +65,16 @@ class FileRow:
 
 @dataclass
 class ForkPair:
+    """A live copy-on-write fork: one view per member, keyed by pid, for
+    the parent and the child only. A view is the member's container and
+    its private copies, ``{db va: copy va}``. A db page is shared while
+    neither side's map holds it; each side reads its copy where it has one
+    and the original page otherwise. ``dirty_count`` counts the copies.
+    Retiring the pair empties ``views``, so no pid has a view of it."""
+
     parent_pid: int
     child_pid: int
-    shared_pages: Set[int]
-    private_copies: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    views: Dict[int, Tuple[Container, Dict[int, int]]]
     dirty_count: int = 0
     live: bool = True
 
@@ -95,6 +102,8 @@ class EnclaveRuntime:
         # Every va the runtime treats as enclave-private; accesses resolving
         # to unprotected pages here are sandbox violations.
         self.private_vas: Set[int] = set()
+        # Every pair shares the one database extent, so at most one is live.
+        self.fork_pair: Optional[ForkPair] = None
 
     # -- setup --------------------------------------------------------------
 
@@ -123,7 +132,12 @@ class EnclaveRuntime:
     def enter(self, pid: int) -> EnclaveThread:
         container = self.kernel.containers[pid]
         tcs_va = self.kernel.tcs_acquire(self.tcs_table, pid)
-        thread = self.machine.eenter(container.address_space, tcs_va)
+        try:
+            thread = self.machine.eenter(container.address_space, tcs_va)
+        except BaseException:
+            # The hardware refused the entry: the row must not stay held.
+            self.kernel.tcs_release(self.tcs_table, tcs_va)
+            raise
         self.threads[pid] = (thread, tcs_va)
         return thread
 
@@ -152,24 +166,27 @@ class EnclaveRuntime:
 
     # -- enclave memory -----------------------------------------------------
 
-    def _resolve(self, pid: int, va: int, access: Access) -> PhysicalPage:
-        """Translate in enclave mode, then apply the sandbox check: the
-        hardware lets enclave code touch unprotected pages, so an
-        enclave-private va resolving to one is an isolation fault."""
+    def _resolve(self, space: AddressSpace, va: int,
+                 access: Access) -> PhysicalPage:
+        """Translate through ``space`` in enclave mode, then apply the
+        sandbox check: the hardware lets enclave code touch unprotected
+        pages, so an enclave-private va resolving to one is an isolation
+        fault."""
         machine = self.machine
-        page = machine.pages[machine.translate_access(
-            self.kernel.containers[pid].address_space, va, access,
-            self._mode)]
+        page = machine.pages[machine.translate_access(space, va, access,
+                                                      self._mode)]
         if not page.is_epc and va in self.private_vas:
             raise errors.IsolationFault(
                 f"enclave-private va {va:#x} backed by unprotected page")
         return page
 
     def read(self, pid: int, va: int) -> bytes:
-        return bytes(self._resolve(pid, va, Access.READ).content)
+        space = self.kernel.containers[pid].address_space
+        return bytes(self._resolve(space, va, Access.READ).content)
 
     def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
-        self._resolve(pid, va, Access.WRITE).write(data, offset)
+        space = self.kernel.containers[pid].address_space
+        self._resolve(space, va, Access.WRITE).write(data, offset)
 
     def check_invariants(self) -> None:
         """The per-step check, O(TCS pages + threads) and independent of
@@ -336,7 +353,12 @@ class EnclaveRuntime:
 
     def fork_cow(self, parent_pid: int) -> ForkPair:
         """Fork by aliasing: the child gets the same enclave, a fresh TCS
-        and a page table equal to the parent's view; nothing is copied."""
+        and a page table equal to the parent's view; nothing is copied.
+        Every pair shares the one database extent, so a fork while a pair
+        is live is refused (as Redis refuses a second background save)."""
+        if self.fork_pair is not None:
+            raise errors.ForkInProgress(
+                f"fork pair of child {self.fork_pair.child_pid} is live")
         thread, _ = self.threads[parent_pid]
         if not thread.live:
             raise errors.SimError("parent holds no live enclave thread")
@@ -346,87 +368,113 @@ class EnclaveRuntime:
         child = self.kernel.create_container(parent.fs_root)
         self.attach_container(child)
         self.enter(child.pid)
-        return ForkPair(parent_pid, child.pid,
-                        shared_pages=set(self._db_range()))
+        pair = ForkPair(parent_pid, child.pid,
+                        {parent_pid: (parent, {}), child.pid: (child, {})})
+        self.fork_pair = pair
+        return pair
+
+    @staticmethod
+    def _no_view(pair: ForkPair, pid: int) -> errors.Fault:
+        """The fault for a pid with no view of the pair: a retired pair
+        (which keeps no views) first, then a pid in neither role."""
+        if not pair.live:
+            return errors.PairRetired(f"fork pair of child {pair.child_pid} "
+                                      f"is retired")
+        return errors.NotForkMember(f"pid {pid} is not in the fork pair of "
+                                    f"child {pair.child_pid}")
 
     def cow_write(self, pair: ForkPair, writer_pid: int, va: int,
                   value: bytes, offset: int = 0) -> None:
         """Write through the writer's view of a db page. A repeat write
-        makes one translation (the write). The first write to a shared page
-        makes two: it resolves the original page, copies it once into a
-        fresh private page, then writes the copy. The write's span is
-        checked before anything is privatized. A retired pair is refused."""
-        if not pair.live:
-            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
-                                     f"is retired")
+        makes one translation (the write), as does a write to a page the
+        other side privatized (it writes the original). The first write to
+        a shared page makes two: it resolves the original page, copies it
+        once into a fresh private page recorded in the writer's map, then
+        writes the copy. The write's span is checked before anything is
+        privatized. A retired pair, then a pid in neither role, is refused
+        before anything is privatized."""
+        view = pair.views.get(writer_pid)
+        if view is None:
+            raise self._no_view(pair, writer_pid)
+        container, copies = view
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
-        key = (writer_pid, va)
-        target = pair.private_copies.get(key)
+        space = container.address_space
+        target = copies.get(va)
         if target is None:
-            if va in pair.shared_pages:
-                # First write since fork: privatize on the writer side only.
-                check_span(offset, len(value))
-                original = self._resolve(writer_pid, va, Access.READ)
-                target = self._next_copy_va
-                self._next_copy_va += 1
-                self._eadd_mapped(self.kernel.containers[writer_pid], target,
-                                  original.content)
-                pair.private_copies[key] = target
-                pair.shared_pages.discard(va)
-                pair.dirty_count += 1
-            else:
+            other = (pair.child_pid if writer_pid == pair.parent_pid
+                     else pair.parent_pid)
+            if va in pair.views[other][1]:
                 # The other side privatized already; write the original.
                 target = va
-        self._resolve(writer_pid, target, Access.WRITE).write(value, offset)
+            else:
+                # First write since fork: privatize on the writer side only.
+                check_span(offset, len(value))
+                original = self._resolve(space, va, Access.READ)
+                target = self._next_copy_va
+                self._next_copy_va += 1
+                self._eadd_mapped(container, target, original.content)
+                copies[va] = target
+                pair.dirty_count += 1
+        self._resolve(space, target, Access.WRITE).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation."""
-        if not pair.live:
-            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
-                                     f"is retired")
-        return bytes(self._resolve(
-            pid, pair.private_copies.get((pid, va), va), Access.READ).content)
+        view = pair.views.get(pid)
+        if view is None:
+            raise self._no_view(pair, pid)
+        container, copies = view
+        return bytes(self._resolve(container.address_space,
+                                   copies.get(va, va), Access.READ).content)
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
-        """Digest the child's view of the full db extent, then retire the
-        child: its TCS is released, every private copy is freed and its
-        container is destroyed. A fault while digesting (a remapped va)
-        still retires the child before it propagates.
+        """Digest ``child_pid``'s view of the full db extent, read through
+        its own map, then retire the pair's child: its TCS is released,
+        every private copy is freed and its container is destroyed. A fault
+        while digesting (a remapped va) still retires the child before it
+        propagates.
 
         The digest is two-level: SHA-256 over the SHA-256 of each page the
         child sees, in va order, fed as one joined string. Each page makes
         one translation and passes the sandbox check; only pages written
-        since their last digest are rehashed. A retired pair is refused
-        before anything is read or retired."""
-        if not pair.live:
-            raise errors.PairRetired(f"fork pair of child {pair.child_pid} "
-                                     f"is retired")
-        copies = {va: copy_va for (pid, va), copy_va
-                  in pair.private_copies.items() if pid == child_pid}
+        since their last digest are rehashed. A retired pair, then a pid in
+        neither role, is refused before anything is read or retired."""
+        view = pair.views.get(child_pid)
+        if view is None:
+            raise self._no_view(pair, child_pid)
+        container, copies = view
+        space = container.address_space
         resolve, read = self._resolve, Access.READ
         try:
             return content_digest((b"".join([
-                resolve(child_pid, copies.get(va, va), read).digest()
+                resolve(space, copies.get(va, va), read).digest()
                 for va in self._db_range()]),))
         finally:
-            self._retire_child(pair, child_pid)
+            self._retire_child(pair)
 
-    def _retire_child(self, pair: ForkPair, child_pid: int) -> None:
-        self.exit(child_pid)
+    def _retire_child(self, pair: ForkPair) -> None:
+        """Exit the pair's child, walk the two maps, then destroy the child.
+        The parent's copies are folded back onto their original pages, so
+        the parent's view survives; then every copy of both maps is freed,
+        so occupancy returns exactly to the pre-fork level. The retired
+        pair keeps no views, and a new fork may start. A child suspended by
+        an AEX is resumed first, since only a live thread can exit."""
+        if not self.threads[pair.child_pid][0].live:
+            self.resume(pair.child_pid)
+        self.exit(pair.child_pid)
         machine, enclave = self.machine, self.enclave
-        pages, containers = machine.pages, self.kernel.containers
-        for (pid, va), copy_va in pair.private_copies.items():
-            holder = containers[pid]
-            if pid != child_pid:
-                # Fold the surviving side's writes back onto the original
-                # page so occupancy returns exactly to the pre-fork level.
-                pages[enclave.pages[va]].write(
-                    pages[enclave.pages[copy_va]].content)
-            machine.eremove(enclave, copy_va)
-            holder.address_space.unmap(copy_va)
-            self.private_vas.discard(copy_va)
-        pair.private_copies.clear()
-        pair.shared_pages = set(self._db_range())
+        pages, enclave_pages = machine.pages, enclave.pages
+        private_vas = self.private_vas
+        for va, copy_va in pair.views[pair.parent_pid][1].items():
+            pages[enclave_pages[va]].write(
+                pages[enclave_pages[copy_va]].content)
+        for holder, copies in pair.views.values():
+            unmap = holder.address_space.unmap
+            for copy_va in copies.values():
+                machine.eremove(enclave, copy_va)
+                unmap(copy_va)
+                private_vas.discard(copy_va)
+        pair.views = {}
         pair.live = False
-        self.kernel.destroy_container(child_pid)
+        self.fork_pair = None
+        self.kernel.destroy_container(pair.child_pid)

@@ -82,6 +82,15 @@ class PairRetired(Fault):
     """Copy-on-write access or snapshot through a retired fork pair."""
 
 
+class NotForkMember(Fault):
+    """Copy-on-write access or snapshot by a pid that is neither the fork
+    pair's parent nor its child."""
+
+
+class ForkInProgress(Fault):
+    """A fork while another fork pair is live."""
+
+
 class RegionExhausted(SimError):
     pass
 

@@ -86,7 +86,8 @@ class Kernel:
         if not enclave.initialized:
             raise errors.EnclaveNotInitialized(
                 f"enclave {enclave.enclave_id} not initialized")
-        entries = tuple(sorted(enclave.pages.items()))
+        # EADD order: deterministic, and alias_enclave needs no va order.
+        entries = tuple(enclave.pages.items())
         return MappingRecord(enclave.enclave_id, entries)
 
     def alias_enclave(self, target: Container, record: MappingRecord) -> None:

@@ -93,8 +93,10 @@ class PhysicalPage:
         return self._digest
 
     def write(self, data: bytes, offset: int = 0) -> None:
-        check_span(offset, len(data))
-        self.content[offset:offset + len(data)] = data
+        end = offset + len(data)
+        if offset < 0 or end > PAGE_SIZE:
+            check_span(offset, len(data))
+        self.content[offset:end] = data
         self._digest = None
 
 

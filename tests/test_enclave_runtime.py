@@ -91,6 +91,26 @@ class TestThreads:
         with pytest.raises(errors.InvariantViolation, match="epc_used 1"):
             runtime.check_invariants()
 
+    def test_refused_enter_releases_the_tcs_row(self):
+        machine = Machine()
+        kernel = Kernel(machine)
+        runtime = EnclaveRuntime(machine, kernel)
+        runtime.runtime_init(runtime_pages=1, tcs_count=2)
+        other = kernel.create_container("/b")
+        runtime.attach_container(other)
+        # The kernel points the second container's first TCS va at a
+        # runtime page: the hardware refuses the entry.
+        kernel.adversary_remap(other.address_space, TCS_BASE,
+                               runtime.enclave.pages[RUNTIME_BASE])
+        with pytest.raises(errors.EpcmMismatch):
+            runtime.enter(other.pid)
+        assert other.pid not in runtime.threads
+        runtime.check_invariants()
+        assert len(runtime.tcs_table.free_rows()) == 2
+        # The row is free again: an honest entry gets the same TCS.
+        assert runtime.enter(runtime.creator.pid).tcs_va == TCS_BASE
+        runtime.check_invariants()
+
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt
         runtime.enter(runtime.creator.pid)
@@ -230,11 +250,21 @@ class TestFilesystem:
         assert runtime.fs_open(runtime.creator.pid, "a.txt") == b"secret"
 
 
+def private_copies(pair):
+    """Every private copy of the pair, keyed by (pid, db va)."""
+    return {(pid, va): copy_va for pid, (_, copies) in pair.views.items()
+            for va, copy_va in copies.items()}
+
+
 class TestForkCow:
     def test_fork_copies_nothing(self):
-        machine, runtime, pair = build_forked_runtime(8)
-        assert pair.dirty_count == 0
-        assert len(pair.shared_pages) == 8
+        machine, runtime = build_db_runtime(8)
+        used = machine.epc_used
+        pair = runtime.fork_cow(runtime.creator.pid)
+        assert pair.dirty_count == 0 and machine.epc_used == used
+        # All 8 pages are shared: neither member's map holds a copy.
+        assert set(pair.views) == {pair.parent_pid, pair.child_pid}
+        assert private_copies(pair) == {}
 
     def test_first_write_privatizes_one_page(self):
         machine, runtime, pair = build_forked_runtime(4)
@@ -276,7 +306,7 @@ class TestForkCow:
         used = machine.epc_used
         with pytest.raises(errors.Fault):
             runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"late")
-        assert machine.epc_used == used and pair.private_copies == {}
+        assert machine.epc_used == used and private_copies(pair) == {}
         runtime.check_invariants()
 
     def test_retired_pair_refuses_cow_read(self):
@@ -319,7 +349,7 @@ class TestForkCow:
         self.remap_child_to_plain(machine, runtime, pair)
         with pytest.raises(errors.IsolationFault):
             runtime.cow_write(pair, pair.child_pid, DB_BASE, b"x")
-        assert pair.private_copies == {} and pair.dirty_count == 0
+        assert private_copies(pair) == {} and pair.dirty_count == 0
         assert machine.epc_used == used
 
     def test_snapshot_rejects_plain_backing(self):
@@ -342,6 +372,72 @@ class TestForkCow:
         assert pair.child_pid not in runtime.kernel.containers
         assert machine.epc_used == pre_fork_used
         runtime.check_invariants()
+
+    def test_non_member_pid_is_refused(self):
+        machine, runtime, pair = build_forked_runtime(2)
+        outsider = runtime.kernel.create_container("/b")
+        runtime.attach_container(outsider)
+        parent_bytes = runtime.cow_read(pair, pair.parent_pid, DB_BASE)
+        used = machine.epc_used
+        calls = [(runtime.cow_write, (DB_BASE, b"outsider")),
+                 (runtime.cow_read, (DB_BASE,)),
+                 (runtime.snapshot, ())]
+        for method, args in calls:
+            with pytest.raises(errors.Fault) as caught:
+                method(pair, outsider.pid, *args)
+            assert isinstance(caught.value, errors.NotForkMember)
+        assert machine.epc_used == used and pair.dirty_count == 0
+        assert pair.live and private_copies(pair) == {}
+        # The pair still works, and the outsider's bytes reached no view.
+        runtime.snapshot(pair, pair.child_pid)
+        page = machine.pages[runtime.enclave.pages[DB_BASE]]
+        assert bytes(page.content) == parent_bytes
+        runtime.check_invariants()
+
+    @pytest.mark.parametrize("faulting", [False, True],
+                             ids=["snapshot", "faulting-snapshot"])
+    def test_one_live_pair_until_retired(self, faulting):
+        machine, runtime = build_db_runtime(4)
+        parent = runtime.creator.pid
+        pair = runtime.fork_cow(parent)
+        runtime.cow_write(pair, parent, DB_BASE, b"pair A")
+        state = (machine.epc_used, len(runtime.kernel.containers),
+                 len(runtime.tcs_table.free_rows()))
+        # Two live pairs would share the originals: pair A's fold-back
+        # would reach pair B's child. The second fork is refused.
+        with pytest.raises(errors.Fault) as caught:
+            runtime.fork_cow(parent)
+        assert isinstance(caught.value, errors.ForkInProgress)
+        assert (machine.epc_used, len(runtime.kernel.containers),
+                len(runtime.tcs_table.free_rows())) == state
+        if faulting:
+            self.remap_child_to_plain(machine, runtime, pair)
+            with pytest.raises(errors.IsolationFault):
+                runtime.snapshot(pair, pair.child_pid)
+        else:
+            runtime.snapshot(pair, pair.child_pid)
+        # Retiring frees the slot: the next fork starts from pair A's
+        # folded-back bytes.
+        second = runtime.fork_cow(parent)
+        assert runtime.cow_read(second, second.child_pid,
+                                DB_BASE)[:6] == b"pair A"
+        with pytest.raises(errors.ForkInProgress):
+            runtime.fork_cow(parent)
+        runtime.snapshot(second, second.child_pid)
+        runtime.check_invariants()
+
+    def test_snapshot_retires_a_suspended_child(self):
+        machine, runtime = build_db_runtime(2)
+        used = machine.epc_used
+        pair = runtime.fork_cow(runtime.creator.pid)
+        runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child")
+        runtime.suspend(pair.child_pid)
+        runtime.snapshot(pair, pair.child_pid)
+        assert not pair.live and machine.epc_used == used
+        assert len(runtime.tcs_table.free_rows()) == 3
+        runtime.check_invariants()
+        second = runtime.fork_cow(runtime.creator.pid)
+        runtime.snapshot(second, second.child_pid)
 
     def test_fork_requires_live_parent_thread(self):
         machine = Machine(epc_capacity_pages=64)
@@ -405,7 +501,7 @@ class TestForkCow:
         for pid in (pair.child_pid, pair.parent_pid):
             with pytest.raises(ValueError):
                 runtime.cow_write(pair, pid, DB_BASE, value, offset)
-        assert pair.private_copies == {} and pair.dirty_count == 0
+        assert private_copies(pair) == {} and pair.dirty_count == 0
         assert machine.epc_used == used
         # The page is still shared: the next valid write privatizes it.
         runtime.cow_write(pair, pair.child_pid, DB_BASE, b"ok")
@@ -480,6 +576,6 @@ class TestTranslationsPerAccess:
         for method, args, want in steps:
             assert translations(method, *args) == want, (method, args)
         assert pair.dirty_count == 2
-        copy_va = pair.private_copies[(child, DB_BASE)]
+        copy_va = private_copies(pair)[(child, DB_BASE)]
         assert translations(runtime.snapshot, child) == 8
         assert vas == [copy_va] + [DB_BASE + i for i in range(1, 8)]

@@ -1,0 +1,215 @@
+"""Stateful test of the copy-on-write fork cycle against the eager oracle.
+
+Hypothesis drives fork, ``cow_write``, ``cow_read`` and ``snapshot`` on one
+long-lived runtime, mixed with accesses by an attached container that is
+in neither role, accesses to a retired pair, a second fork while a pair is
+live, an AEX of the child, and the kernel remapping and restoring one of
+the child's database vas. Every byte a view
+returns is predicted by ``EagerForkOracle``; every refused call must leave
+the oracle, the pair and the EPC as they were.
+"""
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from enclavesim import errors
+from enclavesim.enclave_runtime import RUNTIME_BASE
+from enclavesim.sgx_core import PAGE_SIZE
+
+from cow_oracle import EagerForkOracle, build_db_runtime, expected_snapshot
+
+N_PAGES = 4
+# A remapped child va resolves to a plain page (the sandbox check) or to
+# another enclave page (the EPCM va check).
+REMAP_TARGETS = ("plain", "db", "runtime")
+FAULTS = (errors.Fault, errors.IsolationFault)
+
+pages = st.integers(0, N_PAGES - 1)
+sides = st.sampled_from(("parent", "child"))
+
+
+class ForkCycleMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.machine, self.runtime = build_db_runtime(N_PAGES)
+        runtime = self.runtime
+        self.vas = runtime.db_vas()
+        self.parent_view = {va: bytes(self._original(va).content)
+                            for va in self.vas}
+        self.outsider = runtime.kernel.create_container("/outsider")
+        runtime.attach_container(self.outsider)
+        self.plain = self.machine.alloc_plain_page(b"attacker")
+        self.baseline = self.machine.epc_used
+        self.pair = self.oracle = self.retired = None
+        # db va -> the pid whose write privatized it in the live pair.
+        self.first_writer = {}
+        self.remapped = None
+        # Start with a live pair, so that every rule can run from step one.
+        self.fork()
+
+    def _original(self, va):
+        return self.machine.pages[self.runtime.enclave.pages[va]]
+
+    def _pid(self, side):
+        pair = self.pair
+        return pair.parent_pid if side == "parent" else pair.child_pid
+
+    def _blocked(self, pid, va):
+        """The child's access at its remapped va faults unless it reads
+        or writes its own copy there."""
+        return (pid == self.pair.child_pid and va == self.remapped
+                and self.first_writer.get(va) != pid)
+
+    def _expect(self, error, call):
+        """Run ``call``; it must raise ``error`` (None: must not raise)."""
+        if error is None:
+            return call()
+        try:
+            call()
+        except error:
+            return None
+        raise AssertionError(f"{call} did not raise {error}")
+
+    # -- fork and snapshot --------------------------------------------------
+
+    @rule()
+    def fork(self):
+        """Fork the creator; a second fork while the pair is live is
+        refused and creates nothing."""
+        fork_cow, parent = self.runtime.fork_cow, self.runtime.creator.pid
+        if self.pair is not None:
+            containers = len(self.runtime.kernel.containers)
+            self._expect(errors.ForkInProgress, lambda: fork_cow(parent))
+            assert len(self.runtime.kernel.containers) == containers
+            return
+        self.pair = fork_cow(parent)
+        self.oracle = EagerForkOracle(self.parent_view)
+        self.oracle.fork(self.pair.parent_pid, self.pair.child_pid)
+        self.first_writer = {}
+
+    @precondition(lambda self: self.pair is not None)
+    @rule()
+    def snapshot(self):
+        pair, child = self.pair, self.pair.child_pid
+        want = expected_snapshot(self.oracle, child, self.vas)
+        blocked = any(self._blocked(child, va) for va in self.vas)
+        if blocked:
+            self._expect(FAULTS, lambda: self.runtime.snapshot(pair, child))
+        else:
+            assert self.runtime.snapshot(pair, child) == want
+        # Retired either way; the parent's writes were folded back.
+        assert not pair.live and child not in self.runtime.kernel.containers
+        self.parent_view = {va: self.oracle.read(pair.parent_pid, va)
+                            for va in self.vas}
+        for va in self.vas:
+            assert bytes(self._original(va).content) == self.parent_view[va]
+        self.pair, self.retired, self.remapped = None, pair, None
+
+    # -- copy-on-write accesses ---------------------------------------------
+
+    @precondition(lambda self: self.pair is not None)
+    @rule(side=sides, page=pages, offset=st.integers(0, PAGE_SIZE),
+          value=st.binary(min_size=1, max_size=8))
+    def cow_write(self, side, page, offset, value):
+        pid, va = self._pid(side), self.vas[page]
+        bad_span = offset + len(value) > PAGE_SIZE
+        owner = self.first_writer.get(va)
+        blocked = self._blocked(pid, va)
+        if owner is None:
+            # A shared page: the span is checked before anything else.
+            error = ValueError if bad_span else (FAULTS if blocked else None)
+        else:
+            error = FAULTS if blocked else (ValueError if bad_span else None)
+        self._expect(error, lambda: self.runtime.cow_write(
+            self.pair, pid, va, value, offset))
+        if error is None:
+            self.oracle.write(pid, va, value, offset)
+            self.first_writer.setdefault(va, pid)
+
+    @precondition(lambda self: self.pair is not None)
+    @rule(side=sides, page=pages)
+    def cow_read(self, side, page):
+        pid, va = self._pid(side), self.vas[page]
+        if self._blocked(pid, va):
+            self._expect(FAULTS,
+                         lambda: self.runtime.cow_read(self.pair, pid, va))
+        else:
+            assert (self.runtime.cow_read(self.pair, pid, va)
+                    == self.oracle.read(pid, va))
+
+    @precondition(lambda self: self.pair is not None)
+    @rule(call=st.sampled_from(("cow_write", "cow_read", "snapshot")),
+          page=pages)
+    def outsider_access(self, call, page):
+        """An attached container in neither role is refused; nothing it
+        sends reaches a view or privatizes a page."""
+        self._refused(self.pair, self.outsider.pid, call, page,
+                      errors.NotForkMember)
+
+    @precondition(lambda self: self.retired is not None)
+    @rule(call=st.sampled_from(("cow_write", "cow_read", "snapshot")),
+          page=pages)
+    def retired_access(self, call, page):
+        self._refused(self.retired, self.retired.parent_pid, call, page,
+                      errors.PairRetired)
+
+    def _refused(self, pair, pid, call, page, error):
+        va = self.vas[page]
+        args = {"cow_write": (va, b"stray"), "cow_read": (va,),
+                "snapshot": ()}[call]
+        self._expect(error, lambda: getattr(self.runtime, call)(
+            pair, pid, *args))
+
+    @precondition(lambda self: self.pair is not None
+                  and self.runtime.threads[self.pair.child_pid][0].live)
+    @rule()
+    def suspend_child(self):
+        """An AEX of the child: the snapshot must still retire it."""
+        self.runtime.suspend(self.pair.child_pid)
+
+    # -- the kernel remaps one child va --------------------------------------
+
+    @precondition(lambda self: self.pair is not None
+                  and self.remapped is None)
+    @rule(page=pages, onto=st.sampled_from(REMAP_TARGETS))
+    def remap_child(self, page, onto):
+        va = self.vas[page]
+        wrong = {"plain": self.plain.pa,
+                 "db": self.runtime.enclave.pages[
+                     self.vas[(page + 1) % N_PAGES]],
+                 "runtime": self.runtime.enclave.pages[RUNTIME_BASE]}[onto]
+        child = self.runtime.kernel.containers[self.pair.child_pid]
+        self.runtime.kernel.adversary_remap(child.address_space, va, wrong)
+        self.remapped = va
+
+    @precondition(lambda self: self.remapped is not None)
+    @rule()
+    def restore_child(self):
+        child = self.runtime.kernel.containers[self.pair.child_pid]
+        child.address_space.map(self.remapped,
+                                self.runtime.enclave.pages[self.remapped])
+        self.remapped = None
+
+    # -- invariants -----------------------------------------------------------
+
+    @invariant()
+    def invariants_hold(self):
+        self.runtime.check_invariants()
+        used = self.machine.epc_used
+        if self.pair is None:
+            assert used == self.baseline
+        else:
+            assert self.pair.dirty_count == len(self.first_writer)
+            assert used == self.baseline + self.pair.dirty_count
+
+
+ForkCycleMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, derandomize=True,
+    database=None, deadline=None)
+TestForkCycle = ForkCycleMachine.TestCase
+

@@ -54,8 +54,7 @@ def test_environment_swap_sample():
 
 
 def test_adversary_schedules_rely_on_runtime_sandbox_check(monkeypatch):
-    def resolve_without_sandbox_check(self, pid, va, access):
-        space = self.kernel.containers[pid].address_space
+    def resolve_without_sandbox_check(self, space, va, access):
         return self.machine.pages[
             self.machine.translate_access(space, va, access, self._mode)]
 
