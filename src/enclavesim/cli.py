@@ -302,16 +302,21 @@ def _check_invariants(results: Dict[str, Metrics]) -> None:
                 raise errors.InvariantViolation(
                     f"{label}: throughput != count / completion_time")
         # Records of one request kind share their plan's components, so
-        # each distinct (components, total) pair is summed once. Ids are
-        # unique here: every mapping is alive while its record is.
+        # each distinct (components, total) pair is summed once; a record
+        # like the one before it is not looked up. Ids are unique here:
+        # every mapping is alive while its record is.
         checked = set()
+        last = last_total = None
         for record in metrics.requests:
-            key = (id(record.components), record.total_ms)
+            components, total = record.components, record.total_ms
+            if components is last and total == last_total:
+                continue
+            last, last_total = components, total
+            key = (id(components), total)
             if key in checked:
                 continue
             checked.add(key)
-            if abs(sum_in_order(record.components.values())
-                   - record.total_ms) > 1e-9:
+            if abs(sum_in_order(components.values()) - total) > 1e-9:
                 raise errors.InvariantViolation(
                     f"{label}/{record.request_id}: components do not sum "
                     f"to the total")
@@ -364,25 +369,35 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
     # Labels are model and workload names and request ids are indices or
     # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
     # Records of one request kind share their plan's components, so each
-    # distinct (components, total) tail is formatted once; ids are unique
-    # while the records hold the mappings.
+    # distinct (components, total) tail is formatted once, and a record
+    # like the one before it reuses its tail without a lookup. Every model
+    # runs the same trace, so records share their arrival floats and each
+    # is formatted once. Ids are unique while the records hold the objects.
     tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
     tails: Dict[Tuple[int, float], str] = {}
+    arrivals: Dict[int, str] = {}
     with open(csv_path, "w", newline="") as handle:
         handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
                                "total_ms"]) + "\r\n")
         for label, metrics in results.items():
+            prefix = label + "/"
             rows = []
+            last = last_total = None
             for record in metrics.requests:
-                components = record.components
-                key = (id(components), record.total_ms)
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = tail_format % (
-                        *[components.get(c, 0.0) for c in COMPONENTS],
-                        record.total_ms)
-                rows.append("%s/%s,%.6f%s" % (label, record.request_id,
-                                              record.arrival_ms, tail))
+                components, total = record.components, record.total_ms
+                if components is not last or total != last_total:
+                    key = (id(components), total)
+                    tail = tails.get(key)
+                    if tail is None:
+                        tail = tails[key] = tail_format % (
+                            *[components.get(c, 0.0) for c in COMPONENTS],
+                            total)
+                    last, last_total = components, total
+                arrival = record.arrival_ms
+                head = arrivals.get(id(arrival))
+                if head is None:
+                    head = arrivals[id(arrival)] = ",%.6f" % arrival
+                rows.append(f"{prefix}{record.request_id}{head}{tail}")
             handle.write("".join(rows))
 
     summary_path = os.path.join(out_dir, "summary.json")

@@ -180,11 +180,24 @@ class EnclaveRuntime:
                 f"enclave-private va {va:#x} backed by unprotected page")
         return page
 
+    @staticmethod
+    def _copy_fault(va: int) -> errors.IsolationFault:
+        """``read`` and ``write`` refuse every va from ``COPY_BASE`` up. A
+        fork copy belongs to one member of the live pair, yet a container
+        attached while the pair is live maps it too; only ``cow_read`` and
+        ``cow_write`` check that the caller is the member."""
+        return errors.IsolationFault(
+            f"va {va:#x} is a fork copy: reach it through the fork pair")
+
     def read(self, pid: int, va: int) -> bytes:
+        if va >= COPY_BASE:
+            raise self._copy_fault(va)
         space = self.kernel.containers[pid].address_space
         return bytes(self._resolve(space, va, Access.READ).content)
 
     def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
+        if va >= COPY_BASE:
+            raise self._copy_fault(va)
         space = self.kernel.containers[pid].address_space
         self._resolve(space, va, Access.WRITE).write(data, offset)
 

@@ -177,6 +177,22 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     return _Plan(durations, None, (), components, total)
 
 
+class _Plans(dict):
+    """The plans of one kind of request by workload, each built by
+    ``_plan`` when the first request of its workload starts."""
+
+    def __init__(self, kind: str, params: CostParams):
+        super().__init__()
+        self.kind = kind
+        self.params = params
+
+    def __missing__(self, workload: str) -> _Plan:
+        plan = self[workload] = _plan(self.kind,
+                                      self.params.exec_ms(workload),
+                                      self.params)
+        return plan
+
+
 def run_serverless(model, trace: RequestTrace, params: CostParams,
                    workers: int = 8) -> Metrics:
     """Run one execution model over a request trace.
@@ -187,14 +203,20 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     request's latency; its container is the first pooled one.
 
     Arrivals are read in order from the trace and a heap holds the events
-    in flight, ``(time, seq, kind, index, plan, mem)``. Events at one time
-    run in scheduling order, arrivals first (an arrival's seq is its index,
-    below every heap seq). A request wakes only where it touches shared
-    state: arrival, start, the EPC-expand lock (acquire, grant, unlock) and
-    finish; its wake time is the running sum of its plan's steps (``_plan``,
-    once per kind and workload). A pool or lock grant runs inline when
-    nothing else is pending at its time, as it would then be popped next;
-    otherwise it is a zero-delay event. Records are built at finish.
+    in flight, ``(time, seq, kind, index)``; a started request's plan and
+    memory are kept by index. Events at one time run in scheduling order,
+    arrivals first (an arrival's seq is its index, below every heap seq).
+    A request wakes only where it touches shared state: arrival, start,
+    the EPC-expand lock (acquire, grant, unlock) and finish; its wake time
+    is the running sum of its plan's steps (``_plan``, once per kind and
+    workload). A pool or lock grant runs inline when nothing else is
+    pending at its time, as it would then be popped next; otherwise it is
+    a zero-delay event. Records are built at finish.
+
+    The model's choices are made once per run: which kinds of request a
+    start picks from, the memory a request holds and which pool a finish
+    refills. Only the shared-enclave model's memory depends on the
+    request: the first live instance lives in the registered base.
     """
     if isinstance(model, Variant):
         model = ExecutionModel(model)
@@ -202,135 +224,146 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     variant = model.variant
 
     ledger = CostLedger()
+    occupy = ledger.occupy
     arrivals = trace.arrivals
     n = len(arrivals)
     records: List[Optional[RequestRecord]] = [None] * n
-    events: List[tuple] = []
-    push = heapq.heappush
+    plan_of: List[Optional[_Plan]] = [None] * n  # of each started request
+    mem_of = [0.0] * n  # the memory each request holds while it runs
+    events: List[Tuple[float, int, int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     seq = itertools.count(n)
 
     free_workers = workers
     pool_queue: deque = deque()
     lock_free = True
     lock_queue: deque = deque()
-    free_containers = 0
-    live_instances = 0
-    warm_pool: List[float] = []  # expiry times of idle warm environments
-    plans: Dict[Tuple[str, str], _Plan] = {}
 
+    shared = variant is Variant.TEEMATE
+    # Expiry times of idle warm environments, oldest first: finishes run
+    # in time order, so they are appended sorted.
+    warm_pool: Optional[deque] = None
+    # The memory a request holds; the shared-enclave model sets it at
+    # each start.
+    mem = 0.0 if variant is Variant.NATIVE else params.m_strawman_per_request
     registration_ms = 0.0
-    if variant is Variant.TEEMATE:
+    if shared:
+        pooled, created = _Plans("pooled", params), _Plans("create", params)
         registration_ms = params.t_container_create + params.t_enclave_create
         ledger.charge(CONTAINER_CREATE, params.t_container_create,
                       "registration")
         ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        ledger.occupy(0.0, params.m_teemate_base)
+        occupy(0.0, params.m_teemate_base)
         free_containers = 1
+        live_instances = 0
+    elif variant is Variant.CC_WARM and not model.prediction:
+        warm, cold = _Plans("warm", params), _Plans("cold", params)
+        warm_pool = deque()
+        keepalive_ms = params.warm_keepalive_s * 1000.0
+    else:
+        plans = _Plans({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
+                        Variant.CC_WARM: "warm"}[variant], params)
     baseline_mib = ledger.occupancy
-
-    def start(idx: int, now: float) -> None:
-        """Take the request's plan and memory; run it to the lock or end."""
-        nonlocal free_containers, live_instances
-        mem = 0.0
-        if variant is Variant.NATIVE:
-            kind = "native"
-        elif variant is Variant.CC_COLD:
-            kind = "cold"
-            mem = params.m_strawman_per_request
-        elif variant is Variant.CC_WARM:
-            warm = model.prediction
-            if not warm:
-                for i, expiry in enumerate(warm_pool):
-                    if expiry >= now:
-                        warm_pool.pop(i)
-                        warm = True
-                        break
-            kind = "warm" if warm else "cold"
-            mem = params.m_strawman_per_request
-        else:
-            if free_containers > 0:
-                free_containers -= 1
-                kind = "pooled"
-            else:
-                kind = "create"
-            live_instances += 1
-            if live_instances > 1:
-                mem = params.m_teemate_per_instance
-        workload = arrivals[idx][1]
-        plan = plans.get((kind, workload))
-        if plan is None:
-            plan = plans[kind, workload] = _plan(
-                kind, params.exec_ms(workload), params)
-        if mem:
-            ledger.occupy(now, mem)
-        t = now
-        for duration in plan.head:
-            t = t + duration
-        push(events, (t, next(seq),
-                      _FINISH if plan.locked is None else _ACQUIRE,
-                      idx, plan, mem))
 
     i = 0
     next_arrival = arrivals[0][0] if n else math.inf
-    while i < n or events:
-        if i < n and (not events or next_arrival <= events[0][0]):
+    while True:
+        if events and (events[0][0] < next_arrival or i == n):
+            now, _, kind, idx = pop(events)
+        elif i < n:
             now, kind, idx = next_arrival, _ARRIVE, i
             i += 1
             next_arrival = arrivals[i][0] if i < n else math.inf
         else:
-            now, _, kind, idx, plan, mem = heapq.heappop(events)
+            break
         # Nothing else is pending now: a grant would be the next event popped.
         idle = now < next_arrival and (not events or now < events[0][0])
+        # A queue forms only while every worker is busy, so an arrival
+        # queues or starts, and a finish frees its worker or passes it on.
         if kind == _ARRIVE:
-            pool_queue.append(idx)
+            if not free_workers:
+                pool_queue.append(idx)
+                continue
+            free_workers -= 1
         elif kind == _FINISH:
+            plan = plan_of[idx]
             records[idx] = RequestRecord(str(idx), *arrivals[idx],
                                          plan.components, plan.total, now)
-            if mem:
-                ledger.occupy(now, -mem)
-            if variant is Variant.TEEMATE:
+            if mem_of[idx]:
+                occupy(now, -mem_of[idx])
+            if shared:
                 live_instances -= 1
                 free_containers += 1
-            elif variant is Variant.CC_WARM and not model.prediction:
-                warm_pool.append(now + params.warm_keepalive_s * 1000.0)
-            free_workers += 1
-        elif kind == _START:
-            start(idx, now)
+            elif warm_pool is not None:
+                warm_pool.append(now + keepalive_ms)
+            if not pool_queue:
+                free_workers += 1
+                continue
+            idx = pool_queue.popleft()
         elif kind == _ACQUIRE:
             if not lock_free:
-                lock_queue.append((idx, plan, mem))
+                lock_queue.append(idx)
+            elif idle:
+                lock_free = False
+                push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK,
+                              idx))
             else:
                 lock_free = False
-                if idle:
-                    push(events, (now + plan.locked, next(seq), _UNLOCK,
-                                  idx, plan, mem))
-                else:
-                    push(events, (now, next(seq), _LOCKED, idx, plan, mem))
+                push(events, (now, next(seq), _LOCKED, idx))
+            continue
         elif kind == _LOCKED:
-            push(events, (now + plan.locked, next(seq), _UNLOCK, idx, plan,
-                          mem))
-        else:
+            push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK, idx))
+            continue
+        elif kind == _UNLOCK:
             t = now
-            for duration in plan.tail:
+            for duration in plan_of[idx].tail:
                 t = t + duration
             # A waiting grant goes before this finish, an inline one after.
             if not lock_queue:
                 lock_free = True
             elif not idle:
-                push(events, (now, next(seq), _LOCKED, *lock_queue.popleft()))
-            push(events, (t, next(seq), _FINISH, idx, plan, mem))
+                push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
+            push(events, (t, next(seq), _FINISH, idx))
             if lock_queue and idle:
-                idx, plan, mem = lock_queue.popleft()
-                push(events, (now + plan.locked, next(seq), _UNLOCK, idx,
-                              plan, mem))
-        # A queue forms only while every worker is busy.
-        if free_workers and pool_queue:
-            free_workers -= 1
-            if idle:
-                start(pool_queue.popleft(), now)
+                idx = lock_queue.popleft()
+                push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK,
+                              idx))
+            continue
+        # A worker is granted: the start runs inline if nothing else is
+        # pending now, or waits its turn as a zero-delay event.
+        if kind != _START and not idle:
+            push(events, (now, next(seq), _START, idx))
+            continue
+        # Start the request: take its plan and memory, and run it to the
+        # lock or the end.
+        workload = arrivals[idx][1]
+        if shared:
+            if free_containers:
+                free_containers -= 1
+                plan = pooled[workload]
             else:
-                push(events, (now, next(seq), _START, pool_queue.popleft(),
-                              None, 0.0))
+                plan = created[workload]
+            live_instances += 1
+            mem = params.m_teemate_per_instance if live_instances > 1 else 0.0
+        elif warm_pool is not None:
+            while warm_pool and warm_pool[0] < now:
+                warm_pool.popleft()  # expired: later starts are later still
+            if warm_pool:
+                warm_pool.popleft()
+                plan = warm[workload]
+            else:
+                plan = cold[workload]
+        else:
+            plan = plans[workload]
+        if mem:
+            occupy(now, mem)
+        plan_of[idx] = plan
+        mem_of[idx] = mem
+        t = now
+        for duration in plan.head:
+            t = t + duration
+        push(events, (t, next(seq),
+                      _FINISH if plan.locked is None else _ACQUIRE, idx))
 
     if not all(records):
         raise errors.InvariantViolation("not all requests completed")
@@ -490,13 +523,18 @@ def run_database(model, db_mib: float, write_ratio: float,
         # page not yet copied copies it first. Only the last request can
         # end past window_end.
         rng = random.Random(seed)
-        draw, pick = rng.random, rng.randrange
+        draw, bits = rng.random, rng.getrandbits
+        # ``randrange(db_pages)``'s own draw, inlined: ``k`` random bits,
+        # drawn again while they fall past the last page.
+        k = db_pages.bit_length()
         cow_ns = _ns(params.t_cow_copy, "a page copy")
         dirty = bytearray(db_pages)
         while t < window_end:
             service = exec_ns
             if draw() < write_ratio:
-                page = pick(db_pages)
+                page = bits(k)
+                while page >= db_pages:
+                    page = bits(k)
                 if not dirty[page]:
                     dirty[page] = 1
                     copies += 1

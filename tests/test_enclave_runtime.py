@@ -4,6 +4,7 @@ import pytest
 
 from enclavesim import errors
 from enclavesim.enclave_runtime import (
+    COPY_BASE,
     DB_BASE,
     EnclaveRuntime,
     InstanceState,
@@ -392,6 +393,27 @@ class TestForkCow:
         runtime.snapshot(pair, pair.child_pid)
         page = machine.pages[runtime.enclave.pages[DB_BASE]]
         assert bytes(page.content) == parent_bytes
+        runtime.check_invariants()
+
+    def test_copy_vas_are_unreachable_outside_the_pair(self):
+        # A container attached while the pair is live maps the child's
+        # private copy; plain reads and writes there must fault.
+        machine, runtime, pair = build_forked_runtime(2)
+        runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child-secret")
+        (copy_va,) = pair.views[pair.child_pid][1].values()
+        assert copy_va == COPY_BASE
+        outsider = runtime.kernel.create_container("/b")
+        runtime.attach_container(outsider)
+        used = machine.epc_used
+        for pid in (outsider.pid, pair.child_pid, pair.parent_pid):
+            with pytest.raises(errors.IsolationFault):
+                runtime.read(pid, copy_va)
+            with pytest.raises(errors.IsolationFault):
+                runtime.write(pid, copy_va, b"OUTSIDER")
+        assert runtime.cow_read(pair, pair.child_pid,
+                                DB_BASE)[:12] == b"child-secret"
+        assert machine.epc_used == used
+        runtime.snapshot(pair, pair.child_pid)
         runtime.check_invariants()
 
     @pytest.mark.parametrize("faulting", [False, True],

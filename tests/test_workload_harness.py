@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import random
 import statistics
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,6 +115,17 @@ class TestServerlessLatency:
         trace = RequestTrace([(0.0, "sleep"), (50000.0, "sleep")])
         m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
         assert ENCLAVE_CREATE in m.requests[1].components
+
+    def test_sparse_warm_pool_run_is_linear(self, params):
+        # At 0.01 requests/s nearly every warm environment has expired by
+        # the next start. A start that scans the expired entries makes the
+        # run quadratic: 200,000 requests then take minutes.
+        trace = gen_poisson(0.01, 2e7, 0, "sleep")
+        began = time.perf_counter()
+        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
+        elapsed = time.perf_counter() - began
+        assert m.count == len(trace.arrivals) > 199_000
+        assert elapsed < 10.0
 
     def test_native_has_no_enclave_cost(self, params):
         m = run_serverless(Variant.NATIVE, gen_burst(3, "sleep"), params)
@@ -356,6 +369,34 @@ class TestDatabaseOracle:
                 seed, params)
         assert observed(run_database(*args)) == \
             observed(run_database_stepwise(*args))
+
+
+class TestPageDraw:
+    """The copy-on-write window inlines ``randrange``'s draw: ``k`` random
+    bits, drawn again while they fall past the last page. These page
+    counts take one to three bits or sit on both sides of a power of two,
+    where a redraw is likeliest."""
+
+    @pytest.mark.parametrize("pages", [1, 2, 3, 2**17, 2**17 + 1])
+    def test_inlined_draw_matches_randrange(self, params, pages):
+        k = pages.bit_length()
+        for seed in range(4):
+            inlined, library = random.Random(seed), random.Random(seed)
+            for _ in range(1000):
+                assert inlined.random() == library.random()
+                page = inlined.getrandbits(k)
+                while page >= pages:
+                    page = inlined.getrandbits(k)
+                assert page == library.randrange(pages)
+        # The window of the harness holds about 2,000 requests, half of which
+        # write, against the oracle's ``randrange``.
+        db_mib = pages * params.page_mib
+        params.snapshot_write_mib_per_s = db_mib / (2000 * params.t_db_exec
+                                                    / 1000.0)
+        for seed in range(3):
+            args = (DbModel.TEEMATE, db_mib, 0.5, 0.0, 0.001, seed, params)
+            assert observed(run_database(*args)) == \
+                observed(run_database_stepwise(*args))
 
 
 # Integer costs make finishes land on arrivals, grants and each other; the
