@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import errors
 
@@ -215,17 +215,6 @@ class CostLedger:
         if gap <= self._rounding_slack():
             raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
         raise errors.InvariantViolation(message)
-
-    def peak_between(self, t0: float, t1: float) -> float:
-        """Max occupancy over [t0, t1], including the level carried in."""
-        peak = 0.0
-        carry = 0.0
-        for t, occ in self.timeline:
-            if t <= t0:
-                carry = occ
-            elif t <= t1:
-                peak = max(peak, occ)
-        return max(peak, carry)
 
 
 def sum_in_order(values: Iterable[float]) -> float:

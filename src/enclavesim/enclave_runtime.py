@@ -3,15 +3,18 @@ system with per-process integrity checks, and copy-on-write fork support
 for the database scenario.
 
 The sandbox is a bounds-checked region model (the isolation *contract*,
-not an instruction-level SFI). Copy-on-write privatizes pages on the
-writer side only; the other side keeps reading the original page.
+not an instruction-level SFI). A va is enclave-private if and only if the
+enclave maps it: every page the runtime EADDs is mapped through
+``_eadd_mapped``, and every page it EREMOVEs is unmapped with it. An
+instance is live while ``EnclaveRuntime.instances`` holds it.
+Copy-on-write privatizes pages on the writer side only; the other side
+keeps reading the original page.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from . import errors
 from .host_kernel import Container, Kernel, TcsTable
@@ -38,22 +41,15 @@ DB_BASE = 0x400000
 COPY_BASE = 0x800000
 
 
-class InstanceState(enum.Enum):
-    LOADED = "loaded"
-    DONE = "done"
-
-
 @dataclass
 class FunctionInstance:
     instance_id: int
     owner_pid: int
     region: Tuple[int, int]  # (base va, length in pages)
-    epc_pages: List[int] = field(default_factory=list)
-    state: InstanceState = InstanceState.LOADED
 
-    def contains(self, va: int) -> bool:
+    def vas(self) -> range:
         base, length = self.region
-        return base <= va < base + length
+        return range(base, base + length)
 
 
 @dataclass
@@ -70,13 +66,13 @@ class ForkPair:
     its private copies, ``{db va: copy va}``. A db page is shared while
     neither side's map holds it; each side reads its copy where it has one
     and the original page otherwise. ``dirty_count`` counts the copies.
-    Retiring the pair empties ``views``, so no pid has a view of it."""
+    The pair is live while it holds views: retiring it empties ``views``,
+    so no pid has a view of it."""
 
     parent_pid: int
     child_pid: int
     views: Dict[int, Tuple[Container, Dict[int, int]]]
     dirty_count: int = 0
-    live: bool = True
 
 
 class EnclaveRuntime:
@@ -90,7 +86,7 @@ class EnclaveRuntime:
         self.enclave: Enclave = machine.ecreate(enclave_id)
         self._mode = enclave_mode(enclave_id)
         self.tcs_table: Optional[TcsTable] = None
-        self.threads: Dict[int, Tuple[EnclaveThread, int]] = {}
+        self.threads: Dict[int, EnclaveThread] = {}
         self.instances: Dict[int, FunctionInstance] = {}
         self.files: Dict[str, FileRow] = {}
         self.runtime_pages = 0
@@ -99,9 +95,6 @@ class EnclaveRuntime:
         self._free_regions: List[Tuple[int, int]] = []
         self._instance_bump = INSTANCE_BASE
         self._next_copy_va = COPY_BASE
-        # Every va the runtime treats as enclave-private; accesses resolving
-        # to unprotected pages here are sandbox violations.
-        self.private_vas: Set[int] = set()
         # Every pair shares the one database extent, so at most one is live.
         self.fork_pair: Optional[ForkPair] = None
 
@@ -111,7 +104,6 @@ class EnclaveRuntime:
                      page_type: PageType = PageType.REGULAR) -> int:
         pa, _ = self.machine.eadd(self.enclave, va, content, page_type)
         container.address_space.map(va, pa)
-        self.private_vas.add(va)
         return pa
 
     def runtime_init(self, runtime_pages: int, tcs_count: int = 8,
@@ -138,25 +130,23 @@ class EnclaveRuntime:
             # The hardware refused the entry: the row must not stay held.
             self.kernel.tcs_release(self.tcs_table, tcs_va)
             raise
-        self.threads[pid] = (thread, tcs_va)
+        self.threads[pid] = thread
         return thread
 
     def exit(self, pid: int) -> None:
-        thread, tcs_va = self.threads[pid]
+        thread = self.threads[pid]
         self.machine.eexit(thread)
         del self.threads[pid]
-        self.kernel.tcs_release(self.tcs_table, tcs_va)
+        self.kernel.tcs_release(self.tcs_table, thread.tcs_va)
 
     def suspend(self, pid: int) -> None:
         """AEX: the context is saved in the TCS, which stays held."""
-        thread, _ = self.threads[pid]
-        self.machine.aex(thread)
+        self.machine.aex(self.threads[pid])
 
     def resume(self, pid: int) -> EnclaveThread:
-        _, tcs_va = self.threads[pid]
         space = self.kernel.containers[pid].address_space
-        thread = self.machine.eresume(space, tcs_va)
-        self.threads[pid] = (thread, tcs_va)
+        thread = self.machine.eresume(space, self.threads[pid].tcs_va)
+        self.threads[pid] = thread
         return thread
 
     def attach_container(self, container: Container) -> None:
@@ -171,11 +161,12 @@ class EnclaveRuntime:
         """Translate through ``space`` in enclave mode, then apply the
         sandbox check: the hardware lets enclave code touch unprotected
         pages, so an enclave-private va resolving to one is an isolation
-        fault."""
+        fault. A va is enclave-private if and only if the enclave maps
+        it."""
         machine = self.machine
         page = machine.pages[machine.translate_access(space, va, access,
                                                       self._mode)]
-        if not page.is_epc and va in self.private_vas:
+        if not page.is_epc and va in self.enclave.pages:
             raise errors.IsolationFault(
                 f"enclave-private va {va:#x} backed by unprotected page")
         return page
@@ -210,7 +201,7 @@ class EnclaveRuntime:
         O(pages) recount is ``Machine.check_epc_conservation``, the audit
         the probes run once at the end of each schedule."""
         self.machine.check_epc_counts()
-        live = [tcs_va for thread, tcs_va in self.threads.values()
+        live = [thread.tcs_va for thread in self.threads.values()
                 if thread.live]
         if len(live) != len(set(live)):
             raise errors.InvariantViolation(
@@ -254,28 +245,22 @@ class EnclaveRuntime:
         instance = FunctionInstance(self._next_instance_id, owner_pid,
                                     (base, code_size_pages))
         self._next_instance_id += 1
+        self.instances[instance.instance_id] = instance
         filler = bytes([code_byte]) * PAGE_SIZE
         try:
-            for i in range(code_size_pages):
-                instance.epc_pages.append(base + i)
-                self._eadd_mapped(owner, base + i, filler)
+            for va in instance.vas():
+                self._eadd_mapped(owner, va, filler)
         except errors.OutOfEpc:
-            for va in instance.epc_pages:
-                if va in self.enclave.pages:
-                    self.machine.eremove(self.enclave, va)
-                owner.address_space.unmap(va)
-                self.private_vas.discard(va)
-            self._free_regions.append((base, code_size_pages))
-            self._free_regions.sort()
+            self.instance_destroy(instance)
             raise
-        self.instances[instance.instance_id] = instance
         return instance
 
     def instance_access(self, instance: FunctionInstance, va: int,
                         access: Access, data: bytes = b"") -> bytes:
-        if instance.state is InstanceState.DONE:
-            raise errors.IsolationFault("instance already finished")
-        in_region = instance.contains(va)
+        if instance.instance_id not in self.instances:
+            raise errors.IsolationFault(
+                f"instance {instance.instance_id} was destroyed")
+        in_region = va in instance.vas()
         in_runtime = RUNTIME_BASE <= va < RUNTIME_BASE + self.runtime_pages
         if not in_region:
             if not (in_runtime and access is Access.READ):
@@ -288,17 +273,19 @@ class EnclaveRuntime:
         return self.read(instance.owner_pid, va)
 
     def instance_destroy(self, instance: FunctionInstance) -> None:
-        if instance.state is not InstanceState.DONE:
-            raise errors.NotDone(
-                f"instance {instance.instance_id} is {instance.state.value}")
-        owner = self.kernel.containers[instance.owner_pid]
-        for va in instance.epc_pages:
-            self.machine.eremove(self.enclave, va)
-            owner.address_space.unmap(va)
-            self.private_vas.discard(va)
+        """Free a live instance's pages and region. A page missing from
+        the enclave is one an ``OutOfEpc`` in ``instance_create`` never
+        added."""
+        if self.instances.pop(instance.instance_id, None) is None:
+            raise errors.IsolationFault(
+                f"instance {instance.instance_id} was destroyed")
+        unmap = self.kernel.containers[instance.owner_pid].address_space.unmap
+        for va in instance.vas():
+            if va in self.enclave.pages:
+                self.machine.eremove(self.enclave, va)
+            unmap(va)
         self._free_regions.append(instance.region)
         self._free_regions.sort()
-        del self.instances[instance.instance_id]
 
     # -- in-memory file system ----------------------------------------------
 
@@ -372,8 +359,7 @@ class EnclaveRuntime:
         if self.fork_pair is not None:
             raise errors.ForkInProgress(
                 f"fork pair of child {self.fork_pair.child_pid} is live")
-        thread, _ = self.threads[parent_pid]
-        if not thread.live:
+        if not self.threads[parent_pid].live:
             raise errors.SimError("parent holds no live enclave thread")
         if not self.tcs_table.free_rows():
             raise errors.NoFreeTcs("no TCS available for the child")
@@ -390,7 +376,7 @@ class EnclaveRuntime:
     def _no_view(pair: ForkPair, pid: int) -> errors.Fault:
         """The fault for a pid with no view of the pair: a retired pair
         (which keeps no views) first, then a pid in neither role."""
-        if not pair.live:
+        if not pair.views:
             return errors.PairRetired(f"fork pair of child {pair.child_pid} "
                                       f"is retired")
         return errors.NotForkMember(f"pid {pid} is not in the fork pair of "
@@ -472,12 +458,11 @@ class EnclaveRuntime:
         so occupancy returns exactly to the pre-fork level. The retired
         pair keeps no views, and a new fork may start. A child suspended by
         an AEX is resumed first, since only a live thread can exit."""
-        if not self.threads[pair.child_pid][0].live:
+        if not self.threads[pair.child_pid].live:
             self.resume(pair.child_pid)
         self.exit(pair.child_pid)
         machine, enclave = self.machine, self.enclave
         pages, enclave_pages = machine.pages, enclave.pages
-        private_vas = self.private_vas
         for va, copy_va in pair.views[pair.parent_pid][1].items():
             pages[enclave_pages[va]].write(
                 pages[enclave_pages[copy_va]].content)
@@ -486,8 +471,6 @@ class EnclaveRuntime:
             for copy_va in copies.values():
                 machine.eremove(enclave, copy_va)
                 unmap(copy_va)
-                private_vas.discard(copy_va)
         pair.views = {}
-        pair.live = False
         self.fork_pair = None
         self.kernel.destroy_container(pair.child_pid)

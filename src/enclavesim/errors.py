@@ -95,10 +95,6 @@ class RegionExhausted(SimError):
     pass
 
 
-class NotDone(SimError):
-    pass
-
-
 class FsFault(SimError):
     """Base class for in-enclave file system failures."""
 

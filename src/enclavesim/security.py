@@ -179,7 +179,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                     if held is None:
                         if action != 2:
                             runtime.enter(pid)
-                    elif not held[0].live:
+                    elif not held.live:
                         if action == 0:
                             runtime.resume(pid)
                     elif action == 0:

@@ -135,9 +135,6 @@ class Enclave:
     _hash: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False,
                                  compare=False)
 
-    def tcs_for(self, tcs_va: int) -> Optional[TcsPage]:
-        return self.tcs_table.get(tcs_va)
-
 
 class AddressSpace:
     """Per-container page table, freely mutable by the (untrusted) kernel."""
@@ -334,7 +331,7 @@ class Machine:
         if not thread.live:
             raise errors.SimError("thread is not live")
         enclave = self.enclaves[thread.enclave_id]
-        tcs = enclave.tcs_for(thread.tcs_va)
+        tcs = enclave.tcs_table.get(thread.tcs_va)
         if tcs is None or tcs.state is not TcsState.BUSY:
             raise errors.SimError("thread not bound to a busy TCS")
         return tcs
@@ -346,20 +343,20 @@ class Machine:
         entries, protected pages (``len(pages)`` less the plain pages) and
         ``epc_used`` agree, within capacity. This is the per-step check."""
         valid_entries = len(self.epcm)
-        epc_pages = len(self.pages) - self.plain_pages
-        if valid_entries != epc_pages or epc_pages != self.epc_used:
+        protected = len(self.pages) - self.plain_pages
+        if valid_entries != protected or protected != self.epc_used:
             raise errors.InvariantViolation(
                 f"valid EPCM entries {valid_entries}, protected pages "
-                f"{epc_pages} and epc_used {self.epc_used} differ")
+                f"{protected} and epc_used {self.epc_used} differ")
         if self.epc_used > self.epc_capacity_pages:
             raise errors.InvariantViolation("EPC capacity exceeded")
 
     def check_epc_conservation(self) -> None:
         """The full audit, O(pages): recount the protected pages, check the
         recount against the kept count, then ``check_epc_counts``."""
-        epc_pages = sum(1 for p in self.pages.values() if p.is_epc)
+        protected = sum(1 for p in self.pages.values() if p.is_epc)
         kept = len(self.pages) - self.plain_pages
-        if epc_pages != kept:
+        if protected != kept:
             raise errors.InvariantViolation(
-                f"recounted protected pages {epc_pages}, kept count {kept}")
+                f"recounted protected pages {protected}, kept count {kept}")
         self.check_epc_counts()

@@ -55,7 +55,6 @@ class ExecutionModel:
 @dataclass
 class RequestTrace:
     arrivals: List[Tuple[float, str]]
-    seed: int = 0
 
     def __post_init__(self):
         arrivals = self.arrivals
@@ -116,7 +115,7 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
         if t > horizon:
             break
         arrivals.append((t, workload))
-    return RequestTrace(arrivals, seed)
+    return RequestTrace(arrivals)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,6 @@ def run_database(model, db_mib: float, write_ratio: float,
     served_total += n
     service_ns += n * exec_ns
 
-    snapshot_peak = ledger.peak_between(_ms(fork_start), _ms(window_end))
     if strawman:
         ledger.occupy(_ms(window_end),
                       -(db_mib + params.m_db_runtime_strawman))
@@ -584,7 +582,9 @@ def run_database(model, db_mib: float, write_ratio: float,
             "fork_latency_ms": fork_ms,
             "snapshot_window_s": window_s,
             "snapshot_window_throughput_rps": served_window / window_s,
-            "snapshot_peak_mib": snapshot_peak,
+            # Occupancy only rises until the window closes, so the
+            # window's peak is the running peak.
+            "snapshot_peak_mib": ledger.peak_epc,
             "dirty_pages": float(copies),
             "baseline_mib": base_mib,
             "final_mib": ledger.occupancy,

@@ -7,6 +7,7 @@ must give the same ``Metrics``, field for field.
 """
 
 import random
+from typing import List, Tuple
 
 from enclavesim import errors
 from enclavesim.cost_model import CostLedger, CostParams, sum_in_order
@@ -16,6 +17,20 @@ from enclavesim.workload_harness import (
     RequestRecord,
     db_cycle,
 )
+
+
+def peak_between(timeline: List[Tuple[float, float]], t0: float,
+                 t1: float) -> float:
+    """Max occupancy of a ledger's timeline over [t0, t1], including the
+    level carried in."""
+    peak = 0.0
+    carry = 0.0
+    for t, occ in timeline:
+        if t <= t0:
+            carry = occ
+        elif t <= t1:
+            peak = max(peak, occ)
+    return max(peak, carry)
 
 
 def run_database_stepwise(model, db_mib: float, write_ratio: float,
@@ -74,8 +89,8 @@ def run_database_stepwise(model, db_mib: float, write_ratio: float,
     # Occupancy only rises inside the window: one step at the last copy.
     if dirty:
         ledger.occupy(last_copy / 10**6, len(dirty) * params.page_mib)
-    snapshot_peak = ledger.peak_between(fork_start / 10**6,
-                                        window_end / 10**6)
+    snapshot_peak = peak_between(ledger.timeline, fork_start / 10**6,
+                                 window_end / 10**6)
     if strawman:
         ledger.occupy(window_end / 10**6,
                       -(db_mib + params.m_db_runtime_strawman))

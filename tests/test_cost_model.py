@@ -172,22 +172,6 @@ class TestLedgerOccupancy:
         with pytest.raises(errors.ConfigError):
             ledger.occupy(1.0, -1e300)
 
-    def test_peak_between_includes_carry_in(self):
-        ledger = CostLedger()
-        ledger.occupy(0.0, 100.0)
-        ledger.occupy(5.0, -40.0)
-        assert ledger.peak_between(1.0, 4.0) == 100.0
-        assert ledger.peak_between(1.0, 6.0) == 100.0
-        assert ledger.peak_between(6.0, 9.0) == 60.0
-
-    def test_peak_between_window_spike(self):
-        ledger = CostLedger()
-        ledger.occupy(0.0, 10.0)
-        ledger.occupy(2.0, 90.0)
-        ledger.occupy(3.0, -90.0)
-        assert ledger.peak_between(1.0, 4.0) == 100.0
-        assert ledger.peak_between(3.5, 4.0) == 10.0
-
 
 class TestPercentile:
     def test_empty(self):

@@ -7,7 +7,6 @@ from enclavesim.enclave_runtime import (
     COPY_BASE,
     DB_BASE,
     EnclaveRuntime,
-    InstanceState,
     RUNTIME_BASE,
     TCS_BASE,
 )
@@ -122,12 +121,13 @@ class TestThreads:
 
 
 class TestInstances:
-    def test_create_maps_epc_pages(self, rt):
+    def test_create_maps_region_pages(self, rt):
         machine, _, runtime = rt
         used = machine.epc_used
         instance = runtime.instance_create(runtime.creator.pid, 3)
         assert machine.epc_used == used + 3
-        assert len(instance.epc_pages) == 3
+        assert instance.region[1] == 3
+        assert all(va in runtime.enclave.pages for va in instance.vas())
 
     def test_disjoint_regions(self, rt):
         _, _, runtime = rt
@@ -170,18 +170,36 @@ class TestInstances:
         with pytest.raises((errors.IsolationFault, errors.Fault)):
             runtime.instance_access(instance, va, Access.READ)
 
-    def test_destroy_requires_done(self, rt):
-        _, _, runtime = rt
-        instance = runtime.instance_create(runtime.creator.pid, 1)
-        with pytest.raises(errors.NotDone):
-            runtime.instance_destroy(instance)
+    def test_destroyed_instance_region_reused(self, rt):
+        # A's stale handle must not reach B, created in A's freed region.
+        _, kernel, runtime = rt
+        other = kernel.create_container("/b")
+        runtime.attach_container(other)
+        a = runtime.instance_create(runtime.creator.pid, 1)
+        va = a.region[0]
+        runtime.instance_access(a, va, Access.WRITE, b"A's secret")
+        runtime.fs_create(a, "a.txt", b"A's file")
+        runtime.instance_destroy(a)
+        b = runtime.instance_create(other.pid, 1, code_byte=0x42)
+        assert b.region == a.region
+        for access, data in ((Access.READ, b""), (Access.WRITE, b"x")):
+            with pytest.raises(errors.IsolationFault):
+                runtime.instance_access(a, va, access, data)
+        with pytest.raises(errors.IsolationFault):
+            runtime.instance_destroy(a)
+        assert runtime.instances == {b.instance_id: b}
+        assert runtime.instance_access(b, va, Access.READ) == \
+            bytes([0x42]) * PAGE_SIZE
+        # The creator's only instance is gone, so it owns no file.
+        with pytest.raises(errors.FsNotOwner):
+            runtime.fs_open(runtime.creator.pid, "a.txt")
+        runtime.check_invariants()
 
     def test_destroy_frees_pages_and_region(self, rt):
         machine, _, runtime = rt
         used = machine.epc_used
         instance = runtime.instance_create(runtime.creator.pid, 2)
         region = instance.region
-        instance.state = InstanceState.DONE
         runtime.instance_destroy(instance)
         assert machine.epc_used == used
         reused = runtime.instance_create(runtime.creator.pid, 2)
@@ -192,11 +210,17 @@ class TestInstances:
         kernel = Kernel(machine)
         runtime = EnclaveRuntime(machine, kernel)
         runtime.runtime_init(runtime_pages=1, tcs_count=2)
+        live = runtime.instance_create(runtime.creator.pid, 1)
         used = machine.epc_used
         with pytest.raises(errors.OutOfEpc):
             runtime.instance_create(runtime.creator.pid, 16)
         assert machine.epc_used == used
+        assert runtime.instances == {live.instance_id: live}
         machine.check_epc_conservation()
+        # The refused instance's region is free again.
+        reused = runtime.instance_create(runtime.creator.pid, 2)
+        assert reused.region[0] == live.region[0] + 1
+        runtime.check_invariants()
 
 
 class TestFilesystem:
@@ -298,7 +322,7 @@ class TestForkCow:
             runtime.cow_write(pair, pair.child_pid, DB_BASE + i, b"c")
             runtime.cow_write(pair, pair.parent_pid, DB_BASE + i, b"p")
         runtime.snapshot(pair, pair.child_pid)
-        assert machine.epc_used == baseline and not pair.live
+        assert machine.epc_used == baseline and not pair.views
         machine.check_epc_conservation()
 
     def test_retired_pair_refuses_cow_write(self):
@@ -368,7 +392,7 @@ class TestForkCow:
         self.remap_child_to_plain(machine, runtime, pair)
         with pytest.raises(errors.IsolationFault):
             runtime.snapshot(pair, pair.child_pid)
-        assert not pair.live
+        assert not pair.views
         assert pair.child_pid not in runtime.threads
         assert pair.child_pid not in runtime.kernel.containers
         assert machine.epc_used == pre_fork_used
@@ -388,7 +412,7 @@ class TestForkCow:
                 method(pair, outsider.pid, *args)
             assert isinstance(caught.value, errors.NotForkMember)
         assert machine.epc_used == used and pair.dirty_count == 0
-        assert pair.live and private_copies(pair) == {}
+        assert pair.views and private_copies(pair) == {}
         # The pair still works, and the outsider's bytes reached no view.
         runtime.snapshot(pair, pair.child_pid)
         page = machine.pages[runtime.enclave.pages[DB_BASE]]
@@ -455,7 +479,7 @@ class TestForkCow:
         runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child")
         runtime.suspend(pair.child_pid)
         runtime.snapshot(pair, pair.child_pid)
-        assert not pair.live and machine.epc_used == used
+        assert not pair.views and machine.epc_used == used
         assert len(runtime.tcs_table.free_rows()) == 3
         runtime.check_invariants()
         second = runtime.fork_cow(runtime.creator.pid)

@@ -103,7 +103,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
         else:
             assert self.runtime.snapshot(pair, child) == want
         # Retired either way; the parent's writes were folded back.
-        assert not pair.live and child not in self.runtime.kernel.containers
+        assert not pair.views and child not in self.runtime.kernel.containers
         self.parent_view = {va: self.oracle.read(pair.parent_pid, va)
                             for va in self.vas}
         for va in self.vas:
@@ -166,7 +166,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
             pair, pid, *args))
 
     @precondition(lambda self: self.pair is not None
-                  and self.runtime.threads[self.pair.child_pid][0].live)
+                  and self.runtime.threads[self.pair.child_pid].live)
     @rule()
     def suspend_child(self):
         """An AEX of the child: the snapshot must still retire it."""

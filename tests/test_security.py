@@ -90,7 +90,7 @@ SHIPPED_CHECKS = [
     ("EPCM enclave id", Machine, "translate_access",
      "entry.enclave_id != enclave_id or ", ""),
     ("is_epc sandbox", EnclaveRuntime, "_resolve",
-     "not page.is_epc and va in self.private_vas", "False"),
+     "not page.is_epc and va in self.enclave.pages", "False"),
     ("TCS busy", Machine, "eenter", "tcs.state is TcsState.BUSY", "False"),
     ("AbortPage", Machine, "translate_access", "if enclave_id is None:",
      "if False:"),

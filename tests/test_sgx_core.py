@@ -370,7 +370,7 @@ class TestThreads:
     def test_enter_exit_cycle(self, machine):
         e, space = build_enclave(machine)
         thread = machine.eenter(space, 0x100)
-        tcs = e.tcs_for(0x100)
+        tcs = e.tcs_table[0x100]
         assert tcs.state is TcsState.BUSY
         machine.eexit(thread)
         assert tcs.state is TcsState.AVAILABLE

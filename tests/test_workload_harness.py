@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from db_oracle import run_database_stepwise
+from db_oracle import peak_between, run_database_stepwise
 from serverless_oracle import run_serverless_heaped
 
 from enclavesim import errors
@@ -16,6 +16,7 @@ from enclavesim.cost_model import (
     CONTAINER_CREATE,
     ENCLAVE_CREATE,
     EPC_EXPAND,
+    CostLedger,
     default_params,
 )
 from enclavesim.workload_harness import (
@@ -369,6 +370,22 @@ class TestDatabaseOracle:
                 seed, params)
         assert observed(run_database(*args)) == \
             observed(run_database_stepwise(*args))
+
+    def test_peak_between_includes_carry_in(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 100.0)
+        ledger.occupy(5.0, -40.0)
+        assert peak_between(ledger.timeline, 1.0, 4.0) == 100.0
+        assert peak_between(ledger.timeline, 1.0, 6.0) == 100.0
+        assert peak_between(ledger.timeline, 6.0, 9.0) == 60.0
+
+    def test_peak_between_window_spike(self):
+        ledger = CostLedger()
+        ledger.occupy(0.0, 10.0)
+        ledger.occupy(2.0, 90.0)
+        ledger.occupy(3.0, -90.0)
+        assert peak_between(ledger.timeline, 1.0, 4.0) == 100.0
+        assert peak_between(ledger.timeline, 3.5, 4.0) == 10.0
 
 
 class TestPageDraw:
