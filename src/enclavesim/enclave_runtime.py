@@ -27,7 +27,6 @@ from .sgx_core import (
     PAGE_SIZE,
     PageType,
     PhysicalPage,
-    TcsState,
     check_span,
     content_digest,
     enclave_mode,
@@ -39,6 +38,10 @@ RUNTIME_BASE = 0x1000
 INSTANCE_BASE = 0x10000
 DB_BASE = 0x400000
 COPY_BASE = 0x800000
+
+# Access members read from module globals, not through the class, on the
+# per-access paths.
+_READ, _WRITE = Access.READ, Access.WRITE
 
 
 @dataclass
@@ -54,6 +57,9 @@ class FunctionInstance:
 
 @dataclass
 class FileRow:
+    """A file of the in-memory file system. Its owner instance is live:
+    ``instance_destroy`` drops the rows of the instance it destroys."""
+
     owner_instance: int
     content: bytearray
     digest: bytes
@@ -184,13 +190,13 @@ class EnclaveRuntime:
         if va >= COPY_BASE:
             raise self._copy_fault(va)
         space = self.kernel.containers[pid].address_space
-        return bytes(self._resolve(space, va, Access.READ).content)
+        return bytes(self._resolve(space, va, _READ).content)
 
     def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
         if va >= COPY_BASE:
             raise self._copy_fault(va)
         space = self.kernel.containers[pid].address_space
-        self._resolve(space, va, Access.WRITE).write(data, offset)
+        self._resolve(space, va, _WRITE).write(data, offset)
 
     def check_invariants(self) -> None:
         """The per-step check, O(TCS pages + threads) and independent of
@@ -201,11 +207,13 @@ class EnclaveRuntime:
         O(pages) recount is ``Machine.check_epc_conservation``, the audit
         the probes run once at the end of each schedule."""
         self.machine.check_epc_counts()
-        live = [thread.tcs_va for thread in self.threads.values()
-                if thread.live]
-        if len(live) != len(set(live)):
-            raise errors.InvariantViolation(
-                "a TCS is bound to more than one live thread")
+        live = set()
+        for thread in self.threads.values():
+            if thread.live:
+                if thread.tcs_va in live:
+                    raise errors.InvariantViolation(
+                        "a TCS is bound to more than one live thread")
+                live.add(thread.tcs_va)
         rows = self.tcs_table.rows if self.tcs_table is not None else ()
         tcs_pages = self.enclave.tcs_table
         for row in rows:
@@ -214,11 +222,10 @@ class EnclaveRuntime:
                 raise errors.InvariantViolation(
                     f"tcs {row.tcs_va:#x}: in the kernel's table, not in "
                     f"the hardware")
-            busy = tcs.state is TcsState.BUSY
-            if (row.holder is not None) != busy:
+            if (row.holder is not None) != tcs.busy:
                 raise errors.InvariantViolation(
                     f"tcs {row.tcs_va:#x}: kernel holder {row.holder}, "
-                    f"hardware busy {busy}")
+                    f"hardware busy {tcs.busy}")
 
     # -- function instances -------------------------------------------------
 
@@ -263,37 +270,39 @@ class EnclaveRuntime:
         in_region = va in instance.vas()
         in_runtime = RUNTIME_BASE <= va < RUNTIME_BASE + self.runtime_pages
         if not in_region:
-            if not (in_runtime and access is Access.READ):
+            if not (in_runtime and access is _READ):
                 raise errors.IsolationFault(
                     f"instance {instance.instance_id} denied {access.value} "
                     f"at va {va:#x}")
-        if access is Access.WRITE:
+        if access is _WRITE:
             self.write(instance.owner_pid, va, data)
             return b""
         return self.read(instance.owner_pid, va)
 
     def instance_destroy(self, instance: FunctionInstance) -> None:
-        """Free a live instance's pages and region. A page missing from
-        the enclave is one an ``OutOfEpc`` in ``instance_create`` never
+        """Free a live instance's pages, files and region; the region
+        merges with the free regions it touches. A page missing from the
+        enclave is one an ``OutOfEpc`` in ``instance_create`` never
         added."""
-        if self.instances.pop(instance.instance_id, None) is None:
-            raise errors.IsolationFault(
-                f"instance {instance.instance_id} was destroyed")
+        instance_id = instance.instance_id
+        if self.instances.pop(instance_id, None) is None:
+            raise errors.IsolationFault(f"instance {instance_id} was destroyed")
         unmap = self.kernel.containers[instance.owner_pid].address_space.unmap
         for va in instance.vas():
             if va in self.enclave.pages:
                 self.machine.eremove(self.enclave, va)
             unmap(va)
-        self._free_regions.append(instance.region)
-        self._free_regions.sort()
+        self.files = {name: row for name, row in self.files.items()
+                      if row.owner_instance != instance_id}
+        merged: List[Tuple[int, int]] = []
+        for base, length in sorted(self._free_regions + [instance.region]):
+            if merged and sum(merged[-1]) == base:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            else:
+                merged.append((base, length))
+        self._free_regions = merged
 
     # -- in-memory file system ----------------------------------------------
-
-    def _instance_of(self, pid: int) -> FunctionInstance:
-        for instance in self.instances.values():
-            if instance.owner_pid == pid:
-                return instance
-        raise errors.FsNotOwner(f"pid {pid} has no live instance")
 
     def fs_create(self, instance: FunctionInstance, name: str,
                   content: bytes) -> None:
@@ -328,8 +337,8 @@ class EnclaveRuntime:
         row = self.files.get(name)
         if row is None:
             raise errors.FsNotFound(name)
-        caller = self._instance_of(pid)
-        if row.owner_instance != caller.instance_id:
+        owner = self.instances.get(row.owner_instance)
+        if owner is None or owner.owner_pid != pid:
             raise errors.FsNotOwner(f"pid {pid} does not own file {name!r}")
         return row
 
@@ -409,13 +418,13 @@ class EnclaveRuntime:
             else:
                 # First write since fork: privatize on the writer side only.
                 check_span(offset, len(value))
-                original = self._resolve(space, va, Access.READ)
+                original = self._resolve(space, va, _READ)
                 target = self._next_copy_va
                 self._next_copy_va += 1
                 self._eadd_mapped(container, target, original.content)
                 copies[va] = target
                 pair.dirty_count += 1
-        self._resolve(space, target, Access.WRITE).write(value, offset)
+        self._resolve(space, target, _WRITE).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation."""
@@ -424,7 +433,7 @@ class EnclaveRuntime:
             raise self._no_view(pair, pid)
         container, copies = view
         return bytes(self._resolve(container.address_space,
-                                   copies.get(va, va), Access.READ).content)
+                                   copies.get(va, va), _READ).content)
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest ``child_pid``'s view of the full db extent, read through

@@ -7,6 +7,10 @@ Every probe drives the shipped ``EnclaveRuntime`` (``read``/``write``,
 run its ``check_invariants`` after every step; that check costs the same at
 any enclave size. They run the full audit, ``Machine.check_epc_conservation``,
 which recounts every physical page, once at the end of each schedule.
+
+Every random choice is ``random.Random.randrange``'s own draw, made by
+``_randbelow`` without the library call's argument handling, so a seed
+gives the same schedules as ``randrange`` would.
 """
 
 from __future__ import annotations
@@ -17,7 +21,18 @@ from typing import List, Tuple
 from . import errors
 from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import Access, Machine, NON_ENCLAVE, PAGE_SIZE, TcsState
+from .sgx_core import Access, Machine, NON_ENCLAVE, PAGE_SIZE
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, drawn as the library draws it:
+    ``n.bit_length()`` random bits, drawn again while they are ``n`` or
+    more."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _page(tag: int) -> bytes:
@@ -103,11 +118,11 @@ def random_adversary_schedules(n_schedules: int = 1000,
 
         try:
             for _ in range(20):
-                op = rng.randrange(4)
-                container = containers[rng.randrange(len(containers))]
-                va = vas[rng.randrange(len(vas))]
+                op = _randbelow(rng, 4)
+                container = containers[_randbelow(rng, len(containers))]
+                va = vas[_randbelow(rng, len(vas))]
                 if op == 0:  # honest in-enclave write via the creator's view
-                    value = bytes([rng.randrange(256)]) * 8
+                    value = bytes([_randbelow(rng, 256)]) * 8
                     try:
                         runtime.write(writer.pid, va, value)
                         shadow[va][:len(value)] = value
@@ -116,7 +131,7 @@ def random_adversary_schedules(n_schedules: int = 1000,
                 elif op == 1:  # adversary remap to an arbitrary physical page
                     kernel.adversary_remap(
                         container.address_space, va,
-                        all_pas[rng.randrange(len(all_pas))])
+                        all_pas[_randbelow(rng, len(all_pas))])
                 elif op == 2:  # kernel restores the honest mapping
                     container.address_space.map(va, honest[va])
                 else:  # read through the runtime's sandboxed path
@@ -154,7 +169,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
     ``EnclaveRuntime``; after every step ``check_invariants`` must hold:
     each TCS bound to at most one live thread and the kernel table agreeing
     with the hardware state. After the schedule the untrusted kernel runs
-    ``eenter`` on the first TCS the hardware still holds BUSY, bypassing
+    ``eenter`` on the first TCS the hardware still holds busy, bypassing
     its own table; the hardware must refuse that entry. The full EPC audit
     then closes the schedule."""
     rng = random.Random(seed)
@@ -172,9 +187,9 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
 
         try:
             for _ in range(25):
-                pid = pids[rng.randrange(len(pids))]
+                pid = pids[_randbelow(rng, len(pids))]
                 held = runtime.threads.get(pid)
-                action = rng.randrange(3)
+                action = _randbelow(rng, 3)
                 try:
                     if held is None:
                         if action != 2:
@@ -190,7 +205,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                     pass
                 runtime.check_invariants()
             bound = next((t.tcs_va for t in runtime.enclave.tcs_table.values()
-                          if t.state is TcsState.BUSY), None)
+                          if t.busy), None)
             if bound is not None:
                 try:
                     machine.eenter(runtime.creator.address_space, bound)
@@ -217,11 +232,11 @@ def environment_swap_detection(n_cases: int = 50,
         runtime = EnclaveRuntime(machine, kernel, fs_root="/root-a")
         runtime.runtime_init(runtime_pages=2, tcs_count=2)
         instance = runtime.instance_create(runtime.creator.pid, 1)
-        secret = bytes([rng.randrange(256) for _ in range(32)])
+        secret = bytes([_randbelow(rng, 256) for _ in range(32)])
         runtime.fs_create(instance, "secret.bin", secret)
 
         divergent = bytearray(secret)
-        divergent[rng.randrange(len(divergent))] ^= 0xFF
+        divergent[_randbelow(rng, len(divergent))] ^= 0xFF
         kernel.hostfs.put("/root-evil", "secret.bin", bytes(divergent))
         kernel.adversary_swap_environment(runtime.creator.pid, "/root-evil")
         try:

@@ -56,9 +56,10 @@ class Access(enum.Enum):
     WRITE = "write"
 
 
-class TcsState(enum.Enum):
-    AVAILABLE = "available"
-    BUSY = "busy"
+# Enum members read from module globals: a lookup through the class costs
+# several times as much on the per-step paths.
+_TCS = PageType.TCS
+_READ, _WRITE = Access.READ, Access.WRITE
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,15 @@ class EpcmEntry:
 
 @dataclass
 class TcsPage:
+    """A TCS page's thread-binding state, ``busy`` while a thread (live or
+    suspended by an AEX) is bound to it. ``entry`` holds the registers
+    ``eenter`` starts a thread with, set once at EADD: the first 8 bytes
+    of the SHA-256 of ``oentry``, little-endian, then three zeros."""
+
     tcs_va: int
     oentry: str
-    state: TcsState = TcsState.AVAILABLE
+    entry: Tuple[int, int, int, int]
+    busy: bool = False
     saved_context: Optional[Tuple[int, int, int, int]] = None
 
 
@@ -211,8 +218,11 @@ class Machine:
             digest_update(enclave._hash, va.to_bytes(8, "little"))
             digest_update(enclave._hash, bytes([page_type.value]))
             digest_update(enclave._hash, page.content)
-        if page_type is PageType.TCS:
-            enclave.tcs_table[va] = TcsPage(va, oentry=f"oentry:{va:#x}")
+        if page_type is _TCS:
+            oentry = f"oentry:{va:#x}"
+            seed = content_digest((oentry.encode(),))[:8]
+            enclave.tcs_table[va] = TcsPage(
+                va, oentry, (int.from_bytes(seed, "little"), 0, 0, 0))
         return page.pa, entry
 
     def einit(self, enclave: Enclave) -> bytes:
@@ -232,7 +242,7 @@ class Machine:
         entry = self.epcm.pop(pa)
         del self.pages[pa]
         self.epc_used -= 1
-        if entry.page_type is PageType.TCS:
+        if entry.page_type is _TCS:
             del enclave.tcs_table[va]
 
     # -- address translation ------------------------------------------------
@@ -267,12 +277,12 @@ class Machine:
         return pa
 
     def read_page(self, space: AddressSpace, va: int, mode: CpuMode) -> bytes:
-        pa = self.translate_access(space, va, Access.READ, mode)
+        pa = self.translate_access(space, va, _READ, mode)
         return bytes(self.pages[pa].content)
 
     def write_page(self, space: AddressSpace, va: int, data: bytes,
                    mode: CpuMode, offset: int = 0) -> None:
-        pa = self.translate_access(space, va, Access.WRITE, mode)
+        pa = self.translate_access(space, va, _WRITE, mode)
         self.pages[pa].write(data, offset)
 
     # -- enclave threads ----------------------------------------------------
@@ -287,7 +297,7 @@ class Machine:
         entry = self.epcm.get(pa)
         if entry is None or entry.va != tcs_va:
             raise errors.EpcmMismatch(f"EPCM check failed for tcs {tcs_va:#x}")
-        if entry.page_type is not PageType.TCS:
+        if entry.page_type is not _TCS:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a TCS page")
         enclave = self.enclaves[entry.enclave_id]
         return enclave, enclave.tcs_table[tcs_va]
@@ -299,17 +309,15 @@ class Machine:
         address space mapping the TCS page may enter.
         """
         enclave, tcs = self._tcs_at(space, tcs_va)
-        if tcs.state is TcsState.BUSY:
+        if tcs.busy:
             raise errors.TcsBusy(f"tcs {tcs_va:#x} already bound to a thread")
-        tcs.state = TcsState.BUSY
+        tcs.busy = True
         tcs.saved_context = None
-        seed = content_digest([tcs.oentry.encode()])[:8]
-        registers = (int.from_bytes(seed, "little"), 0, 0, 0)
-        return EnclaveThread(enclave.enclave_id, tcs_va, registers)
+        return EnclaveThread(enclave.enclave_id, tcs_va, tcs.entry)
 
     def eexit(self, thread: EnclaveThread) -> None:
         tcs = self._live_tcs(thread)
-        tcs.state = TcsState.AVAILABLE
+        tcs.busy = False
         tcs.saved_context = None
         thread.live = False
 
@@ -332,7 +340,7 @@ class Machine:
             raise errors.SimError("thread is not live")
         enclave = self.enclaves[thread.enclave_id]
         tcs = enclave.tcs_table.get(thread.tcs_va)
-        if tcs is None or tcs.state is not TcsState.BUSY:
+        if tcs is None or not tcs.busy:
             raise errors.SimError("thread not bound to a busy TCS")
         return tcs
 

@@ -7,6 +7,7 @@ from enclavesim.enclave_runtime import (
     COPY_BASE,
     DB_BASE,
     EnclaveRuntime,
+    INSTANCE_BASE,
     RUNTIME_BASE,
     TCS_BASE,
 )
@@ -190,8 +191,8 @@ class TestInstances:
         assert runtime.instances == {b.instance_id: b}
         assert runtime.instance_access(b, va, Access.READ) == \
             bytes([0x42]) * PAGE_SIZE
-        # The creator's only instance is gone, so it owns no file.
-        with pytest.raises(errors.FsNotOwner):
+        # A's file went with it.
+        with pytest.raises(errors.FsNotFound):
             runtime.fs_open(runtime.creator.pid, "a.txt")
         runtime.check_invariants()
 
@@ -204,6 +205,25 @@ class TestInstances:
         assert machine.epc_used == used
         reused = runtime.instance_create(runtime.creator.pid, 2)
         assert reused.region == region
+
+    def test_adjacent_freed_regions_merge(self, rt):
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        a, b, c = (runtime.instance_create(pid, 1) for _ in range(3))
+        assert [i.region for i in (a, b, c)] == [
+            (INSTANCE_BASE + k, 1) for k in range(3)]
+        runtime.instance_destroy(a)
+        runtime.instance_destroy(c)
+        # Two 1-page holes, not yet touching: a 2-page instance goes to
+        # the bump pointer.
+        wide = runtime.instance_create(pid, 2)
+        assert wide.region == (INSTANCE_BASE + 3, 2)
+        runtime.instance_destroy(wide)
+        # b's page joins a's hole on its left and the hole c and wide
+        # left on its right.
+        runtime.instance_destroy(b)
+        assert runtime.instance_create(pid, 5).region == (INSTANCE_BASE, 5)
+        machine.check_epc_conservation()
 
     def test_create_rollback_on_epc_exhaustion(self):
         machine = Machine(epc_capacity_pages=8)
@@ -249,6 +269,55 @@ class TestFilesystem:
         runtime.fs_create(mine, "a.txt", b"hello")
         with pytest.raises(errors.FsNotOwner):
             runtime.fs_open(other_c.pid, "a.txt")
+
+    def test_owner_with_two_instances(self, rt):
+        # The file belongs to the pid of the instance that created it,
+        # whichever of the pid's instances that was.
+        _, _, runtime = rt
+        pid = runtime.creator.pid
+        self.make_instance(rt)
+        second = self.make_instance(rt)
+        runtime.fs_create(second, "b.txt", b"from B")
+        assert runtime.fs_open(pid, "b.txt") == b"from B"
+        runtime.fs_write(pid, "b.txt", b"B again")
+        assert runtime.fs_open(pid, "b.txt") == b"B again"
+
+    def test_non_owner_pid_denied(self, rt):
+        _, kernel, runtime = rt
+        mine = self.make_instance(rt)
+        runtime.fs_create(mine, "a.txt", b"hello")
+        bystander = kernel.create_container(runtime.creator.fs_root)
+        runtime.attach_container(bystander)
+        # A pid with no instance at all, then one with an instance.
+        for _ in range(2):
+            with pytest.raises(errors.FsNotOwner):
+                runtime.fs_open(bystander.pid, "a.txt")
+            with pytest.raises(errors.FsNotOwner):
+                runtime.fs_write(bystander.pid, "a.txt", b"overwrite")
+            self.make_instance(rt, bystander.pid)
+        assert runtime.fs_open(runtime.creator.pid, "a.txt") == b"hello"
+
+    def test_destroyed_owner_files_dropped(self, rt):
+        _, kernel, runtime = rt
+        pid = runtime.creator.pid
+        gone = self.make_instance(rt)
+        kept = self.make_instance(rt)
+        runtime.fs_create(gone, "a.txt", b"old")
+        runtime.fs_create(kept, "k.txt", b"kept")
+        runtime.instance_destroy(gone)
+        assert set(runtime.files) == {"k.txt"}
+        for call in (lambda: runtime.fs_open(pid, "a.txt"),
+                     lambda: runtime.fs_write(pid, "a.txt", b"x")):
+            with pytest.raises(errors.FsNotFound):
+                call()
+        assert runtime.fs_open(pid, "k.txt") == b"kept"
+        # The name is free again, for another pid's new instance.
+        other = kernel.create_container("/b")
+        runtime.attach_container(other)
+        runtime.fs_create(self.make_instance(rt, other.pid), "a.txt", b"new")
+        assert runtime.fs_open(other.pid, "a.txt") == b"new"
+        with pytest.raises(errors.FsNotOwner):
+            runtime.fs_open(pid, "a.txt")
 
     def test_write_updates_digest(self, rt):
         _, _, runtime = rt

@@ -3,6 +3,7 @@ runs them at full size."""
 
 import __future__
 import inspect
+import random
 import sys
 import textwrap
 
@@ -12,12 +13,24 @@ from enclavesim import errors
 from enclavesim.enclave_runtime import DB_BASE, EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.security import (
+    _randbelow,
     environment_swap_detection,
     random_adversary_schedules,
     remap_enumeration,
     tcs_exclusivity_schedules,
 )
 from enclavesim.sgx_core import Machine
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 8191, 2**40 + 3])
+def test_randbelow_is_randrange(seed):
+    # The probes' draws are ``randrange``'s own on this interpreter: the
+    # same values and the same generator state after each draw.
+    helper, library = random.Random(seed), random.Random(seed)
+    bounds = [*range(1, 301), *(2**k for k in range(1, 70))]
+    for n in bounds * 3:
+        assert _randbelow(helper, n) == library.randrange(n), n
+    assert helper.getstate() == library.getstate()
 
 
 def test_remap_enumeration_exhaustive():
@@ -91,7 +104,7 @@ SHIPPED_CHECKS = [
      "entry.enclave_id != enclave_id or ", ""),
     ("is_epc sandbox", EnclaveRuntime, "_resolve",
      "not page.is_epc and va in self.enclave.pages", "False"),
-    ("TCS busy", Machine, "eenter", "tcs.state is TcsState.BUSY", "False"),
+    ("TCS busy", Machine, "eenter", "if tcs.busy:", "if False:"),
     ("AbortPage", Machine, "translate_access", "if enclave_id is None:",
      "if False:"),
     ("file digest", EnclaveRuntime, "fs_open",

@@ -15,7 +15,6 @@ from enclavesim.sgx_core import (
     PAGE_SIZE,
     PageType,
     PhysicalPage,
-    TcsState,
     content_digest,
     digest_update,
     enclave_mode,
@@ -371,9 +370,26 @@ class TestThreads:
         e, space = build_enclave(machine)
         thread = machine.eenter(space, 0x100)
         tcs = e.tcs_table[0x100]
-        assert tcs.state is TcsState.BUSY
+        assert tcs.busy
         machine.eexit(thread)
-        assert tcs.state is TcsState.AVAILABLE
+        assert not tcs.busy
+
+    def test_entry_registers_seeded_from_oentry(self, machine):
+        # Every fresh entry starts from the SHA-256 of the TCS's entry
+        # point, measured (pre-init) or added after EINIT alike.
+        e, space = build_enclave(machine, tcs=3)
+        pa, _ = machine.eadd(e, 0x1F0, b"", PageType.TCS)
+        space.map(0x1F0, pa)
+        for va in (0x100, 0x101, 0x102, 0x1F0):
+            seed = hashlib.sha256(f"oentry:{va:#x}".encode()).digest()[:8]
+            expected = (int.from_bytes(seed, "little"), 0, 0, 0)
+            thread = machine.eenter(space, va)
+            assert thread.registers == expected
+            thread.registers = (1, 2, 3, 4)
+            machine.aex(thread)
+            machine.eexit(machine.eresume(space, va))
+            # A fresh entry after an exit starts from the seed again.
+            assert machine.eenter(space, va).registers == expected
 
     def test_enter_busy_tcs(self, machine):
         _, space = build_enclave(machine)
