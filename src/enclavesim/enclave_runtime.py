@@ -257,7 +257,7 @@ class EnclaveRuntime:
         try:
             for va in instance.vas():
                 self._eadd_mapped(owner, va, filler)
-        except errors.OutOfEpc:
+        except BaseException:
             self.instance_destroy(instance)
             raise
         return instance
@@ -281,8 +281,9 @@ class EnclaveRuntime:
 
     def instance_destroy(self, instance: FunctionInstance) -> None:
         """Free a live instance's pages, files and region; the region
-        merges with the free regions it touches. A page missing from the
-        enclave is one an ``OutOfEpc`` in ``instance_create`` never
+        merges with the free regions it touches. Every enclave page in the
+        region is removed, including one the instance did not add; a page
+        missing from the enclave is one a failed ``instance_create`` never
         added."""
         instance_id = instance.instance_id
         if self.instances.pop(instance_id, None) is None:

@@ -201,16 +201,17 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     first arrival and is reported under ``extras``, not inside any
     request's latency; its container is the first pooled one.
 
-    Arrivals are read in order from the trace and a heap holds the events
-    in flight, ``(time, seq, kind, index)``; a started request's plan and
-    memory are kept by index. Events at one time run in scheduling order,
-    arrivals first (an arrival's seq is its index, below every heap seq).
     A request wakes only where it touches shared state: arrival, start,
     the EPC-expand lock (acquire, grant, unlock) and finish; its wake time
     is the running sum of its plan's steps (``_plan``, once per kind and
-    workload). A pool or lock grant runs inline when nothing else is
-    pending at its time, as it would then be popped next; otherwise it is
-    a zero-delay event. Records are built at finish.
+    workload). Events run in one order, by ``(time, seq)``, where ``seq``
+    counts events as they are scheduled. They wait in three places:
+    arrivals in the trace, read in order, each with its index as its seq,
+    so an arrival wins every tie; pool grants (start) and lock grants,
+    which take no time, in a FIFO of ``(seq, kind, index)`` at the current
+    time; and every other event in a heap of ``(time, seq, kind, index)``.
+    A started request's plan and memory are kept by index, and records
+    are built at finish.
 
     The model's choices are made once per run: which kinds of request a
     start picks from, the memory a request holds and which pool a finish
@@ -231,6 +232,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     mem_of = [0.0] * n  # the memory each request holds while it runs
     events: List[Tuple[float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
+    fifo: deque = deque()  # zero-delay events at ``now``: (seq, kind, index)
     seq = itertools.count(n)
 
     free_workers = workers
@@ -267,24 +269,77 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     i = 0
     next_arrival = arrivals[0][0] if n else math.inf
     while True:
-        if events and (events[0][0] < next_arrival or i == n):
-            now, _, kind, idx = pop(events)
-        elif i < n:
+        # The next event by (time, seq): an arrival wins ties, since its
+        # seq is its index; the FIFO's head is at ``now``.
+        if i < n and next_arrival <= (now if fifo else events[0][0]
+                                      if events else math.inf):
             now, kind, idx = next_arrival, _ARRIVE, i
             i += 1
             next_arrival = arrivals[i][0] if i < n else math.inf
+        elif fifo and not (events and events[0][0] == now
+                           and events[0][1] < fifo[0][0]):
+            _, kind, idx = fifo.popleft()
+        elif events:
+            now, _, kind, idx = pop(events)
         else:
             break
-        # Nothing else is pending now: a grant would be the next event popped.
-        idle = now < next_arrival and (not events or now < events[0][0])
-        # A queue forms only while every worker is busy, so an arrival
-        # queues or starts, and a finish frees its worker or passes it on.
         if kind == _ARRIVE:
-            if not free_workers:
+            if free_workers:
+                free_workers -= 1
+                fifo.append((next(seq), _START, idx))
+            else:
                 pool_queue.append(idx)
-                continue
-            free_workers -= 1
-        elif kind == _FINISH:
+        elif kind == _START:
+            # Take the request's plan and memory, and run it to the lock
+            # or the end.
+            workload = arrivals[idx][1]
+            if shared:
+                if free_containers:
+                    free_containers -= 1
+                    plan = pooled[workload]
+                else:
+                    plan = created[workload]
+                live_instances += 1
+                mem = (params.m_teemate_per_instance if live_instances > 1
+                       else 0.0)
+            elif warm_pool is not None:
+                # Drop expired environments: later starts are later still.
+                while warm_pool and warm_pool[0] < now:
+                    warm_pool.popleft()
+                if warm_pool:
+                    warm_pool.popleft()
+                    plan = warm[workload]
+                else:
+                    plan = cold[workload]
+            else:
+                plan = plans[workload]
+            if mem:
+                occupy(now, mem)
+            plan_of[idx] = plan
+            mem_of[idx] = mem
+            t = now
+            for duration in plan.head:
+                t = t + duration
+            push(events, (t, next(seq),
+                          _FINISH if plan.locked is None else _ACQUIRE, idx))
+        elif kind == _ACQUIRE:
+            if lock_free:
+                lock_free = False
+                fifo.append((next(seq), _LOCKED, idx))
+            else:
+                lock_queue.append(idx)
+        elif kind == _LOCKED:
+            push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK, idx))
+        elif kind == _UNLOCK:
+            if lock_queue:
+                fifo.append((next(seq), _LOCKED, lock_queue.popleft()))
+            else:
+                lock_free = True
+            t = now
+            for duration in plan_of[idx].tail:
+                t = t + duration
+            push(events, (t, next(seq), _FINISH, idx))
+        else:
             plan = plan_of[idx]
             records[idx] = RequestRecord(str(idx), *arrivals[idx],
                                          plan.components, plan.total, now)
@@ -295,74 +350,10 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                 free_containers += 1
             elif warm_pool is not None:
                 warm_pool.append(now + keepalive_ms)
-            if not pool_queue:
+            if pool_queue:
+                fifo.append((next(seq), _START, pool_queue.popleft()))
+            else:
                 free_workers += 1
-                continue
-            idx = pool_queue.popleft()
-        elif kind == _ACQUIRE:
-            if not lock_free:
-                lock_queue.append(idx)
-            elif idle:
-                lock_free = False
-                push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK,
-                              idx))
-            else:
-                lock_free = False
-                push(events, (now, next(seq), _LOCKED, idx))
-            continue
-        elif kind == _LOCKED:
-            push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK, idx))
-            continue
-        elif kind == _UNLOCK:
-            t = now
-            for duration in plan_of[idx].tail:
-                t = t + duration
-            # A waiting grant goes before this finish, an inline one after.
-            if not lock_queue:
-                lock_free = True
-            elif not idle:
-                push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
-            push(events, (t, next(seq), _FINISH, idx))
-            if lock_queue and idle:
-                idx = lock_queue.popleft()
-                push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK,
-                              idx))
-            continue
-        # A worker is granted: the start runs inline if nothing else is
-        # pending now, or waits its turn as a zero-delay event.
-        if kind != _START and not idle:
-            push(events, (now, next(seq), _START, idx))
-            continue
-        # Start the request: take its plan and memory, and run it to the
-        # lock or the end.
-        workload = arrivals[idx][1]
-        if shared:
-            if free_containers:
-                free_containers -= 1
-                plan = pooled[workload]
-            else:
-                plan = created[workload]
-            live_instances += 1
-            mem = params.m_teemate_per_instance if live_instances > 1 else 0.0
-        elif warm_pool is not None:
-            while warm_pool and warm_pool[0] < now:
-                warm_pool.popleft()  # expired: later starts are later still
-            if warm_pool:
-                warm_pool.popleft()
-                plan = warm[workload]
-            else:
-                plan = cold[workload]
-        else:
-            plan = plans[workload]
-        if mem:
-            occupy(now, mem)
-        plan_of[idx] = plan
-        mem_of[idx] = mem
-        t = now
-        for duration in plan.head:
-            t = t + duration
-        push(events, (t, next(seq),
-                      _FINISH if plan.locked is None else _ACQUIRE, idx))
 
     if not all(records):
         raise errors.InvariantViolation("not all requests completed")

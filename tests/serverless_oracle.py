@@ -5,7 +5,10 @@ was before arrivals left the event heap: every arrival, pool grant and
 lock grant is a heap event, each request is a ``_Job`` whose record is
 built on arrival, and each finish copies its plan's components into the
 record and into ``ledger.breakdowns[request_id]``. The harness must give
-the same ``Metrics`` and records, field for field and bit for bit.
+the same ``Metrics`` and records, field for field and bit for bit. Its
+handlers match these one for one: besides the records, the shipped loop
+differs only in where arrivals and zero-delay events wait, in the trace
+and in a FIFO beside the heap.
 """
 
 import heapq

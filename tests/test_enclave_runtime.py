@@ -12,7 +12,13 @@ from enclavesim.enclave_runtime import (
     TCS_BASE,
 )
 from enclavesim.host_kernel import Kernel
-from enclavesim.sgx_core import Access, Machine, PAGE_SIZE, PhysicalPage
+from enclavesim.sgx_core import (
+    Access,
+    EnclaveThread,
+    Machine,
+    PAGE_SIZE,
+    PhysicalPage,
+)
 
 from cow_oracle import (
     build_db_runtime,
@@ -111,6 +117,17 @@ class TestThreads:
         # The row is free again: an honest entry gets the same TCS.
         assert runtime.enter(runtime.creator.pid).tcs_va == TCS_BASE
         runtime.check_invariants()
+
+    def test_check_invariants_flags_double_bound_tcs(self, rt):
+        _, _, runtime = rt
+        thread = runtime.enter(runtime.creator.pid)
+        runtime.check_invariants()
+        # A second live thread on the same TCS, under another pid.
+        runtime.threads[-1] = EnclaveThread(thread.enclave_id, thread.tcs_va,
+                                            thread.registers)
+        with pytest.raises(errors.InvariantViolation,
+                           match="more than one live thread"):
+            runtime.check_invariants()
 
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt
@@ -242,6 +259,37 @@ class TestInstances:
         assert reused.region[0] == live.region[0] + 1
         runtime.check_invariants()
 
+    def test_create_rollback_on_any_fault(self, rt):
+        # A page the instance never added sits in its region: the create
+        # faults midway and must leave nothing of the instance behind.
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        runtime.instance_destroy(runtime.instance_create(pid, 2))
+        machine.eadd(runtime.enclave, INSTANCE_BASE + 1, b"EVIL")
+        before = dict(runtime.instances)
+        with pytest.raises(errors.VaAlreadyMapped):
+            runtime.instance_create(pid, 2)
+        assert runtime.instances == before
+        page_table = runtime.creator.address_space.page_table
+        for va in (INSTANCE_BASE, INSTANCE_BASE + 1):
+            assert va not in runtime.enclave.pages
+            assert va not in page_table
+        runtime.check_invariants()
+        machine.check_epc_conservation()
+        # The region is free again.
+        assert runtime.instance_create(pid, 2).region == (INSTANCE_BASE, 2)
+
+    def test_region_exhausted_adds_nothing(self, rt):
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        used = machine.epc_used
+        with pytest.raises(errors.RegionExhausted):
+            runtime.instance_create(pid, DB_BASE - INSTANCE_BASE + 1)
+        assert runtime.instances == {}
+        assert machine.epc_used == used
+        # The refused region was never reserved.
+        assert runtime.instance_create(pid, 1).region == (INSTANCE_BASE, 1)
+
 
 class TestFilesystem:
     def make_instance(self, rt, pid=None):
@@ -269,6 +317,19 @@ class TestFilesystem:
         runtime.fs_create(mine, "a.txt", b"hello")
         with pytest.raises(errors.FsNotOwner):
             runtime.fs_open(other_c.pid, "a.txt")
+
+    def test_duplicate_name_refused_across_pids(self, rt):
+        _, kernel, runtime = rt
+        mine = self.make_instance(rt)
+        runtime.fs_create(mine, "a.txt", b"mine")
+        other = kernel.create_container("/b")
+        runtime.attach_container(other)
+        theirs = self.make_instance(rt, other.pid)
+        with pytest.raises(errors.FsFault, match="already exists"):
+            runtime.fs_create(theirs, "a.txt", b"theirs")
+        assert runtime.fs_open(runtime.creator.pid, "a.txt") == b"mine"
+        with pytest.raises(errors.FsNotOwner):
+            runtime.fs_open(other.pid, "a.txt")
 
     def test_owner_with_two_instances(self, rt):
         # The file belongs to the pid of the instance that created it,

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 import random
 import statistics
@@ -182,6 +183,22 @@ class TestServerlessThroughput:
                     for r in m.requests]
 
         assert snap() == snap()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_heap_pops_per_request(self, params, monkeypatch, variant):
+        """Arrivals and zero-delay grants never enter the heap: a request
+        pops only its finish, and a serialized shared-enclave request its
+        lock acquire and unlock too, whether arrivals tie or not."""
+        pops = []
+        heappop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop",
+                            lambda heap: pops.append(1) or heappop(heap))
+        per_request = 3 if variant is Variant.TEEMATE else 1
+        for trace, workers in ((gen_burst(64, "crypto-aes"), 64),
+                               (gen_poisson(4.0, 150.0, 0, "crypto-aes"), 8)):
+            pops.clear()
+            run_serverless(variant, trace, params, workers)
+            assert len(pops) == per_request * len(trace.arrivals)
 
 
 def service_ms(variant, params):
@@ -459,6 +476,15 @@ class TestServerlessOracle:
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
              tcs_op=0.1, alloc_per_page=0.0625)
+    # A tied burst on two workers with integer costs: a finish ties with
+    # the start it grants and with a finish scheduled before that start.
+    @example(trace=RequestTrace([(0.0, "a"), (0.0, "b"), (0.0, "a"),
+                                 (0.0, "b")]),
+             variant=Variant.TEEMATE, workers=2, prediction=False,
+             serialized=True, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=200.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
     @settings(deadline=None)
     def test_matches_heaped_run(self, trace, variant, workers, prediction,
                                 serialized, keepalive_s,
