@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import errors, security
-from .cost_model import (COMPONENTS, WORKLOADS, CostParams, default_params,
-                         sum_in_order)
+from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
 from .workload_harness import (
     DbModel,
     ExecutionModel,
@@ -294,34 +293,6 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
     return results
 
 
-def _check_invariants(results: Dict[str, Metrics]) -> None:
-    for label, metrics in results.items():
-        if metrics.completion_time_ms > 0:
-            identity = metrics.count / (metrics.completion_time_ms / 1000.0)
-            if abs(identity - metrics.throughput_rps) > 1e-9 * max(1.0, identity):
-                raise errors.InvariantViolation(
-                    f"{label}: throughput != count / completion_time")
-        # Records of one request kind share their plan's components, so
-        # each distinct (components, total) pair is summed once; a record
-        # like the one before it is not looked up. Ids are unique here:
-        # every mapping is alive while its record is.
-        checked = set()
-        last = last_total = None
-        for record in metrics.requests:
-            components, total = record.components, record.total_ms
-            if components is last and total == last_total:
-                continue
-            last, last_total = components, total
-            key = (id(components), total)
-            if key in checked:
-                continue
-            checked.add(key)
-            if abs(sum_in_order(components.values()) - total) > 1e-9:
-                raise errors.InvariantViolation(
-                    f"{label}/{record.request_id}: components do not sum "
-                    f"to the total")
-
-
 def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                   out_dir: str) -> List[str]:
     summary = {"scenario": config.scenario, "seed": config.seed, "models": {}}
@@ -438,7 +409,6 @@ def run(config: ScenarioConfig, out_dir: str) -> int:
     if config.scenario == "security_suite":
         return run_security_suite(config, out_dir)
     results = run_scenario(config)
-    _check_invariants(results)
     write_outputs(config, results, out_dir)
     return 0
 

@@ -264,9 +264,7 @@ class EnclaveRuntime:
 
     def instance_access(self, instance: FunctionInstance, va: int,
                         access: Access, data: bytes = b"") -> bytes:
-        if instance.instance_id not in self.instances:
-            raise errors.IsolationFault(
-                f"instance {instance.instance_id} was destroyed")
+        self._check_live(instance)
         in_region = va in instance.vas()
         in_runtime = RUNTIME_BASE <= va < RUNTIME_BASE + self.runtime_pages
         if not in_region:
@@ -278,6 +276,12 @@ class EnclaveRuntime:
             self.write(instance.owner_pid, va, data)
             return b""
         return self.read(instance.owner_pid, va)
+
+    def _check_live(self, instance: FunctionInstance) -> None:
+        """Refuse a destroyed instance's handle."""
+        if instance.instance_id not in self.instances:
+            raise errors.IsolationFault(
+                f"instance {instance.instance_id} was destroyed")
 
     def instance_destroy(self, instance: FunctionInstance) -> None:
         """Free a live instance's pages, files and region; the region
@@ -307,6 +311,7 @@ class EnclaveRuntime:
 
     def fs_create(self, instance: FunctionInstance, name: str,
                   content: bytes) -> None:
+        self._check_live(instance)
         if name in self.files:
             raise errors.FsFault(f"file {name!r} already exists")
         row = FileRow(instance.instance_id, bytearray(content),
@@ -338,8 +343,8 @@ class EnclaveRuntime:
         row = self.files.get(name)
         if row is None:
             raise errors.FsNotFound(name)
-        owner = self.instances.get(row.owner_instance)
-        if owner is None or owner.owner_pid != pid:
+        # A row's owner is live (``FileRow``).
+        if self.instances[row.owner_instance].owner_pid != pid:
             raise errors.FsNotOwner(f"pid {pid} does not own file {name!r}")
         return row
 
@@ -365,18 +370,21 @@ class EnclaveRuntime:
         """Fork by aliasing: the child gets the same enclave, a fresh TCS
         and a page table equal to the parent's view; nothing is copied.
         Every pair shares the one database extent, so a fork while a pair
-        is live is refused (as Redis refuses a second background save)."""
+        is live is refused (as Redis refuses a second background save). A
+        refused fork leaves no child container."""
         if self.fork_pair is not None:
             raise errors.ForkInProgress(
                 f"fork pair of child {self.fork_pair.child_pid} is live")
         if not self.threads[parent_pid].live:
             raise errors.SimError("parent holds no live enclave thread")
-        if not self.tcs_table.free_rows():
-            raise errors.NoFreeTcs("no TCS available for the child")
         parent = self.kernel.containers[parent_pid]
         child = self.kernel.create_container(parent.fs_root)
-        self.attach_container(child)
-        self.enter(child.pid)
+        try:
+            self.attach_container(child)
+            self.enter(child.pid)
+        except BaseException:
+            self.kernel.destroy_container(child.pid)
+            raise
         pair = ForkPair(parent_pid, child.pid,
                         {parent_pid: (parent, {}), child.pid: (child, {})})
         self.fork_pair = pair

@@ -237,13 +237,15 @@ class Machine:
         """Deallocate one enclave page; its EPCM entry is dropped
         atomically with the page, so every entry in ``epcm`` is valid
         (deallocation ordering is an assumption, the hardware spec leaves it
-        open)."""
-        pa = enclave.pages.pop(va)
-        entry = self.epcm.pop(pa)
-        del self.pages[pa]
-        self.epc_used -= 1
-        if entry.page_type is _TCS:
+        open). A TCS page bound to a thread is refused, as SGX refuses
+        EREMOVE while a thread runs in the enclave."""
+        pa = enclave.pages[va]
+        if self.epcm[pa].page_type is _TCS:
+            if enclave.tcs_table[va].busy:
+                raise errors.TcsBusy(f"tcs {va:#x} is bound to a thread")
             del enclave.tcs_table[va]
+        del enclave.pages[va], self.epcm[pa], self.pages[pa]
+        self.epc_used -= 1
 
     # -- address translation ------------------------------------------------
 
@@ -338,11 +340,8 @@ class Machine:
     def _live_tcs(self, thread: EnclaveThread) -> TcsPage:
         if not thread.live:
             raise errors.SimError("thread is not live")
-        enclave = self.enclaves[thread.enclave_id]
-        tcs = enclave.tcs_table.get(thread.tcs_va)
-        if tcs is None or not tcs.busy:
-            raise errors.SimError("thread not bound to a busy TCS")
-        return tcs
+        # A live thread's TCS is busy, and ``eremove`` refuses a busy TCS.
+        return self.enclaves[thread.enclave_id].tcs_table[thread.tcs_va]
 
     # -- invariants ---------------------------------------------------------
 

@@ -81,6 +81,15 @@ class TestParseConfig:
         with pytest.raises(errors.UnknownKey):
             parse_config("[bogus]\nseed = 1\n")
 
+    def test_two_scenario_sections(self):
+        with pytest.raises(errors.ParseError, match="multiple") as info:
+            parse_config("[security_suite]\nseed = 1\n[database]\n")
+        assert info.value.line_no == 3
+
+    def test_bare_exec_key(self):
+        with pytest.raises(errors.UnknownKey, match="t_exec.<workload>"):
+            parse_config(LATENCY_CFG + "t_exec = 5\n")
+
     def test_unknown_key(self):
         with pytest.raises(errors.UnknownKey):
             parse_config("[security_suite]\nseed = 1\nfrobnicate = 2\n")
@@ -133,6 +142,14 @@ class TestRunScenario:
                            "workload = all\nseed = 1\n")
         results = run_scenario(cfg)
         assert "teemate:sleep" in results and len(results) == 9
+
+    def test_unknown_workload_refused_before_any_arrival(self):
+        # The run would draw no arrival, so no request would look the
+        # workload up.
+        config = parse_config(MACRO_CFG.replace("sleep", "nope").replace(
+            "rate_per_s = 2", "rate_per_s = 1e-9"))
+        with pytest.raises(errors.UnknownKey, match="unknown workload"):
+            run_scenario(config)
 
     def test_database_scenario(self):
         results = run_scenario(parse_config(DB_CFG))
@@ -317,6 +334,8 @@ class TestMain:
     @pytest.mark.parametrize("text", [
         LATENCY_CFG + "t_container_create = 1e308\nt_enclave_create = 1e308\n",
         LATENCY_CFG + "t_epc_alloc_per_page = 1e308\n",
+        # A database run never uses the instance's EPC-expand time.
+        DB_CFG + "t_epc_alloc_per_page = 1e308\n",
         LATENCY_CFG + "page_mib = 1e-320\n",
         DB_CFG + "page_mib = 1e-307\nm_teemate_per_instance = 1e-10\n",
         DB_CFG + "t_tcs_op = 1e308\nt_fork_child_setup = 1e308\n",
@@ -324,7 +343,8 @@ class TestMain:
         "n_requests = 2\nworkers = 1\nseed = 0\nt_exec.sleep = 1e308\n",
         MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 1e-304").replace(
             "duration_s = 10", "duration_s = 1e306"),
-    ], ids=["request-total", "epc-expand", "instance-pages", "db-pages",
+    ], ids=["request-total", "epc-expand", "db-epc-expand",
+            "instance-pages", "db-pages",
             "fork", "queued-finish", "poisson-horizon"])
     def test_overflowing_value_exits_one_without_output(self, tmp_path,
                                                         text):
@@ -370,6 +390,13 @@ class TestMain:
         models = json.loads((out / "summary.json").read_text())["models"]
         assert models["cc_cold"]["peak_epc_mib"] == 64e15
         assert models["teemate"]["peak_epc_mib"] == 64e15
+
+    def test_non_positive_exec_time_exits_two(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, LATENCY_CFG + "t_exec.crypto-aes = 0\n")
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'crypto-aes' must be positive" in capsys.readouterr().err
 
     def test_negative_copy_cost_exits_two(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG + "t_cow_copy = -0.1\n")

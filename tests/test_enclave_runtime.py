@@ -129,6 +129,25 @@ class TestThreads:
                            match="more than one live thread"):
             runtime.check_invariants()
 
+    def test_eremove_refuses_a_busy_tcs(self, rt):
+        # A live or suspended thread holds its TCS; the kernel cannot
+        # remove the page under it.
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        tcs_va = runtime.enter(pid).tcs_va
+        used = machine.epc_used
+        for step in (lambda: None, lambda: runtime.suspend(pid)):
+            step()
+            with pytest.raises(errors.TcsBusy):
+                machine.eremove(runtime.enclave, tcs_va)
+            assert tcs_va in runtime.enclave.tcs_table
+            assert machine.epc_used == used
+            runtime.check_invariants()
+        runtime.resume(pid)
+        runtime.exit(pid)
+        machine.eremove(runtime.enclave, tcs_va)
+        assert tcs_va not in runtime.enclave.tcs_table
+
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt
         runtime.enter(runtime.creator.pid)
@@ -212,6 +231,26 @@ class TestInstances:
         with pytest.raises(errors.FsNotFound):
             runtime.fs_open(runtime.creator.pid, "a.txt")
         runtime.check_invariants()
+
+    def test_create_before_runtime_init(self):
+        machine = Machine()
+        runtime = EnclaveRuntime(machine, Kernel(machine))
+        with pytest.raises(errors.EnclaveNotInitialized):
+            runtime.instance_create(runtime.creator.pid, 1)
+        assert runtime.instances == {} and machine.epc_used == 0
+
+    def test_attached_mapping_of_a_destroyed_instance(self, rt):
+        # Destroying unmaps the owner's va only: a container attached
+        # before keeps a mapping to the freed physical page.
+        _, kernel, runtime = rt
+        instance = runtime.instance_create(runtime.creator.pid, 1)
+        other = kernel.create_container("/b")
+        runtime.attach_container(other)
+        va = instance.region[0]
+        runtime.instance_destroy(instance)
+        assert va in other.address_space.page_table
+        with pytest.raises(errors.NotMapped, match="does not exist"):
+            runtime.read(other.pid, va)
 
     def test_destroy_frees_pages_and_region(self, rt):
         machine, _, runtime = rt
@@ -380,6 +419,18 @@ class TestFilesystem:
         with pytest.raises(errors.FsNotOwner):
             runtime.fs_open(pid, "a.txt")
 
+    def test_destroyed_instance_creates_no_file(self, rt):
+        _, kernel, runtime = rt
+        gone = self.make_instance(rt)
+        runtime.instance_destroy(gone)
+        with pytest.raises(errors.IsolationFault, match="destroyed"):
+            runtime.fs_create(gone, "f", b"x")
+        assert runtime.files == {}
+        assert kernel.hostfs.get(runtime.creator.fs_root, "f") is None
+        # The name stays free for a live instance.
+        runtime.fs_create(self.make_instance(rt), "f", b"live")
+        assert runtime.fs_open(runtime.creator.pid, "f") == b"live"
+
     def test_write_updates_digest(self, rt):
         _, _, runtime = rt
         instance = self.make_instance(rt)
@@ -393,6 +444,13 @@ class TestFilesystem:
         runtime.fs_create(instance, "a.txt", b"secret")
         kernel.hostfs.put("/evil", "a.txt", b"sEcret")
         kernel.adversary_swap_environment(runtime.creator.pid, "/evil")
+        with pytest.raises(errors.FsIntegrityMismatch):
+            runtime.fs_open(runtime.creator.pid, "a.txt")
+
+    def test_swapped_namespace_lacks_the_file(self, rt):
+        _, kernel, runtime = rt
+        runtime.fs_create(self.make_instance(rt), "a.txt", b"secret")
+        kernel.adversary_swap_environment(runtime.creator.pid, "/empty")
         with pytest.raises(errors.FsIntegrityMismatch):
             runtime.fs_open(runtime.creator.pid, "a.txt")
 
@@ -615,6 +673,39 @@ class TestForkCow:
         second = runtime.fork_cow(runtime.creator.pid)
         runtime.snapshot(second, second.child_pid)
 
+    @pytest.mark.parametrize("tcs_count", [1, 2],
+                             ids=["no-free-tcs", "tcs-busy"])
+    def test_refused_fork_leaves_no_child(self, tcs_count):
+        machine = Machine(epc_capacity_pages=64)
+        kernel = Kernel(machine)
+        runtime = EnclaveRuntime(machine, kernel)
+        runtime.runtime_init(runtime_pages=1, tcs_count=tcs_count)
+        runtime.load_db(2)
+        parent = runtime.creator.pid
+        runtime.enter(parent)
+        refusal = errors.NoFreeTcs
+        if tcs_count == 2:
+            # The kernel enters the second TCS behind its own table's
+            # back: its row is free, the hardware refuses the entry.
+            machine.eenter(runtime.creator.address_space, TCS_BASE + 1)
+            refusal = errors.TcsBusy
+        containers = dict(kernel.containers)
+        with pytest.raises(refusal):
+            runtime.fork_cow(parent)
+        assert kernel.containers == containers
+        assert runtime.fork_pair is None
+        assert list(runtime.threads) == [parent]
+
+    def test_cow_write_outside_the_db_extent(self):
+        machine, runtime = build_db_runtime(2)
+        pair = runtime.fork_cow(runtime.creator.pid)
+        used = machine.epc_used
+        for va in (RUNTIME_BASE, DB_BASE + 2):
+            with pytest.raises(errors.IsolationFault, match="db extent"):
+                runtime.cow_write(pair, pair.child_pid, va, b"x")
+        assert private_copies(pair) == {} and machine.epc_used == used
+        runtime.snapshot(pair, pair.child_pid)
+
     def test_fork_requires_live_parent_thread(self):
         machine = Machine(epc_capacity_pages=64)
         kernel = Kernel(machine)
@@ -623,6 +714,16 @@ class TestForkCow:
         runtime.load_db(2)
         with pytest.raises(KeyError):
             runtime.fork_cow(runtime.creator.pid)
+
+    def test_fork_refuses_a_suspended_parent(self):
+        machine, runtime = build_db_runtime(2)
+        parent = runtime.creator.pid
+        runtime.suspend(parent)
+        containers = dict(runtime.kernel.containers)
+        with pytest.raises(errors.SimError, match="no live enclave thread"):
+            runtime.fork_cow(parent)
+        assert runtime.kernel.containers == containers
+        assert runtime.fork_pair is None
 
     def test_write_drops_cached_digest(self):
         machine, runtime = build_db_runtime(2)

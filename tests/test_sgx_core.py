@@ -402,6 +402,18 @@ class TestThreads:
         with pytest.raises(errors.NotTcsPage):
             machine.eenter(space, 0x10)
 
+    def test_enter_through_a_bad_mapping(self, machine):
+        _, space = build_enclave(machine)
+        with pytest.raises(errors.NotMapped):
+            machine.eenter(space, 0x1FF)
+        # A va mapped to no physical page, then to a plain page.
+        space.map(0x1FF, 10**6)
+        with pytest.raises(errors.NotTcsPage, match="not a protected page"):
+            machine.eenter(space, 0x1FF)
+        space.map(0x1FF, machine.alloc_plain_page().pa)
+        with pytest.raises(errors.NotTcsPage, match="not a protected page"):
+            machine.eenter(space, 0x1FF)
+
     def test_cross_process_entry(self, machine):
         # A TCS created under one container's setup is usable from another.
         e, creator_space = build_enclave(machine)

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +46,26 @@ class TestTraces:
     def test_burst_rejects_zero(self):
         with pytest.raises(errors.InvariantViolation):
             gen_burst(0, "sleep")
+
+    def test_poisson_rejects_zero_rate(self):
+        # Only zero: without the check a negative rate would draw arrivals
+        # that never pass the horizon.
+        with pytest.raises(errors.InvariantViolation):
+            gen_poisson(0.0, 1.0, 0, "sleep")
+
+    def test_poisson_rejects_an_infinite_horizon(self, monkeypatch):
+        # No arrival would pass the horizon: without the check the loop
+        # would never end, so the generator gives out after 100 draws.
+        class Bounded(random.Random):
+            def random(self):
+                self.draws = getattr(self, "draws", 0) + 1
+                assert self.draws <= 100, "the arrival loop does not end"
+                return super().random()
+
+        monkeypatch.setattr("enclavesim.workload_harness.random",
+                            types.SimpleNamespace(Random=Bounded))
+        with pytest.raises(errors.ConfigError, match="inf ms"):
+            gen_poisson(1.0, 1e306, 0, "sleep")
 
     def test_trace_rejects_unsorted(self):
         with pytest.raises(errors.InvariantViolation):
@@ -128,6 +149,16 @@ class TestServerlessLatency:
         elapsed = time.perf_counter() - began
         assert m.count == len(trace.arrivals) > 199_000
         assert elapsed < 10.0
+
+    def test_overflowing_request_is_a_config_error(self, params):
+        params.t_container_create = params.t_enclave_create = 1e308
+        with pytest.raises(errors.ConfigError, match="cold request"):
+            run_serverless(Variant.CC_COLD, gen_burst(1, "sleep"), params)
+
+    def test_no_workers_completes_nothing(self, params):
+        with pytest.raises(errors.InvariantViolation, match="not all"):
+            run_serverless(Variant.NATIVE, gen_burst(2, "sleep"), params,
+                           workers=0)
 
     def test_native_has_no_enclave_cost(self, params):
         m = run_serverless(Variant.NATIVE, gen_burst(3, "sleep"), params)
