@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from . import errors
 
@@ -158,14 +158,14 @@ _TOLERANCE_MIB = 1e-9
 
 
 class CostLedger:
-    """Per-experiment record of latency components and an EPC occupancy
-    timeline (peak tracked as the max prefix of the deltas)."""
+    """Per-experiment record of latency components and of EPC occupancy:
+    its level, its peak and ``updates``, the count of changes taken."""
 
     def __init__(self):
         self.breakdowns: Dict[object, Dict[str, float]] = {}
-        self.timeline: List[Tuple[float, float]] = []
         self.occupancy = 0.0
         self.peak_epc = 0.0
+        self.updates = 0
 
     def charge(self, component: str, duration_ms: float,
                request_id: object = None) -> None:
@@ -175,7 +175,7 @@ class CostLedger:
         record = self.breakdowns.setdefault(request_id, {})
         record[component] = record.get(component, 0.0) + duration_ms
 
-    def occupy(self, time_ms: float, delta_mib: float) -> None:
+    def occupy(self, delta_mib: float) -> None:
         new_level = self.occupancy + delta_mib
         # A finite level too large to take a real change would leave that
         # memory out of the peak; a level at inf is left to check_returned.
@@ -190,14 +190,14 @@ class CostLedger:
                 raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
             raise errors.NegativeOccupancy(message)
         self.occupancy = 0.0 if new_level < 0.0 else new_level
-        self.timeline.append((time_ms, self.occupancy))
+        self.updates += 1
         if self.occupancy > self.peak_epc:
             self.peak_epc = self.occupancy
 
     def _rounding_slack(self) -> float:
         """Bound on the rounding in the occupancy level: each ``occupy``
         rounds the level it writes by at most half an ulp of the peak."""
-        return len(self.timeline) * math.ulp(self.peak_epc)
+        return self.updates * math.ulp(self.peak_epc)
 
     def check_returned(self, baseline_mib: float) -> None:
         """Raise unless the occupancy is back at ``baseline_mib``.

@@ -247,6 +247,10 @@ class EnclaveRuntime:
                         code_byte: int = 0x7F) -> FunctionInstance:
         if not self.enclave.initialized:
             raise errors.EnclaveNotInitialized("runtime not initialized")
+        if code_size_pages < 1:
+            # A negative size would move the bump pointer back onto a live
+            # instance's region.
+            raise ValueError(f"instance of {code_size_pages} pages")
         base = self._reserve_region(code_size_pages)
         owner = self.kernel.containers[owner_pid]
         instance = FunctionInstance(self._next_instance_id, owner_pid,

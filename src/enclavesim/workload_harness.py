@@ -101,8 +101,9 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
                 workload: str) -> RequestTrace:
     """Inter-arrival gaps sampled i.i.d. exponential via inverse CDF on a
     seeded generator; arrivals confined to [0, duration]."""
-    if rate_per_s <= 0:
-        raise errors.InvariantViolation("arrival rate must be positive")
+    if not 0 < rate_per_s < math.inf:
+        raise errors.InvariantViolation(
+            f"arrival rate must be positive and finite, not {rate_per_s}")
     horizon = duration_s * 1000.0
     if not math.isfinite(horizon):  # no arrival would pass it
         raise errors.ConfigError(f"duration_s * 1000 = {horizon} ms")
@@ -254,7 +255,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
         ledger.charge(CONTAINER_CREATE, params.t_container_create,
                       "registration")
         ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        occupy(0.0, params.m_teemate_base)
+        occupy(params.m_teemate_base)
         free_containers = 1
         live_instances = 0
     elif variant is Variant.CC_WARM and not model.prediction:
@@ -314,7 +315,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             else:
                 plan = plans[workload]
             if mem:
-                occupy(now, mem)
+                occupy(mem)
             plan_of[idx] = plan
             mem_of[idx] = mem
             t = now
@@ -344,7 +345,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             records[idx] = RequestRecord(str(idx), *arrivals[idx],
                                          plan.components, plan.total, now)
             if mem_of[idx]:
-                occupy(now, -mem_of[idx])
+                occupy(-mem_of[idx])
             if shared:
                 live_instances -= 1
                 free_containers += 1
@@ -466,11 +467,11 @@ def run_database(model, db_mib: float, write_ratio: float,
     the shared-enclave model's requests between the fork's end and the end
     of the snapshot window can copy a page, so only they draw random
     numbers and run one by one. ``dirty`` holds one byte per database page,
-    and the ledger takes every copied page in one step, at the last copy.
-    Every other stretch (requests that end by the fork's start, the
-    full-copy model's window and the tail after the window) is one floor
-    division. ``Metrics``, its extras, the fork record and the ledger's
-    timeline are in ms and MiB.
+    and the ledger takes every copied page in one step once the window's
+    requests have run. Every other stretch (requests that end by the
+    fork's start, the full-copy model's window and the tail after the
+    window) is one floor division. ``Metrics``, its extras, the fork record
+    and the ledger are in ms and MiB.
     """
     if isinstance(model, str):
         model = DbModel(model)
@@ -482,12 +483,12 @@ def run_database(model, db_mib: float, write_ratio: float,
     strawman = model is DbModel.STRAWMAN
     base_mib = db_mib + (params.m_db_runtime_strawman if strawman
                          else params.m_db_runtime_teemate)
-    ledger.occupy(0.0, base_mib)
+    ledger.occupy(base_mib)
 
     (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
      end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
     if strawman:
-        ledger.occupy(_ms(fork_end), db_mib + params.m_db_runtime_strawman)
+        ledger.occupy(db_mib + params.m_db_runtime_strawman)
 
     # Requests that end by the fork's start; the last may end on it.
     served_total = fork_start // exec_ns
@@ -528,7 +529,6 @@ def run_database(model, db_mib: float, write_ratio: float,
                 if not dirty[page]:
                     dirty[page] = 1
                     copies += 1
-                    copied_at = t
                     service += cow_ns
             t += service
             if t <= end:
@@ -536,7 +536,7 @@ def run_database(model, db_mib: float, write_ratio: float,
                 service_ns += service
                 served_window += t <= window_end
         if copies:
-            ledger.occupy(_ms(copied_at), copies * params.page_mib)
+            ledger.occupy(copies * params.page_mib)
     # The rest copy no page: the tail past window_end and, in the
     # full-copy model, its window too.
     n = max(0, (end - t) // exec_ns)
@@ -544,10 +544,9 @@ def run_database(model, db_mib: float, write_ratio: float,
     service_ns += n * exec_ns
 
     if strawman:
-        ledger.occupy(_ms(window_end),
-                      -(db_mib + params.m_db_runtime_strawman))
+        ledger.occupy(-(db_mib + params.m_db_runtime_strawman))
     elif copies:
-        ledger.occupy(_ms(window_end), -copies * params.page_mib)
+        ledger.occupy(-copies * params.page_mib)
 
     for component, ns in fork_components.items():
         ledger.charge(component, _ms(ns), "fork")

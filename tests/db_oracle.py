@@ -10,7 +10,7 @@ import random
 from typing import List, Tuple
 
 from enclavesim import errors
-from enclavesim.cost_model import CostLedger, CostParams, sum_in_order
+from enclavesim.cost_model import CostParams, sum_in_order
 from enclavesim.workload_harness import (
     DbModel,
     Metrics,
@@ -18,11 +18,13 @@ from enclavesim.workload_harness import (
     db_cycle,
 )
 
+from level_ledger import LevelLedger
+
 
 def peak_between(timeline: List[Tuple[float, float]], t0: float,
                  t1: float) -> float:
-    """Max occupancy of a ledger's timeline over [t0, t1], including the
-    level carried in."""
+    """Max occupancy of a ``(time, level)`` timeline over [t0, t1],
+    including the level carried in."""
     peak = 0.0
     carry = 0.0
     for t, occ in timeline:
@@ -43,19 +45,24 @@ def run_database_stepwise(model, db_mib: float, write_ratio: float,
         raise errors.InvariantViolation("db size must be positive")
     params.validate()
     rng = random.Random(seed)
-    ledger = CostLedger()
+    ledger = LevelLedger()
+    timeline: List[Tuple[float, float]] = []
+
+    def occupy(time_ms: float, delta_mib: float) -> None:
+        ledger.occupy(delta_mib)
+        timeline.append((time_ms, ledger.occupancy))
 
     strawman = model is DbModel.STRAWMAN
     base_mib = db_mib + (params.m_db_runtime_strawman if strawman
                          else params.m_db_runtime_teemate)
-    ledger.occupy(0.0, base_mib)
+    occupy(0.0, base_mib)
 
     (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
      end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
     cow_ns = round(params.t_cow_copy * 1e6)
 
     if strawman:
-        ledger.occupy(fork_end / 10**6, db_mib + params.m_db_runtime_strawman)
+        occupy(fork_end / 10**6, db_mib + params.m_db_runtime_strawman)
 
     dirty = set()
     last_copy = None
@@ -88,14 +95,13 @@ def run_database_stepwise(model, db_mib: float, write_ratio: float,
 
     # Occupancy only rises inside the window: one step at the last copy.
     if dirty:
-        ledger.occupy(last_copy / 10**6, len(dirty) * params.page_mib)
-    snapshot_peak = peak_between(ledger.timeline, fork_start / 10**6,
+        occupy(last_copy / 10**6, len(dirty) * params.page_mib)
+    snapshot_peak = peak_between(timeline, fork_start / 10**6,
                                  window_end / 10**6)
     if strawman:
-        ledger.occupy(window_end / 10**6,
-                      -(db_mib + params.m_db_runtime_strawman))
+        occupy(window_end / 10**6, -(db_mib + params.m_db_runtime_strawman))
     elif dirty:
-        ledger.occupy(window_end / 10**6, -len(dirty) * params.page_mib)
+        occupy(window_end / 10**6, -len(dirty) * params.page_mib)
 
     for component, ns in fork_components.items():
         ledger.charge(component, ns / 10**6, "fork")

@@ -20,7 +20,6 @@ from enclavesim import errors
 from enclavesim.cost_model import (
     CONTAINER_CREATE,
     ENCLAVE_CREATE,
-    CostLedger,
     CostParams,
 )
 from enclavesim.workload_harness import (
@@ -33,6 +32,8 @@ from enclavesim.workload_harness import (
     _metrics,
     _plan,
 )
+
+from level_ledger import LevelLedger
 
 # Event kinds. Only these points touch state shared between requests.
 _ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
@@ -75,7 +76,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
     params.validate()
     variant = model.variant
 
-    ledger = CostLedger()
+    ledger = LevelLedger()
     breakdowns = ledger.breakdowns
     records = [RequestRecord(str(idx), arrival, workload)
                for idx, (arrival, workload) in enumerate(trace.arrivals)]
@@ -101,7 +102,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
         ledger.charge(CONTAINER_CREATE, params.t_container_create,
                       "registration")
         ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        ledger.occupy(0.0, params.m_teemate_base)
+        ledger.occupy(params.m_teemate_base)
         free_containers = 1
     baseline_mib = ledger.occupancy
 
@@ -140,7 +141,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
                 kind, params.exec_ms(workload), params)
         job.plan = plan
         if job.mem:
-            ledger.occupy(now, job.mem)
+            ledger.occupy(job.mem)
         t = now
         for duration in plan.head:
             t = t + duration
@@ -181,7 +182,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
                 job.plan.components)
             record.total_ms = job.plan.total
             if job.mem:
-                ledger.occupy(now, -job.mem)
+                ledger.occupy(-job.mem)
             if variant is Variant.TEEMATE:
                 live_instances -= 1
                 free_containers += 1

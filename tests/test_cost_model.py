@@ -101,52 +101,51 @@ class TestLedgerOccupancy:
         ledger = CostLedger()
         level = 0.0
         peak = 0.0
-        t = 0.0
         for delta in deltas:
             if level + delta < 0:
                 delta = -level  # keep the reference walk non-negative too
-            ledger.occupy(t, delta)
+            ledger.occupy(delta)
             level += delta
             peak = max(peak, level)
-            t += 1.0
         assert ledger.peak_epc == pytest.approx(peak)
         assert ledger.occupancy == pytest.approx(level)
+        assert ledger.updates == len(deltas)
 
     def test_negative_occupancy_rejected(self):
         ledger = CostLedger()
-        ledger.occupy(0.0, 10.0)
+        ledger.occupy(10.0)
         with pytest.raises(errors.NegativeOccupancy):
-            ledger.occupy(1.0, -20.0)
+            ledger.occupy(-20.0)
 
     def test_returned_within_a_micro_mib_passes(self):
         ledger = CostLedger()
-        ledger.occupy(0.0, 207.0)
-        ledger.occupy(1.0, 0.1)
-        ledger.occupy(2.0, -0.1)
+        ledger.occupy(207.0)
+        ledger.occupy(0.1)
+        ledger.occupy(-0.1)
         ledger.check_returned(207.0)
 
     def test_leak_is_an_invariant_violation(self):
         ledger = CostLedger()
-        ledger.occupy(0.0, 207.0)
-        ledger.occupy(1.0, 25.0)
+        ledger.occupy(207.0)
+        ledger.occupy(25.0)
         with pytest.raises(errors.InvariantViolation):
             ledger.check_returned(207.0)
 
     def test_overflow_to_inf_is_a_config_error(self):
         ledger = CostLedger()
-        ledger.occupy(0.0, 1e308)
-        ledger.occupy(1.0, 1e308)
-        ledger.occupy(2.0, -1e308)
-        ledger.occupy(3.0, -1e308)
+        ledger.occupy(1e308)
+        ledger.occupy(1e308)
+        ledger.occupy(-1e308)
+        ledger.occupy(-1e308)
         assert ledger.occupancy == math.inf
         with pytest.raises(errors.ConfigError):
             ledger.check_returned(0.0)
 
     def test_absorbed_base_is_a_config_error(self):
         ledger = CostLedger()
-        ledger.occupy(0.0, 207.0)
-        ledger.occupy(1.0, 1e308)
-        ledger.occupy(2.0, -1e308)
+        ledger.occupy(207.0)
+        ledger.occupy(1e308)
+        ledger.occupy(-1e308)
         assert ledger.occupancy == 0.0
         with pytest.raises(errors.ConfigError):
             ledger.check_returned(207.0)
@@ -155,22 +154,22 @@ class TestLedgerOccupancy:
         # A page added to a 1e300 MiB level rounds away, so the peak would
         # leave it out.
         ledger = CostLedger()
-        ledger.occupy(0.0, 1e300)
+        ledger.occupy(1e300)
         with pytest.raises(errors.ConfigError):
-            ledger.occupy(1.0, 4096 / (1 << 20))
+            ledger.occupy(4096 / (1 << 20))
         assert ledger.occupancy == 1e300
-        assert len(ledger.timeline) == 1
+        assert ledger.updates == 1
 
     def test_rounding_below_zero_is_a_config_error(self):
         # Seven equal figures of 1e300 summed up and taken back off round
         # to a level below zero on the last step.
         ledger = CostLedger()
         for _ in range(7):
-            ledger.occupy(0.0, 1e300)
+            ledger.occupy(1e300)
         for _ in range(6):
-            ledger.occupy(1.0, -1e300)
+            ledger.occupy(-1e300)
         with pytest.raises(errors.ConfigError):
-            ledger.occupy(1.0, -1e300)
+            ledger.occupy(-1e300)
 
 
 class TestPercentile:

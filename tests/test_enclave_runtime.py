@@ -329,6 +329,27 @@ class TestInstances:
         # The refused region was never reserved.
         assert runtime.instance_create(pid, 1).region == (INSTANCE_BASE, 1)
 
+    @pytest.mark.parametrize("pages", [0, -2])
+    def test_size_below_one_page_refused(self, rt, pages):
+        # A negative size would move the bump pointer back onto A's
+        # region: the next instance would fail on A's first page, and its
+        # rollback would remove A's pages while A stays live.
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        a = runtime.instance_create(pid, 2)
+        runtime.instance_access(a, a.region[0], Access.WRITE, b"A's code")
+        used = machine.epc_used
+        with pytest.raises(ValueError):
+            runtime.instance_create(pid, pages)
+        assert list(runtime.instances) == [a.instance_id]
+        assert machine.epc_used == used
+        b = runtime.instance_create(pid, 2)
+        assert b.region == (a.region[0] + 2, 2)
+        assert runtime.instance_access(
+            a, a.region[0], Access.READ)[:8] == b"A's code"
+        assert runtime.instance_access(a, a.region[0] + 1, Access.READ) == \
+            bytes([0x7F]) * PAGE_SIZE
+
 
 class TestFilesystem:
     def make_instance(self, rt, pid=None):

@@ -319,6 +319,9 @@ GUARDS = {
     ("enclave_runtime", "EnclaveRuntime.instance_create",
      "not self.enclave.initialized"):
         _RUNTIME + "TestInstances::test_create_before_runtime_init",
+    ("enclave_runtime", "EnclaveRuntime.instance_create",
+     "code_size_pages < 1"):
+        _RUNTIME + "TestInstances::test_size_below_one_page_refused[-2]",
     ("enclave_runtime", "EnclaveRuntime.instance_access",
      "not (in_runtime and access is _READ)"):
         _RUNTIME + "TestInstances::test_out_of_region_denied",
@@ -400,8 +403,9 @@ GUARDS = {
         _HARNESS + "TestTraces::test_trace_rejects_unsorted",
     ("workload_harness", "gen_burst", "n < 1"):
         _HARNESS + "TestTraces::test_burst_rejects_zero",
-    ("workload_harness", "gen_poisson", "rate_per_s <= 0"):
-        _HARNESS + "TestTraces::test_poisson_rejects_zero_rate",
+    ("workload_harness", "gen_poisson", "not 0 < rate_per_s < math.inf"):
+        _HARNESS + "TestTraces::"
+        "test_poisson_rejects_a_rate_that_is_not_finite[nan]",
     ("workload_harness", "gen_poisson", "not math.isfinite(horizon)"):
         _HARNESS + "TestTraces::test_poisson_rejects_an_infinite_horizon",
     ("workload_harness", "_plan", "not math.isfinite(total)"):

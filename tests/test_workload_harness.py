@@ -4,21 +4,22 @@ import math
 import random
 import statistics
 import time
+import tracemalloc
 import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from db_oracle import peak_between, run_database_stepwise
+from level_ledger import LevelLedger
 from serverless_oracle import run_serverless_heaped
 
-from enclavesim import errors
+from enclavesim import errors, workload_harness
 from enclavesim.cost_model import (
     ALIAS,
     CONTAINER_CREATE,
     ENCLAVE_CREATE,
     EPC_EXPAND,
-    CostLedger,
     default_params,
 )
 from enclavesim.workload_harness import (
@@ -38,6 +39,22 @@ def params():
     return default_params()
 
 
+class Bounded(random.Random):
+    """A generator that gives out after 100 draws, so an arrival loop that
+    never ends fails its test instead of hanging it."""
+
+    def random(self):
+        self.draws = getattr(self, "draws", 0) + 1
+        assert self.draws <= 100, "the arrival loop does not end"
+        return super().random()
+
+
+@pytest.fixture
+def bounded(monkeypatch):
+    monkeypatch.setattr("enclavesim.workload_harness.random",
+                        types.SimpleNamespace(Random=Bounded))
+
+
 class TestTraces:
     def test_burst_all_at_zero(self):
         trace = gen_burst(5, "sleep")
@@ -53,17 +70,16 @@ class TestTraces:
         with pytest.raises(errors.InvariantViolation):
             gen_poisson(0.0, 1.0, 0, "sleep")
 
-    def test_poisson_rejects_an_infinite_horizon(self, monkeypatch):
-        # No arrival would pass the horizon: without the check the loop
-        # would never end, so the generator gives out after 100 draws.
-        class Bounded(random.Random):
-            def random(self):
-                self.draws = getattr(self, "draws", 0) + 1
-                assert self.draws <= 100, "the arrival loop does not end"
-                return super().random()
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_poisson_rejects_a_rate_that_is_not_finite(self, bounded, rate):
+        # A NaN rate draws NaN arrival times and an infinite rate draws
+        # gaps of 0: without the check no arrival would pass the horizon.
+        with pytest.raises(errors.InvariantViolation):
+            gen_poisson(rate, 1.0, 0, "sleep")
 
-        monkeypatch.setattr("enclavesim.workload_harness.random",
-                            types.SimpleNamespace(Random=Bounded))
+    def test_poisson_rejects_an_infinite_horizon(self, bounded):
+        # No arrival would pass the horizon: without the check the loop
+        # would never end.
         with pytest.raises(errors.ConfigError, match="inf ms"):
             gen_poisson(1.0, 1e306, 0, "sleep")
 
@@ -182,6 +198,22 @@ class TestServerlessMemory:
             m = run_serverless(variant, gen_burst(8, "sleep"), params,
                                workers=8)
             assert m.extras["final_mib"] == m.extras["baseline_mib"]
+
+    @pytest.mark.parametrize("variant", [Variant.TEEMATE, Variant.CC_COLD])
+    def test_run_holds_little_per_request(self, params, variant):
+        # A native run, which takes no EPC, holds about 170 B per request,
+        # mostly its records; the ledger must add nothing per request.
+        n = 4000
+        trace = gen_burst(n, "sleep")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metrics = run_serverless(variant, trace, params, workers=64)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert metrics.count == n
+        assert held / n < 250
 
 
 class TestServerlessThroughput:
@@ -416,24 +448,22 @@ class TestDatabaseOracle:
         params.t_cow_copy = t_cow_copy
         args = (model, db_mib, write_ratio, snapshot_interval_s, duration_s,
                 seed, params)
-        assert observed(run_database(*args)) == \
-            observed(run_database_stepwise(*args))
+        # Hypothesis refuses function-scoped fixtures such as monkeypatch.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload_harness, "CostLedger", LevelLedger)
+            got = run_database(*args)
+        assert observed(got) == observed(run_database_stepwise(*args))
 
     def test_peak_between_includes_carry_in(self):
-        ledger = CostLedger()
-        ledger.occupy(0.0, 100.0)
-        ledger.occupy(5.0, -40.0)
-        assert peak_between(ledger.timeline, 1.0, 4.0) == 100.0
-        assert peak_between(ledger.timeline, 1.0, 6.0) == 100.0
-        assert peak_between(ledger.timeline, 6.0, 9.0) == 60.0
+        timeline = [(0.0, 100.0), (5.0, 60.0)]
+        assert peak_between(timeline, 1.0, 4.0) == 100.0
+        assert peak_between(timeline, 1.0, 6.0) == 100.0
+        assert peak_between(timeline, 6.0, 9.0) == 60.0
 
     def test_peak_between_window_spike(self):
-        ledger = CostLedger()
-        ledger.occupy(0.0, 10.0)
-        ledger.occupy(2.0, 90.0)
-        ledger.occupy(3.0, -90.0)
-        assert peak_between(ledger.timeline, 1.0, 4.0) == 100.0
-        assert peak_between(ledger.timeline, 3.5, 4.0) == 10.0
+        timeline = [(0.0, 10.0), (2.0, 100.0), (3.0, 10.0)]
+        assert peak_between(timeline, 1.0, 4.0) == 100.0
+        assert peak_between(timeline, 3.5, 4.0) == 10.0
 
 
 class TestPageDraw:
@@ -443,7 +473,8 @@ class TestPageDraw:
     where a redraw is likeliest."""
 
     @pytest.mark.parametrize("pages", [1, 2, 3, 2**17, 2**17 + 1])
-    def test_inlined_draw_matches_randrange(self, params, pages):
+    def test_inlined_draw_matches_randrange(self, params, monkeypatch,
+                                            pages):
         k = pages.bit_length()
         for seed in range(4):
             inlined, library = random.Random(seed), random.Random(seed)
@@ -458,6 +489,7 @@ class TestPageDraw:
         db_mib = pages * params.page_mib
         params.snapshot_write_mib_per_s = db_mib / (2000 * params.t_db_exec
                                                     / 1000.0)
+        monkeypatch.setattr(workload_harness, "CostLedger", LevelLedger)
         for seed in range(3):
             args = (DbModel.TEEMATE, db_mib, 0.5, 0.0, 0.001, seed, params)
             assert observed(run_database(*args)) == \
@@ -534,7 +566,10 @@ class TestServerlessOracle:
         params.epc_alloc_serialized = serialized
         params.warm_keepalive_s = keepalive_s
         model = ExecutionModel(variant, prediction)
-        got = run_serverless(model, trace, params, workers)
+        # Hypothesis refuses function-scoped fixtures such as monkeypatch.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload_harness, "CostLedger", LevelLedger)
+            got = run_serverless(model, trace, params, workers)
         want = run_serverless_heaped(model, trace, params, workers)
         for f in dataclasses.fields(got):
             if f.name not in ("requests", "ledger"):
@@ -544,6 +579,7 @@ class TestServerlessOracle:
         ids = {r.request_id for r in want.requests}
         assert got.ledger.breakdowns == {
             k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
-        assert got.ledger.timeline == want.ledger.timeline
+        assert got.ledger.levels == want.ledger.levels
         assert got.ledger.occupancy == want.ledger.occupancy
         assert got.ledger.peak_epc == want.ledger.peak_epc
+        assert got.ledger.updates == want.ledger.updates
