@@ -21,7 +21,6 @@ from . import errors, security
 from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
 from .workload_harness import (
     DbModel,
-    ExecutionModel,
     Metrics,
     Variant,
     db_cycle,
@@ -286,10 +285,10 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
         workers = (config.n_requests if config.scenario in (
             "serverless_memory", "serverless_throughput") else 8)
     for name, variant in zip(config.models, variants):
-        model = ExecutionModel(variant, config.prediction)
         for workload, trace in traces.items():
             label = f"{name}:{workload}" if config.workload == "all" else name
-            results[label] = run_serverless(model, trace, params, workers)
+            results[label] = run_serverless(variant, trace, params, workers,
+                                            config.prediction)
     return results
 
 

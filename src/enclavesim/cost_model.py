@@ -168,7 +168,7 @@ class CostLedger:
         self.updates = 0
 
     def charge(self, component: str, duration_ms: float,
-               request_id: object = None) -> None:
+               request_id: object) -> None:
         if duration_ms < 0:
             raise errors.NegativeDuration(
                 f"{component}: {duration_ms} ms")

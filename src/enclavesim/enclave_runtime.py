@@ -39,6 +39,9 @@ INSTANCE_BASE = 0x10000
 DB_BASE = 0x400000
 COPY_BASE = 0x800000
 
+_IMAGE_PAGE = bytes([0x52]) * PAGE_SIZE
+_CODE_PAGE = bytes([0x7F]) * PAGE_SIZE
+
 # Access members read from module globals, not through the class, on the
 # per-access paths.
 _READ, _WRITE = Access.READ, Access.WRITE
@@ -112,12 +115,10 @@ class EnclaveRuntime:
         container.address_space.map(va, pa)
         return pa
 
-    def runtime_init(self, runtime_pages: int, tcs_count: int = 8,
-                     image_byte: int = 0x52) -> bytes:
+    def runtime_init(self, runtime_pages: int, tcs_count: int = 8) -> bytes:
         """Measure and launch the shared enclave: runtime image + TCS pages."""
-        filler = bytes([image_byte]) * PAGE_SIZE
         for i in range(runtime_pages):
-            self._eadd_mapped(self.creator, RUNTIME_BASE + i, filler)
+            self._eadd_mapped(self.creator, RUNTIME_BASE + i, _IMAGE_PAGE)
         for i in range(tcs_count):
             self._eadd_mapped(self.creator, TCS_BASE + i, b"", PageType.TCS)
         measurement = self.machine.einit(self.enclave)
@@ -243,24 +244,23 @@ class EnclaveRuntime:
         self._instance_bump = base + length
         return base
 
-    def instance_create(self, owner_pid: int, code_size_pages: int,
-                        code_byte: int = 0x7F) -> FunctionInstance:
+    def instance_create(self, owner_pid: int,
+                        code_size_pages: int) -> FunctionInstance:
         if not self.enclave.initialized:
             raise errors.EnclaveNotInitialized("runtime not initialized")
-        if code_size_pages < 1:
-            # A negative size would move the bump pointer back onto a live
-            # instance's region.
-            raise ValueError(f"instance of {code_size_pages} pages")
+        if not isinstance(code_size_pages, int) or code_size_pages < 1:
+            # A negative or fractional size would move the bump pointer
+            # back onto a live instance's region or between pages.
+            raise ValueError(f"instance of {code_size_pages!r} pages")
         base = self._reserve_region(code_size_pages)
         owner = self.kernel.containers[owner_pid]
         instance = FunctionInstance(self._next_instance_id, owner_pid,
                                     (base, code_size_pages))
         self._next_instance_id += 1
         self.instances[instance.instance_id] = instance
-        filler = bytes([code_byte]) * PAGE_SIZE
         try:
             for va in instance.vas():
-                self._eadd_mapped(owner, va, filler)
+                self._eadd_mapped(owner, va, _CODE_PAGE)
         except BaseException:
             self.instance_destroy(instance)
             raise

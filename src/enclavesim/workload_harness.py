@@ -47,20 +47,16 @@ class DbModel(enum.Enum):
 
 
 @dataclass
-class ExecutionModel:
-    variant: Variant
-    prediction: bool = False  # always-warm mode for throughput runs
-
-
-@dataclass
 class RequestTrace:
-    arrivals: List[Tuple[float, str]]
+    """Arrival times in ms, sorted, of requests to one workload."""
+    arrivals: List[float]
+    workload: str
 
     def __post_init__(self):
         arrivals = self.arrivals
-        if any(t < 0 for t, _ in arrivals):
+        if any(t < 0 for t in arrivals):
             raise errors.InvariantViolation("negative arrival time")
-        if any(a[0] > b[0] for a, b in zip(arrivals, arrivals[1:])):
+        if any(a > b for a, b in zip(arrivals, arrivals[1:])):
             raise errors.InvariantViolation("arrivals must be sorted")
 
 
@@ -94,7 +90,7 @@ class Metrics:
 def gen_burst(n: int, workload: str) -> RequestTrace:
     if n < 1:
         raise errors.InvariantViolation("burst size must be >= 1")
-    return RequestTrace([(0.0, workload) for _ in range(n)])
+    return RequestTrace([0.0] * n, workload)
 
 
 def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
@@ -108,15 +104,15 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
     if not math.isfinite(horizon):  # no arrival would pass it
         raise errors.ConfigError(f"duration_s * 1000 = {horizon} ms")
     rng = random.Random(seed)
-    arrivals: List[Tuple[float, str]] = []
+    arrivals: List[float] = []
     t = 0.0
     while True:
         u = rng.random()
         t += -math.log(1.0 - u) / rate_per_s * 1000.0
         if t > horizon:
             break
-        arrivals.append((t, workload))
-    return RequestTrace(arrivals)
+        arrivals.append(t)
+    return RequestTrace(arrivals, workload)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +156,8 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
                  (EPC_EXPAND, params.t_epc_expand),
                  (INSTANCE_LOAD, params.t_instance_load_teemate)]
     steps.append((EXEC, exec_ms))
-    # A ledger of the plan's own rejects negative durations and sums the
-    # components in step order.
-    ledger = CostLedger()
-    for component, duration in steps:
-        ledger.charge(component, duration)
-    components = types.MappingProxyType(ledger.breakdowns[None])
+    # No component repeats, and ``CostParams.validate`` makes none negative.
+    components = types.MappingProxyType(dict(steps))
     durations = tuple(duration for _, duration in steps)
     total = sum_in_order(components.values())
     if not math.isfinite(total):
@@ -177,57 +169,72 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     return _Plan(durations, None, (), components, total)
 
 
-class _Plans(dict):
-    """The plans of one kind of request by workload, each built by
-    ``_plan`` when the first request of its workload starts."""
+def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
+                   workers: int = 8, prediction: bool = False) -> Metrics:
+    """Run one execution model over a trace of one workload.
 
-    def __init__(self, kind: str, params: CostParams):
-        super().__init__()
-        self.kind = kind
-        self.params = params
-
-    def __missing__(self, workload: str) -> _Plan:
-        plan = self[workload] = _plan(self.kind,
-                                      self.params.exec_ms(workload),
-                                      self.params)
-        return plan
-
-
-def run_serverless(model, trace: RequestTrace, params: CostParams,
-                   workers: int = 8) -> Metrics:
-    """Run one execution model over a request trace.
-
-    ``model`` may be a Variant or an ExecutionModel. The shared-enclave
+    ``prediction`` makes every ``cc_warm`` request warm. The shared-enclave
     registration (container and enclave creation) completes before the
     first arrival and is reported under ``extras``, not inside any
     request's latency; its container is the first pooled one.
 
     A request wakes only where it touches shared state: arrival, start,
     the EPC-expand lock (acquire, grant, unlock) and finish; its wake time
-    is the running sum of its plan's steps (``_plan``, once per kind and
-    workload). Events run in one order, by ``(time, seq)``, where ``seq``
-    counts events as they are scheduled. They wait in three places:
-    arrivals in the trace, read in order, each with its index as its seq,
-    so an arrival wins every tie; pool grants (start) and lock grants,
-    which take no time, in a FIFO of ``(seq, kind, index)`` at the current
-    time; and every other event in a heap of ``(time, seq, kind, index)``.
-    A started request's plan and memory are kept by index, and records
-    are built at finish.
+    is the running sum of its plan's steps (``_plan``). Events run in one
+    order, by ``(time, seq)``, where ``seq`` counts events as they are
+    scheduled. They wait in three places: arrivals in the trace, read in
+    order, each with its index as its seq, so an arrival wins every tie;
+    pool grants (start) and lock grants, which take no time, in a FIFO of
+    ``(seq, kind, index)`` at the current time; and every other event in a
+    heap of ``(time, seq, kind, index)``. A started request's plan and
+    memory are kept by index, and records are built at finish.
 
     The model's choices are made once per run: which kinds of request a
-    start picks from, the memory a request holds and which pool a finish
-    refills. Only the shared-enclave model's memory depends on the
-    request: the first live instance lives in the registered base.
+    start picks from, each kind's plan, the memory a request holds and
+    which pool a finish refills. No plan is built that no request takes:
+    the shared enclave's ``"create"`` plan waits for the first start that
+    finds no free container. Only the shared-enclave model's memory
+    depends on the request: the first live instance lives in the
+    registered base.
     """
-    if isinstance(model, Variant):
-        model = ExecutionModel(model)
     params.validate()
-    variant = model.variant
 
     ledger = CostLedger()
     occupy = ledger.occupy
+    shared = variant is Variant.TEEMATE
+    # Expiry times of idle warm environments, oldest first: finishes run
+    # in time order, so they are appended sorted.
+    warm_pool: Optional[deque] = None
+    # The memory a request holds; the shared-enclave model sets it at
+    # each start.
+    mem = 0.0 if variant is Variant.NATIVE else params.m_strawman_per_request
+    registration_ms = 0.0
+    if shared:
+        registration_ms = params.t_container_create + params.t_enclave_create
+        ledger.charge(CONTAINER_CREATE, params.t_container_create,
+                      "registration")
+        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
+        occupy(params.m_teemate_base)
+        free_containers = 1
+        live_instances = 0
+    elif variant is Variant.CC_WARM and not prediction:
+        warm_pool = deque()
+        keepalive_ms = params.warm_keepalive_s * 1000.0
+    baseline_mib = ledger.occupancy
+
     arrivals = trace.arrivals
     n = len(arrivals)
+    if n:  # a trace with no arrivals builds no plan
+        exec_ms = params.exec_ms(trace.workload)
+        if shared:
+            pooled, created = _plan("pooled", exec_ms, params), None
+        elif warm_pool is not None:
+            cold = _plan("cold", exec_ms, params)
+            warm = _plan("warm", exec_ms, params)
+        else:
+            fixed = _plan({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
+                           Variant.CC_WARM: "warm"}[variant], exec_ms, params)
+
     records: List[Optional[RequestRecord]] = [None] * n
     plan_of: List[Optional[_Plan]] = [None] * n  # of each started request
     mem_of = [0.0] * n  # the memory each request holds while it runs
@@ -241,34 +248,8 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
     lock_free = True
     lock_queue: deque = deque()
 
-    shared = variant is Variant.TEEMATE
-    # Expiry times of idle warm environments, oldest first: finishes run
-    # in time order, so they are appended sorted.
-    warm_pool: Optional[deque] = None
-    # The memory a request holds; the shared-enclave model sets it at
-    # each start.
-    mem = 0.0 if variant is Variant.NATIVE else params.m_strawman_per_request
-    registration_ms = 0.0
-    if shared:
-        pooled, created = _Plans("pooled", params), _Plans("create", params)
-        registration_ms = params.t_container_create + params.t_enclave_create
-        ledger.charge(CONTAINER_CREATE, params.t_container_create,
-                      "registration")
-        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        occupy(params.m_teemate_base)
-        free_containers = 1
-        live_instances = 0
-    elif variant is Variant.CC_WARM and not model.prediction:
-        warm, cold = _Plans("warm", params), _Plans("cold", params)
-        warm_pool = deque()
-        keepalive_ms = params.warm_keepalive_s * 1000.0
-    else:
-        plans = _Plans({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
-                        Variant.CC_WARM: "warm"}[variant], params)
-    baseline_mib = ledger.occupancy
-
     i = 0
-    next_arrival = arrivals[0][0] if n else math.inf
+    next_arrival = arrivals[0] if n else math.inf
     while True:
         # The next event by (time, seq): an arrival wins ties, since its
         # seq is its index; the FIFO's head is at ``now``.
@@ -276,7 +257,7 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                                       if events else math.inf):
             now, kind, idx = next_arrival, _ARRIVE, i
             i += 1
-            next_arrival = arrivals[i][0] if i < n else math.inf
+            next_arrival = arrivals[i] if i < n else math.inf
         elif fifo and not (events and events[0][0] == now
                            and events[0][1] < fifo[0][0]):
             _, kind, idx = fifo.popleft()
@@ -293,13 +274,14 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
         elif kind == _START:
             # Take the request's plan and memory, and run it to the lock
             # or the end.
-            workload = arrivals[idx][1]
             if shared:
                 if free_containers:
                     free_containers -= 1
-                    plan = pooled[workload]
+                    plan = pooled
+                elif created is not None:
+                    plan = created
                 else:
-                    plan = created[workload]
+                    plan = created = _plan("create", exec_ms, params)
                 live_instances += 1
                 mem = (params.m_teemate_per_instance if live_instances > 1
                        else 0.0)
@@ -309,11 +291,11 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
                     warm_pool.popleft()
                 if warm_pool:
                     warm_pool.popleft()
-                    plan = warm[workload]
+                    plan = warm
                 else:
-                    plan = cold[workload]
+                    plan = cold
             else:
-                plan = plans[workload]
+                plan = fixed
             if mem:
                 occupy(mem)
             plan_of[idx] = plan
@@ -342,8 +324,9 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
             push(events, (t, next(seq), _FINISH, idx))
         else:
             plan = plan_of[idx]
-            records[idx] = RequestRecord(str(idx), *arrivals[idx],
-                                         plan.components, plan.total, now)
+            records[idx] = RequestRecord(str(idx), arrivals[idx],
+                                         trace.workload, plan.components,
+                                         plan.total, now)
             if mem_of[idx]:
                 occupy(-mem_of[idx])
             if shared:
@@ -365,16 +348,14 @@ def run_serverless(model, trace: RequestTrace, params: CostParams,
 def _metrics(model_name: str, records: List[RequestRecord],
              ledger: CostLedger, registration_ms: float,
              baseline_mib: float) -> Metrics:
+    ledger.check_returned(baseline_mib)
     latencies = [r.total_ms for r in records]
     count = len(records)
-    if count:
-        first = min(r.arrival_ms for r in records)
-        last = max(r.finish_ms for r in records)
-        completion = last - first
-    else:
-        completion = 0.0
+    # Records are in trace order, so the first arrives first.
+    completion = (max(r.finish_ms for r in records) - records[0].arrival_ms
+                  if count else 0.0)
     throughput = count / (completion / 1000.0) if completion > 0 else 0.0
-    metrics = Metrics(
+    return Metrics(
         model=model_name,
         requests=records,
         count=count,
@@ -391,8 +372,6 @@ def _metrics(model_name: str, records: List[RequestRecord],
         },
         ledger=ledger,
     )
-    ledger.check_returned(baseline_mib)
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +433,7 @@ def db_cycle(model: DbModel, db_mib: float, snapshot_interval_s: float,
                    fork_start, fork_end, window_end, end)
 
 
-def run_database(model, db_mib: float, write_ratio: float,
+def run_database(model: DbModel, db_mib: float, write_ratio: float,
                  snapshot_interval_s: float, duration_s: float, seed: int,
                  params: CostParams) -> Metrics:
     """One fork/snapshot cycle under a saturated request stream.
@@ -473,8 +452,6 @@ def run_database(model, db_mib: float, write_ratio: float,
     window) is one floor division. ``Metrics``, its extras, the fork record
     and the ledger are in ms and MiB.
     """
-    if isinstance(model, str):
-        model = DbModel(model)
     if db_mib <= 0:
         raise errors.InvariantViolation("db size must be positive")
     params.validate()

@@ -7,7 +7,7 @@ must give the same ``Metrics``, field for field.
 """
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from enclavesim import errors
 from enclavesim.cost_model import CostParams, sum_in_order
@@ -35,12 +35,15 @@ def peak_between(timeline: List[Tuple[float, float]], t0: float,
     return max(peak, carry)
 
 
-def run_database_stepwise(model, db_mib: float, write_ratio: float,
-                          snapshot_interval_s: float, duration_s: float,
-                          seed: int, params: CostParams) -> Metrics:
-    """``run_database`` as one loop iteration per request."""
-    if isinstance(model, str):
-        model = DbModel(model)
+def run_database_stepwise(model: DbModel, db_mib: float,
+                          write_ratio: float, snapshot_interval_s: float,
+                          duration_s: float, seed: int, params: CostParams,
+                          writes: Optional[List[int]] = None) -> Metrics:
+    """``run_database`` as one loop iteration per request.
+
+    ``writes``, if given, receives the page index of each write the
+    copy-on-write window draws, in order, repeat writes included.
+    """
     if db_mib <= 0:
         raise errors.InvariantViolation("db size must be positive")
     params.validate()
@@ -80,6 +83,8 @@ def run_database_stepwise(model, db_mib: float, write_ratio: float,
         if not strawman and fork_end <= t < window_end \
                 and rng.random() < write_ratio:
             key = rng.randrange(db_pages)
+            if writes is not None:
+                writes.append(key)
             if key not in dirty:
                 dirty.add(key)
                 last_copy = t

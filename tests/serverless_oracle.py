@@ -8,13 +8,18 @@ record and into ``ledger.breakdowns[request_id]``. The harness must give
 the same ``Metrics`` and records, field for field and bit for bit. Its
 handlers match these one for one: besides the records, the shipped loop
 differs only in where arrivals and zero-delay events wait, in the trace
-and in a FIFO beside the heap.
+and in a FIFO beside the heap, and in when plans are built. The oracle
+builds a kind's plan at its first start; the harness builds its plans
+before the loop, except the shared enclave's ``"create"`` plan.
+
+The trace is one workload's sorted arrival times (``RequestTrace``), and
+each record carries that workload.
 """
 
 import heapq
 import itertools
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from enclavesim import errors
 from enclavesim.cost_model import (
@@ -23,7 +28,6 @@ from enclavesim.cost_model import (
     CostParams,
 )
 from enclavesim.workload_harness import (
-    ExecutionModel,
     Metrics,
     RequestRecord,
     RequestTrace,
@@ -50,11 +54,12 @@ class _Job:
         self.mem = 0.0
 
 
-def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
-                          workers: int = 8) -> Metrics:
-    """Run one execution model over a request trace.
+def run_serverless_heaped(variant: Variant, trace: RequestTrace,
+                          params: CostParams, workers: int = 8,
+                          prediction: bool = False) -> Metrics:
+    """Run one execution model over a trace of one workload.
 
-    ``model`` may be a Variant or an ExecutionModel. The shared-enclave
+    ``prediction`` makes every ``cc_warm`` request warm. The shared-enclave
     registration (container and enclave creation) completes before the
     first arrival and is reported under ``extras``, not inside any
     request's latency.
@@ -65,21 +70,18 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
     pool), at start (warm pool, free containers, occupancy), at the
     EPC-expand lock (acquire, grant, unlock) and at finish. Between those
     points its steps touch nothing shared; the wake time is their running
-    sum from the current time. Each kind of request is planned once per
-    run and workload (``_plan``); at finish the request's record gets a
-    copy of its plan's components, which the ledger keeps as the request's
-    breakdown. Grants from the pool or the lock are separate zero-delay
-    events.
+    sum from the current time. Each kind of request is planned when its
+    first request starts (``_plan``), in a table keyed by kind; at finish
+    the request's record gets a copy of its plan's components, which the
+    ledger keeps as the request's breakdown. Grants from the pool or the
+    lock are separate zero-delay events.
     """
-    if isinstance(model, Variant):
-        model = ExecutionModel(model)
     params.validate()
-    variant = model.variant
 
     ledger = LevelLedger()
     breakdowns = ledger.breakdowns
-    records = [RequestRecord(str(idx), arrival, workload)
-               for idx, (arrival, workload) in enumerate(trace.arrivals)]
+    records = [RequestRecord(str(idx), arrival, trace.workload)
+               for idx, arrival in enumerate(trace.arrivals)]
     events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
               for idx, record in enumerate(records)]
     heapq.heapify(events)
@@ -94,7 +96,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
     live_instances = 0
     warm_pool: List[float] = []  # expiry times of idle warm environments
     done = 0
-    plans: Dict[Tuple[str, str], _Plan] = {}
+    plans: Dict[str, _Plan] = {}
 
     registration_ms = 0.0
     if variant is Variant.TEEMATE:
@@ -116,7 +118,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
             kind = "cold"
             job.mem = params.m_strawman_per_request
         elif variant is Variant.CC_WARM:
-            warm = model.prediction
+            warm = prediction
             if not warm:
                 for i, expiry in enumerate(warm_pool):
                     if expiry >= now:
@@ -134,11 +136,10 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
             live_instances += 1
             if live_instances > 1:
                 job.mem = params.m_teemate_per_instance
-        workload = job.record.workload
-        plan = plans.get((kind, workload))
+        plan = plans.get(kind)
         if plan is None:
-            plan = plans[kind, workload] = _plan(
-                kind, params.exec_ms(workload), params)
+            plan = plans[kind] = _plan(kind, params.exec_ms(trace.workload),
+                                       params)
         job.plan = plan
         if job.mem:
             ledger.occupy(job.mem)
@@ -186,7 +187,7 @@ def run_serverless_heaped(model, trace: RequestTrace, params: CostParams,
             if variant is Variant.TEEMATE:
                 live_instances -= 1
                 free_containers += 1
-            elif variant is Variant.CC_WARM and not model.prediction:
+            elif variant is Variant.CC_WARM and not prediction:
                 warm_pool.append(now + params.warm_keepalive_s * 1000.0)
             if pool_queue:
                 push(events, (now, next(seq), _START, pool_queue.popleft()))

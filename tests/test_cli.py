@@ -353,6 +353,24 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, count", [
+        # The one request takes the pooled container: the plan of a
+        # request that creates one would take inf ms.
+        ("[serverless_latency]\nmodel = teemate\nworkload = sleep\n"
+         "seed = 0\nt_container_create = 1e308\nt_exec.sleep = 1e308\n", 1),
+        # No request arrives, so no cold request is planned.
+        ("[serverless_macro]\nmodel = cc_cold\nworkload = sleep\n"
+         "rate_per_s = 1e-6\nduration_s = 1\nseed = 0\n"
+         "t_enclave_create = 1e308\nt_exec.sleep = 1e308\n", 0),
+    ], ids=["teemate-create", "no-arrivals"])
+    def test_plan_no_request_takes_is_not_built(self, tmp_path, text,
+                                                count):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 0
+        models = json.loads((out / "summary.json").read_text())["models"]
+        assert [m["count"] for m in models.values()] == [count]
+
     @pytest.mark.parametrize("text", [
         "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
         "n_requests = 2\nseed = 0\nm_strawman_per_request = 1e308\n",

@@ -217,7 +217,7 @@ class TestInstances:
         runtime.instance_access(a, va, Access.WRITE, b"A's secret")
         runtime.fs_create(a, "a.txt", b"A's file")
         runtime.instance_destroy(a)
-        b = runtime.instance_create(other.pid, 1, code_byte=0x42)
+        b = runtime.instance_create(other.pid, 1)
         assert b.region == a.region
         for access, data in ((Access.READ, b""), (Access.WRITE, b"x")):
             with pytest.raises(errors.IsolationFault):
@@ -225,8 +225,9 @@ class TestInstances:
         with pytest.raises(errors.IsolationFault):
             runtime.instance_destroy(a)
         assert runtime.instances == {b.instance_id: b}
+        # B reads its own code fill, not A's write.
         assert runtime.instance_access(b, va, Access.READ) == \
-            bytes([0x42]) * PAGE_SIZE
+            bytes([0x7F]) * PAGE_SIZE
         # A's file went with it.
         with pytest.raises(errors.FsNotFound):
             runtime.fs_open(runtime.creator.pid, "a.txt")
@@ -349,6 +350,20 @@ class TestInstances:
             a, a.region[0], Access.READ)[:8] == b"A's code"
         assert runtime.instance_access(a, a.region[0] + 1, Access.READ) == \
             bytes([0x7F]) * PAGE_SIZE
+
+    def test_fractional_size_refused(self, rt):
+        # A fractional size would leave the bump pointer between pages,
+        # and every later instance would fail.
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        used = machine.epc_used
+        with pytest.raises(ValueError):
+            runtime.instance_create(pid, 1.5)
+        assert runtime._instance_bump == INSTANCE_BASE
+        assert runtime.instances == {}
+        assert machine.epc_used == used
+        assert runtime.instance_create(pid, 1).region == (INSTANCE_BASE, 1)
+        runtime.check_invariants()
 
 
 class TestFilesystem:

@@ -320,6 +320,12 @@ GUARDS = {
      "not self.enclave.initialized"):
         _RUNTIME + "TestInstances::test_create_before_runtime_init",
     ("enclave_runtime", "EnclaveRuntime.instance_create",
+     "not isinstance(code_size_pages, int) or code_size_pages < 1"):
+        _RUNTIME + "TestInstances::test_size_below_one_page_refused[-2]",
+    ("enclave_runtime", "EnclaveRuntime.instance_create",
+     "not isinstance(code_size_pages, int)"):
+        _RUNTIME + "TestInstances::test_fractional_size_refused",
+    ("enclave_runtime", "EnclaveRuntime.instance_create",
      "code_size_pages < 1"):
         _RUNTIME + "TestInstances::test_size_below_one_page_refused[-2]",
     ("enclave_runtime", "EnclaveRuntime.instance_access",
@@ -396,10 +402,10 @@ GUARDS = {
 
     # workload_harness
     ("workload_harness", "RequestTrace.__post_init__",
-     "any(t < 0 for t, _ in arrivals)"):
+     "any(t < 0 for t in arrivals)"):
         _HARNESS + "TestTraces::test_trace_rejects_negative",
     ("workload_harness", "RequestTrace.__post_init__",
-     "any(a[0] > b[0] for a, b in zip(arrivals, arrivals[1:]))"):
+     "any(a > b for a, b in zip(arrivals, arrivals[1:]))"):
         _HARNESS + "TestTraces::test_trace_rejects_unsorted",
     ("workload_harness", "gen_burst", "n < 1"):
         _HARNESS + "TestTraces::test_burst_rejects_zero",

@@ -10,6 +10,7 @@ import types
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cow_oracle import build_forked_runtime
 from db_oracle import peak_between, run_database_stepwise
 from level_ledger import LevelLedger
 from serverless_oracle import run_serverless_heaped
@@ -22,9 +23,9 @@ from enclavesim.cost_model import (
     EPC_EXPAND,
     default_params,
 )
+from enclavesim.enclave_runtime import DB_BASE
 from enclavesim.workload_harness import (
     DbModel,
-    ExecutionModel,
     RequestTrace,
     Variant,
     gen_burst,
@@ -58,7 +59,7 @@ def bounded(monkeypatch):
 class TestTraces:
     def test_burst_all_at_zero(self):
         trace = gen_burst(5, "sleep")
-        assert [t for t, _ in trace.arrivals] == [0.0] * 5
+        assert trace.arrivals == [0.0] * 5 and trace.workload == "sleep"
 
     def test_burst_rejects_zero(self):
         with pytest.raises(errors.InvariantViolation):
@@ -85,11 +86,11 @@ class TestTraces:
 
     def test_trace_rejects_unsorted(self):
         with pytest.raises(errors.InvariantViolation):
-            RequestTrace([(5.0, "a"), (1.0, "a")])
+            RequestTrace([5.0, 1.0], "a")
 
     def test_trace_rejects_negative(self):
         with pytest.raises(errors.InvariantViolation):
-            RequestTrace([(-1.0, "a")])
+            RequestTrace([-1.0], "a")
 
     def test_poisson_deterministic_per_seed(self):
         a = gen_poisson(10.0, 5.0, 42, "sleep")
@@ -111,7 +112,7 @@ class TestTraces:
         def mean_gap(rate):
             gaps = []
             for s in range(50):
-                times = [t for t, _ in gen_poisson(rate, 20.0, s, "w").arrivals]
+                times = gen_poisson(rate, 20.0, s, "w").arrivals
                 gaps.extend(b - a for a, b in zip(times, times[1:]))
             return statistics.mean(gaps)
 
@@ -143,16 +144,16 @@ class TestServerlessLatency:
 
     def test_warm_pool_skips_setup_within_keepalive(self, params):
         params.warm_keepalive_s = 30
-        trace = RequestTrace([(0.0, "sleep"), (12000.0, "sleep")])
-        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
+        trace = RequestTrace([0.0, 12000.0], "sleep")
+        m = run_serverless(Variant.CC_WARM, trace, params)
         cold, warm = m.requests
         assert ENCLAVE_CREATE in cold.components
         assert warm.components == {"exec": params.exec_ms("sleep")}
 
     def test_warm_pool_expires(self, params):
         params.warm_keepalive_s = 30
-        trace = RequestTrace([(0.0, "sleep"), (50000.0, "sleep")])
-        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
+        trace = RequestTrace([0.0, 50000.0], "sleep")
+        m = run_serverless(Variant.CC_WARM, trace, params)
         assert ENCLAVE_CREATE in m.requests[1].components
 
     def test_sparse_warm_pool_run_is_linear(self, params):
@@ -161,7 +162,7 @@ class TestServerlessLatency:
         # run quadratic: 200,000 requests then take minutes.
         trace = gen_poisson(0.01, 2e7, 0, "sleep")
         began = time.perf_counter()
-        m = run_serverless(ExecutionModel(Variant.CC_WARM), trace, params)
+        m = run_serverless(Variant.CC_WARM, trace, params)
         elapsed = time.perf_counter() - began
         assert m.count == len(trace.arrivals) > 199_000
         assert elapsed < 10.0
@@ -496,6 +497,33 @@ class TestPageDraw:
                 observed(run_database_stepwise(*args))
 
 
+class TestDatabaseOnRuntime:
+    """The writes of a 4 MiB shared-enclave window, as the database oracle
+    draws them, made as parent writes through ``fork_cow`` on a runtime of
+    1,024 database pages: the runtime copies the pages ``run_database``
+    counts and takes the EPC it reports (ROADMAP item 10, step 0)."""
+
+    def test_window_writes_match_the_runtime(self, params):
+        # A 400 ms window: about 800 requests, half of them writes, so a
+        # few hundred first writes and some repeats.
+        params.snapshot_write_mib_per_s = 10.0
+        args = (DbModel.TEEMATE, 4.0, 0.5, 0.0, 0.001, 7, params)
+        writes = []
+        run_database_stepwise(*args, writes=writes)
+        extras = run_database(*args).extras
+        assert len(set(writes)) > 200 and len(writes) > len(set(writes))
+        machine, runtime, pair = build_forked_runtime(1024)
+        assert len(runtime.db_vas()) * params.page_mib == 4.0
+        baseline = machine.epc_used
+        for page in writes:
+            runtime.cow_write(pair, pair.parent_pid, DB_BASE + page, b"w")
+        assert pair.dirty_count == extras["dirty_pages"]
+        assert (machine.epc_used - baseline) * params.page_mib == \
+            extras["snapshot_peak_mib"] - extras["baseline_mib"]
+        runtime.snapshot(pair, pair.child_pid)
+        assert machine.epc_used == baseline
+
+
 # Integer costs make finishes land on arrivals, grants and each other; the
 # others are not dyadic, so their sums round.
 COSTS = st.sampled_from([100.0, 200.0, 300.0, 400.0, 0.1, 0.3, 41.7, 1234.567])
@@ -503,18 +531,15 @@ COSTS = st.sampled_from([100.0, 200.0, 300.0, 400.0, 0.1, 0.3, 41.7, 1234.567])
 
 @st.composite
 def serverless_traces(draw):
-    """A Poisson trace, or arrivals tied on a 100 ms grid, over two
+    """A Poisson trace, or arrivals tied on a 100 ms grid, of one of two
     workloads."""
+    workload = draw(st.sampled_from("ab"))
     if draw(st.booleans()):
-        times = [t for t, _ in gen_poisson(
+        return gen_poisson(
             draw(st.floats(1.0, 40.0)), draw(st.floats(0.05, 3.0)),
-            draw(st.integers(0, 2**32)), "a").arrivals]
-    else:
-        times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
-        times = [100.0 * k for k in times]
-    names = draw(st.lists(st.sampled_from("ab"), min_size=len(times),
-                          max_size=len(times)))
-    return RequestTrace(list(zip(times, names)))
+            draw(st.integers(0, 2**32)), workload)
+    times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
+    return RequestTrace([100.0 * k for k in times], workload)
 
 
 def record_fields(metrics):
@@ -533,20 +558,21 @@ class TestServerlessOracle:
            tcs_op=st.sampled_from([0.5, 0.1]),
            alloc_per_page=st.sampled_from([0.0625, 0.015625, 0.1031]))
     # The second request finishes at infinity, after the last arrival.
-    @example(trace=RequestTrace([(0.0, "a"), (0.0, "a")]),
+    @example(trace=RequestTrace([0.0, 0.0], "a"),
              variant=Variant.NATIVE, workers=1, prediction=False,
              serialized=True, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
              tcs_op=0.1, alloc_per_page=0.0625)
-    # A tied burst on two workers with integer costs: a finish ties with
+    # A tied burst on three workers with integer costs: a finish ties with
     # the start it grants and with a finish scheduled before that start.
-    @example(trace=RequestTrace([(0.0, "a"), (0.0, "b"), (0.0, "a"),
-                                 (0.0, "b")]),
-             variant=Variant.TEEMATE, workers=2, prediction=False,
-             serialized=True, keepalive_s=0.0,
+    # Were the start run first, the occupancy levels would come in
+    # another order.
+    @example(trace=RequestTrace([0.0] * 5, "a"),
+             variant=Variant.TEEMATE, workers=3, prediction=False,
+             serialized=False, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
-             load_shared=100.0, exec_a=200.0, exec_b=100.0, alias=2.5,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
     @settings(deadline=None)
     def test_matches_heaped_run(self, trace, variant, workers, prediction,
@@ -565,12 +591,12 @@ class TestServerlessOracle:
         params.t_epc_alloc_per_page = alloc_per_page
         params.epc_alloc_serialized = serialized
         params.warm_keepalive_s = keepalive_s
-        model = ExecutionModel(variant, prediction)
         # Hypothesis refuses function-scoped fixtures such as monkeypatch.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workload_harness, "CostLedger", LevelLedger)
-            got = run_serverless(model, trace, params, workers)
-        want = run_serverless_heaped(model, trace, params, workers)
+            got = run_serverless(variant, trace, params, workers, prediction)
+        want = run_serverless_heaped(variant, trace, params, workers,
+                                     prediction)
         for f in dataclasses.fields(got):
             if f.name not in ("requests", "ledger"):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
