@@ -173,7 +173,7 @@ class EnclaveRuntime:
         machine = self.machine
         page = machine.pages[machine.translate_access(space, va, access,
                                                       self._mode)]
-        if not page.is_epc and va in self.enclave.pages:
+        if page.enclave_id is None and va in self.enclave.pages:
             raise errors.IsolationFault(
                 f"enclave-private va {va:#x} backed by unprotected page")
         return page
@@ -465,11 +465,12 @@ class EnclaveRuntime:
             raise self._no_view(pair, child_pid)
         container, copies = view
         space = container.address_space
-        resolve, read = self._resolve, Access.READ
+        resolve, get, digests = self._resolve, copies.get, []
         try:
-            return content_digest((b"".join([
-                resolve(space, copies.get(va, va), read).digest()
-                for va in self._db_range()]),))
+            for va in self._db_range():
+                page = resolve(space, get(va, va), _READ)
+                digests.append(page._digest or page.digest())
+            return content_digest(digests)
         finally:
             self._retire_child(pair)
 

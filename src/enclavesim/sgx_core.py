@@ -3,7 +3,8 @@ instructions and TCS-based enclave threads.
 
 Addresses are page-granular integers (virtual/physical page numbers); page
 contents are real byte arrays so aliasing and copy-on-write are observable
-at byte level.
+at byte level. The EPCM is per-page metadata, as in SGX: an EPC page's
+``PhysicalPage`` holds its entry (va, owner enclave id, page type).
 
 The launch measurement is SHA-256 over each pre-init EADD record, in order:
 va, page type and padded content (``digest_update``).
@@ -39,11 +40,8 @@ def check_span(offset: int, length: int) -> None:
 
 
 def content_digest(chunks) -> bytes:
-    """SHA-256 over a sequence of byte strings, streamed chunk by chunk."""
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.digest()
+    """SHA-256 over the concatenation of a sequence of byte strings."""
+    return hashlib.sha256(b"".join(chunks)).digest()
 
 
 class PageType(enum.Enum):
@@ -78,19 +76,22 @@ def enclave_mode(enclave_id: int) -> CpuMode:
 
 @dataclass(slots=True)
 class PhysicalPage:
-    """One physical page. Its content changes only through ``write``, which
-    drops the cached digest, so ``digest`` rehashes a page only after a
-    write since its last digest."""
+    """One physical page. An EPC page holds its EPCM entry: the va and
+    enclave it was added to, and its page type; a plain page has none (all
+    three None). Its content changes only through ``write``, which drops the
+    cached digest, so ``digest`` rehashes a page only after a write."""
 
     pa: int
     content: bytearray
-    is_epc: bool
+    va: Optional[int] = None
+    enclave_id: Optional[int] = None
+    page_type: Optional[PageType] = None
     _digest: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def digest(self) -> bytes:
         """SHA-256 of the content, computed on first use and cached."""
         if self._digest is None:
-            self._digest = content_digest((self.content,))
+            self._digest = hashlib.sha256(self.content).digest()
         return self._digest
 
     def write(self, data: bytes, offset: int = 0) -> None:
@@ -99,14 +100,6 @@ class PhysicalPage:
             check_span(offset, len(data))
         self.content[offset:end] = data
         self._digest = None
-
-
-@dataclass(slots=True)
-class EpcmEntry:
-    pa: int
-    va: int
-    enclave_id: int
-    page_type: PageType
 
 
 @dataclass
@@ -157,43 +150,40 @@ class AddressSpace:
 
 
 class Machine:
-    """Single-owner mutable machine state: physical pages, EPCM, enclaves."""
+    """Single-owner mutable machine state: physical pages and enclaves."""
 
     def __init__(self, epc_capacity_pages: int = 1 << 20):
         self.epc_capacity_pages = epc_capacity_pages
         self.pages: Dict[int, PhysicalPage] = {}
-        self.epcm: Dict[int, EpcmEntry] = {}
         self.enclaves: Dict[int, Enclave] = {}
         self._next_pa = 1
+        # ``epc_used`` counts the pages ``eadd`` takes from the EPC, and
+        # ``plain_pages`` the pages with no EPCM entry, never freed.
         self.epc_used = 0
-        # Plain pages are allocated, never freed, so the protected-page
-        # count is len(pages) - plain_pages, kept apart from epc_used.
         self.plain_pages = 0
 
     # -- page allocation ----------------------------------------------------
 
-    def _alloc_page(self, content: bytes, is_epc: bool) -> PhysicalPage:
-        """Allocate a page holding ``content`` zero-padded to one page. The
-        content is copied once, into the page's own ``bytearray``."""
+    def _alloc_page(self, content: bytes, va: Optional[int] = None,
+                    enclave_id: Optional[int] = None,
+                    page_type: Optional[PageType] = None) -> PhysicalPage:
+        """Allocate a page of ``content`` zero-padded to one page, with an
+        EPCM entry or none, copying the content once into its bytearray."""
         content = bytearray(content)
-        content += _ZERO_PAGE[len(content):]
-        if len(content) != PAGE_SIZE:
+        if len(content) < PAGE_SIZE:
+            content += _ZERO_PAGE[len(content):]
+        elif len(content) > PAGE_SIZE:
             raise ValueError("page content must be exactly one page")
-        if is_epc:
-            if self.epc_used >= self.epc_capacity_pages:
-                raise errors.OutOfEpc(
-                    f"EPC capacity of {self.epc_capacity_pages} pages exhausted")
-            self.epc_used += 1
-        else:
+        if enclave_id is None:
             self.plain_pages += 1
-        page = PhysicalPage(self._next_pa, content, is_epc)
+        page = PhysicalPage(self._next_pa, content, va, enclave_id, page_type)
         self._next_pa += 1
         self.pages[page.pa] = page
         return page
 
     def alloc_plain_page(self, content: bytes = b"") -> PhysicalPage:
         """Allocate an ordinary (unprotected) physical page."""
-        return self._alloc_page(content, is_epc=False)
+        return self._alloc_page(content)
 
     # -- enclave lifecycle --------------------------------------------------
 
@@ -205,12 +195,15 @@ class Machine:
         return enclave
 
     def eadd(self, enclave: Enclave, va: int, content: bytes,
-             page_type: PageType = PageType.REGULAR) -> Tuple[int, EpcmEntry]:
+             page_type: PageType = PageType.REGULAR
+             ) -> Tuple[int, PhysicalPage]:
         if va in enclave.pages:
             raise errors.VaAlreadyMapped(f"va {va:#x} already present")
-        page = self._alloc_page(content, is_epc=True)
-        entry = EpcmEntry(page.pa, va, enclave.enclave_id, page_type)
-        self.epcm[page.pa] = entry
+        if self.epc_used >= self.epc_capacity_pages:
+            raise errors.OutOfEpc(
+                f"EPC capacity of {self.epc_capacity_pages} pages exhausted")
+        page = self._alloc_page(content, va, enclave.enclave_id, page_type)
+        self.epc_used += 1
         enclave.pages[va] = page.pa
         if not enclave.initialized:
             # Pre-init pages extend the measurement; post-init adds model
@@ -223,7 +216,7 @@ class Machine:
             seed = content_digest((oentry.encode(),))[:8]
             enclave.tcs_table[va] = TcsPage(
                 va, oentry, (int.from_bytes(seed, "little"), 0, 0, 0))
-        return page.pa, entry
+        return page.pa, page
 
     def einit(self, enclave: Enclave) -> bytes:
         if enclave.initialized:
@@ -234,17 +227,15 @@ class Machine:
         return enclave.measurement
 
     def eremove(self, enclave: Enclave, va: int) -> None:
-        """Deallocate one enclave page; its EPCM entry is dropped
-        atomically with the page, so every entry in ``epcm`` is valid
-        (deallocation ordering is an assumption, the hardware spec leaves it
-        open). A TCS page bound to a thread is refused, as SGX refuses
-        EREMOVE while a thread runs in the enclave."""
+        """Deallocate one enclave page; its EPCM entry goes with the page.
+        A TCS page bound to a thread is refused, as SGX refuses EREMOVE
+        while a thread runs in the enclave."""
         pa = enclave.pages[va]
-        if self.epcm[pa].page_type is _TCS:
+        if self.pages[pa].page_type is _TCS:
             if enclave.tcs_table[va].busy:
                 raise errors.TcsBusy(f"tcs {va:#x} is bound to a thread")
             del enclave.tcs_table[va]
-        del enclave.pages[va], self.epcm[pa], self.pages[pa]
+        del enclave.pages[va], self.pages[pa]
         self.epc_used -= 1
 
     # -- address translation ------------------------------------------------
@@ -262,19 +253,16 @@ class Machine:
         page = self.pages.get(pa)
         if page is None:
             raise errors.NotMapped(f"pa {pa:#x} does not exist")
-        if not page.is_epc:
+        if page.enclave_id is None:
             return pa
         enclave_id = mode.enclave_id
         if enclave_id is None:
             raise errors.AbortPage(
                 f"non-enclave access to protected page {pa:#x}")
-        entry = self.epcm.get(pa)
-        if entry is None:
-            raise errors.EpcmMismatch(f"no valid EPCM entry for pa {pa:#x}")
-        if entry.enclave_id != enclave_id or entry.va != va:
+        if page.enclave_id != enclave_id or page.va != va:
             raise errors.EpcmMismatch(
-                f"EPCM({pa:#x}) records (va={entry.va:#x}, "
-                f"id={entry.enclave_id}); access was (va={va:#x}, "
+                f"EPCM({pa:#x}) records (va={page.va:#x}, "
+                f"id={page.enclave_id}); access was (va={va:#x}, "
                 f"id={enclave_id})")
         return pa
 
@@ -292,16 +280,14 @@ class Machine:
     def _tcs_at(self, space: AddressSpace, tcs_va: int) -> Tuple[Enclave, TcsPage]:
         if tcs_va not in space.page_table:
             raise errors.NotMapped(f"tcs va {tcs_va:#x} not mapped")
-        pa = space.page_table[tcs_va]
-        page = self.pages.get(pa)
-        if page is None or not page.is_epc:
+        page = self.pages.get(space.page_table[tcs_va])
+        if page is None or page.enclave_id is None:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a protected page")
-        entry = self.epcm.get(pa)
-        if entry is None or entry.va != tcs_va:
+        if page.va != tcs_va:
             raise errors.EpcmMismatch(f"EPCM check failed for tcs {tcs_va:#x}")
-        if entry.page_type is not _TCS:
+        if page.page_type is not _TCS:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a TCS page")
-        enclave = self.enclaves[entry.enclave_id]
+        enclave = self.enclaves[page.enclave_id]
         return enclave, enclave.tcs_table[tcs_va]
 
     def eenter(self, space: AddressSpace, tcs_va: int) -> EnclaveThread:
@@ -346,24 +332,36 @@ class Machine:
     # -- invariants ---------------------------------------------------------
 
     def check_epc_counts(self) -> None:
-        """EPC conservation from the kept counts, in O(1): valid EPCM
-        entries, protected pages (``len(pages)`` less the plain pages) and
+        """EPC conservation from the kept counts, in O(1): the pages that
+        hold an EPCM entry (``len(pages)`` less the plain pages) and
         ``epc_used`` agree, within capacity. This is the per-step check."""
-        valid_entries = len(self.epcm)
         protected = len(self.pages) - self.plain_pages
-        if valid_entries != protected or protected != self.epc_used:
+        if protected != self.epc_used:
             raise errors.InvariantViolation(
-                f"valid EPCM entries {valid_entries}, protected pages "
-                f"{protected} and epc_used {self.epc_used} differ")
+                f"protected pages {protected} and epc_used {self.epc_used} "
+                f"differ")
         if self.epc_used > self.epc_capacity_pages:
             raise errors.InvariantViolation("EPC capacity exceeded")
 
     def check_epc_conservation(self) -> None:
-        """The full audit, O(pages): recount the protected pages, check the
-        recount against the kept count, then ``check_epc_counts``."""
-        protected = sum(1 for p in self.pages.values() if p.is_epc)
+        """The full audit, O(pages): each protected page's owner maps its
+        va to it, the recount matches the kept count, and the enclaves'
+        page maps hold one entry per protected page, so each entry is a
+        protected page naming that enclave and va. Then the counts."""
+        protected = 0
+        for pa, page in self.pages.items():
+            if page.enclave_id is not None:
+                protected += 1
+                owner = self.enclaves.get(page.enclave_id)
+                if owner is None or owner.pages.get(page.va) != pa:
+                    raise errors.InvariantViolation(
+                        f"EPCM({pa:#x}) names an owner that does not map it")
         kept = len(self.pages) - self.plain_pages
         if protected != kept:
             raise errors.InvariantViolation(
                 f"recounted protected pages {protected}, kept count {kept}")
+        mapped = sum(len(e.pages) for e in self.enclaves.values())
+        if mapped != protected:
+            raise errors.InvariantViolation(
+                f"{mapped} page-map entries, {protected} protected pages")
         self.check_epc_counts()

@@ -200,6 +200,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
     @invariant()
     def invariants_hold(self):
         self.runtime.check_invariants()
+        self.machine.check_epc_conservation()
         used = self.machine.epc_used
         if self.pair is None:
             assert used == self.baseline
@@ -208,8 +209,9 @@ class ForkCycleMachine(RuleBasedStateMachine):
             assert used == self.baseline + self.pair.dirty_count
 
 
+# 40 examples at the default profile's 100, 400 under ``deep``.
 ForkCycleMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, derandomize=True,
-    database=None, deadline=None)
+    max_examples=settings.default.max_examples * 2 // 5,
+    stateful_step_count=30, derandomize=True, database=None, deadline=None)
 TestForkCycle = ForkCycleMachine.TestCase
 

@@ -209,9 +209,6 @@ _COST = "tests/test_cost_model.py::"
 _HARNESS = "tests/test_workload_harness.py::"
 _CLI = "tests/test_cli.py::"
 _SECURITY = "tests/test_security.py::"
-# The probes report the leak of an ``eadd`` that stores no EPCM entry.
-_EPCM_LEAK = (_SECURITY + "test_per_step_check_reports_an_epc_leak"
-              "[EPCM entry not stored]")
 
 
 # (module, function, condition) -> a Probe, or a test that fails when the
@@ -222,15 +219,14 @@ GUARDS = {
         _SGX + "TestPageDigest::test_negative_write_offset_keeps_content",
     ("sgx_core", "check_span", "offset + length > PAGE_SIZE"):
         _SGX + "TestPageDigest::test_write_across_page_boundary_keeps_content",
-    ("sgx_core", "Machine._alloc_page", "len(content) != PAGE_SIZE"):
+    ("sgx_core", "Machine._alloc_page", "len(content) > PAGE_SIZE"):
         _SGX + "TestLifecycle::test_eadd_copies_and_pads_content",
-    ("sgx_core", "Machine._alloc_page",
-     "self.epc_used >= self.epc_capacity_pages"):
-        _SGX + "TestLifecycle::test_eadd_out_of_epc",
     ("sgx_core", "Machine.ecreate", "enclave_id in self.enclaves"):
         _SGX + "TestLifecycle::test_ecreate_duplicate",
     ("sgx_core", "Machine.eadd", "va in enclave.pages"):
         _SGX + "TestLifecycle::test_eadd_same_va_twice",
+    ("sgx_core", "Machine.eadd", "self.epc_used >= self.epc_capacity_pages"):
+        _SGX + "TestLifecycle::test_eadd_out_of_epc",
     ("sgx_core", "Machine.einit", "enclave.initialized"):
         _SGX + "TestLifecycle::test_einit_twice",
     ("sgx_core", "Machine.eremove", "enclave.tcs_table[va].busy"):
@@ -242,30 +238,24 @@ GUARDS = {
         "test_attached_mapping_of_a_destroyed_instance",
     ("sgx_core", "Machine.translate_access", "enclave_id is None"):
         Probe("AbortPage"),
-    ("sgx_core", "Machine.translate_access", "entry is None"):
-        _EPCM_LEAK,
     ("sgx_core", "Machine.translate_access",
-     "entry.enclave_id != enclave_id or entry.va != va"):
+     "page.enclave_id != enclave_id or page.va != va"):
         Probe("EPCM"),
-    ("sgx_core", "Machine.translate_access", "entry.enclave_id != enclave_id"):
+    ("sgx_core", "Machine.translate_access", "page.enclave_id != enclave_id"):
         Probe("EPCM enclave id"),
-    ("sgx_core", "Machine.translate_access", "entry.va != va"):
+    ("sgx_core", "Machine.translate_access", "page.va != va"):
         Probe("EPCM va"),
     ("sgx_core", "Machine._tcs_at", "tcs_va not in space.page_table"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
-    ("sgx_core", "Machine._tcs_at", "page is None or not page.is_epc"):
+    ("sgx_core", "Machine._tcs_at", "page is None or page.enclave_id is None"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
     ("sgx_core", "Machine._tcs_at", "page is None"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
-    ("sgx_core", "Machine._tcs_at", "not page.is_epc"):
+    ("sgx_core", "Machine._tcs_at", "page.enclave_id is None"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
-    ("sgx_core", "Machine._tcs_at", "entry is None or entry.va != tcs_va"):
+    ("sgx_core", "Machine._tcs_at", "page.va != tcs_va"):
         _RUNTIME + "TestThreads::test_refused_enter_releases_the_tcs_row",
-    ("sgx_core", "Machine._tcs_at", "entry is None"):
-        _EPCM_LEAK,
-    ("sgx_core", "Machine._tcs_at", "entry.va != tcs_va"):
-        _RUNTIME + "TestThreads::test_refused_enter_releases_the_tcs_row",
-    ("sgx_core", "Machine._tcs_at", "entry.page_type is not _TCS"):
+    ("sgx_core", "Machine._tcs_at", "page.page_type is not _TCS"):
         _SGX + "TestThreads::test_enter_non_tcs_page",
     ("sgx_core", "Machine.eenter", "tcs.busy"):
         Probe("TCS busy"),
@@ -273,18 +263,26 @@ GUARDS = {
         _SGX + "TestThreads::test_resume_fresh_tcs",
     ("sgx_core", "Machine._live_tcs", "not thread.live"):
         _RUNTIME + "TestThreads::test_exit_on_suspended_thread_keeps_tcs_held",
-    ("sgx_core", "Machine.check_epc_counts",
-     "valid_entries != protected or protected != self.epc_used"):
-        _SGX + "TestLifecycle::test_conservation_names_a_drifted_epc_used",
-    ("sgx_core", "Machine.check_epc_counts", "valid_entries != protected"):
-        _EPCM_LEAK,
     ("sgx_core", "Machine.check_epc_counts", "protected != self.epc_used"):
         _SGX + "TestLifecycle::test_conservation_names_a_drifted_epc_used",
     ("sgx_core", "Machine.check_epc_counts",
      "self.epc_used > self.epc_capacity_pages"):
         _SECURITY + "test_check_epc_counts_catches_an_overfull_epc",
+    ("sgx_core", "Machine.check_epc_conservation",
+     "owner is None or owner.pages.get(page.va) != pa"):
+        _SGX + "TestLifecycle::test_audit_names_a_page_its_owner_does_not_map"
+        "[unknown owner]",
+    ("sgx_core", "Machine.check_epc_conservation", "owner is None"):
+        _SGX + "TestLifecycle::test_audit_names_a_page_its_owner_does_not_map"
+        "[unknown owner]",
+    ("sgx_core", "Machine.check_epc_conservation",
+     "owner.pages.get(page.va) != pa"):
+        _SGX + "TestLifecycle::test_audit_names_a_page_its_owner_does_not_map"
+        "[moved va]",
     ("sgx_core", "Machine.check_epc_conservation", "protected != kept"):
         _SGX + "TestLifecycle::test_audit_recount_checks_the_kept_count",
+    ("sgx_core", "Machine.check_epc_conservation", "mapped != protected"):
+        _SECURITY + "test_audit_catches_eremove_keeping_the_page_map_entry",
 
     # host_kernel
     ("host_kernel", "Kernel.record_enclave_mappings",
@@ -297,7 +295,7 @@ GUARDS = {
 
     # enclave_runtime
     ("enclave_runtime", "EnclaveRuntime._resolve",
-     "not page.is_epc and va in self.enclave.pages"):
+     "page.enclave_id is None and va in self.enclave.pages"):
         Probe("is_epc sandbox"),
     ("enclave_runtime", "EnclaveRuntime.read", "va >= COPY_BASE"):
         _RUNTIME + "TestForkCow::"
@@ -564,10 +562,11 @@ def test_remap_enumeration_reaches_the_sandbox_check(monkeypatch):
 
 # (leak, class, method, its EPC bookkeeping step, text that drops it)
 EPC_LEAKS = [
-    ("epc_used not raised", Machine, "_alloc_page", "self.epc_used += 1",
-     "pass"),
-    ("EPCM entry not stored", Machine, "eadd", "self.epcm[page.pa] = entry",
-     "pass"),
+    ("epc_used not raised", Machine, "eadd", "self.epc_used += 1", "pass"),
+    # The page is stored with no owner, va or page type.
+    ("EPCM entry not stored", Machine, "eadd",
+     "self._alloc_page(content, va, enclave.enclave_id, page_type)",
+     "self._alloc_page(content)"),
 ]
 
 
@@ -580,11 +579,11 @@ def test_per_step_check_reports_an_epc_leak(monkeypatch, leak, cls, name,
     monkeypatch.setattr(Machine, "check_epc_conservation", lambda self: None)
     reports = [failure for failures in _probe_failures().values()
                for failure in failures
-               if failure.startswith("schedule 0: valid EPCM entries")]
+               if failure.startswith("schedule 0: protected pages")]
     assert reports, f"no probe's per-step check reports the {leak} leak"
 
 
-# Two leaks no probe can show, checked directly: a page missing from
+# Leaks no probe can show, checked directly: a page missing from
 # ``Machine.pages`` makes the probes' setup raise KeyError, and no probe
 # calls ``eremove``.
 def _db_runtime():
@@ -613,11 +612,25 @@ def test_check_invariants_catches_eremove_keeping_epc_used(monkeypatch):
         runtime.check_invariants()
 
 
+def test_audit_catches_eremove_keeping_the_page_map_entry(monkeypatch):
+    # The page and its EPCM entry go, but the enclave still maps the va:
+    # the kept counts agree, so only the audit sees the stale entry.
+    monkeypatch.setattr(Machine, "eremove", _mutant(
+        Machine, "eremove", "del enclave.pages[va], self.pages[pa]",
+        "del self.pages[pa]"))
+    machine, runtime = _db_runtime()
+    machine.eremove(runtime.enclave, DB_BASE)
+    runtime.check_invariants()
+    with pytest.raises(errors.InvariantViolation,
+                       match="5 page-map entries, 4 protected pages"):
+        machine.check_epc_conservation()
+
+
 def test_check_epc_counts_catches_an_overfull_epc(monkeypatch):
-    # ``_alloc_page`` refuses a page past capacity first; with that
-    # refusal disabled, the per-step check reports the overflow.
+    # ``eadd`` refuses a page past capacity first; with that refusal
+    # disabled, the per-step check reports the overflow.
     monkeypatch.setattr(*_guard_mutant(
-        "sgx_core", "Machine._alloc_page",
+        "sgx_core", "Machine.eadd",
         "self.epc_used >= self.epc_capacity_pages"))
     machine = Machine(epc_capacity_pages=1)
     enclave = machine.ecreate(1)

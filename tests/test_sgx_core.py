@@ -103,8 +103,7 @@ class TestLifecycle:
         machine.epc_used += 1
         with pytest.raises(errors.InvariantViolation) as caught:
             machine.check_epc_conservation()
-        assert str(caught.value) == (
-            "valid EPCM entries 3, protected pages 3 and epc_used 4 differ")
+        assert str(caught.value) == "protected pages 3 and epc_used 4 differ"
 
     def test_audit_recount_checks_the_kept_count(self, machine):
         e, _ = build_enclave(machine)
@@ -112,12 +111,26 @@ class TestLifecycle:
         machine.check_epc_conservation()
         # A protected page turned plain behind the counters' back: only the
         # audit's recount sees it.
-        machine.pages[e.pages[0x10]].is_epc = False
+        machine.pages[e.pages[0x10]].enclave_id = None
         machine.check_epc_counts()
         with pytest.raises(errors.InvariantViolation) as caught:
             machine.check_epc_conservation()
         assert str(caught.value) == (
             "recounted protected pages 2, kept count 3")
+
+    @pytest.mark.parametrize("field, value", [("enclave_id", 9), ("va", 0x99)],
+                             ids=["unknown owner", "moved va"])
+    def test_audit_names_a_page_its_owner_does_not_map(self, machine, field,
+                                                       value):
+        e, _ = build_enclave(machine)
+        pa = e.pages[0x10]
+        machine.check_epc_conservation()
+        setattr(machine.pages[pa], field, value)
+        machine.check_epc_counts()
+        with pytest.raises(errors.InvariantViolation) as caught:
+            machine.check_epc_conservation()
+        assert str(caught.value) == (
+            f"EPCM({pa:#x}) names an owner that does not map it")
 
     def test_eadd_copies_and_pads_content(self, machine):
         e = machine.ecreate(1)
@@ -290,21 +303,21 @@ class TestPageDigest:
         assert p.digest() == hashlib.sha256(p.content).digest()
 
     def test_digest_is_cached_until_write(self):
-        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        p = PhysicalPage(1, bytearray(page(1)))
         first = p.digest()
         assert p.digest() is first
         p.write(b"x", offset=PAGE_SIZE - 1)
         assert p.digest() == hashlib.sha256(p.content).digest() != first
 
     def test_write_across_page_boundary_keeps_content(self):
-        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        p = PhysicalPage(1, bytearray(page(1)))
         digest = p.digest()
         with pytest.raises(ValueError):
             p.write(b"xy", offset=PAGE_SIZE - 1)
         assert p.content == page(1) and p.digest() is digest
 
     def test_negative_write_offset_keeps_content(self):
-        p = PhysicalPage(1, bytearray(page(1)), is_epc=True)
+        p = PhysicalPage(1, bytearray(page(1)))
         digest = p.digest()
         with pytest.raises(ValueError):
             p.write(b"xy", offset=-2)
