@@ -1,8 +1,8 @@
 """Experiment runner: flat key=value config files in, metrics.csv and
 summary.json out.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant violation
-(including failed security probes).
+Exit codes: 0 success, 1 configuration error or unwritable output
+directory, 2 invariant violation (including failed security probes).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -54,6 +55,9 @@ MAX_ARRIVALS = 10**6  # requests of one serverless run (expected, for macro)
 MAX_DB_REQUESTS = 10**7  # requests of one database run
 MAX_DB_PAGES = 2**25  # 128 GiB of 4 KiB pages; one byte each in a run
 MAX_SCHEDULES = 10**4  # schedules of each randomized security probe
+# Rows of metrics.csv built and written at a time, so that no file is
+# ever held whole in memory.
+CSV_CHUNK_ROWS = 4096
 
 
 def _parse_bool(raw: str) -> bool:
@@ -338,37 +342,39 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
     csv_path = os.path.join(out_dir, "metrics.csv")
     # Labels are model and workload names and request ids are indices or
     # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
-    # Records of one request kind share their plan's components, so each
-    # distinct (components, total) tail is formatted once, and a record
-    # like the one before it reuses its tail without a lookup. Every model
-    # runs the same trace, so records share their arrival floats and each
-    # is formatted once. Ids are unique while the records hold the objects.
+    # A row is its label, the "id,arrival" head of its request in the
+    # trace and the tail of its plan. Every model runs the same trace, so
+    # each trace's heads are formatted once, and each plan's tail once.
+    # Keys are ids of objects that ``results`` holds, so they stay unique.
     tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
-    tails: Dict[Tuple[int, float], str] = {}
-    arrivals: Dict[int, str] = {}
+    tails: Dict[int, str] = {}
+    heads: Dict[Tuple[int, Optional[Tuple[str, ...]]], List[str]] = {}
     with open(csv_path, "w", newline="") as handle:
         handle.write(",".join(["request_id", "arrival_ms", *COMPONENTS,
                                "total_ms"]) + "\r\n")
         for label, metrics in results.items():
+            key = (id(metrics.arrivals), metrics.ids)
+            trace_heads = heads.get(key)
+            if trace_heads is None:
+                trace_heads = heads[key] = [
+                    "%s,%.6f" % row for row in zip(
+                        metrics.ids or range(len(metrics.arrivals)),
+                        metrics.arrivals)]
+            plans = metrics.plans
+            for plan in dict(zip(map(id, plans), plans)).values():
+                if id(plan) not in tails:
+                    components = plan.components
+                    tails[id(plan)] = tail_format % (
+                        *[components.get(c, 0.0) for c in COMPONENTS],
+                        plan.total)
+            tail_of = tails.__getitem__
             prefix = label + "/"
-            rows = []
-            last = last_total = None
-            for record in metrics.requests:
-                components, total = record.components, record.total_ms
-                if components is not last or total != last_total:
-                    key = (id(components), total)
-                    tail = tails.get(key)
-                    if tail is None:
-                        tail = tails[key] = tail_format % (
-                            *[components.get(c, 0.0) for c in COMPONENTS],
-                            total)
-                    last, last_total = components, total
-                arrival = record.arrival_ms
-                head = arrivals.get(id(arrival))
-                if head is None:
-                    head = arrivals[id(arrival)] = ",%.6f" % arrival
-                rows.append(f"{prefix}{record.request_id}{head}{tail}")
-            handle.write("".join(rows))
+            for start in range(0, len(plans), CSV_CHUNK_ROWS):
+                end = start + CSV_CHUNK_ROWS
+                handle.write("".join([
+                    f"{prefix}{head}{tail_of(id(plan))}"
+                    for head, plan in zip(trace_heads[start:end],
+                                          plans[start:end])]))
 
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as handle:
@@ -404,7 +410,21 @@ def run_security_suite(config: ScenarioConfig, out_dir: str) -> int:
     return 0 if all_ok else 2
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any simulation, an output path where the outputs'
+    ``os.makedirs`` would fail: the path, or the nearest of its parents
+    that exists, is not a directory. The directory is made only with the
+    outputs, so a run that fails leaves none."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 path)
+
+
 def run(config: ScenarioConfig, out_dir: str) -> int:
+    _check_out_dir(out_dir)
     if config.scenario == "security_suite":
         return run_security_suite(config, out_dir)
     results = run_scenario(config)
@@ -445,6 +465,9 @@ def main(argv=None) -> int:
     except errors.SimError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

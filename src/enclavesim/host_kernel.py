@@ -43,9 +43,6 @@ class TcsRow:
 class TcsTable:
     rows: List[TcsRow] = field(default_factory=list)
 
-    def free_rows(self) -> List[TcsRow]:
-        return [r for r in self.rows if r.holder is None]
-
 
 class HostFilesystem:
     """Per-namespace view of host-side files, fully attacker controlled."""

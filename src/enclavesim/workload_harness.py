@@ -1,10 +1,15 @@
 """Discrete-event driver for the serverless execution models and the
 database fork/snapshot scenario; all randomness flows from explicit seeds.
 
-Costs, traces, ``RequestRecord``, ``Metrics`` and the ``CostLedger`` carry
-ms and MiB. ``run_serverless`` runs a single-threaded event loop on float
-ms. ``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
+Costs, traces, ``Metrics`` and the ``CostLedger`` carry ms and MiB.
+``run_serverless`` runs a single-threaded event loop on float ms.
+``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
 Python ints, rounding each duration once, and report in ms.
+
+A run keeps its requests as columns, not objects: the trace's arrival
+list, a shared plan per request and an ``array('d')`` of finish times,
+about 16 B per request. ``Metrics.requests`` builds ``RequestRecord``s
+from them only when it is read.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import itertools
 import math
 import random
 import types
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import errors
 from .cost_model import (
@@ -62,20 +69,28 @@ class RequestTrace:
 
 @dataclass(slots=True)
 class RequestRecord:
-    """One served request. A serverless record's ``components`` is its
-    plan's read-only mapping, shared by every request of that kind."""
+    """One served request, as ``Metrics.requests`` builds it: its
+    ``components`` is its plan's read-only mapping, shared by every
+    request of that kind."""
     request_id: str
     arrival_ms: float
     workload: str
-    components: Mapping[str, float] = field(default_factory=dict)
-    total_ms: float = 0.0
-    finish_ms: float = 0.0
+    components: Mapping[str, float]
+    total_ms: float
+    finish_ms: float
 
 
 @dataclass
 class Metrics:
+    """A run's statistics and its requests as columns. Request ``i``
+    arrived at ``arrivals[i]`` (the trace's own list), ran ``plans[i]``
+    and finished at ``finish[i]``; its id is ``ids[i]``, or ``str(i)``
+    when ``ids`` is None."""
     model: str
-    requests: List[RequestRecord]
+    workload: str
+    arrivals: Sequence[float]
+    plans: Sequence[_Plan]
+    finish: array
     count: int
     mean_latency_ms: float
     p50_ms: float
@@ -85,6 +100,16 @@ class Metrics:
     completion_time_ms: float
     extras: Dict[str, float] = field(default_factory=dict)
     ledger: Optional[CostLedger] = None
+    ids: Optional[Tuple[str, ...]] = None
+
+    @property
+    def requests(self) -> List[RequestRecord]:
+        """A record per request, built from the columns on each read."""
+        ids = self.ids or map(str, range(len(self.finish)))
+        return [RequestRecord(request_id, arrival, self.workload,
+                              plan.components, plan.total, finish)
+                for request_id, arrival, plan, finish in zip(
+                    ids, self.arrivals, self.plans, self.finish)]
 
 
 def gen_burst(n: int, workload: str) -> RequestTrace:
@@ -127,7 +152,7 @@ class _Plan(NamedTuple):
 
     ``head`` runs from the start, ``locked`` (None if the EPC-expand step
     is not serialized) holds the lock and ``tail`` runs after it.
-    ``components`` is read-only: every record of the kind shares it.
+    ``components`` is read-only: every request of the kind shares it.
     """
     head: Tuple[float, ...]
     locked: Optional[float]
@@ -187,7 +212,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     pool grants (start) and lock grants, which take no time, in a FIFO of
     ``(seq, kind, index)`` at the current time; and every other event in a
     heap of ``(time, seq, kind, index)``. A started request's plan and
-    memory are kept by index, and records are built at finish.
+    memory are kept by index, and its finish time is stored at finish.
 
     The model's choices are made once per run: which kinds of request a
     start picks from, each kind's plan, the memory a request holds and
@@ -235,8 +260,9 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             fixed = _plan({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
                            Variant.CC_WARM: "warm"}[variant], exec_ms, params)
 
-    records: List[Optional[RequestRecord]] = [None] * n
     plan_of: List[Optional[_Plan]] = [None] * n  # of each started request
+    finish = array("d", [0.0]) * n
+    done = 0
     mem_of = [0.0] * n  # the memory each request holds while it runs
     events: List[Tuple[float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -323,10 +349,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 t = t + duration
             push(events, (t, next(seq), _FINISH, idx))
         else:
-            plan = plan_of[idx]
-            records[idx] = RequestRecord(str(idx), arrivals[idx],
-                                         trace.workload, plan.components,
-                                         plan.total, now)
+            finish[idx] = now
+            done += 1
             if mem_of[idx]:
                 occupy(-mem_of[idx])
             if shared:
@@ -339,25 +363,27 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             else:
                 free_workers += 1
 
-    if not all(records):
+    if done != n:
         raise errors.InvariantViolation("not all requests completed")
-    return _metrics(variant.value, records, ledger, registration_ms,
-                    baseline_mib)
+    return _metrics(variant.value, trace, plan_of, finish, ledger,
+                    registration_ms, baseline_mib)
 
 
-def _metrics(model_name: str, records: List[RequestRecord],
-             ledger: CostLedger, registration_ms: float,
+def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
+             finish: array, ledger: CostLedger, registration_ms: float,
              baseline_mib: float) -> Metrics:
     ledger.check_returned(baseline_mib)
-    latencies = [r.total_ms for r in records]
-    count = len(records)
-    # Records are in trace order, so the first arrives first.
-    completion = (max(r.finish_ms for r in records) - records[0].arrival_ms
-                  if count else 0.0)
+    latencies = [plan.total for plan in plans]
+    count = len(finish)
+    # The trace is sorted, so its first request arrives first.
+    completion = max(finish) - trace.arrivals[0] if count else 0.0
     throughput = count / (completion / 1000.0) if completion > 0 else 0.0
     return Metrics(
         model=model_name,
-        requests=records,
+        workload=trace.workload,
+        arrivals=trace.arrivals,
+        plans=plans,
+        finish=finish,
         count=count,
         mean_latency_ms=sum_in_order(latencies) / count if count else 0.0,
         p50_ms=percentile(latencies, 50),
@@ -449,7 +475,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     and the ledger takes every copied page in one step once the window's
     requests have run. Every other stretch (requests that end by the
     fork's start, the full-copy model's window and the tail after the
-    window) is one floor division. ``Metrics``, its extras, the fork record
+    window) is one floor division. ``Metrics``, its extras, the fork row
     and the ledger are in ms and MiB.
     """
     if db_mib <= 0:
@@ -527,16 +553,17 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
 
     for component, ns in fork_components.items():
         ledger.charge(component, _ms(ns), "fork")
-    fork = ledger.breakdowns["fork"]
+    fork = types.MappingProxyType(dict(ledger.breakdowns["fork"]))
     fork_ms = sum_in_order(fork.values())
-    fork_record = RequestRecord("fork", _ms(fork_start), "db-fork",
-                                dict(fork), fork_ms, _ms(fork_end))
 
     completion_ms = _ms(end)
     window_s = _ms(window_end - fork_start) / 1000.0
     metrics = Metrics(
         model=model.value,
-        requests=[fork_record],
+        workload="db-fork",
+        arrivals=[_ms(fork_start)],
+        plans=[_Plan(tuple(fork.values()), None, (), fork, fork_ms)],
+        finish=array("d", [_ms(fork_end)]),
         count=served_total,
         mean_latency_ms=(_ms(service_ns) / served_total if served_total
                          else 0.0),
@@ -557,6 +584,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
             "final_mib": ledger.occupancy,
         },
         ledger=ledger,
+        ids=("fork",),
     )
     ledger.check_returned(base_mib)
     return metrics

@@ -7,6 +7,8 @@ must give the same ``Metrics``, field for field.
 """
 
 import random
+import types
+from array import array
 from typing import List, Optional, Tuple
 
 from enclavesim import errors
@@ -14,7 +16,7 @@ from enclavesim.cost_model import CostParams, sum_in_order
 from enclavesim.workload_harness import (
     DbModel,
     Metrics,
-    RequestRecord,
+    _Plan,
     db_cycle,
 )
 
@@ -110,16 +112,18 @@ def run_database_stepwise(model: DbModel, db_mib: float,
 
     for component, ns in fork_components.items():
         ledger.charge(component, ns / 10**6, "fork")
-    fork_ms = sum_in_order(ledger.breakdowns["fork"].values())
-    fork_record = RequestRecord("fork", fork_start / 10**6, "db-fork",
-                                dict(ledger.breakdowns["fork"]),
-                                fork_ms, fork_end / 10**6)
+    fork = types.MappingProxyType(dict(ledger.breakdowns["fork"]))
+    fork_ms = sum_in_order(fork.values())
 
     completion_ms = end / 10**6
     window_s = (window_end - fork_start) / 10**6 / 1000.0
     metrics = Metrics(
         model=model.value,
-        requests=[fork_record],
+        workload="db-fork",
+        arrivals=[fork_start / 10**6],
+        plans=[_Plan(tuple(fork.values()), None, (), fork, fork_ms)],
+        finish=array("d", [fork_end / 10**6]),
+        ids=("fork",),
         count=served_total,
         mean_latency_ms=(service_ns / 10**6 / served_total if served_total
                          else 0.0),

@@ -2,11 +2,11 @@
 
 ``run_serverless_heaped`` is ``workload_harness.run_serverless`` as it
 was before arrivals left the event heap: every arrival, pool grant and
-lock grant is a heap event, each request is a ``_Job`` whose record is
-built on arrival, and each finish copies its plan's components into the
-record and into ``ledger.breakdowns[request_id]``. The harness must give
+lock grant is a heap event, each request is a ``_Job``, and each finish
+stores its time and plan in the run's columns and copies its plan's
+components into ``ledger.breakdowns[request_id]``. The harness must give
 the same ``Metrics`` and records, field for field and bit for bit. Its
-handlers match these one for one: besides the records, the shipped loop
+handlers match these one for one: besides the breakdowns, the shipped loop
 differs only in where arrivals and zero-delay events wait, in the trace
 and in a FIFO beside the heap, and in when plans are built. The oracle
 builds a kind's plan at its first start; the harness builds its plans
@@ -18,6 +18,7 @@ each record carries that workload.
 
 import heapq
 import itertools
+from array import array
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -29,7 +30,6 @@ from enclavesim.cost_model import (
 )
 from enclavesim.workload_harness import (
     Metrics,
-    RequestRecord,
     RequestTrace,
     Variant,
     _Plan,
@@ -44,12 +44,12 @@ _ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
 
 
 class _Job:
-    """A request in flight: its record, its plan and its memory."""
+    """A request in flight: its index, its plan and its memory."""
 
-    __slots__ = ("record", "plan", "mem")
+    __slots__ = ("idx", "plan", "mem")
 
-    def __init__(self, record: RequestRecord):
-        self.record = record
+    def __init__(self, idx: int):
+        self.idx = idx
         self.plan: Optional[_Plan] = None
         self.mem = 0.0
 
@@ -72,18 +72,20 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     points its steps touch nothing shared; the wake time is their running
     sum from the current time. Each kind of request is planned when its
     first request starts (``_plan``), in a table keyed by kind; at finish
-    the request's record gets a copy of its plan's components, which the
-    ledger keeps as the request's breakdown. Grants from the pool or the
-    lock are separate zero-delay events.
+    the request's plan and finish time go into the run's columns, and the
+    ledger keeps a copy of the plan's components as the request's
+    breakdown. Grants from the pool or the lock are separate zero-delay
+    events.
     """
     params.validate()
 
     ledger = LevelLedger()
     breakdowns = ledger.breakdowns
-    records = [RequestRecord(str(idx), arrival, trace.workload)
-               for idx, arrival in enumerate(trace.arrivals)]
-    events = [(record.arrival_ms, idx, _ARRIVE, _Job(record))
-              for idx, record in enumerate(records)]
+    n = len(trace.arrivals)
+    plan_of: List[Optional[_Plan]] = [None] * n
+    finish = array("d", [0.0]) * n
+    events = [(arrival, idx, _ARRIVE, _Job(idx))
+              for idx, arrival in enumerate(trace.arrivals)]
     heapq.heapify(events)
     push = heapq.heappush
     seq = itertools.count(len(events))
@@ -177,11 +179,9 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                 t = t + duration
             push(events, (t, next(seq), _FINISH, job))
         else:
-            record = job.record
-            record.finish_ms = now
-            record.components = breakdowns[record.request_id] = dict(
-                job.plan.components)
-            record.total_ms = job.plan.total
+            finish[job.idx] = now
+            plan_of[job.idx] = job.plan
+            breakdowns[str(job.idx)] = dict(job.plan.components)
             if job.mem:
                 ledger.occupy(-job.mem)
             if variant is Variant.TEEMATE:
@@ -195,7 +195,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                 free_workers += 1
             done += 1
 
-    if done != len(records):
+    if done != n:
         raise errors.InvariantViolation("not all requests completed")
-    return _metrics(variant.value, records, ledger, registration_ms,
-                    baseline_mib)
+    return _metrics(variant.value, trace, plan_of, finish, ledger,
+                    registration_ms, baseline_mib)

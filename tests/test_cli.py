@@ -18,6 +18,8 @@ from enclavesim.cli import (
 )
 from enclavesim.cost_model import COMPONENTS, WORKLOADS, CostParams
 
+from peak_memory import PEAK_BYTES_PER_REQUEST, traced_peak
+
 LATENCY_CFG = """\
 # latency comparison
 [serverless_latency]
@@ -479,6 +481,26 @@ class TestMain:
         assert main([cfg]) == 0
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("text", [
+        LATENCY_CFG, "[security_suite]\nseed = 1\nschedules = 20\n",
+    ], ids=["scenario", "security-suite"])
+    def test_out_at_a_file_exits_one_before_simulating(
+            self, tmp_path, monkeypatch, capsys, text, below):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("enclavesim.cli.run_serverless", no_simulation)
+        monkeypatch.setattr("enclavesim.security.run_all", no_simulation)
+        cfg = self.write_cfg(tmp_path, text)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main([cfg, "--out", str(taken / below)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: cannot write outputs: [Errno 20] Not a "
+                       f"directory: {str(taken)!r}\n")
+        assert taken.read_text() == "kept"
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG)
         blobs = []
@@ -497,6 +519,13 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_detected"] is True
         assert summary["probes"]["remap_enumeration"]["failures"] == 0
+
+
+class TestPeakMemory:
+    def test_run_peak_is_capped_per_request(self, tmp_path):
+        # 20,000 requests take about 2 s traced; CI runs 200,000.
+        n = 20_000
+        assert traced_peak(n, str(tmp_path)) <= PEAK_BYTES_PER_REQUEST * n
 
 
 def _reject_constant(name):

@@ -143,7 +143,7 @@ class TestTcsTable:
         table = self.make_table(machine, kernel)
         va = kernel.tcs_acquire(table, 1)
         kernel.tcs_release(table, va)
-        assert len(table.free_rows()) == len(table.rows)
+        assert all(row.holder is None for row in table.rows)
 
 
 class TestAdversary:

@@ -296,7 +296,7 @@ GUARDS = {
     # enclave_runtime
     ("enclave_runtime", "EnclaveRuntime._resolve",
      "page.enclave_id is None and va in self.enclave.pages"):
-        Probe("is_epc sandbox"),
+        Probe("plain page sandbox"),
     ("enclave_runtime", "EnclaveRuntime.read", "va >= COPY_BASE"):
         _RUNTIME + "TestForkCow::"
         "test_copy_vas_are_unreachable_outside_the_pair",
@@ -415,7 +415,7 @@ GUARDS = {
     ("workload_harness", "_plan", "not math.isfinite(total)"):
         _HARNESS + "TestServerlessLatency::"
         "test_overflowing_request_is_a_config_error",
-    ("workload_harness", "run_serverless", "not all(records)"):
+    ("workload_harness", "run_serverless", "done != n"):
         _HARNESS + "TestServerlessLatency::test_no_workers_completes_nothing",
     ("workload_harness", "_ns", "not math.isfinite(ns)"):
         _CLI + "TestMain::"
@@ -481,6 +481,9 @@ GUARDS = {
         "test_oversized_run_exits_one_before_simulating[macro-arrivals]",
     ("cli", "run_security_suite", "config.schedules > MAX_SCHEDULES"):
         _CLI + "TestMain::test_too_many_schedules_exit_one_before_probing",
+    ("cli", "_check_out_dir", "not os.path.isdir(path)"):
+        _CLI + "TestMain::"
+        "test_out_at_a_file_exits_one_before_simulating[scenario-below-file]",
 }
 
 
@@ -554,7 +557,7 @@ def test_disabling_a_shipped_check_fails_some_probe(monkeypatch, check):
 
 
 def test_remap_enumeration_reaches_the_sandbox_check(monkeypatch):
-    monkeypatch.setattr(*_guard_mutant(*PROBE_ROWS["is_epc sandbox"]))
+    monkeypatch.setattr(*_guard_mutant(*PROBE_ROWS["plain page sandbox"]))
     _, failures = remap_enumeration(n_pages=4, n_spaces=3)
     # The plain page read at each of the 4 vas in each of the 3 spaces.
     assert len(failures) == 4 * 3
