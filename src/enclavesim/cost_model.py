@@ -152,20 +152,15 @@ def default_params() -> CostParams:
     return params
 
 
-_UNSUMMABLE = ": the config's memory figures cannot be summed in floating point"
-# Occupancy changes and levels this small are rounding, not memory.
-_TOLERANCE_MIB = 1e-9
-
-
 class CostLedger:
-    """Per-experiment record of latency components and of EPC occupancy:
-    its level, its peak and ``updates``, the count of changes taken."""
+    """Per-experiment record of latency components and of EPC occupancy
+    as an int count of held units of one figure: ``count`` and its
+    ``peak``."""
 
     def __init__(self):
         self.breakdowns: Dict[object, Dict[str, float]] = {}
-        self.occupancy = 0.0
-        self.peak_epc = 0.0
-        self.updates = 0
+        self.count = 0
+        self.peak = 0
 
     def charge(self, component: str, duration_ms: float,
                request_id: object) -> None:
@@ -175,46 +170,23 @@ class CostLedger:
         record = self.breakdowns.setdefault(request_id, {})
         record[component] = record.get(component, 0.0) + duration_ms
 
-    def occupy(self, delta_mib: float) -> None:
-        new_level = self.occupancy + delta_mib
-        # A finite level too large to take a real change would leave that
-        # memory out of the peak; a level at inf is left to check_returned.
-        if new_level == self.occupancy and abs(delta_mib) > _TOLERANCE_MIB \
-                and math.isfinite(new_level):
+    def occupy(self, units: int) -> None:
+        self.count += units
+        if self.count > self.peak:
+            self.peak = self.count
+
+    def peak_mib(self, base_mib: float, unit_mib: float) -> float:
+        """``base_mib + peak * unit_mib``, once every unit is back; a
+        config error if the figures cannot be summed in a float."""
+        if self.count:
+            raise errors.InvariantViolation(f"{self.count} units not returned")
+        peak_mib = base_mib + self.peak * unit_mib
+        if not math.isfinite(peak_mib):
+            raise errors.ConfigError(f"peak occupancy is {peak_mib} MiB")
+        if self.peak and peak_mib == base_mib:
             raise errors.ConfigError(
-                f"a change of {delta_mib} MiB leaves occupancy "
-                f"{self.occupancy} MiB unchanged{_UNSUMMABLE}")
-        if new_level < -_TOLERANCE_MIB:
-            message = f"occupancy would drop to {new_level} MiB"
-            if -new_level <= self._rounding_slack():
-                raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
-            raise errors.NegativeOccupancy(message)
-        self.occupancy = 0.0 if new_level < 0.0 else new_level
-        self.updates += 1
-        if self.occupancy > self.peak_epc:
-            self.peak_epc = self.occupancy
-
-    def _rounding_slack(self) -> float:
-        """Bound on the rounding in the occupancy level: each ``occupy``
-        rounds the level it writes by at most half an ulp of the peak."""
-        return self.updates * math.ulp(self.peak_epc)
-
-    def check_returned(self, baseline_mib: float) -> None:
-        """Raise unless the occupancy is back at ``baseline_mib``.
-
-        A gap within the rounding slack comes from memory figures too far
-        apart in magnitude to add exactly (an overflow to ``inf``, or a
-        base absorbed by a huge figure), so it is a config error; a larger
-        gap is a leak.
-        """
-        gap = abs(self.occupancy - baseline_mib)
-        if gap <= 1e-6:
-            return
-        message = (f"occupancy {self.occupancy} MiB did not return to "
-                   f"baseline {baseline_mib} MiB")
-        if gap <= self._rounding_slack():
-            raise errors.ConfigError(f"{message}{_UNSUMMABLE}")
-        raise errors.InvariantViolation(message)
+                f"{unit_mib} MiB units round away against {base_mib} MiB")
+        return peak_mib
 
 
 def sum_in_order(values: Iterable[float]) -> float:

@@ -118,10 +118,6 @@ class NegativeDuration(SimError):
     pass
 
 
-class NegativeOccupancy(SimError):
-    pass
-
-
 class ConfigError(SimError):
     """Base class for configuration problems (CLI exit code 1)."""
 

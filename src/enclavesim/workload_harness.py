@@ -1,7 +1,9 @@
 """Discrete-event driver for the serverless execution models and the
 database fork/snapshot scenario; all randomness flows from explicit seeds.
 
-Costs, traces, ``Metrics`` and the ``CostLedger`` carry ms and MiB.
+Costs, traces and ``Metrics`` carry ms and MiB; the ``CostLedger``
+counts units of one memory figure held above a base, and a run's peak
+is ``base + peak count x figure``.
 ``run_serverless`` runs a single-threaded event loop on float ms.
 ``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
 Python ints, rounding each duration once, and report in ms.
@@ -212,15 +214,15 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     pool grants (start) and lock grants, which take no time, in a FIFO of
     ``(seq, kind, index)`` at the current time; and every other event in a
     heap of ``(time, seq, kind, index)``. A started request's plan and
-    memory are kept by index, and its finish time is stored at finish.
+    units are kept by index, and its finish time is stored at finish.
 
     The model's choices are made once per run: which kinds of request a
-    start picks from, each kind's plan, the memory a request holds and
+    start picks from, each kind's plan, the units a request holds and
     which pool a finish refills. No plan is built that no request takes:
     the shared enclave's ``"create"`` plan waits for the first start that
-    finds no free container. Only the shared-enclave model's memory
-    depends on the request: the first live instance lives in the
-    registered base.
+    finds no free container. Only the shared-enclave model's units depend
+    on the request: the first live instance lives in the registered base
+    and holds none, every other one ``m_teemate_per_instance``.
     """
     params.validate()
 
@@ -230,22 +232,20 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     # Expiry times of idle warm environments, oldest first: finishes run
     # in time order, so they are appended sorted.
     warm_pool: Optional[deque] = None
-    # The memory a request holds; the shared-enclave model sets it at
-    # each start.
-    mem = 0.0 if variant is Variant.NATIVE else params.m_strawman_per_request
-    registration_ms = 0.0
+    # The units a request holds; the shared-enclave model sets it at each
+    # start.
+    units = 0 if variant is Variant.NATIVE else 1
+    unit_mib = params.m_strawman_per_request
+    registration_ms = baseline_mib = 0.0
     if shared:
         registration_ms = params.t_container_create + params.t_enclave_create
-        ledger.charge(CONTAINER_CREATE, params.t_container_create,
-                      "registration")
-        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        occupy(params.m_teemate_base)
+        baseline_mib = params.m_teemate_base
+        unit_mib = params.m_teemate_per_instance
         free_containers = 1
         live_instances = 0
     elif variant is Variant.CC_WARM and not prediction:
         warm_pool = deque()
         keepalive_ms = params.warm_keepalive_s * 1000.0
-    baseline_mib = ledger.occupancy
 
     arrivals = trace.arrivals
     n = len(arrivals)
@@ -263,7 +263,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     plan_of: List[Optional[_Plan]] = [None] * n  # of each started request
     finish = array("d", [0.0]) * n
     done = 0
-    mem_of = [0.0] * n  # the memory each request holds while it runs
+    units_of = bytearray(n)  # the units each request holds while it runs
     events: List[Tuple[float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
     fifo: deque = deque()  # zero-delay events at ``now``: (seq, kind, index)
@@ -298,7 +298,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             else:
                 pool_queue.append(idx)
         elif kind == _START:
-            # Take the request's plan and memory, and run it to the lock
+            # Take the request's plan and units, and run it to the lock
             # or the end.
             if shared:
                 if free_containers:
@@ -309,8 +309,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 else:
                     plan = created = _plan("create", exec_ms, params)
                 live_instances += 1
-                mem = (params.m_teemate_per_instance if live_instances > 1
-                       else 0.0)
+                units = int(live_instances > 1)
             elif warm_pool is not None:
                 # Drop expired environments: later starts are later still.
                 while warm_pool and warm_pool[0] < now:
@@ -322,10 +321,10 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     plan = cold
             else:
                 plan = fixed
-            if mem:
-                occupy(mem)
+            if units:
+                occupy(units)
+                units_of[idx] = units
             plan_of[idx] = plan
-            mem_of[idx] = mem
             t = now
             for duration in plan.head:
                 t = t + duration
@@ -351,8 +350,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         else:
             finish[idx] = now
             done += 1
-            if mem_of[idx]:
-                occupy(-mem_of[idx])
+            if units_of[idx]:
+                occupy(-units_of[idx])
             if shared:
                 live_instances -= 1
                 free_containers += 1
@@ -366,13 +365,13 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     if done != n:
         raise errors.InvariantViolation("not all requests completed")
     return _metrics(variant.value, trace, plan_of, finish, ledger,
-                    registration_ms, baseline_mib)
+                    registration_ms, baseline_mib, unit_mib)
 
 
 def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
              finish: array, ledger: CostLedger, registration_ms: float,
-             baseline_mib: float) -> Metrics:
-    ledger.check_returned(baseline_mib)
+             baseline_mib: float, unit_mib: float) -> Metrics:
+    peak_mib = ledger.peak_mib(baseline_mib, unit_mib)
     latencies = [plan.total for plan in plans]
     count = len(finish)
     # The trace is sorted, so its first request arrives first.
@@ -388,13 +387,14 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
         mean_latency_ms=sum_in_order(latencies) / count if count else 0.0,
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
-        peak_epc_mib=ledger.peak_epc,
+        peak_epc_mib=peak_mib,
         throughput_rps=throughput,
         completion_time_ms=completion,
         extras={
             "registration_ms": registration_ms,
             "baseline_mib": baseline_mib,
-            "final_mib": ledger.occupancy,
+            # ``peak_mib`` checked that every unit came back.
+            "final_mib": baseline_mib,
         },
         ledger=ledger,
     )
@@ -471,12 +471,12 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     Requests run back to back on ``db_cycle``'s clock of whole ns. Only
     the shared-enclave model's requests between the fork's end and the end
     of the snapshot window can copy a page, so only they draw random
-    numbers and run one by one. ``dirty`` holds one byte per database page,
-    and the ledger takes every copied page in one step once the window's
-    requests have run. Every other stretch (requests that end by the
-    fork's start, the full-copy model's window and the tail after the
-    window) is one floor division. ``Metrics``, its extras, the fork row
-    and the ledger are in ms and MiB.
+    numbers and run one by one. ``dirty`` holds one byte per database page.
+    Every other stretch (requests that end by the fork's start, the
+    full-copy model's window and the tail after the window) is one floor
+    division. Above the base (the database and its runtime) the ledger
+    counts one unit, a full copy of both, or one ``page_mib`` per copied
+    page. ``Metrics``, its extras and the fork row are in ms and MiB.
     """
     if db_mib <= 0:
         raise errors.InvariantViolation("db size must be positive")
@@ -484,14 +484,15 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     ledger = CostLedger()
 
     strawman = model is DbModel.STRAWMAN
-    base_mib = db_mib + (params.m_db_runtime_strawman if strawman
-                         else params.m_db_runtime_teemate)
-    ledger.occupy(base_mib)
+    if strawman:
+        # The fork's one unit is a full copy of the database and runtime.
+        base_mib = unit_mib = db_mib + params.m_db_runtime_strawman
+    else:
+        base_mib = db_mib + params.m_db_runtime_teemate
+        unit_mib = params.page_mib  # a page copied on write
 
     (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
      end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
-    if strawman:
-        ledger.occupy(db_mib + params.m_db_runtime_strawman)
 
     # Requests that end by the fork's start; the last may end on it.
     served_total = fork_start // exec_ns
@@ -538,18 +539,18 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
                 served_total += 1
                 service_ns += service
                 served_window += t <= window_end
-        if copies:
-            ledger.occupy(copies * params.page_mib)
     # The rest copy no page: the tail past window_end and, in the
     # full-copy model, its window too.
     n = max(0, (end - t) // exec_ns)
     served_total += n
     service_ns += n * exec_ns
 
-    if strawman:
-        ledger.occupy(-(db_mib + params.m_db_runtime_strawman))
-    elif copies:
-        ledger.occupy(-copies * params.page_mib)
+    # The full copy, or the copied pages, are held until the window ends.
+    held = 1 if strawman else copies
+    if held:
+        ledger.occupy(held)
+        ledger.occupy(-held)
+    peak_mib = ledger.peak_mib(base_mib, unit_mib)
 
     for component, ns in fork_components.items():
         ledger.charge(component, _ms(ns), "fork")
@@ -558,7 +559,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
 
     completion_ms = _ms(end)
     window_s = _ms(window_end - fork_start) / 1000.0
-    metrics = Metrics(
+    return Metrics(
         model=model.value,
         workload="db-fork",
         arrivals=[_ms(fork_start)],
@@ -569,7 +570,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
                          else 0.0),
         p50_ms=_ms(exec_ns),
         p99_ms=_ms(exec_ns if strawman else exec_ns + cow_ns),
-        peak_epc_mib=ledger.peak_epc,
+        peak_epc_mib=peak_mib,
         throughput_rps=served_total / (completion_ms / 1000.0),
         completion_time_ms=completion_ms,
         extras={
@@ -578,13 +579,11 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
             "snapshot_window_throughput_rps": served_window / window_s,
             # Occupancy only rises until the window closes, so the
             # window's peak is the running peak.
-            "snapshot_peak_mib": ledger.peak_epc,
+            "snapshot_peak_mib": peak_mib,
             "dirty_pages": float(copies),
             "baseline_mib": base_mib,
-            "final_mib": ledger.occupancy,
+            "final_mib": base_mib,  # ``peak_mib`` checked the return
         },
         ledger=ledger,
         ids=("fork",),
     )
-    ledger.check_returned(base_mib)
-    return metrics

@@ -1,7 +1,7 @@
 """Hypothesis profiles. Tier-1 runs each property test at the default
 budget; ``--hypothesis-profile=deep`` runs ten times as many examples,
-which CI uses for the serverless and database oracles and the fork state
-machine."""
+which CI uses for the serverless and database oracles, the ledger's
+occupancy count and the fork state machine."""
 
 from hypothesis import settings
 

@@ -4,6 +4,11 @@
 on a clock of whole nanoseconds and adds each service time to the running
 sums one at a time. The floor divisions in ``workload_harness.run_database``
 must give the same ``Metrics``, field for field.
+
+The oracle takes the same counts of held units as the harness, into a
+ledger that records each count, and keeps its own ``(time, level)``
+timeline in MiB, from which it reads the peak and the snapshot window's
+peak.
 """
 
 import random
@@ -20,7 +25,7 @@ from enclavesim.workload_harness import (
     db_cycle,
 )
 
-from level_ledger import LevelLedger
+from count_ledger import CountLedger
 
 
 def peak_between(timeline: List[Tuple[float, float]], t0: float,
@@ -50,24 +55,22 @@ def run_database_stepwise(model: DbModel, db_mib: float,
         raise errors.InvariantViolation("db size must be positive")
     params.validate()
     rng = random.Random(seed)
-    ledger = LevelLedger()
-    timeline: List[Tuple[float, float]] = []
-
-    def occupy(time_ms: float, delta_mib: float) -> None:
-        ledger.occupy(delta_mib)
-        timeline.append((time_ms, ledger.occupancy))
-
+    ledger = CountLedger()
     strawman = model is DbModel.STRAWMAN
     base_mib = db_mib + (params.m_db_runtime_strawman if strawman
                          else params.m_db_runtime_teemate)
-    occupy(0.0, base_mib)
+    timeline: List[Tuple[float, float]] = [(0.0, base_mib)]
+
+    def occupy(time_ms: float, units: int, delta_mib: float) -> None:
+        ledger.occupy(units)
+        timeline.append((time_ms, timeline[-1][1] + delta_mib))
 
     (exec_ns, db_pages, fork_components, fork_start, fork_end, window_end,
      end) = db_cycle(model, db_mib, snapshot_interval_s, duration_s, params)
     cow_ns = round(params.t_cow_copy * 1e6)
 
     if strawman:
-        occupy(fork_end / 10**6, db_mib + params.m_db_runtime_strawman)
+        occupy(fork_end / 10**6, 1, db_mib + params.m_db_runtime_strawman)
 
     dirty = set()
     last_copy = None
@@ -102,13 +105,16 @@ def run_database_stepwise(model: DbModel, db_mib: float,
 
     # Occupancy only rises inside the window: one step at the last copy.
     if dirty:
-        occupy(last_copy / 10**6, len(dirty) * params.page_mib)
+        occupy(last_copy / 10**6, len(dirty), len(dirty) * params.page_mib)
     snapshot_peak = peak_between(timeline, fork_start / 10**6,
                                  window_end / 10**6)
     if strawman:
-        occupy(window_end / 10**6, -(db_mib + params.m_db_runtime_strawman))
+        occupy(window_end / 10**6, -1,
+               -(db_mib + params.m_db_runtime_strawman))
     elif dirty:
-        occupy(window_end / 10**6, -len(dirty) * params.page_mib)
+        occupy(window_end / 10**6, -len(dirty), -len(dirty) * params.page_mib)
+    if abs(timeline[-1][1] - base_mib) > 1e-6:
+        raise errors.InvariantViolation("db occupancy leaked")
 
     for component, ns in fork_components.items():
         ledger.charge(component, ns / 10**6, "fork")
@@ -117,7 +123,7 @@ def run_database_stepwise(model: DbModel, db_mib: float,
 
     completion_ms = end / 10**6
     window_s = (window_end - fork_start) / 10**6 / 1000.0
-    metrics = Metrics(
+    return Metrics(
         model=model.value,
         workload="db-fork",
         arrivals=[fork_start / 10**6],
@@ -129,7 +135,7 @@ def run_database_stepwise(model: DbModel, db_mib: float,
                          else 0.0),
         p50_ms=exec_ns / 10**6,
         p99_ms=(exec_ns + (0 if strawman else cow_ns)) / 10**6,
-        peak_epc_mib=ledger.peak_epc,
+        peak_epc_mib=max(level for _, level in timeline),
         throughput_rps=served_total / (completion_ms / 1000.0),
         completion_time_ms=completion_ms,
         extras={
@@ -139,10 +145,7 @@ def run_database_stepwise(model: DbModel, db_mib: float,
             "snapshot_peak_mib": snapshot_peak,
             "dirty_pages": float(len(dirty)),
             "baseline_mib": base_mib,
-            "final_mib": ledger.occupancy,
+            "final_mib": base_mib,
         },
         ledger=ledger,
     )
-    if abs(ledger.occupancy - base_mib) > 1e-6:
-        raise errors.InvariantViolation("db occupancy leaked")
-    return metrics

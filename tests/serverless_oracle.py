@@ -23,11 +23,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from enclavesim import errors
-from enclavesim.cost_model import (
-    CONTAINER_CREATE,
-    ENCLAVE_CREATE,
-    CostParams,
-)
+from enclavesim.cost_model import CostParams
 from enclavesim.workload_harness import (
     Metrics,
     RequestTrace,
@@ -37,21 +33,22 @@ from enclavesim.workload_harness import (
     _plan,
 )
 
-from level_ledger import LevelLedger
+from count_ledger import CountLedger
 
 # Event kinds. Only these points touch state shared between requests.
 _ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
 
 
 class _Job:
-    """A request in flight: its index, its plan and its memory."""
+    """A request in flight: its index, its plan and the units of memory
+    it holds."""
 
-    __slots__ = ("idx", "plan", "mem")
+    __slots__ = ("idx", "plan", "units")
 
     def __init__(self, idx: int):
         self.idx = idx
         self.plan: Optional[_Plan] = None
-        self.mem = 0.0
+        self.units = 0
 
 
 def run_serverless_heaped(variant: Variant, trace: RequestTrace,
@@ -79,7 +76,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     """
     params.validate()
 
-    ledger = LevelLedger()
+    ledger = CountLedger()
     breakdowns = ledger.breakdowns
     n = len(trace.arrivals)
     plan_of: List[Optional[_Plan]] = [None] * n
@@ -100,25 +97,23 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     done = 0
     plans: Dict[str, _Plan] = {}
 
-    registration_ms = 0.0
+    registration_ms = baseline_mib = 0.0
+    unit_mib = params.m_strawman_per_request
     if variant is Variant.TEEMATE:
         registration_ms = params.t_container_create + params.t_enclave_create
-        ledger.charge(CONTAINER_CREATE, params.t_container_create,
-                      "registration")
-        ledger.charge(ENCLAVE_CREATE, params.t_enclave_create, "registration")
-        ledger.occupy(params.m_teemate_base)
+        baseline_mib = params.m_teemate_base
+        unit_mib = params.m_teemate_per_instance
         free_containers = 1
-    baseline_mib = ledger.occupancy
 
     def start(job: _Job, now: float) -> None:
-        """Pick the request's plan, take its memory and run its steps up
-        to the lock or the end."""
+        """Pick the request's plan, take its units of memory and run its
+        steps up to the lock or the end."""
         nonlocal free_containers, live_instances
         if variant is Variant.NATIVE:
             kind = "native"
         elif variant is Variant.CC_COLD:
             kind = "cold"
-            job.mem = params.m_strawman_per_request
+            job.units = 1
         elif variant is Variant.CC_WARM:
             warm = prediction
             if not warm:
@@ -128,7 +123,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                         warm = True
                         break
             kind = "warm" if warm else "cold"
-            job.mem = params.m_strawman_per_request
+            job.units = 1
         else:
             if free_containers > 0:
                 free_containers -= 1
@@ -137,14 +132,14 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                 kind = "create"
             live_instances += 1
             if live_instances > 1:
-                job.mem = params.m_teemate_per_instance
+                job.units = 1
         plan = plans.get(kind)
         if plan is None:
             plan = plans[kind] = _plan(kind, params.exec_ms(trace.workload),
                                        params)
         job.plan = plan
-        if job.mem:
-            ledger.occupy(job.mem)
+        if job.units:
+            ledger.occupy(job.units)
         t = now
         for duration in plan.head:
             t = t + duration
@@ -182,8 +177,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
             finish[job.idx] = now
             plan_of[job.idx] = job.plan
             breakdowns[str(job.idx)] = dict(job.plan.components)
-            if job.mem:
-                ledger.occupy(-job.mem)
+            if job.units:
+                ledger.occupy(-job.units)
             if variant is Variant.TEEMATE:
                 live_instances -= 1
                 free_containers += 1
@@ -198,4 +193,4 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     if done != n:
         raise errors.InvariantViolation("not all requests completed")
     return _metrics(variant.value, trace, plan_of, finish, ledger,
-                    registration_ms, baseline_mib)
+                    registration_ms, baseline_mib, unit_mib)

@@ -376,11 +376,6 @@ class TestMain:
     @pytest.mark.parametrize("text", [
         "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
         "n_requests = 2\nseed = 0\nm_strawman_per_request = 1e308\n",
-        "[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
-        "n_requests = 2\nseed = 0\nm_teemate_per_instance = 1e308\n"
-        "page_mib = 1e300\n",
-        "[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
-        "n_requests = 7\nseed = 0\nm_strawman_per_request = 1e300\n",
         DB_CFG + "m_db_runtime_strawman = 1e308\n",
         # Each copied page or 25 MiB instance rounds away against a 1e300
         # MiB base, so the reported peak would equal the base.
@@ -389,9 +384,8 @@ class TestMain:
         "m_db_runtime_teemate = 1e300\n",
         "[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
         "n_requests = 8\nseed = 0\nm_teemate_base = 1e300\n",
-    ], ids=["overflow-to-inf", "absorbed-base", "rounded-below-zero",
-            "db-overflow-to-inf", "absorbed-db-copied-pages",
-            "absorbed-instance-memory"])
+    ], ids=["overflow-to-inf", "db-overflow-to-inf",
+            "absorbed-db-copied-pages", "absorbed-instance-memory"])
     def test_unsummable_memory_exits_one_without_output(self, tmp_path,
                                                         text):
         cfg = self.write_cfg(tmp_path, text)
@@ -399,17 +393,53 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_large_summable_memory_exits_zero(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, (
-            "[serverless_memory]\nmodel = cc_cold, teemate\n"
-            "workload = sleep\nn_requests = 64\nseed = 0\n"
-            "m_strawman_per_request = 1e15\nm_teemate_base = 1e15\n"
-            "m_teemate_per_instance = 1e15\npage_mib = 1e6\n"))
+    @pytest.mark.parametrize("text, peaks", [
+        ("[serverless_memory]\nmodel = cc_cold, teemate\n"
+         "workload = sleep\nn_requests = 64\nseed = 0\n"
+         "m_strawman_per_request = 1e15\nm_teemate_base = 1e15\n"
+         "m_teemate_per_instance = 1e15\npage_mib = 1e6\n",
+         {"cc_cold": 64e15, "teemate": 64e15}),
+        # 207 MiB + 1 x 1e308 MiB: the base is below the figure's last
+        # bit, so the peak is the figure.
+        ("[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
+         "n_requests = 2\nseed = 0\nm_teemate_per_instance = 1e308\n"
+         "page_mib = 1e300\n", {"teemate": 1e308}),
+        # 7 x 1e300 MiB, which a running sum taken back off rounded to a
+        # level below zero.
+        ("[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
+         "n_requests = 7\nseed = 0\nm_strawman_per_request = 1e300\n",
+         {"cc_cold": 7e300}),
+    ], ids=["huge-figures", "absorbed-base", "rounded-below-zero"])
+    def test_large_summable_memory_exits_zero(self, tmp_path, text, peaks):
+        # The peak is the base plus the peak count times the figure.
+        cfg = self.write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main([cfg, "--out", str(out)]) == 0
         models = json.loads((out / "summary.json").read_text())["models"]
-        assert models["cc_cold"]["peak_epc_mib"] == 64e15
-        assert models["teemate"]["peak_epc_mib"] == 64e15
+        assert {name: models[name]["peak_epc_mib"] for name in models} == \
+            peaks
+
+    @pytest.mark.parametrize("text, peak, baseline", [
+        # A running sum of ten 0.1 MiB steps reads 0.9999999999999999.
+        ("[serverless_memory]\nmodel = cc_cold\nworkload = sleep\n"
+         "n_requests = 10\nseed = 0\nm_strawman_per_request = 0.1\n",
+         1.0, 0.0),
+        # The first instance lives in the 207 MiB base; ten more hold
+        # 0.1 MiB each.
+        ("[serverless_memory]\nmodel = teemate\nworkload = sleep\n"
+         "n_requests = 11\nseed = 0\nm_teemate_per_instance = 0.1\n",
+         208.0, 207.0),
+    ], ids=["cc_cold", "teemate"])
+    def test_peak_is_counted_not_summed(self, tmp_path, text, peak,
+                                        baseline):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 0
+        [model] = json.loads(
+            (out / "summary.json").read_text())["models"].values()
+        assert model["peak_epc_mib"] == peak
+        assert model["extras"]["final_mib"] == baseline
+        assert model["extras"]["baseline_mib"] == baseline
 
     def test_non_positive_exec_time_exits_two(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, LATENCY_CFG + "t_exec.crypto-aes = 0\n")

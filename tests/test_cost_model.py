@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -96,80 +97,53 @@ class TestSumInOrder:
 
 
 class TestLedgerOccupancy:
-    @given(st.lists(st.floats(-50, 50), max_size=60))
-    def test_peak_equals_max_prefix_sum(self, deltas):
+    @given(st.lists(st.integers(-50, 50), max_size=60))
+    def test_peak_equals_max_prefix_sum(self, steps):
         ledger = CostLedger()
-        level = 0.0
-        peak = 0.0
-        for delta in deltas:
-            if level + delta < 0:
-                delta = -level  # keep the reference walk non-negative too
-            ledger.occupy(delta)
-            level += delta
-            peak = max(peak, level)
-        assert ledger.peak_epc == pytest.approx(peak)
-        assert ledger.occupancy == pytest.approx(level)
-        assert ledger.updates == len(deltas)
+        for step in steps:
+            ledger.occupy(step)
+        prefix_sums = itertools.accumulate(steps, initial=0)
+        assert ledger.peak == max(prefix_sums)
+        assert ledger.count == sum(steps)
 
-    def test_negative_occupancy_rejected(self):
+    def test_returned_units_give_base_plus_peak(self):
+        # Counted units add once: a running sum of 0.1 MiB steps would
+        # reach 0.9999999999999999.
         ledger = CostLedger()
-        ledger.occupy(10.0)
-        with pytest.raises(errors.NegativeOccupancy):
-            ledger.occupy(-20.0)
-
-    def test_returned_within_a_micro_mib_passes(self):
-        ledger = CostLedger()
-        ledger.occupy(207.0)
-        ledger.occupy(0.1)
-        ledger.occupy(-0.1)
-        ledger.check_returned(207.0)
+        for step in [1] * 10 + [-1] * 10:
+            ledger.occupy(step)
+        assert ledger.peak_mib(0.0, 0.1) == 1.0
+        assert ledger.peak_mib(207.0, 0.1) == 208.0
 
     def test_leak_is_an_invariant_violation(self):
         ledger = CostLedger()
-        ledger.occupy(207.0)
-        ledger.occupy(25.0)
+        ledger.occupy(1)
         with pytest.raises(errors.InvariantViolation):
-            ledger.check_returned(207.0)
+            ledger.peak_mib(207.0, 25.0)
+
+    def test_negative_occupancy_rejected(self):
+        # More units returned than taken is as much a leak as fewer.
+        ledger = CostLedger()
+        ledger.occupy(1)
+        ledger.occupy(-2)
+        with pytest.raises(errors.InvariantViolation):
+            ledger.peak_mib(207.0, 25.0)
+
+    def test_absorbed_change_is_a_config_error(self):
+        # A page added to a 1e300 MiB base rounds away, so the peak would
+        # leave it out.
+        ledger = CostLedger()
+        ledger.occupy(1)
+        ledger.occupy(-1)
+        with pytest.raises(errors.ConfigError):
+            ledger.peak_mib(1e300, 4096 / (1 << 20))
 
     def test_overflow_to_inf_is_a_config_error(self):
         ledger = CostLedger()
-        ledger.occupy(1e308)
-        ledger.occupy(1e308)
-        ledger.occupy(-1e308)
-        ledger.occupy(-1e308)
-        assert ledger.occupancy == math.inf
+        ledger.occupy(2)
+        ledger.occupy(-2)
         with pytest.raises(errors.ConfigError):
-            ledger.check_returned(0.0)
-
-    def test_absorbed_base_is_a_config_error(self):
-        ledger = CostLedger()
-        ledger.occupy(207.0)
-        ledger.occupy(1e308)
-        ledger.occupy(-1e308)
-        assert ledger.occupancy == 0.0
-        with pytest.raises(errors.ConfigError):
-            ledger.check_returned(207.0)
-
-    def test_absorbed_change_is_a_config_error(self):
-        # A page added to a 1e300 MiB level rounds away, so the peak would
-        # leave it out.
-        ledger = CostLedger()
-        ledger.occupy(1e300)
-        with pytest.raises(errors.ConfigError):
-            ledger.occupy(4096 / (1 << 20))
-        assert ledger.occupancy == 1e300
-        assert ledger.updates == 1
-
-    def test_rounding_below_zero_is_a_config_error(self):
-        # Seven equal figures of 1e300 summed up and taken back off round
-        # to a level below zero on the last step.
-        ledger = CostLedger()
-        for _ in range(7):
-            ledger.occupy(1e300)
-        for _ in range(6):
-            ledger.occupy(-1e300)
-        with pytest.raises(errors.ConfigError):
-            ledger.occupy(-1e300)
+            ledger.peak_mib(0.0, 1e308)
 
 
 class TestPercentile:

@@ -386,17 +386,13 @@ GUARDS = {
         "test_overflowing_value_exits_one_without_output[db-epc-expand]",
     ("cost_model", "CostLedger.charge", "duration_ms < 0"):
         _COST + "TestLedgerCharges::test_negative_duration_rejected",
-    ("cost_model", "CostLedger.occupy",
-     "new_level == self.occupancy and abs(delta_mib) > "
-     "_TOLERANCE_MIB and math.isfinite(new_level)"):
-        _COST + "TestLedgerOccupancy::test_absorbed_change_is_a_config_error",
-    ("cost_model", "CostLedger.occupy",
-     "-new_level <= self._rounding_slack()"):
-        _COST + "TestLedgerOccupancy::"
-        "test_rounding_below_zero_is_a_config_error",
-    ("cost_model", "CostLedger.check_returned",
-     "gap <= self._rounding_slack()"):
+    ("cost_model", "CostLedger.peak_mib", "self.count"):
+        _COST + "TestLedgerOccupancy::test_leak_is_an_invariant_violation",
+    ("cost_model", "CostLedger.peak_mib", "not math.isfinite(peak_mib)"):
         _COST + "TestLedgerOccupancy::test_overflow_to_inf_is_a_config_error",
+    ("cost_model", "CostLedger.peak_mib",
+     "self.peak and peak_mib == base_mib"):
+        _COST + "TestLedgerOccupancy::test_absorbed_change_is_a_config_error",
 
     # workload_harness
     ("workload_harness", "RequestTrace.__post_init__",

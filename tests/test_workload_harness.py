@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cow_oracle import build_forked_runtime
 from db_oracle import peak_between, run_database_stepwise
-from level_ledger import LevelLedger
+from count_ledger import CountLedger
 from serverless_oracle import run_serverless_heaped
 
 from enclavesim import errors, workload_harness
@@ -451,7 +451,7 @@ class TestDatabaseOracle:
                 seed, params)
         # Hypothesis refuses function-scoped fixtures such as monkeypatch.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(workload_harness, "CostLedger", LevelLedger)
+            mp.setattr(workload_harness, "CostLedger", CountLedger)
             got = run_database(*args)
         assert observed(got) == observed(run_database_stepwise(*args))
 
@@ -490,7 +490,7 @@ class TestPageDraw:
         db_mib = pages * params.page_mib
         params.snapshot_write_mib_per_s = db_mib / (2000 * params.t_db_exec
                                                     / 1000.0)
-        monkeypatch.setattr(workload_harness, "CostLedger", LevelLedger)
+        monkeypatch.setattr(workload_harness, "CostLedger", CountLedger)
         for seed in range(3):
             args = (DbModel.TEEMATE, db_mib, 0.5, 0.0, 0.001, seed, params)
             assert observed(run_database(*args)) == \
@@ -566,7 +566,7 @@ class TestServerlessOracle:
              tcs_op=0.1, alloc_per_page=0.0625)
     # A tied burst on three workers with integer costs: a finish ties with
     # the start it grants and with a finish scheduled before that start.
-    # Were the start run first, the occupancy levels would come in
+    # Were the start run first, the occupancy counts would come in
     # another order.
     @example(trace=RequestTrace([0.0] * 5, "a"),
              variant=Variant.TEEMATE, workers=3, prediction=False,
@@ -593,7 +593,7 @@ class TestServerlessOracle:
         params.warm_keepalive_s = keepalive_s
         # Hypothesis refuses function-scoped fixtures such as monkeypatch.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(workload_harness, "CostLedger", LevelLedger)
+            mp.setattr(workload_harness, "CostLedger", CountLedger)
             got = run_serverless(variant, trace, params, workers, prediction)
         want = run_serverless_heaped(variant, trace, params, workers,
                                      prediction)
@@ -605,7 +605,6 @@ class TestServerlessOracle:
         ids = {r.request_id for r in want.requests}
         assert got.ledger.breakdowns == {
             k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
-        assert got.ledger.levels == want.ledger.levels
-        assert got.ledger.occupancy == want.ledger.occupancy
-        assert got.ledger.peak_epc == want.ledger.peak_epc
-        assert got.ledger.updates == want.ledger.updates
+        assert got.ledger.counts == want.ledger.counts
+        assert got.ledger.count == want.ledger.count
+        assert got.ledger.peak == want.ledger.peak
