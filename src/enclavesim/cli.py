@@ -16,6 +16,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from . import errors, security
@@ -23,6 +25,7 @@ from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
 from .workload_harness import (
     DbModel,
     Metrics,
+    RequestTrace,
     Variant,
     db_cycle,
     gen_burst,
@@ -282,8 +285,12 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
                                         config.seed, workload)
                   for workload in _workloads(config, params)}
     else:
-        traces = {workload: gen_burst(config.n_requests, workload)
-                  for workload in _workloads(config, params)}
+        # The bursts share one arrival list, so their heads in metrics.csv
+        # are formatted once.
+        workloads = _workloads(config, params)
+        burst = gen_burst(config.n_requests, workloads[0]).arrivals
+        traces = {workload: RequestTrace(burst, workload)
+                  for workload in workloads}
     workers = config.workers
     if workers is None:
         workers = (config.n_requests if config.scenario in (
@@ -294,6 +301,36 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
             results[label] = run_serverless(variant, trace, params, workers,
                                             config.prediction)
     return results
+
+
+def _json_text(obj: dict, indent: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, where ``indent`` starts each line of
+    the dict's nesting level: str keys, and dict, str, bool, int or float
+    values. A float that is not finite is a config error: finite costs
+    and sizes whose sums overflow (queueing, memory)."""
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise errors.ConfigError(
+                    "a summary value is not finite: the config's values "
+                    "overflow")
+            text = float.__repr__(value)
+        elif isinstance(value, dict):
+            text = _json_text(value, inner)
+        elif isinstance(value, str):
+            text = encode_basestring_ascii(value)
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        else:
+            text = int.__repr__(value)
+        items.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
 
 
 def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
@@ -330,22 +367,18 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
             entry["ratios"] = ratios
         summary["models"][label] = entry
 
-    try:
-        summary_text = json.dumps(summary, indent=2, sort_keys=True,
-                                  allow_nan=False) + "\n"
-    except ValueError:
-        # Finite costs and sizes whose sums overflow (queueing, memory).
-        raise errors.ConfigError(
-            "a summary value is not finite: the config's values overflow")
+    summary_text = _json_text(summary) + "\n"
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     # Labels are model and workload names and request ids are indices or
     # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
     # A row is its label, the "id,arrival" head of its request in the
-    # trace and the tail of its plan. Every model runs the same trace, so
-    # each trace's heads are formatted once, and each plan's tail once.
-    # Keys are ids of objects that ``results`` holds, so they stay unique.
+    # trace and the tail of its plan. Every model runs the same trace, and
+    # a config's bursts share one arrival list, so each list's heads are
+    # formatted once, and each plan's tail once. A run of requests with
+    # equal plans is one join. Keys are ids of objects that ``results``
+    # holds, so they stay unique.
     tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
     tails: Dict[int, str] = {}
     heads: Dict[Tuple[int, Optional[Tuple[str, ...]]], List[str]] = {}
@@ -361,20 +394,22 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                         metrics.ids or range(len(metrics.arrivals)),
                         metrics.arrivals)]
             plans = metrics.plans
-            for plan in dict(zip(map(id, plans), plans)).values():
-                if id(plan) not in tails:
-                    components = plan.components
-                    tails[id(plan)] = tail_format % (
-                        *[components.get(c, 0.0) for c in COMPONENTS],
-                        plan.total)
-            tail_of = tails.__getitem__
             prefix = label + "/"
             for start in range(0, len(plans), CSV_CHUNK_ROWS):
-                end = start + CSV_CHUNK_ROWS
-                handle.write("".join([
-                    f"{prefix}{head}{tail_of(id(plan))}"
-                    for head, plan in zip(trace_heads[start:end],
-                                          plans[start:end])]))
+                parts = []
+                row = start
+                for plan, run in groupby(plans[start:start + CSV_CHUNK_ROWS]):
+                    tail = tails.get(id(plan))
+                    if tail is None:
+                        components = plan.components
+                        tail = tails[id(plan)] = tail_format % (
+                            *[components.get(c, 0.0) for c in COMPONENTS],
+                            plan.total)
+                    end = row + len(list(run))
+                    parts += (prefix, (tail + prefix).join(
+                        trace_heads[row:end]), tail)
+                    row = end
+                handle.writelines(parts)
 
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as handle:

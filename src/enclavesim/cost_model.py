@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from . import errors
 
@@ -196,13 +196,14 @@ def sum_in_order(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def percentile(values: List[float], q: float) -> float:
-    """The element at index ``round(q / 100 * (n - 1))`` of a sorted copy,
-    q in [0, 100]; ``round`` halves to even. Not nearest-rank: p99 of
-    1..64 is 63 and p50 of 1..100 is 51."""
+def percentiles(values: List[float], *qs: float) -> Tuple[float, ...]:
+    """For each q in [0, 100], the element at index
+    ``round(q / 100 * (n - 1))`` of one sorted copy; ``round`` halves to
+    even, and an empty list gives 0.0. Not nearest-rank: p99 of 1..64 is
+    63 and p50 of 1..100 is 51."""
     if not values:
-        return 0.0
+        return (0.0,) * len(qs)
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
+    last = len(ordered) - 1
+    return tuple(ordered[max(0, min(last, int(round(q / 100.0 * last))))]
+                 for q in qs)

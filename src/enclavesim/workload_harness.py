@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import math
 import random
 import types
@@ -38,7 +37,7 @@ from .cost_model import (
     INSTANCE_LOAD,
     CostLedger,
     CostParams,
-    percentile,
+    percentiles,
     sum_in_order,
 )
 
@@ -145,8 +144,9 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 # ---------------------------------------------------------------------------
 # Serverless scenario.
 
-# Event kinds. Only these points touch state shared between requests.
-_ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
+# Event kinds besides arrival. Only these points touch state shared
+# between requests: grants wait in the FIFO, the others in the heap.
+_START, _LOCKED, _ACQUIRE, _UNLOCK, _FINISH = range(5)
 
 
 class _Plan(NamedTuple):
@@ -212,9 +212,18 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     scheduled. They wait in three places: arrivals in the trace, read in
     order, each with its index as its seq, so an arrival wins every tie;
     pool grants (start) and lock grants, which take no time, in a FIFO of
-    ``(seq, kind, index)`` at the current time; and every other event in a
-    heap of ``(time, seq, kind, index)``. A started request's plan and
-    units are kept by index, and its finish time is stored at finish.
+    ``(seq, kind, index)`` at the current time; and every other event
+    (acquire, unlock, finish) in a heap of ``(time, seq, kind, index)``.
+    Each event is dispatched by where it waited. A started request's plan
+    and units are kept by index, and its finish time is stored at finish.
+
+    A grant runs at once, without a seq, when no event could run between
+    it and its turn in the FIFO: no arrival is left at ``now``, the FIFO
+    is empty and no heap event is at ``now``. Skipping its seq moves every
+    later seq down by one, so all other events keep their order. A lock
+    handed off at unlock still runs ahead of the releasing request's
+    finish, so the finish is pushed first and the grant's unlock after it,
+    as the grant would have pushed it.
 
     The model's choices are made once per run: which kinds of request a
     start picks from, each kind's plan, the units a request holds and
@@ -267,7 +276,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     events: List[Tuple[float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
     fifo: deque = deque()  # zero-delay events at ``now``: (seq, kind, index)
-    seq = itertools.count(n)
+    seq = n  # the next event's; arrival ``i`` has seq ``i``
 
     free_workers = workers
     pool_queue: deque = deque()
@@ -278,76 +287,65 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     next_arrival = arrivals[0] if n else math.inf
     while True:
         # The next event by (time, seq): an arrival wins ties, since its
-        # seq is its index; the FIFO's head is at ``now``.
+        # seq is its index; the FIFO's head is at ``now``. When the FIFO
+        # or the heap wins, the next arrival is later than ``now``, so
+        # their branches need not check it before running a grant at once.
         if i < n and next_arrival <= (now if fifo else events[0][0]
                                       if events else math.inf):
-            now, kind, idx = next_arrival, _ARRIVE, i
+            now, idx = next_arrival, i
             i += 1
             next_arrival = arrivals[i] if i < n else math.inf
+            if not free_workers:
+                pool_queue.append(idx)
+                continue
+            free_workers -= 1
+            if next_arrival == now or fifo or events and events[0][0] == now:
+                fifo.append((seq, _START, idx))
+                seq += 1
+                continue
         elif fifo and not (events and events[0][0] == now
                            and events[0][1] < fifo[0][0]):
             _, kind, idx = fifo.popleft()
+            if kind == _LOCKED:
+                push(events, (now + plan_of[idx].locked, seq, _UNLOCK, idx))
+                seq += 1
+                continue
         elif events:
             now, _, kind, idx = pop(events)
-        else:
-            break
-        if kind == _ARRIVE:
-            if free_workers:
-                free_workers -= 1
-                fifo.append((next(seq), _START, idx))
-            else:
-                pool_queue.append(idx)
-        elif kind == _START:
-            # Take the request's plan and units, and run it to the lock
-            # or the end.
-            if shared:
-                if free_containers:
-                    free_containers -= 1
-                    plan = pooled
-                elif created is not None:
-                    plan = created
-                else:
-                    plan = created = _plan("create", exec_ms, params)
-                live_instances += 1
-                units = int(live_instances > 1)
-            elif warm_pool is not None:
-                # Drop expired environments: later starts are later still.
-                while warm_pool and warm_pool[0] < now:
-                    warm_pool.popleft()
-                if warm_pool:
-                    warm_pool.popleft()
-                    plan = warm
-                else:
-                    plan = cold
-            else:
-                plan = fixed
-            if units:
-                occupy(units)
-                units_of[idx] = units
-            plan_of[idx] = plan
-            t = now
-            for duration in plan.head:
-                t = t + duration
-            push(events, (t, next(seq),
-                          _FINISH if plan.locked is None else _ACQUIRE, idx))
-        elif kind == _ACQUIRE:
-            if lock_free:
+            if kind == _ACQUIRE:
+                if not lock_free:
+                    lock_queue.append(idx)
+                    continue
                 lock_free = False
-                fifo.append((next(seq), _LOCKED, idx))
-            else:
-                lock_queue.append(idx)
-        elif kind == _LOCKED:
-            push(events, (now + plan_of[idx].locked, next(seq), _UNLOCK, idx))
-        elif kind == _UNLOCK:
-            if lock_queue:
-                fifo.append((next(seq), _LOCKED, lock_queue.popleft()))
-            else:
-                lock_free = True
-            t = now
-            for duration in plan_of[idx].tail:
-                t = t + duration
-            push(events, (t, next(seq), _FINISH, idx))
-        else:
+                if fifo or events and events[0][0] == now:
+                    fifo.append((seq, _LOCKED, idx))
+                else:
+                    push(events, (now + plan_of[idx].locked, seq, _UNLOCK,
+                                  idx))
+                seq += 1
+                continue
+            if kind == _UNLOCK:
+                t = now
+                for duration in plan_of[idx].tail:
+                    t = t + duration
+                if not lock_queue:
+                    lock_free = True
+                elif fifo or events and events[0][0] == now:
+                    fifo.append((seq, _LOCKED, lock_queue.popleft()))
+                    seq += 1
+                else:
+                    # The handoff runs at once. Queued, its grant would
+                    # take the seq before this finish's and push its
+                    # unlock after the finish, so the unlock follows.
+                    push(events, (t, seq, _FINISH, idx))
+                    idx = lock_queue.popleft()
+                    push(events, (now + plan_of[idx].locked, seq + 1,
+                                  _UNLOCK, idx))
+                    seq += 2
+                    continue
+                push(events, (t, seq, _FINISH, idx))
+                seq += 1
+                continue
             finish[idx] = now
             done += 1
             if units_of[idx]:
@@ -357,10 +355,50 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 free_containers += 1
             elif warm_pool is not None:
                 warm_pool.append(now + keepalive_ms)
-            if pool_queue:
-                fifo.append((next(seq), _START, pool_queue.popleft()))
-            else:
+            if not pool_queue:
                 free_workers += 1
+                continue
+            idx = pool_queue.popleft()
+            if fifo or events and events[0][0] == now:
+                fifo.append((seq, _START, idx))
+                seq += 1
+                continue
+        else:
+            break
+
+        # Start request ``idx`` at ``now``: take its plan and units, and
+        # run it to the lock or the end.
+        if shared:
+            if free_containers:
+                free_containers -= 1
+                plan = pooled
+            elif created is not None:
+                plan = created
+            else:
+                plan = created = _plan("create", exec_ms, params)
+            live_instances += 1
+            units = int(live_instances > 1)
+        elif warm_pool is not None:
+            # Drop expired environments: later starts are later still.
+            while warm_pool and warm_pool[0] < now:
+                warm_pool.popleft()
+            if warm_pool:
+                warm_pool.popleft()
+                plan = warm
+            else:
+                plan = cold
+        else:
+            plan = fixed
+        if units:
+            occupy(units)
+            units_of[idx] = units
+        plan_of[idx] = plan
+        t = now
+        for duration in plan.head:
+            t = t + duration
+        push(events, (t, seq, _FINISH if plan.locked is None else _ACQUIRE,
+                      idx))
+        seq += 1
 
     if done != n:
         raise errors.InvariantViolation("not all requests completed")
@@ -374,6 +412,10 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
     peak_mib = ledger.peak_mib(baseline_mib, unit_mib)
     latencies = [plan.total for plan in plans]
     count = len(finish)
+    # Summed in request order, as ``sum_in_order`` needs; one sorted copy
+    # gives both percentiles.
+    mean = sum_in_order(latencies) / count if count else 0.0
+    p50, p99 = percentiles(latencies, 50, 99)
     # The trace is sorted, so its first request arrives first.
     completion = max(finish) - trace.arrivals[0] if count else 0.0
     throughput = count / (completion / 1000.0) if completion > 0 else 0.0
@@ -384,9 +426,9 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
         plans=plans,
         finish=finish,
         count=count,
-        mean_latency_ms=sum_in_order(latencies) / count if count else 0.0,
-        p50_ms=percentile(latencies, 50),
-        p99_ms=percentile(latencies, 99),
+        mean_latency_ms=mean,
+        p50_ms=p50,
+        p99_ms=p99,
         peak_epc_mib=peak_mib,
         throughput_rps=throughput,
         completion_time_ms=completion,
@@ -516,7 +558,8 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     else:
         # The copy-on-write window: each request draws, and a write to a
         # page not yet copied copies it first. Only the last request can
-        # end past window_end.
+        # end past window_end, or past end, so the loop only moves the
+        # clock and the sums are settled once after it.
         rng = random.Random(seed)
         draw, bits = rng.random, rng.getrandbits
         # ``randrange(db_pages)``'s own draw, inlined: ``k`` random bits,
@@ -524,8 +567,10 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
         k = db_pages.bit_length()
         cow_ns = _ns(params.t_cow_copy, "a page copy")
         dirty = bytearray(db_pages)
+        window_start = t
         while t < window_end:
-            service = exec_ns
+            start = t
+            t += exec_ns
             if draw() < write_ratio:
                 page = bits(k)
                 while page >= db_pages:
@@ -533,11 +578,17 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
                 if not dirty[page]:
                     dirty[page] = 1
                     copies += 1
-                    service += cow_ns
-            t += service
+                    t += cow_ns
+        if t > window_start:
+            # Each request took exec_ns, and each copy cow_ns more. All
+            # but the last end inside the window, which ends by ``end``.
+            before = (t - window_start - copies * cow_ns) // exec_ns - 1
+            served_total += before
+            served_window += before
+            service_ns += start - window_start
             if t <= end:
                 served_total += 1
-                service_ns += service
+                service_ns += t - start
                 served_window += t <= window_end
     # The rest copy no page: the tail past window_end and, in the
     # full-copy model, its window too.

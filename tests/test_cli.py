@@ -1,13 +1,14 @@
 import csv
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from enclavesim import errors
+from enclavesim import cli, errors
 from enclavesim.cli import (
     MAX_SCHEDULES,
     SCENARIOS,
@@ -15,6 +16,7 @@ from enclavesim.cli import (
     main,
     parse_config,
     run_scenario,
+    write_outputs,
 )
 from enclavesim.cost_model import COMPONENTS, WORKLOADS, CostParams
 
@@ -642,3 +644,48 @@ class TestMainProperty:
             if code == 0:
                 json.loads((out / "summary.json").read_text(),
                            parse_constant=_reject_constant)
+
+
+# Keys with quotes, backslashes, control characters and non-ASCII text
+# (accented, outside the BMP), besides arbitrary text.
+JSON_KEYS = st.one_of(
+    st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+            max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+JSON_LEAVES = st.one_of(
+    st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308,
+                     -1e308, 0.1, 1 / 3]),
+    JSON_KEYS)
+JSON_DICTS = st.dictionaries(JSON_KEYS, st.recursive(
+    JSON_LEAVES, lambda children: st.dictionaries(JSON_KEYS, children,
+                                                  max_size=4),
+    max_leaves=24), max_size=6)
+
+
+class TestSummaryEmitter:
+    """``summary.json`` is written by ``cli._json_text``, which must give
+    the bytes of ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+    on this Python's ``json`` and float formatting."""
+
+    @given(summary=JSON_DICTS)
+    @example(summary={})
+    @example(summary={"a": {"b": {}}, "c": {}, "zero": -0.0, "tiny": 5e-324,
+                      "big": 1e16, "huge": 1e308, "yes": True, "n": 7})
+    @settings(deadline=None)
+    def test_equals_json_dumps(self, summary):
+        assert cli._json_text(summary) == json.dumps(
+            summary, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, value):
+        # ``main`` exits 1 on a ConfigError.
+        config = parse_config(LATENCY_CFG)
+        results = run_scenario(config)
+        results["teemate"].extras["registration_ms"] = value
+        out = tmp_path / "out"
+        with pytest.raises(errors.ConfigError, match="not finite"):
+            write_outputs(config, results, str(out))
+        assert not out.exists()

@@ -475,6 +475,9 @@ GUARDS = {
     ("cli", "_check_work_bounds", "arrivals > MAX_ARRIVALS"):
         _CLI + "TestMain::"
         "test_oversized_run_exits_one_before_simulating[macro-arrivals]",
+    ("cli", "_json_text", "not math.isfinite(value)"):
+        _CLI + "TestMain::"
+        "test_overflowing_value_exits_one_without_output[queued-finish]",
     ("cli", "run_security_suite", "config.schedules > MAX_SCHEDULES"):
         _CLI + "TestMain::test_too_many_schedules_exit_one_before_probing",
     ("cli", "_check_out_dir", "not os.path.isdir(path)"):

@@ -437,6 +437,23 @@ class TestDatabaseOracle:
     @example(model=DbModel.TEEMATE, db_mib=0.5, write_ratio=0.5,
              snapshot_interval_s=0.01, duration_s=0.001, t_db_exec=41.0,
              t_cow_copy=0.0, seed=0)
+    # The copy-on-write window runs from 25 to 35 ms in steps of 0.5 ms,
+    # 1 ms with a copy. Seed 0's last window request ends on the window's
+    # end; seed 1's ends at 35.5 ms, after the window: on the run's end
+    # (35.5 ms), inside a long run, or past a run that ends with the
+    # window.
+    @example(model=DbModel.TEEMATE, db_mib=1.0, write_ratio=0.5,
+             snapshot_interval_s=0.0, duration_s=1.0, t_db_exec=0.5,
+             t_cow_copy=0.5, seed=0)
+    @example(model=DbModel.TEEMATE, db_mib=1.0, write_ratio=0.5,
+             snapshot_interval_s=0.0, duration_s=0.0355, t_db_exec=0.5,
+             t_cow_copy=0.5, seed=1)
+    @example(model=DbModel.TEEMATE, db_mib=1.0, write_ratio=0.5,
+             snapshot_interval_s=0.0, duration_s=1.0, t_db_exec=0.5,
+             t_cow_copy=0.5, seed=1)
+    @example(model=DbModel.TEEMATE, db_mib=1.0, write_ratio=0.5,
+             snapshot_interval_s=0.0, duration_s=0.001, t_db_exec=0.5,
+             t_cow_copy=0.5, seed=1)
     @settings(deadline=None)
     def test_matches_stepwise_run(self, model, db_mib, write_ratio,
                                   snapshot_interval_s, duration_s, t_db_exec,
@@ -564,12 +581,52 @@ class TestServerlessOracle:
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
              tcs_op=0.1, alloc_per_page=0.0625)
-    # A tied burst on three workers with integer costs: a finish ties with
-    # the start it grants and with a finish scheduled before that start.
-    # Were the start run first, the occupancy counts would come in
-    # another order.
+    # A same-time burst on three workers with integer costs: a finish ties
+    # with the start it grants and with a finish scheduled before that
+    # start. Were the start run at once, the occupancy counts would come
+    # in another order.
     @example(trace=RequestTrace([0.0] * 5, "a"),
              variant=Variant.TEEMATE, workers=3, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # The boundaries of running a grant at once. Each example below fails
+    # on a copy whose grants always run at once, except the third, which
+    # fails on one that runs the handed-off lock ahead of the finish.
+    # A cold request finishes at 400 ms as the next arrives on the free
+    # worker: its start waits for the finish, and takes the warm
+    # environment the finish leaves.
+    @example(trace=RequestTrace([0.0, 400.0], "a"),
+             variant=Variant.CC_WARM, workers=2, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # Four shared-enclave requests queue for the lock. At 303 ms the
+    # third unlocks and hands the lock on as the pooled container's
+    # request finishes and a fifth request arrives: the arrival's start
+    # waits for the finish, and so does the handoff, behind the start.
+    @example(trace=RequestTrace([0.0] * 4 + [303.0], "a"),
+             variant=Variant.TEEMATE, workers=5, prediction=False,
+             serialized=True, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # At 1e20 ms every step rounds away, so each event lands on the
+    # arrivals' time. An unlock's tail takes no time: the lock it hands
+    # on runs at once, but its unlock follows this request's finish.
+    @example(trace=RequestTrace([1e20] * 3, "a"),
+             variant=Variant.TEEMATE, workers=2, prediction=False,
+             serialized=True, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # A same-time burst at 1e20 ms on fewer workers than requests: each
+    # whole plan is a head that rounds away, so the first finish ties
+    # with the second, and the start it grants waits for it.
+    @example(trace=RequestTrace([1e20] * 3, "a"),
+             variant=Variant.CC_COLD, workers=2, prediction=False,
              serialized=False, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
