@@ -25,10 +25,9 @@ from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
 from .workload_harness import (
     DbModel,
     Metrics,
-    RequestTrace,
     Variant,
     db_cycle,
-    gen_burst,
+    gen_bursts,
     gen_poisson,
     run_database,
     run_serverless,
@@ -285,12 +284,7 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
                                         config.seed, workload)
                   for workload in _workloads(config, params)}
     else:
-        # The bursts share one arrival list, so their heads in metrics.csv
-        # are formatted once.
-        workloads = _workloads(config, params)
-        burst = gen_burst(config.n_requests, workloads[0]).arrivals
-        traces = {workload: RequestTrace(burst, workload)
-                  for workload in workloads}
+        traces = gen_bursts(config.n_requests, _workloads(config, params))
     workers = config.workers
     if workers is None:
         workers = (config.n_requests if config.scenario in (
@@ -375,10 +369,10 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
     # "fork", so no field needs quoting; rows end in "\r\n" as csv.writer's.
     # A row is its label, the "id,arrival" head of its request in the
     # trace and the tail of its plan. Every model runs the same trace, and
-    # a config's bursts share one arrival list, so each list's heads are
-    # formatted once, and each plan's tail once. A run of requests with
-    # equal plans is one join. Keys are ids of objects that ``results``
-    # holds, so they stay unique.
+    # a config's bursts share one arrival list (``gen_bursts``), so each
+    # list's heads are formatted once, and each plan's tail once. A run of
+    # requests with equal plans is one join. Keys are ids of objects that
+    # ``results`` holds, so they stay unique.
     tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
     tails: Dict[int, str] = {}
     heads: Dict[Tuple[int, Optional[Tuple[str, ...]]], List[str]] = {}

@@ -119,6 +119,15 @@ def gen_burst(n: int, workload: str) -> RequestTrace:
     return RequestTrace([0.0] * n, workload)
 
 
+def gen_bursts(n: int, workloads: Sequence[str]) -> Dict[str, RequestTrace]:
+    """A burst of ``n`` requests to each workload. A burst's arrivals do
+    not depend on its workload, so the traces share one arrival list, and
+    ``cli.write_outputs`` formats its rows' heads once."""
+    arrivals = gen_burst(n, "").arrivals
+    return {workload: RequestTrace(arrivals, workload)
+            for workload in workloads}
+
+
 def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
                 workload: str) -> RequestTrace:
     """Inter-arrival gaps sampled i.i.d. exponential via inverse CDF on a
@@ -144,9 +153,9 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 # ---------------------------------------------------------------------------
 # Serverless scenario.
 
-# Event kinds besides arrival. Only these points touch state shared
-# between requests: grants wait in the FIFO, the others in the heap.
-_START, _LOCKED, _ACQUIRE, _UNLOCK, _FINISH = range(5)
+# Heap event kinds. Only these points, arrivals and starts touch state
+# shared between requests.
+_ACQUIRE, _UNLOCK, _FINISH = range(3)
 
 
 class _Plan(NamedTuple):
@@ -211,19 +220,20 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     order, by ``(time, seq)``, where ``seq`` counts events as they are
     scheduled. They wait in three places: arrivals in the trace, read in
     order, each with its index as its seq, so an arrival wins every tie;
-    pool grants (start) and lock grants, which take no time, in a FIFO of
-    ``(seq, kind, index)`` at the current time; and every other event
-    (acquire, unlock, finish) in a heap of ``(time, seq, kind, index)``.
-    Each event is dispatched by where it waited. A started request's plan
-    and units are kept by index, and its finish time is stored at finish.
+    pool grants (starts), which take no time, in a FIFO of ``(seq,
+    index)`` at the current time; and acquires, unlocks and finishes in a
+    heap of ``(time, seq, kind, index)``. Each event is dispatched by
+    where it waited. A started request's plan and units are kept by index,
+    and its finish time is stored at finish.
 
-    A grant runs at once, without a seq, when no event could run between
+    A start runs at once, without a seq, when no event could run between
     it and its turn in the FIFO: no arrival is left at ``now``, the FIFO
     is empty and no heap event is at ``now``. Skipping its seq moves every
     later seq down by one, so all other events keep their order. A lock
-    handed off at unlock still runs ahead of the releasing request's
-    finish, so the finish is pushed first and the grant's unlock after it,
-    as the grant would have pushed it.
+    grant always runs at once: it only schedules the holder's unlock, and
+    the FIFO lock hands out the same holders in the same order whichever
+    events tie with that unlock. An unlock pushes the releasing request's
+    finish first and the next holder's unlock after it.
 
     The model's choices are made once per run: which kinds of request a
     start picks from, each kind's plan, the units a request holds and
@@ -275,7 +285,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     units_of = bytearray(n)  # the units each request holds while it runs
     events: List[Tuple[float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
-    fifo: deque = deque()  # zero-delay events at ``now``: (seq, kind, index)
+    fifo: deque = deque()  # starts granted at ``now``: (seq, index)
     seq = n  # the next event's; arrival ``i`` has seq ``i``
 
     free_workers = workers
@@ -300,51 +310,36 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 continue
             free_workers -= 1
             if next_arrival == now or fifo or events and events[0][0] == now:
-                fifo.append((seq, _START, idx))
+                fifo.append((seq, idx))
                 seq += 1
                 continue
         elif fifo and not (events and events[0][0] == now
                            and events[0][1] < fifo[0][0]):
-            _, kind, idx = fifo.popleft()
-            if kind == _LOCKED:
-                push(events, (now + plan_of[idx].locked, seq, _UNLOCK, idx))
-                seq += 1
-                continue
+            idx = fifo.popleft()[1]
         elif events:
             now, _, kind, idx = pop(events)
             if kind == _ACQUIRE:
-                if not lock_free:
-                    lock_queue.append(idx)
-                    continue
-                lock_free = False
-                if fifo or events and events[0][0] == now:
-                    fifo.append((seq, _LOCKED, idx))
-                else:
+                if lock_free:
+                    lock_free = False
                     push(events, (now + plan_of[idx].locked, seq, _UNLOCK,
                                   idx))
-                seq += 1
+                    seq += 1
+                else:
+                    lock_queue.append(idx)
                 continue
             if kind == _UNLOCK:
                 t = now
                 for duration in plan_of[idx].tail:
                     t = t + duration
-                if not lock_queue:
-                    lock_free = True
-                elif fifo or events and events[0][0] == now:
-                    fifo.append((seq, _LOCKED, lock_queue.popleft()))
-                    seq += 1
-                else:
-                    # The handoff runs at once. Queued, its grant would
-                    # take the seq before this finish's and push its
-                    # unlock after the finish, so the unlock follows.
-                    push(events, (t, seq, _FINISH, idx))
-                    idx = lock_queue.popleft()
-                    push(events, (now + plan_of[idx].locked, seq + 1,
-                                  _UNLOCK, idx))
-                    seq += 2
-                    continue
                 push(events, (t, seq, _FINISH, idx))
                 seq += 1
+                if lock_queue:
+                    idx = lock_queue.popleft()
+                    push(events, (now + plan_of[idx].locked, seq, _UNLOCK,
+                                  idx))
+                    seq += 1
+                else:
+                    lock_free = True
                 continue
             finish[idx] = now
             done += 1
@@ -360,7 +355,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 continue
             idx = pool_queue.popleft()
             if fifo or events and events[0][0] == now:
-                fifo.append((seq, _START, idx))
+                fifo.append((seq, idx))
                 seq += 1
                 continue
         else:

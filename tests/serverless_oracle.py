@@ -12,13 +12,17 @@ and in a FIFO beside the heap, and in when plans are built. The oracle
 builds a kind's plan at its first start; the harness builds its plans
 before the loop, except the shared enclave's ``"create"`` plan.
 
-The harness also runs a pool or lock grant at once, without a seq, when
-no event could run between it and its turn: no arrival is left at its
-time, its FIFO is empty and no heap event is at its time. Here every
-grant is a heap event with a seq of its own; skipping one moves every
-later seq down by one and keeps all other events in this order. A lock
-handed off at unlock runs ahead of the releasing request's finish here,
-so the harness pushes that finish first and the grant's unlock after it.
+The harness also runs a pool grant at once, without a seq, when no event
+could run between it and its turn: no arrival is left at its time, its
+FIFO is empty and no heap event is at its time. Here every grant is a
+heap event with a seq of its own; skipping one moves every later seq
+down by one and keeps all other events in this order. The harness runs
+every lock grant at once: the grant only schedules the holder's unlock,
+and the lock hands out the same holders in the same order whichever
+events tie with that unlock, so finish times and occupancy counts come
+out as here. A lock handed off at unlock runs ahead of the releasing
+request's finish here, so the harness pushes that finish first and the
+grant's unlock after it.
 
 The trace is one workload's sorted arrival times (``RequestTrace``), and
 each record carries that workload.

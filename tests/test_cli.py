@@ -288,7 +288,7 @@ class TestMain:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulation started")
 
-        for name in ("gen_poisson", "gen_burst", "run_serverless",
+        for name in ("gen_poisson", "gen_bursts", "run_serverless",
                      "run_database"):
             monkeypatch.setattr(f"enclavesim.cli.{name}", no_simulation)
         cfg = self.write_cfg(tmp_path, text)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from cow_oracle import build_forked_runtime
 from db_oracle import peak_between, run_database_stepwise
 from count_ledger import CountLedger
+import serverless_oracle
 from serverless_oracle import run_serverless_heaped
 
 from enclavesim import errors, workload_harness
@@ -21,6 +22,7 @@ from enclavesim.cost_model import (
     CONTAINER_CREATE,
     ENCLAVE_CREATE,
     EPC_EXPAND,
+    EXEC,
     default_params,
 )
 from enclavesim.enclave_runtime import DB_BASE
@@ -29,6 +31,7 @@ from enclavesim.workload_harness import (
     RequestTrace,
     Variant,
     gen_burst,
+    gen_bursts,
     gen_poisson,
     run_database,
     run_serverless,
@@ -64,6 +67,14 @@ class TestTraces:
     def test_burst_rejects_zero(self):
         with pytest.raises(errors.InvariantViolation):
             gen_burst(0, "sleep")
+
+    def test_bursts_share_one_arrival_list(self):
+        traces = gen_bursts(3, ["sleep", "uploader"])
+        assert [t.workload for t in traces.values()] == ["sleep", "uploader"]
+        assert traces["sleep"].arrivals == [0.0] * 3
+        assert traces["sleep"].arrivals is traces["uploader"].arrivals
+        with pytest.raises(errors.InvariantViolation):
+            gen_bursts(0, ["sleep"])
 
     def test_poisson_rejects_zero_rate(self):
         # Only zero: without the check a negative rate would draw arrivals
@@ -591,9 +602,10 @@ class TestServerlessOracle:
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
-    # The boundaries of running a grant at once. Each example below fails
-    # on a copy whose grants always run at once, except the third, which
-    # fails on one that runs the handed-off lock ahead of the finish.
+    # The boundaries of running a pool grant at once. Each example below
+    # fails on a copy whose starts always run at once, except the third,
+    # which fails on one that pushes the handed-off lock's unlock ahead of
+    # the releasing request's finish.
     # A cold request finishes at 400 ms as the next arrives on the free
     # worker: its start waits for the finish, and takes the warm
     # environment the finish leaves.
@@ -606,7 +618,7 @@ class TestServerlessOracle:
     # Four shared-enclave requests queue for the lock. At 303 ms the
     # third unlocks and hands the lock on as the pooled container's
     # request finishes and a fifth request arrives: the arrival's start
-    # waits for the finish, and so does the handoff, behind the start.
+    # waits for the finish.
     @example(trace=RequestTrace([0.0] * 4 + [303.0], "a"),
              variant=Variant.TEEMATE, workers=5, prediction=False,
              serialized=True, keepalive_s=0.0,
@@ -615,7 +627,7 @@ class TestServerlessOracle:
              tcs_op=0.5, alloc_per_page=0.015625)
     # At 1e20 ms every step rounds away, so each event lands on the
     # arrivals' time. An unlock's tail takes no time: the lock it hands
-    # on runs at once, but its unlock follows this request's finish.
+    # on runs at once, and its unlock follows this request's finish.
     @example(trace=RequestTrace([1e20] * 3, "a"),
              variant=Variant.TEEMATE, workers=2, prediction=False,
              serialized=True, keepalive_s=0.0,
@@ -665,3 +677,36 @@ class TestServerlessOracle:
         assert got.ledger.counts == want.ledger.counts
         assert got.ledger.count == want.ledger.count
         assert got.ledger.peak == want.ledger.peak
+
+    @given(arrivals=st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]),
+                             min_size=4, max_size=10),
+           workers=st.integers(1, 5),
+           steps=st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=6,
+                          max_size=6))
+    @settings(deadline=None)
+    def test_matches_heaped_run_on_tied_plans(self, arrivals, workers, steps):
+        """Shared-enclave plans of a few whole ms, so heads, locks and
+        tails tie with each other and with arrivals at every grant."""
+        plans = {}
+        for kind, (head, locked, tail) in (("pooled", steps[:3]),
+                                           ("create", steps[3:])):
+            plans[kind] = workload_harness._Plan(
+                (float(head),), float(locked), (float(tail),),
+                types.MappingProxyType({ALIAS: float(head),
+                                        EPC_EXPAND: float(locked),
+                                        EXEC: float(tail)}),
+                float(head + locked + tail))
+        trace = RequestTrace([float(t) for t in sorted(arrivals)], "a")
+        params = default_params()
+        params.t_exec = {"a": 1.0}
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (workload_harness, serverless_oracle):
+                mp.setattr(module, "_plan",
+                           lambda kind, exec_ms, params: plans[kind])
+            mp.setattr(workload_harness, "CostLedger", CountLedger)
+            got = run_serverless(Variant.TEEMATE, trace, params, workers)
+            want = run_serverless_heaped(Variant.TEEMATE, trace, params,
+                                         workers)
+        assert list(got.finish) == list(want.finish)
+        assert record_fields(got) == record_fields(want)
+        assert got.ledger.counts == want.ledger.counts
