@@ -7,7 +7,14 @@ at byte level. The EPCM is per-page metadata, as in SGX: an EPC page's
 ``PhysicalPage`` holds its entry (va, owner enclave id, page type).
 
 The launch measurement is SHA-256 over each pre-init EADD record, in order:
-va, page type and padded content (``digest_update``).
+va, page type and padded content (``digest_update``). It is a pure function
+of the record sequence, so its running states are memoized: a state and the
+next record name the state after it, and an enclave launched from records
+already measured in this process rehashes nothing. Stored states are never
+updated, keys hold whole contents, and the memo is emptied when it holds
+``MEMO_STATES`` states, so it stays bounded and every measurement is the
+one an unmemoized SHA-256 gives. The TCS entry registers, a pure function
+of the TCS va, are memoized the same way.
 """
 
 from __future__ import annotations
@@ -21,6 +28,24 @@ from . import errors
 
 PAGE_SIZE = 4096
 _ZERO_PAGE = bytes(PAGE_SIZE)
+_VA_LIMIT = 1 << 64  # a va is measured as 8 bytes
+
+# The most states either memo below holds before it is emptied: at most a
+# page of content per key, so about 5 MiB when full.
+MEMO_STATES = 1024
+# The measurement of no records, the state every enclave starts from.
+_EMPTY = hashlib.sha256()
+# (state, va, page type, content) -> the state after that EADD record.
+_measured: Dict[tuple, hashlib._Hash] = {}
+# TCS va -> (oentry, entry registers).
+_tcs_entries: Dict[int, Tuple[str, Tuple[int, int, int, int]]] = {}
+
+
+def _memoize(memo: dict, key, value) -> None:
+    """Store ``value`` under ``key``, emptying ``memo`` first when full."""
+    if len(memo) >= MEMO_STATES:
+        memo.clear()
+    memo[key] = value
 
 
 def digest_update(measurement: hashlib._Hash, data: bytes) -> None:
@@ -126,14 +151,17 @@ class EnclaveThread:
 
 @dataclass
 class Enclave:
+    """An enclave's pages and TCS table. ``_hash`` is its running launch
+    measurement, a state shared with other enclaves (the empty state or one
+    from the module's memo), which ``eadd`` replaces and never updates."""
+
     enclave_id: int
     pages: Dict[int, int] = field(default_factory=dict)  # va -> pa
     # tcs va -> TCS, in EADD order.
     tcs_table: Dict[int, TcsPage] = field(default_factory=dict)
     measurement: Optional[bytes] = None
     initialized: bool = False
-    _hash: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False,
-                                 compare=False)
+    _hash: hashlib._Hash = field(default=_EMPTY, repr=False, compare=False)
 
 
 class AddressSpace:
@@ -197,6 +225,8 @@ class Machine:
     def eadd(self, enclave: Enclave, va: int, content: bytes,
              page_type: PageType = PageType.REGULAR
              ) -> Tuple[int, PhysicalPage]:
+        if not 0 <= va < _VA_LIMIT:
+            raise ValueError(f"va {va:#x} outside the 64-bit address space")
         if va in enclave.pages:
             raise errors.VaAlreadyMapped(f"va {va:#x} already present")
         if self.epc_used >= self.epc_capacity_pages:
@@ -208,14 +238,24 @@ class Machine:
         if not enclave.initialized:
             # Pre-init pages extend the measurement; post-init adds model
             # SGX2 dynamic allocation and stay unmeasured.
-            digest_update(enclave._hash, va.to_bytes(8, "little"))
-            digest_update(enclave._hash, bytes([page_type.value]))
-            digest_update(enclave._hash, page.content)
+            key = (enclave._hash, va, page_type,
+                   content if type(content) is bytes else bytes(content))
+            state = _measured.get(key)
+            if state is None:
+                state = enclave._hash.copy()
+                digest_update(state, va.to_bytes(8, "little"))
+                digest_update(state, bytes([page_type.value]))
+                digest_update(state, page.content)
+                _memoize(_measured, key, state)
+            enclave._hash = state
         if page_type is _TCS:
-            oentry = f"oentry:{va:#x}"
-            seed = content_digest((oentry.encode(),))[:8]
-            enclave.tcs_table[va] = TcsPage(
-                va, oentry, (int.from_bytes(seed, "little"), 0, 0, 0))
+            entry = _tcs_entries.get(va)
+            if entry is None:
+                oentry = f"oentry:{va:#x}"
+                seed = content_digest((oentry.encode(),))[:8]
+                entry = oentry, (int.from_bytes(seed, "little"), 0, 0, 0)
+                _memoize(_tcs_entries, va, entry)
+            enclave.tcs_table[va] = TcsPage(va, *entry)
         return page.pa, page
 
     def einit(self, enclave: Enclave) -> bytes:

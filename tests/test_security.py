@@ -223,6 +223,8 @@ GUARDS = {
         _SGX + "TestLifecycle::test_eadd_copies_and_pads_content",
     ("sgx_core", "Machine.ecreate", "enclave_id in self.enclaves"):
         _SGX + "TestLifecycle::test_ecreate_duplicate",
+    ("sgx_core", "Machine.eadd", "not 0 <= va < _VA_LIMIT"):
+        _SGX + "TestLifecycle::test_eadd_refuses_a_va_outside_64_bits",
     ("sgx_core", "Machine.eadd", "va in enclave.pages"):
         _SGX + "TestLifecycle::test_eadd_same_va_twice",
     ("sgx_core", "Machine.eadd", "self.epc_used >= self.epc_capacity_pages"):

@@ -4,10 +4,11 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from enclavesim import errors
+from enclavesim import errors, sgx_core
 from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
+    MEMO_STATES,
     Access,
     AddressSpace,
     Machine,
@@ -77,6 +78,19 @@ class TestLifecycle:
             machine.eadd(e, 0x10 + i, page(i))
         with pytest.raises(errors.OutOfEpc):
             machine.eadd(e, 0x20, page(9))
+
+    @pytest.mark.parametrize("va", [-1, 2**64], ids=["negative", "2**64"])
+    def test_eadd_refuses_a_va_outside_64_bits(self, machine, va):
+        """A refused add, before or after EINIT, leaves no page behind:
+        none the measurement does not cover, and none in the EPC count."""
+        e = machine.ecreate(1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="64-bit address space"):
+                machine.eadd(e, va, page(1))
+            assert e.pages == {} and machine.epc_used == 0
+            machine.check_epc_conservation()
+            if not e.initialized:
+                assert machine.einit(e) == hashlib.sha256().digest()
 
     def test_einit_twice(self, machine):
         e = machine.ecreate(1)
@@ -201,6 +215,24 @@ _RECORDS = st.lists(
     min_size=1, max_size=8, unique_by=lambda record: record[0])
 
 
+def padded_sha256(records):
+    """A fresh SHA-256 over EADD records: va, page type, padded content."""
+    return hashlib.sha256(b"".join(
+        va.to_bytes(8, "little") + bytes([page_type.value])
+        + content.ljust(PAGE_SIZE, b"\0")
+        for va, page_type, content in records)).digest()
+
+
+def measure(records, wrap=bytes):
+    """The measurement of a new enclave given ``records``, each content
+    passed as ``wrap(content)``."""
+    machine = Machine()
+    enclave = machine.ecreate(1)
+    for va, page_type, content in records:
+        machine.eadd(enclave, va, wrap(content), page_type)
+    return machine.einit(enclave)
+
+
 class TestLaunchMeasurement:
     @given(records=_RECORDS)
     def test_sha256_over_pre_init_records(self, records):
@@ -208,16 +240,37 @@ class TestLaunchMeasurement:
         after it, which must leave the measurement as it was."""
         machine = Machine()
         enclave = machine.ecreate(1)
-        expected = hashlib.sha256()
         for va, page_type, content in records[:-1]:
             machine.eadd(enclave, va, content, page_type)
-            expected.update(va.to_bytes(8, "little") + bytes([page_type.value])
-                            + content.ljust(PAGE_SIZE, b"\0"))
         measurement = machine.einit(enclave)
-        assert measurement == expected.digest() == enclave.measurement
+        assert measurement == padded_sha256(records[:-1]) == \
+            enclave.measurement
         va, page_type, content = records[-1]
         machine.eadd(enclave, va, content, page_type)
         assert enclave.measurement == measurement
+
+    @given(records=_RECORDS, cut=st.integers(0, 7))
+    def test_memoized_launches_equal_sha256(self, records, cut):
+        """A launch; a longer one that shares its records as a prefix; the
+        first again, from the memo and with contents passed as bytearrays;
+        the first once more after the memo is emptied. Each equals a fresh
+        SHA-256 over its padded records."""
+        prefix = records[:cut % len(records)]
+        launches = [measure(prefix), measure(records),
+                    measure(prefix, bytearray)]
+        sgx_core._measured.clear()
+        launches.append(measure(prefix))
+        assert launches == [padded_sha256(prefix), padded_sha256(records),
+                            padded_sha256(prefix), padded_sha256(prefix)]
+
+    def test_memo_is_bounded(self):
+        """More distinct launches than the memos hold: neither holds more
+        than ``MEMO_STATES`` entries at any point."""
+        for va in range(MEMO_STATES + 1):
+            record = (va, PageType.TCS, b"")
+            assert measure([record]) == padded_sha256([record])
+            assert len(sgx_core._measured) <= MEMO_STATES
+            assert len(sgx_core._tcs_entries) <= MEMO_STATES
 
 
 class TestDigestUpdate:
@@ -250,8 +303,27 @@ class TestDigestUpdate:
             hashlib.sha256(head + tail).digest()
 
 
+@pytest.fixture
+def launch_twice(monkeypatch):
+    """Run a launch on an emptied memo, then again with ``digest_update``
+    refusing every call, so the second launch comes from the memo; return
+    both results."""
+    def run(start):
+        sgx_core._measured.clear()
+        first = start()
+        with monkeypatch.context() as patch:
+            patch.setattr(sgx_core, "digest_update", _refuse)
+            return first, start()
+    return run
+
+
+def _refuse(state, data):
+    raise AssertionError("a repeated launch rehashed an EADD record")
+
+
 class TestPinnedMeasurements:
-    """Launch measurements of fixed enclaves; they must never move."""
+    """Launch measurements of fixed enclaves; they must never move. Each
+    launch runs twice: the second takes its states from the memo."""
 
     @pytest.mark.parametrize("runtime_pages, tcs_count, measurement", [
         (3, 2, "48a8a33def6aa73b988deb1401e3e44b"
@@ -263,23 +335,30 @@ class TestPinnedMeasurements:
         (16, 4, "71abeed195ea17754e7b1fc69c3cfd13"
                 "f1f14337895348262c5faf6c3335d103"),
     ])
-    def test_runtime_init(self, runtime_pages, tcs_count, measurement):
-        machine = Machine()
-        runtime = EnclaveRuntime(machine, Kernel(machine))
-        assert runtime.runtime_init(runtime_pages, tcs_count).hex() == \
-            measurement
-        assert runtime.enclave.measurement.hex() == measurement
+    def test_runtime_init(self, launch_twice, runtime_pages, tcs_count,
+                          measurement):
+        def launch():
+            machine = Machine()
+            runtime = EnclaveRuntime(machine, Kernel(machine))
+            return (runtime.runtime_init(runtime_pages, tcs_count).hex(),
+                    runtime.enclave.measurement.hex())
+        first, second = launch_twice(launch)
+        assert first == second == (measurement, measurement)
 
-    def test_single_byte_pages(self, machine):
+    def test_single_byte_pages(self, launch_twice):
         """Enclaves of pages each filled with one byte value, at vas 0x10
         upwards: bytes 0 to 3, and 0xA0 and 0xA1."""
-        measured = []
-        for enclave_id, tags in ((1, (0, 1, 2, 3)), (2, (0xA0, 0xA1))):
-            enclave = machine.ecreate(enclave_id)
-            for i, tag in enumerate(tags):
-                machine.eadd(enclave, 0x10 + i, page(tag))
-            measured.append(machine.einit(enclave).hex())
-        assert measured == [
+        def launch():
+            machine = Machine()
+            measured = []
+            for enclave_id, tags in ((1, (0, 1, 2, 3)), (2, (0xA0, 0xA1))):
+                enclave = machine.ecreate(enclave_id)
+                for i, tag in enumerate(tags):
+                    machine.eadd(enclave, 0x10 + i, page(tag))
+                measured.append(machine.einit(enclave).hex())
+            return measured
+        first, second = launch_twice(launch)
+        assert first == second == [
             "e0fd3903303ed607fdbdc3cf3fd3e141b602fe7d4a4da2142c408e6de67b763f",
             "25d57f7e7e4e7b6a02850b1d7bd7d3e0bfc45bf97a1a7264ba672d0eae8d5145",
         ]
