@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
 import tempfile
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from enclavesim import cli, errors
 from enclavesim.cli import (
+    CSV_CHUNK_ROWS,
     MAX_SCHEDULES,
     SCENARIOS,
     build_params,
@@ -60,6 +63,8 @@ rate_per_s = 2
 duration_s = 10
 seed = 1
 """
+
+SUITE_CFG = "[security_suite]\nseed = 1\nschedules = {}\n"
 
 
 class TestParseConfig:
@@ -159,6 +164,9 @@ class TestRunScenario:
         results = run_scenario(parse_config(DB_CFG))
         assert results["strawman"].extras["fork_latency_ms"] > \
             results["teemate"].extras["fork_latency_ms"]
+
+
+OUTPUTS = ("metrics.csv", "summary.json")
 
 
 class TestMain:
@@ -542,6 +550,99 @@ class TestMain:
             blobs.append(((out / "metrics.csv").read_bytes(),
                           (out / "summary.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("long, short", [
+        (MACRO_CFG.replace("model = teemate", "model = cc_cold, teemate")
+         .replace("rate_per_s = 2", "rate_per_s = 20"), MACRO_CFG),
+        (SUITE_CFG.format(20), SUITE_CFG.format(5)),
+    ], ids=["serverless-macro", "security-suite"])
+    def test_rerun_into_used_out_matches_fresh_dir(self, tmp_path, long,
+                                                   short):
+        # Outputs are rewritten in place, so a shorter run must cut off
+        # the tail of the earlier, longer one.
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main([self.write_cfg(tmp_path, long), "--out", str(used)]) == 0
+        long_sizes = [(used / name).stat().st_size for name in OUTPUTS]
+        cfg = self.write_cfg(tmp_path, short)
+        assert main([cfg, "--out", str(used)]) == 0
+        assert main([cfg, "--out", str(fresh)]) == 0
+        for name, long_size in zip(OUTPUTS, long_sizes):
+            assert (used / name).read_bytes() == (fresh / name).read_bytes()
+            assert (fresh / name).stat().st_size < long_size
+
+    def test_failed_write_leaves_only_the_new_prefix(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # About 10,000 rows, so metrics.csv is written in three chunks.
+        text = MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 1000")
+        cfg = self.write_cfg(tmp_path, text)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main([cfg, "--out", str(fresh)]) == 0
+        assert main([cfg, "--out", str(out), "--seed", "2"]) == 0
+        earlier = (out / "metrics.csv").read_bytes()
+
+        class FailOnSecondChunk:
+            def __init__(self, handle):
+                self.handle = handle
+                self.chunks = 0
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def writelines(self, parts):
+                self.chunks += 1
+                if self.chunks == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.handle.writelines(parts)
+
+        rewrite = cli._rewrite
+
+        @contextlib.contextmanager
+        def failing_rewrite(path, newline=None):
+            with rewrite(path, newline) as handle:
+                yield FailOnSecondChunk(handle)
+
+        monkeypatch.setattr(cli, "_rewrite", failing_rewrite)
+        capsys.readouterr()
+        assert main([cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write outputs: [Errno 28] No space left on "
+            "device\n")
+        rows = (fresh / "metrics.csv").read_bytes().split(b"\r\n")
+        prefix = b"\r\n".join(rows[:1 + CSV_CHUNK_ROWS]) + b"\r\n"
+        assert len(prefix) < len(earlier)
+        assert (out / "metrics.csv").read_bytes() == prefix
+
+    def test_summary_error_leaves_earlier_outputs_unchanged(self, tmp_path,
+                                                             capsys):
+        # The second request finishes at 2e308 ms, so its latency is not
+        # finite; the summary is built before any output is opened.
+        text = ("[serverless_latency]\nmodel = native\nworkload = sleep\n"
+                "n_requests = 2\nworkers = 1\nseed = 0\n")
+        out = tmp_path / "out"
+        assert main([self.write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        earlier = [(out / name).read_bytes() for name in OUTPUTS]
+        cfg = self.write_cfg(tmp_path, text + "t_exec.sleep = 1e308\n")
+        assert main([cfg, "--out", str(out)]) == 1
+        assert "a summary value is not finite" in capsys.readouterr().err
+        assert [(out / name).read_bytes() for name in OUTPUTS] == earlier
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path,
+                                                 monkeypatch, capsys):
+        cfg = self.write_cfg(tmp_path, LATENCY_CFG)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([cfg, "--out", str(first), "--seed", "5"]) == 0
+        monkeypatch.setenv("ESS_OUT_DIR", str(second))
+        assert main([cfg]) == 0
+        assert json.loads((first / "summary.json").read_text())["seed"] == 5
+        assert json.loads((second / "summary.json").read_text())["seed"] == 3
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: simulate ")
+        with pytest.raises(SystemExit) as exit_info:
+            main([])
+        assert exit_info.value.code == 2
 
     def test_security_suite_clean_run(self, tmp_path):
         cfg = self.write_cfg(tmp_path,
