@@ -5,22 +5,24 @@ for the database scenario.
 The sandbox is a bounds-checked region model (the isolation *contract*,
 not an instruction-level SFI). A va is enclave-private if and only if the
 enclave maps it: every page the runtime EADDs is mapped through
-``_eadd_mapped``, and every page it EREMOVEs is unmapped with it. An
-instance is live while ``EnclaveRuntime.instances`` holds it.
+``_eadd_mapped`` into a container's page table (a plain ``{va: pa}``
+dict), and every page it EREMOVEs is unmapped with it. Every access
+translates through ``Machine.translate_access`` as the shared enclave, so
+a TCS page refuses ``read`` and ``write``; only ``enter`` and ``resume``
+use it. An instance is live while ``EnclaveRuntime.instances`` holds it.
 Copy-on-write privatizes pages on the writer side only; the other side
 keeps reading the original page.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import errors
-from .host_kernel import Container, Kernel, TcsTable
+from .host_kernel import Container, Kernel
 from .sgx_core import (
-    Access,
-    AddressSpace,
     Enclave,
     EnclaveThread,
     Machine,
@@ -29,7 +31,6 @@ from .sgx_core import (
     PhysicalPage,
     check_span,
     content_digest,
-    enclave_mode,
 )
 
 # Virtual page-number layout (page granular, fixed for replay determinism).
@@ -42,9 +43,12 @@ COPY_BASE = 0x800000
 _IMAGE_PAGE = bytes([0x52]) * PAGE_SIZE
 _CODE_PAGE = bytes([0x7F]) * PAGE_SIZE
 
-# Access members read from module globals, not through the class, on the
-# per-access paths.
-_READ, _WRITE = Access.READ, Access.WRITE
+
+class Access(enum.Enum):
+    """What a function instance asks of a va (``instance_access``)."""
+
+    READ = "read"
+    WRITE = "write"
 
 
 @dataclass
@@ -93,8 +97,10 @@ class EnclaveRuntime:
         self.kernel = kernel
         self.creator: Container = kernel.create_container(fs_root)
         self.enclave: Enclave = machine.ecreate(enclave_id)
-        self._mode = enclave_mode(enclave_id)
-        self.tcs_table: Optional[TcsTable] = None
+        self.enclave_id = enclave_id
+        # The kernel's TCS table, {tcs va: holder pid or None} in EADD
+        # order, filled by ``runtime_init``.
+        self.tcs_table: Dict[int, Optional[int]] = {}
         self.threads: Dict[int, EnclaveThread] = {}
         self.instances: Dict[int, FunctionInstance] = {}
         self.files: Dict[str, FileRow] = {}
@@ -112,7 +118,7 @@ class EnclaveRuntime:
     def _eadd_mapped(self, container: Container, va: int, content: bytes,
                      page_type: PageType = PageType.REGULAR) -> int:
         pa, _ = self.machine.eadd(self.enclave, va, content, page_type)
-        container.address_space.map(va, pa)
+        container.page_table[va] = pa
         return pa
 
     def runtime_init(self, runtime_pages: int, tcs_count: int = 8) -> bytes:
@@ -122,7 +128,7 @@ class EnclaveRuntime:
         for i in range(tcs_count):
             self._eadd_mapped(self.creator, TCS_BASE + i, b"", PageType.TCS)
         measurement = self.machine.einit(self.enclave)
-        self.tcs_table = self.kernel.build_tcs_table(self.enclave)
+        self.tcs_table = dict.fromkeys(self.enclave.tcs_table)
         self.runtime_pages = runtime_pages
         return measurement
 
@@ -132,9 +138,9 @@ class EnclaveRuntime:
         container = self.kernel.containers[pid]
         tcs_va = self.kernel.tcs_acquire(self.tcs_table, pid)
         try:
-            thread = self.machine.eenter(container.address_space, tcs_va)
+            thread = self.machine.eenter(container.page_table, tcs_va)
         except BaseException:
-            # The hardware refused the entry: the row must not stay held.
+            # The hardware refused the entry: the TCS must not stay held.
             self.kernel.tcs_release(self.tcs_table, tcs_va)
             raise
         self.threads[pid] = thread
@@ -151,8 +157,8 @@ class EnclaveRuntime:
         self.machine.aex(self.threads[pid])
 
     def resume(self, pid: int) -> EnclaveThread:
-        space = self.kernel.containers[pid].address_space
-        thread = self.machine.eresume(space, self.threads[pid].tcs_va)
+        page_table = self.kernel.containers[pid].page_table
+        thread = self.machine.eresume(page_table, self.threads[pid].tcs_va)
         self.threads[pid] = thread
         return thread
 
@@ -163,16 +169,13 @@ class EnclaveRuntime:
 
     # -- enclave memory -----------------------------------------------------
 
-    def _resolve(self, space: AddressSpace, va: int,
-                 access: Access) -> PhysicalPage:
-        """Translate through ``space`` in enclave mode, then apply the
+    def _resolve(self, page_table: Dict[int, int], va: int) -> PhysicalPage:
+        """Translate through ``page_table`` as the enclave, then apply the
         sandbox check: the hardware lets enclave code touch unprotected
         pages, so an enclave-private va resolving to one is an isolation
         fault. A va is enclave-private if and only if the enclave maps
         it."""
-        machine = self.machine
-        page = machine.pages[machine.translate_access(space, va, access,
-                                                      self._mode)]
+        page = self.machine.translate_access(page_table, va, self.enclave_id)
         if page.enclave_id is None and va in self.enclave.pages:
             raise errors.IsolationFault(
                 f"enclave-private va {va:#x} backed by unprotected page")
@@ -190,23 +193,23 @@ class EnclaveRuntime:
     def read(self, pid: int, va: int) -> bytes:
         if va >= COPY_BASE:
             raise self._copy_fault(va)
-        space = self.kernel.containers[pid].address_space
-        return bytes(self._resolve(space, va, _READ).content)
+        page_table = self.kernel.containers[pid].page_table
+        return bytes(self._resolve(page_table, va).content)
 
     def write(self, pid: int, va: int, data: bytes, offset: int = 0) -> None:
         if va >= COPY_BASE:
             raise self._copy_fault(va)
-        space = self.kernel.containers[pid].address_space
-        self._resolve(space, va, _WRITE).write(data, offset)
+        page_table = self.kernel.containers[pid].page_table
+        self._resolve(page_table, va).write(data, offset)
 
     def check_invariants(self) -> None:
         """The per-step check, O(TCS pages + threads) and independent of
         the enclave's size: EPC conservation from the machine's kept counts
-        (``check_epc_counts``), at most one live thread per TCS, and the
-        kernel's TCS table agreeing with the hardware BUSY state. Before
-        ``runtime_init`` there is no TCS table, so no rows to check. The
-        O(pages) recount is ``Machine.check_epc_conservation``, the audit
-        the probes run once at the end of each schedule."""
+        (``check_epc_counts``), at most one live thread per TCS, and each
+        TCS of the kernel's table (none before ``runtime_init``) agreeing
+        with the hardware BUSY state. The O(pages) recount is
+        ``Machine.check_epc_conservation``, the audit the probes run once
+        at the end of each schedule."""
         self.machine.check_epc_counts()
         live = set()
         for thread in self.threads.values():
@@ -215,18 +218,17 @@ class EnclaveRuntime:
                     raise errors.InvariantViolation(
                         "a TCS is bound to more than one live thread")
                 live.add(thread.tcs_va)
-        rows = self.tcs_table.rows if self.tcs_table is not None else ()
         tcs_pages = self.enclave.tcs_table
-        for row in rows:
-            tcs = tcs_pages.get(row.tcs_va)
+        for tcs_va, holder in self.tcs_table.items():
+            tcs = tcs_pages.get(tcs_va)
             if tcs is None:
                 raise errors.InvariantViolation(
-                    f"tcs {row.tcs_va:#x}: in the kernel's table, not in "
-                    f"the hardware")
-            if (row.holder is not None) != tcs.busy:
+                    f"tcs {tcs_va:#x}: in the kernel's table, not in the "
+                    f"hardware")
+            if (holder is not None) != tcs.busy:
                 raise errors.InvariantViolation(
-                    f"tcs {row.tcs_va:#x}: kernel holder {row.holder}, "
-                    f"hardware busy {tcs.busy}")
+                    f"tcs {tcs_va:#x}: kernel holder {holder}, hardware "
+                    f"busy {tcs.busy}")
 
     # -- function instances -------------------------------------------------
 
@@ -272,11 +274,11 @@ class EnclaveRuntime:
         in_region = va in instance.vas()
         in_runtime = RUNTIME_BASE <= va < RUNTIME_BASE + self.runtime_pages
         if not in_region:
-            if not (in_runtime and access is _READ):
+            if not (in_runtime and access is Access.READ):
                 raise errors.IsolationFault(
                     f"instance {instance.instance_id} denied {access.value} "
                     f"at va {va:#x}")
-        if access is _WRITE:
+        if access is Access.WRITE:
             self.write(instance.owner_pid, va, data)
             return b""
         return self.read(instance.owner_pid, va)
@@ -296,11 +298,11 @@ class EnclaveRuntime:
         instance_id = instance.instance_id
         if self.instances.pop(instance_id, None) is None:
             raise errors.IsolationFault(f"instance {instance_id} was destroyed")
-        unmap = self.kernel.containers[instance.owner_pid].address_space.unmap
+        page_table = self.kernel.containers[instance.owner_pid].page_table
         for va in instance.vas():
             if va in self.enclave.pages:
                 self.machine.eremove(self.enclave, va)
-            unmap(va)
+            page_table.pop(va, None)
         self.files = {name: row for name, row in self.files.items()
                       if row.owner_instance != instance_id}
         merged: List[Tuple[int, int]] = []
@@ -420,7 +422,7 @@ class EnclaveRuntime:
         container, copies = view
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
-        space = container.address_space
+        page_table = container.page_table
         target = copies.get(va)
         if target is None:
             other = (pair.child_pid if writer_pid == pair.parent_pid
@@ -431,13 +433,13 @@ class EnclaveRuntime:
             else:
                 # First write since fork: privatize on the writer side only.
                 check_span(offset, len(value))
-                original = self._resolve(space, va, _READ)
+                original = self._resolve(page_table, va)
                 target = self._next_copy_va
                 self._next_copy_va += 1
                 self._eadd_mapped(container, target, original.content)
                 copies[va] = target
                 pair.dirty_count += 1
-        self._resolve(space, target, _WRITE).write(value, offset)
+        self._resolve(page_table, target).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation."""
@@ -445,8 +447,8 @@ class EnclaveRuntime:
         if view is None:
             raise self._no_view(pair, pid)
         container, copies = view
-        return bytes(self._resolve(container.address_space,
-                                   copies.get(va, va), _READ).content)
+        return bytes(self._resolve(container.page_table,
+                                   copies.get(va, va)).content)
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest ``child_pid``'s view of the full db extent, read through
@@ -464,11 +466,11 @@ class EnclaveRuntime:
         if view is None:
             raise self._no_view(pair, child_pid)
         container, copies = view
-        space = container.address_space
+        page_table = container.page_table
         resolve, get, digests = self._resolve, copies.get, []
         try:
             for va in self._db_range():
-                page = resolve(space, get(va, va), _READ)
+                page = resolve(page_table, get(va, va))
                 digests.append(page._digest or page.digest())
             return content_digest(digests)
         finally:
@@ -490,10 +492,10 @@ class EnclaveRuntime:
             pages[enclave_pages[va]].write(
                 pages[enclave_pages[copy_va]].content)
         for holder, copies in pair.views.values():
-            unmap = holder.address_space.unmap
+            page_table = holder.page_table
             for copy_va in copies.values():
                 machine.eremove(enclave, copy_va)
-                unmap(copy_va)
+                page_table.pop(copy_va, None)
         pair.views = {}
         self.fork_pair = None
         self.kernel.destroy_container(pair.child_pid)

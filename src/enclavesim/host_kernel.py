@@ -1,23 +1,25 @@
 """Untrusted kernel model: containers, enclave-sharing bookkeeping
 (mapping records, aliasing, TCS table) and adversary operations.
 
-The kernel is a passive state bag driven by the simulation; it is
-omnipotent over page tables but never over EPCM state.
+A container's page table is a plain ``{va: pa}`` dict, and a TCS table is
+a ``{tcs va: holder pid or None}`` dict in EADD order. The kernel is a
+passive state bag driven by the simulation; it is omnipotent over page
+tables but never over EPCM state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from . import errors
-from .sgx_core import AddressSpace, Enclave, Machine
+from .sgx_core import Enclave, Machine
 
 
 @dataclass
 class Container:
     pid: int
-    address_space: AddressSpace
+    page_table: Dict[int, int]  # va -> pa
     fs_root: str
 
 
@@ -29,19 +31,7 @@ class MappingRecord:
     explicitly when they need them aliased.
     """
 
-    enclave_id: int
     entries: Tuple[Tuple[int, int], ...]
-
-
-@dataclass
-class TcsRow:
-    tcs_va: int
-    holder: Optional[int] = None
-
-
-@dataclass
-class TcsTable:
-    rows: List[TcsRow] = field(default_factory=list)
 
 
 class HostFilesystem:
@@ -67,7 +57,7 @@ class Kernel:
     # -- containers ---------------------------------------------------------
 
     def create_container(self, fs_root: str) -> Container:
-        container = Container(self._next_pid, AddressSpace(), fs_root)
+        container = Container(self._next_pid, {}, fs_root)
         self._next_pid += 1
         self.containers[container.pid] = container
         return container
@@ -85,12 +75,12 @@ class Kernel:
                 f"enclave {enclave.enclave_id} not initialized")
         # EADD order: deterministic, and alias_enclave needs no va order.
         entries = tuple(enclave.pages.items())
-        return MappingRecord(enclave.enclave_id, entries)
+        return MappingRecord(entries)
 
     def alias_enclave(self, target: Container, record: MappingRecord) -> None:
         """Insert the recorded mappings into the target's page table so it
         resolves every recorded va to the same physical page as the origin."""
-        table = target.address_space.page_table
+        table = target.page_table
         mappings = dict(record.entries)
         for va in sorted(table.keys() & mappings.keys()):
             if table[va] != mappings[va]:
@@ -100,31 +90,28 @@ class Kernel:
 
     # -- TCS bookkeeping ----------------------------------------------------
 
-    def build_tcs_table(self, enclave: Enclave) -> TcsTable:
-        return TcsTable([TcsRow(tcs_va) for tcs_va in enclave.tcs_table])
-
-    def tcs_acquire(self, table: TcsTable, pid: int) -> int:
-        # Lowest free index wins so replays are deterministic.
-        for row in table.rows:
-            if row.holder is None:
-                row.holder = pid
-                return row.tcs_va
+    def tcs_acquire(self, table: Dict[int, Optional[int]], pid: int) -> int:
+        # The first free TCS in EADD order wins so replays are deterministic.
+        for tcs_va, holder in table.items():
+            if holder is None:
+                table[tcs_va] = pid
+                return tcs_va
         raise errors.NoFreeTcs("all TCS pages are held")
 
-    def tcs_release(self, table: TcsTable, tcs_va: int) -> None:
-        for row in table.rows:
-            if row.tcs_va == tcs_va:
-                if row.holder is None:
-                    raise errors.NotHeld(f"tcs {tcs_va:#x} is not held")
-                row.holder = None
-                return
-        raise errors.NotHeld(f"tcs {tcs_va:#x} not present in table")
+    def tcs_release(self, table: Dict[int, Optional[int]],
+                    tcs_va: int) -> None:
+        if tcs_va not in table:
+            raise errors.NotHeld(f"tcs {tcs_va:#x} not present in table")
+        if table[tcs_va] is None:
+            raise errors.NotHeld(f"tcs {tcs_va:#x} is not held")
+        table[tcs_va] = None
 
     # -- adversary operations ------------------------------------------------
 
-    def adversary_remap(self, space: AddressSpace, va: int, wrong_pa: int) -> None:
+    def adversary_remap(self, page_table: Dict[int, int], va: int,
+                        wrong_pa: int) -> None:
         """Unconstrained page-table mutation (page remapping attack)."""
-        space.page_table[va] = wrong_pa
+        page_table[va] = wrong_pa
 
     def adversary_swap_environment(self, pid: int, wrong_fs_root: str) -> None:
         """Run the victim's next enclave entry under a different namespace."""

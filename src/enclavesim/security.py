@@ -21,7 +21,7 @@ from typing import List, Tuple
 from . import errors
 from .enclave_runtime import EnclaveRuntime
 from .host_kernel import Kernel
-from .sgx_core import Access, Machine, NON_ENCLAVE, PAGE_SIZE
+from .sgx_core import Machine, PAGE_SIZE
 
 
 def _randbelow(rng: random.Random, n: int) -> int:
@@ -65,7 +65,7 @@ def remap_enumeration(n_pages: int = 4, n_spaces: int = 3) -> Tuple[int, List[st
     trials = 0
     failures: List[str] = []
     for container in containers:
-        table = container.address_space.page_table
+        table = container.page_table
         for i, va in enumerate(vas):
             for pa in all_pas:
                 table.clear()
@@ -130,10 +130,10 @@ def random_adversary_schedules(n_schedules: int = 1000,
                         pass  # writer's own view was remapped: caught
                 elif op == 1:  # adversary remap to an arbitrary physical page
                     kernel.adversary_remap(
-                        container.address_space, va,
+                        container.page_table, va,
                         all_pas[_randbelow(rng, len(all_pas))])
                 elif op == 2:  # kernel restores the honest mapping
-                    container.address_space.map(va, honest[va])
+                    container.page_table[va] = honest[va]
                 else:  # read through the runtime's sandboxed path
                     try:
                         if runtime.read(container.pid, va) != shadow[va]:
@@ -146,10 +146,9 @@ def random_adversary_schedules(n_schedules: int = 1000,
             # The host reads a live enclave page through its honest
             # mapping in non-enclave mode; the hardware must abort it.
             va = vas[0]
-            second.address_space.map(va, honest[va])
+            second.page_table[va] = honest[va]
             try:
-                machine.translate_access(second.address_space, va,
-                                         Access.READ, NON_ENCLAVE)
+                machine.translate_access(second.page_table, va, None)
                 failures.append(f"schedule {schedule}: host read of va "
                                 f"{va:#x} not aborted")
             except errors.AbortPage:
@@ -208,7 +207,7 @@ def tcs_exclusivity_schedules(n_schedules: int = 1000,
                           if t.busy), None)
             if bound is not None:
                 try:
-                    machine.eenter(runtime.creator.address_space, bound)
+                    machine.eenter(runtime.creator.page_table, bound)
                     failures.append(f"schedule {schedule}: bound tcs "
                                     f"{bound:#x} entered again")
                 except errors.TcsBusy:

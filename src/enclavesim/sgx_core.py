@@ -3,8 +3,12 @@ instructions and TCS-based enclave threads.
 
 Addresses are page-granular integers (virtual/physical page numbers); page
 contents are real byte arrays so aliasing and copy-on-write are observable
-at byte level. The EPCM is per-page metadata, as in SGX: an EPC page's
-``PhysicalPage`` holds its entry (va, owner enclave id, page type).
+at byte level. A page table is a plain ``{va: pa}`` dict, and the CPU mode
+of an access is the running enclave's id, or None outside any enclave. The
+EPCM is per-page metadata, as in SGX: an EPC page's ``PhysicalPage`` holds
+its entry (va, owner enclave id, page type). As the EPCM does for a
+``PT_TCS`` page, ``translate_access`` refuses a TCS page: only ``eenter``
+and ``eresume`` use one.
 
 The launch measurement is SHA-256 over each pre-init EADD record, in order:
 va, page type and padded content (``digest_update``). It is a pure function
@@ -37,8 +41,8 @@ MEMO_STATES = 1024
 _EMPTY = hashlib.sha256()
 # (state, va, page type, content) -> the state after that EADD record.
 _measured: Dict[tuple, hashlib._Hash] = {}
-# TCS va -> (oentry, entry registers).
-_tcs_entries: Dict[int, Tuple[str, Tuple[int, int, int, int]]] = {}
+# TCS va -> entry registers.
+_tcs_entries: Dict[int, Tuple[int, int, int, int]] = {}
 
 
 def _memoize(memo: dict, key, value) -> None:
@@ -74,29 +78,9 @@ class PageType(enum.Enum):
     TCS = 1
 
 
-class Access(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-
-# Enum members read from module globals: a lookup through the class costs
-# several times as much on the per-step paths.
+# An enum member read from module globals: a lookup through the class
+# costs several times as much on the per-step paths.
 _TCS = PageType.TCS
-_READ, _WRITE = Access.READ, Access.WRITE
-
-
-@dataclass(frozen=True)
-class CpuMode:
-    """Execution mode of the modeled CPU at access time."""
-
-    enclave_id: Optional[int] = None
-
-
-NON_ENCLAVE = CpuMode()
-
-
-def enclave_mode(enclave_id: int) -> CpuMode:
-    return CpuMode(enclave_id)
 
 
 @dataclass(slots=True)
@@ -132,10 +116,10 @@ class TcsPage:
     """A TCS page's thread-binding state, ``busy`` while a thread (live or
     suspended by an AEX) is bound to it. ``entry`` holds the registers
     ``eenter`` starts a thread with, set once at EADD: the first 8 bytes
-    of the SHA-256 of ``oentry``, little-endian, then three zeros."""
+    of the SHA-256 of its entry point ``"oentry:<tcs va in hex>"``,
+    little-endian, then three zeros."""
 
     tcs_va: int
-    oentry: str
     entry: Tuple[int, int, int, int]
     busy: bool = False
     saved_context: Optional[Tuple[int, int, int, int]] = None
@@ -162,19 +146,6 @@ class Enclave:
     measurement: Optional[bytes] = None
     initialized: bool = False
     _hash: hashlib._Hash = field(default=_EMPTY, repr=False, compare=False)
-
-
-class AddressSpace:
-    """Per-container page table, freely mutable by the (untrusted) kernel."""
-
-    def __init__(self):
-        self.page_table: Dict[int, int] = {}
-
-    def map(self, va: int, pa: int) -> None:
-        self.page_table[va] = pa
-
-    def unmap(self, va: int) -> None:
-        self.page_table.pop(va, None)
 
 
 class Machine:
@@ -251,11 +222,10 @@ class Machine:
         if page_type is _TCS:
             entry = _tcs_entries.get(va)
             if entry is None:
-                oentry = f"oentry:{va:#x}"
-                seed = content_digest((oentry.encode(),))[:8]
-                entry = oentry, (int.from_bytes(seed, "little"), 0, 0, 0)
+                seed = content_digest((f"oentry:{va:#x}".encode(),))[:8]
+                entry = (int.from_bytes(seed, "little"), 0, 0, 0)
                 _memoize(_tcs_entries, va, entry)
-            enclave.tcs_table[va] = TcsPage(va, *entry)
+            enclave.tcs_table[va] = TcsPage(va, entry)
         return page.pa, page
 
     def einit(self, enclave: Enclave) -> bytes:
@@ -280,22 +250,23 @@ class Machine:
 
     # -- address translation ------------------------------------------------
 
-    def translate_access(self, space: AddressSpace, va: int, access: Access,
-                         mode: CpuMode) -> int:
-        """Page-walk plus the hardware's EPCM validation.
+    def translate_access(self, page_table: Dict[int, int], va: int,
+                         enclave_id: Optional[int]) -> PhysicalPage:
+        """Page-walk plus the hardware's EPCM validation, for an access
+        from enclave ``enclave_id`` (None outside any enclave); returns
+        the page.
 
-        No process identity participates in the check: any address space
+        No process identity participates in the check: any page table
         holding the creating (va, pa) mapping may access the page.
         """
-        pa = space.page_table.get(va)
+        pa = page_table.get(va)
         if pa is None:
             raise errors.NotMapped(f"va {va:#x} not mapped")
         page = self.pages.get(pa)
         if page is None:
             raise errors.NotMapped(f"pa {pa:#x} does not exist")
         if page.enclave_id is None:
-            return pa
-        enclave_id = mode.enclave_id
+            return page
         if enclave_id is None:
             raise errors.AbortPage(
                 f"non-enclave access to protected page {pa:#x}")
@@ -304,23 +275,27 @@ class Machine:
                 f"EPCM({pa:#x}) records (va={page.va:#x}, "
                 f"id={page.enclave_id}); access was (va={va:#x}, "
                 f"id={enclave_id})")
-        return pa
+        if page.page_type is _TCS:
+            raise errors.EpcmMismatch(
+                f"EPCM({pa:#x}) records a TCS page: no regular access")
+        return page
 
-    def read_page(self, space: AddressSpace, va: int, mode: CpuMode) -> bytes:
-        pa = self.translate_access(space, va, _READ, mode)
-        return bytes(self.pages[pa].content)
+    def read_page(self, page_table: Dict[int, int], va: int,
+                  enclave_id: Optional[int]) -> bytes:
+        return bytes(self.translate_access(page_table, va, enclave_id).content)
 
-    def write_page(self, space: AddressSpace, va: int, data: bytes,
-                   mode: CpuMode, offset: int = 0) -> None:
-        pa = self.translate_access(space, va, _WRITE, mode)
-        self.pages[pa].write(data, offset)
+    def write_page(self, page_table: Dict[int, int], va: int, data: bytes,
+                   enclave_id: Optional[int], offset: int = 0) -> None:
+        self.translate_access(page_table, va, enclave_id).write(data, offset)
 
     # -- enclave threads ----------------------------------------------------
 
-    def _tcs_at(self, space: AddressSpace, tcs_va: int) -> Tuple[Enclave, TcsPage]:
-        if tcs_va not in space.page_table:
+    def _tcs_at(self, page_table: Dict[int, int],
+                tcs_va: int) -> Tuple[Enclave, TcsPage]:
+        pa = page_table.get(tcs_va)
+        if pa is None:
             raise errors.NotMapped(f"tcs va {tcs_va:#x} not mapped")
-        page = self.pages.get(space.page_table[tcs_va])
+        page = self.pages.get(pa)
         if page is None or page.enclave_id is None:
             raise errors.NotTcsPage(f"va {tcs_va:#x} is not a protected page")
         if page.va != tcs_va:
@@ -330,13 +305,13 @@ class Machine:
         enclave = self.enclaves[page.enclave_id]
         return enclave, enclave.tcs_table[tcs_va]
 
-    def eenter(self, space: AddressSpace, tcs_va: int) -> EnclaveThread:
+    def eenter(self, page_table: Dict[int, int], tcs_va: int) -> EnclaveThread:
         """Start an enclave thread at the TCS entry point.
 
         Which process performs the switch is deliberately unconstrained; any
-        address space mapping the TCS page may enter.
+        page table mapping the TCS page may enter.
         """
-        enclave, tcs = self._tcs_at(space, tcs_va)
+        enclave, tcs = self._tcs_at(page_table, tcs_va)
         if tcs.busy:
             raise errors.TcsBusy(f"tcs {tcs_va:#x} already bound to a thread")
         tcs.busy = True
@@ -355,8 +330,9 @@ class Machine:
         tcs.saved_context = tuple(thread.registers)
         thread.live = False
 
-    def eresume(self, space: AddressSpace, tcs_va: int) -> EnclaveThread:
-        enclave, tcs = self._tcs_at(space, tcs_va)
+    def eresume(self, page_table: Dict[int, int],
+                tcs_va: int) -> EnclaveThread:
+        enclave, tcs = self._tcs_at(page_table, tcs_va)
         if tcs.saved_context is None:
             raise errors.NoSavedContext(f"tcs {tcs_va:#x} has no saved context")
         registers = tcs.saved_context

@@ -4,6 +4,7 @@ import pytest
 
 from enclavesim import errors
 from enclavesim.enclave_runtime import (
+    Access,
     COPY_BASE,
     DB_BASE,
     EnclaveRuntime,
@@ -13,7 +14,6 @@ from enclavesim.enclave_runtime import (
 )
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
-    Access,
     EnclaveThread,
     Machine,
     PAGE_SIZE,
@@ -38,8 +38,8 @@ def rt():
 
 
 def free_rows(table):
-    """The TCS rows no thread holds."""
-    return sum(row.holder is None for row in table.rows)
+    """The TCS pages no thread holds."""
+    return sum(holder is None for holder in table.values())
 
 
 class TestThreads:
@@ -74,11 +74,11 @@ class TestThreads:
         runtime.enter(pid)
         runtime.suspend(pid)
         threads = dict(runtime.threads)
-        holders = [row.holder for row in runtime.tcs_table.rows]
+        holders = dict(runtime.tcs_table)
         with pytest.raises(errors.SimError):
             runtime.exit(pid)
         assert runtime.threads == threads
-        assert [row.holder for row in runtime.tcs_table.rows] == holders
+        assert runtime.tcs_table == holders
         runtime.check_invariants()
         assert runtime.resume(pid).live
         runtime.exit(pid)
@@ -95,7 +95,7 @@ class TestThreads:
             runtime.check_invariants()
 
     def test_check_invariants_before_runtime_init(self):
-        # No TCS table yet: no rows to check, but the EPC counts still are.
+        # The TCS table is empty: no TCS to check, but the EPC counts are.
         machine = Machine()
         runtime = EnclaveRuntime(machine, Kernel(machine))
         runtime.check_invariants()
@@ -112,7 +112,7 @@ class TestThreads:
         runtime.attach_container(other)
         # The kernel points the second container's first TCS va at a
         # runtime page: the hardware refuses the entry.
-        kernel.adversary_remap(other.address_space, TCS_BASE,
+        kernel.adversary_remap(other.page_table, TCS_BASE,
                                runtime.enclave.pages[RUNTIME_BASE])
         with pytest.raises(errors.EpcmMismatch):
             runtime.enter(other.pid)
@@ -153,11 +153,25 @@ class TestThreads:
         machine.eremove(runtime.enclave, tcs_va)
         assert tcs_va not in runtime.enclave.tcs_table
 
+    def test_tcs_page_refuses_read_and_write(self, rt):
+        # Only enter and resume use a TCS page: the runtime's regular
+        # access to one faults and leaves its bytes as they were.
+        machine, _, runtime = rt
+        pid = runtime.creator.pid
+        tcs_page = machine.pages[runtime.enclave.pages[TCS_BASE]]
+        before = bytes(tcs_page.content)
+        with pytest.raises(errors.EpcmMismatch):
+            runtime.read(pid, TCS_BASE)
+        with pytest.raises(errors.EpcmMismatch):
+            runtime.write(pid, TCS_BASE, b"overwrite")
+        assert tcs_page.content == before
+        assert runtime.enter(pid).tcs_va == TCS_BASE
+
     def test_check_invariants_flags_table_drift(self, rt):
         _, _, runtime = rt
         runtime.enter(runtime.creator.pid)
         runtime.check_invariants()
-        runtime.tcs_table.rows[0].holder = None
+        runtime.tcs_table[TCS_BASE] = None
         with pytest.raises(errors.InvariantViolation):
             runtime.check_invariants()
 
@@ -208,7 +222,7 @@ class TestInstances:
         instance = runtime.instance_create(runtime.creator.pid, 1)
         va = instance.region[0]
         plain = machine.alloc_plain_page(b"outside")
-        kernel.adversary_remap(runtime.creator.address_space, va, plain.pa)
+        kernel.adversary_remap(runtime.creator.page_table, va, plain.pa)
         with pytest.raises((errors.IsolationFault, errors.Fault)):
             runtime.instance_access(instance, va, Access.READ)
 
@@ -254,7 +268,7 @@ class TestInstances:
         runtime.attach_container(other)
         va = instance.region[0]
         runtime.instance_destroy(instance)
-        assert va in other.address_space.page_table
+        assert va in other.page_table
         with pytest.raises(errors.NotMapped, match="does not exist"):
             runtime.read(other.pid, va)
 
@@ -315,7 +329,7 @@ class TestInstances:
         with pytest.raises(errors.VaAlreadyMapped):
             runtime.instance_create(pid, 2)
         assert runtime.instances == before
-        page_table = runtime.creator.address_space.page_table
+        page_table = runtime.creator.page_table
         for va in (INSTANCE_BASE, INSTANCE_BASE + 1):
             assert va not in runtime.enclave.pages
             assert va not in page_table
@@ -589,7 +603,7 @@ class TestForkCow:
     def remap_child_to_plain(self, machine, runtime, pair):
         plain = machine.alloc_plain_page(b"attacker")
         child = runtime.kernel.containers[pair.child_pid]
-        runtime.kernel.adversary_remap(child.address_space, DB_BASE, plain.pa)
+        runtime.kernel.adversary_remap(child.page_table, DB_BASE, plain.pa)
 
     def test_cow_read_rejects_plain_backing(self):
         machine, runtime, pair = build_forked_runtime(2)
@@ -728,7 +742,7 @@ class TestForkCow:
         if tcs_count == 2:
             # The kernel enters the second TCS behind its own table's
             # back: its row is free, the hardware refuses the entry.
-            machine.eenter(runtime.creator.address_space, TCS_BASE + 1)
+            machine.eenter(runtime.creator.page_table, TCS_BASE + 1)
             refusal = errors.TcsBusy
         containers = dict(kernel.containers)
         with pytest.raises(refusal):
@@ -867,9 +881,9 @@ class TestTranslationsPerAccess:
         vas = []
         translate = Machine.translate_access
 
-        def counted(self, space, va, access, mode):
+        def counted(self, page_table, va, enclave_id):
             vas.append(va)
-            return translate(self, space, va, access, mode)
+            return translate(self, page_table, va, enclave_id)
 
         monkeypatch.setattr(Machine, "translate_access", counted)
 

@@ -184,15 +184,15 @@ class ForkCycleMachine(RuleBasedStateMachine):
                      self.vas[(page + 1) % N_PAGES]],
                  "runtime": self.runtime.enclave.pages[RUNTIME_BASE]}[onto]
         child = self.runtime.kernel.containers[self.pair.child_pid]
-        self.runtime.kernel.adversary_remap(child.address_space, va, wrong)
+        self.runtime.kernel.adversary_remap(child.page_table, va, wrong)
         self.remapped = va
 
     @precondition(lambda self: self.remapped is not None)
     @rule()
     def restore_child(self):
         child = self.runtime.kernel.containers[self.pair.child_pid]
-        child.address_space.map(self.remapped,
-                                self.runtime.enclave.pages[self.remapped])
+        child.page_table[self.remapped] = \
+            self.runtime.enclave.pages[self.remapped]
         self.remapped = None
 
     # -- invariants -----------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from enclavesim import errors
 from enclavesim.host_kernel import Kernel
-from enclavesim.sgx_core import Access, Machine, PAGE_SIZE, enclave_mode
+from enclavesim.sgx_core import Machine, PAGE_SIZE, PageType
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def make_enclave(machine, kernel, n_pages=2):
     enclave = machine.ecreate(1)
     for i in range(n_pages):
         pa, _ = machine.eadd(enclave, 0x10 + i, bytes([i]) * PAGE_SIZE)
-        creator.address_space.map(0x10 + i, pa)
+        creator.page_table[0x10 + i] = pa
     machine.einit(enclave)
     return enclave, creator
 
@@ -28,7 +28,7 @@ def make_enclave(machine, kernel, n_pages=2):
 class TestContainers:
     def test_fresh_container(self, kernel):
         c = kernel.create_container("/app-A")
-        assert c.pid == 1 and c.address_space.page_table == {}
+        assert c.pid == 1 and c.page_table == {}
 
     def test_distinct_pids(self, kernel):
         assert kernel.create_container("/a").pid != \
@@ -37,17 +37,15 @@ class TestContainers:
     def test_destroy_leaves_aliased_pages(self, machine, kernel):
         _, creator = make_enclave(machine, kernel)
         other = kernel.create_container("/b")
-        other.address_space.page_table.update(creator.address_space.page_table)
+        other.page_table.update(creator.page_table)
         kernel.destroy_container(other.pid)
         assert other.pid not in kernel.containers
-        assert machine.translate_access(creator.address_space, 0x10,
-                                        Access.READ, enclave_mode(1))
+        assert machine.translate_access(creator.page_table, 0x10, 1)
 
     def test_initially_disjoint_tables(self, machine, kernel):
         _, creator = make_enclave(machine, kernel)
         other = kernel.create_container("/b")
-        assert not set(other.address_space.page_table) & \
-            set(creator.address_space.page_table)
+        assert not set(other.page_table) & set(creator.page_table)
 
 
 class TestMappingRecord:
@@ -74,15 +72,14 @@ class TestAlias:
         record = kernel.record_enclave_mappings(enclave)
         other = kernel.create_container("/b")
         kernel.alias_enclave(other, record)
-        mode = enclave_mode(1)
-        assert machine.read_page(other.address_space, 0x10, mode) == \
-            machine.read_page(creator.address_space, 0x10, mode)
+        assert machine.read_page(other.page_table, 0x10, 1) == \
+            machine.read_page(creator.page_table, 0x10, 1)
 
     def test_conflicting_va_rejected(self, machine, kernel):
         enclave, _ = make_enclave(machine, kernel)
         record = kernel.record_enclave_mappings(enclave)
         other = kernel.create_container("/b")
-        other.address_space.map(0x10, 0x999)
+        other.page_table[0x10] = 0x999
         with pytest.raises(errors.VaConflict):
             kernel.alias_enclave(other, record)
 
@@ -95,26 +92,24 @@ class TestAlias:
             c = kernel.create_container(name)
             kernel.alias_enclave(c, record)
             readers.append(c)
-        mode = enclave_mode(1)
         oracle = {va: bytearray(machine.pages[pa].content)
                   for va, pa in enclave.pages.items()}
         for step, va in enumerate(sorted(enclave.pages)):
             data = bytes([step + 1]) * 16
-            machine.write_page(creator.address_space, va, data, mode)
+            machine.write_page(creator.page_table, va, data, 1)
             oracle[va][:16] = data
             for reader in readers:
-                got = machine.read_page(reader.address_space, va, mode)
+                got = machine.read_page(reader.page_table, va, 1)
                 assert got == bytes(oracle[va])
 
 
 class TestTcsTable:
     def make_table(self, machine, kernel, rows=2):
-        from enclavesim.sgx_core import PageType
         enclave = machine.ecreate(1)
         for i in range(rows):
             machine.eadd(enclave, 0x100 + i, b"", PageType.TCS)
         machine.einit(enclave)
-        return kernel.build_tcs_table(enclave)
+        return dict.fromkeys(enclave.tcs_table)
 
     def test_lowest_free_row_first(self, machine, kernel):
         table = self.make_table(machine, kernel)
@@ -139,31 +134,33 @@ class TestTcsTable:
         with pytest.raises(errors.NotHeld):
             kernel.tcs_release(table, 0x100)
 
+    def test_release_of_a_va_not_in_the_table(self, machine, kernel):
+        table = self.make_table(machine, kernel)
+        with pytest.raises(errors.NotHeld, match="not present"):
+            kernel.tcs_release(table, 0x10)
+        assert table == {0x100: None, 0x101: None}
+
     def test_all_available_after_release(self, machine, kernel):
         table = self.make_table(machine, kernel)
         va = kernel.tcs_acquire(table, 1)
         kernel.tcs_release(table, va)
-        assert all(row.holder is None for row in table.rows)
+        assert all(holder is None for holder in table.values())
 
 
 class TestAdversary:
     def test_remap_epc_page_faults(self, machine, kernel):
         enclave, creator = make_enclave(machine, kernel, n_pages=2)
-        kernel.adversary_remap(creator.address_space, 0x10,
-                               enclave.pages[0x11])
+        kernel.adversary_remap(creator.page_table, 0x10, enclave.pages[0x11])
         with pytest.raises(errors.EpcmMismatch):
-            machine.translate_access(creator.address_space, 0x10,
-                                     Access.READ, enclave_mode(1))
+            machine.translate_access(creator.page_table, 0x10, 1)
 
     def test_remap_non_enclave_va_follows_new_mapping(self, machine, kernel):
         _, creator = make_enclave(machine, kernel)
         a = machine.alloc_plain_page(b"a")
         b = machine.alloc_plain_page(b"b")
-        creator.address_space.map(0x300, a.pa)
-        kernel.adversary_remap(creator.address_space, 0x300, b.pa)
-        from enclavesim.sgx_core import NON_ENCLAVE
-        assert machine.translate_access(
-            creator.address_space, 0x300, Access.READ, NON_ENCLAVE) == b.pa
+        creator.page_table[0x300] = a.pa
+        kernel.adversary_remap(creator.page_table, 0x300, b.pa)
+        assert machine.translate_access(creator.page_table, 0x300, None) is b
 
     def test_swap_environment_changes_fs_root(self, machine, kernel):
         _, creator = make_enclave(machine, kernel)

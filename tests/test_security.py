@@ -73,9 +73,8 @@ def test_environment_swap_sample():
 
 
 def test_adversary_schedules_rely_on_runtime_sandbox_check(monkeypatch):
-    def resolve_without_sandbox_check(self, space, va, access):
-        return self.machine.pages[
-            self.machine.translate_access(space, va, access, self._mode)]
+    def resolve_without_sandbox_check(self, page_table, va):
+        return self.machine.translate_access(page_table, va, self.enclave_id)
 
     monkeypatch.setattr(EnclaveRuntime, "_resolve",
                         resolve_without_sandbox_check)
@@ -247,7 +246,9 @@ GUARDS = {
         Probe("EPCM enclave id"),
     ("sgx_core", "Machine.translate_access", "page.va != va"):
         Probe("EPCM va"),
-    ("sgx_core", "Machine._tcs_at", "tcs_va not in space.page_table"):
+    ("sgx_core", "Machine.translate_access", "page.page_type is _TCS"):
+        _SGX + "TestTranslate::test_tcs_page_refuses_regular_access",
+    ("sgx_core", "Machine._tcs_at", "pa is None"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
     ("sgx_core", "Machine._tcs_at", "page is None or page.enclave_id is None"):
         _SGX + "TestThreads::test_enter_through_a_bad_mapping",
@@ -292,7 +293,9 @@ GUARDS = {
         _KERNEL + "TestMappingRecord::test_uninitialized_rejected",
     ("host_kernel", "Kernel.alias_enclave", "table[va] != mappings[va]"):
         _KERNEL + "TestAlias::test_conflicting_va_rejected",
-    ("host_kernel", "Kernel.tcs_release", "row.holder is None"):
+    ("host_kernel", "Kernel.tcs_release", "tcs_va not in table"):
+        _KERNEL + "TestTcsTable::test_release_of_a_va_not_in_the_table",
+    ("host_kernel", "Kernel.tcs_release", "table[tcs_va] is None"):
         _KERNEL + "TestTcsTable::test_release_unheld",
 
     # enclave_runtime
@@ -311,7 +314,7 @@ GUARDS = {
     ("enclave_runtime", "EnclaveRuntime.check_invariants", "tcs is None"):
         _RUNTIME + "TestThreads::test_check_invariants_names_a_removed_tcs",
     ("enclave_runtime", "EnclaveRuntime.check_invariants",
-     "(row.holder is not None) != tcs.busy"):
+     "(holder is not None) != tcs.busy"):
         _RUNTIME + "TestThreads::test_check_invariants_flags_table_drift",
     ("enclave_runtime", "EnclaveRuntime._reserve_region",
      "base + length > DB_BASE"):
@@ -329,7 +332,7 @@ GUARDS = {
      "code_size_pages < 1"):
         _RUNTIME + "TestInstances::test_size_below_one_page_refused[-2]",
     ("enclave_runtime", "EnclaveRuntime.instance_access",
-     "not (in_runtime and access is _READ)"):
+     "not (in_runtime and access is Access.READ)"):
         _RUNTIME + "TestInstances::test_out_of_region_denied",
     ("enclave_runtime", "EnclaveRuntime._check_live",
      "instance.instance_id not in self.instances"):

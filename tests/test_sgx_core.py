@@ -9,16 +9,12 @@ from enclavesim.enclave_runtime import EnclaveRuntime
 from enclavesim.host_kernel import Kernel
 from enclavesim.sgx_core import (
     MEMO_STATES,
-    Access,
-    AddressSpace,
     Machine,
-    NON_ENCLAVE,
     PAGE_SIZE,
     PageType,
     PhysicalPage,
     content_digest,
     digest_update,
-    enclave_mode,
 )
 
 
@@ -33,13 +29,12 @@ def machine():
 
 def build_enclave(machine, eid=1, n_pages=2, tcs=1):
     enclave = machine.ecreate(eid)
-    space = AddressSpace()
+    space = {}
     for i in range(n_pages):
-        pa, _ = machine.eadd(enclave, 0x10 + i, page(i))
-        space.map(0x10 + i, pa)
+        space[0x10 + i], _ = machine.eadd(enclave, 0x10 + i, page(i))
     for i in range(tcs):
-        pa, _ = machine.eadd(enclave, 0x100 + i, b"", PageType.TCS)
-        space.map(0x100 + i, pa)
+        space[0x100 + i], _ = machine.eadd(enclave, 0x100 + i, b"",
+                                           PageType.TCS)
     machine.einit(enclave)
     return enclave, space
 
@@ -377,7 +372,7 @@ class TestPageDigest:
         e, space = build_enclave(machine)
         p = machine.pages[e.pages[0x10]]
         stale = p.digest()
-        machine.write_page(space, 0x10, b"new", enclave_mode(1), offset=7)
+        machine.write_page(space, 0x10, b"new", 1, offset=7)
         assert p.digest() != stale
         assert p.digest() == hashlib.sha256(p.content).digest()
 
@@ -406,25 +401,24 @@ class TestPageDigest:
 class TestTranslate:
     def test_honest_mapping(self, machine):
         e, space = build_enclave(machine)
-        pa = machine.translate_access(space, 0x10, Access.READ, enclave_mode(1))
-        assert pa == e.pages[0x10]
+        page = machine.translate_access(space, 0x10, 1)
+        assert page is machine.pages[e.pages[0x10]]
 
     def test_unmapped_faults(self, machine):
         _, space = build_enclave(machine)
         with pytest.raises(errors.NotMapped):
-            machine.translate_access(space, 0x99, Access.READ, enclave_mode(1))
+            machine.translate_access(space, 0x99, 1)
 
     def test_non_enclave_access_aborts(self, machine):
         _, space = build_enclave(machine)
         with pytest.raises(errors.AbortPage):
-            machine.translate_access(space, 0x10, Access.READ, NON_ENCLAVE)
+            machine.translate_access(space, 0x10, None)
 
     def test_non_epc_page_skips_epcm(self, machine):
         _, space = build_enclave(machine)
         plain = machine.alloc_plain_page(b"hello")
-        space.map(0x200, plain.pa)
-        assert machine.translate_access(
-            space, 0x200, Access.READ, NON_ENCLAVE) == plain.pa
+        space[0x200] = plain.pa
+        assert machine.translate_access(space, 0x200, None) is plain
 
     def test_exhaustive_remap_permutations(self):
         # Every wrong (va, pa) pairing over a 3-page enclave must fault.
@@ -434,27 +428,33 @@ class TestTranslate:
         pas = [machine.eadd(e, va, page(i))[0] for i, va in enumerate(vas)]
         machine.einit(e)
         for perm in itertools.permutations(pas):
-            space = AddressSpace()
-            for va, pa in zip(vas, perm):
-                space.map(va, pa)
+            space = dict(zip(vas, perm))
             for va, pa in zip(vas, perm):
                 honest = pa == e.pages[va]
                 if honest:
-                    assert machine.translate_access(
-                        space, va, Access.READ, enclave_mode(1)) == pa
+                    assert machine.translate_access(space, va, 1).pa == pa
                 else:
                     with pytest.raises(errors.EpcmMismatch):
-                        machine.translate_access(
-                            space, va, Access.READ, enclave_mode(1))
+                        machine.translate_access(space, va, 1)
 
     def test_second_container_with_same_mapping_succeeds(self, machine):
         # Process identity plays no part in the EPCM check.
         e, creator_space = build_enclave(machine)
-        other = AddressSpace()
-        for va, pa in e.pages.items():
-            other.map(va, pa)
-        assert machine.translate_access(
-            other, 0x10, Access.READ, enclave_mode(1)) == e.pages[0x10]
+        other = dict(e.pages)
+        assert machine.translate_access(other, 0x10, 1).pa == e.pages[0x10]
+
+    def test_tcs_page_refuses_regular_access(self, machine):
+        # As the EPCM does for a PT_TCS page: only EENTER and ERESUME use
+        # it, so a read or write through its own honest mapping faults.
+        e, space = build_enclave(machine)
+        tcs_page = machine.pages[e.pages[0x100]]
+        before = bytes(tcs_page.content)
+        with pytest.raises(errors.EpcmMismatch, match="TCS page"):
+            machine.read_page(space, 0x100, 1)
+        with pytest.raises(errors.EpcmMismatch, match="TCS page"):
+            machine.write_page(space, 0x100, b"overwrite", 1)
+        assert tcs_page.content == before
+        machine.eexit(machine.eenter(space, 0x100))
 
 
 class TestThreads:
@@ -470,8 +470,7 @@ class TestThreads:
         # Every fresh entry starts from the SHA-256 of the TCS's entry
         # point, measured (pre-init) or added after EINIT alike.
         e, space = build_enclave(machine, tcs=3)
-        pa, _ = machine.eadd(e, 0x1F0, b"", PageType.TCS)
-        space.map(0x1F0, pa)
+        space[0x1F0], _ = machine.eadd(e, 0x1F0, b"", PageType.TCS)
         for va in (0x100, 0x101, 0x102, 0x1F0):
             seed = hashlib.sha256(f"oentry:{va:#x}".encode()).digest()[:8]
             expected = (int.from_bytes(seed, "little"), 0, 0, 0)
@@ -499,20 +498,17 @@ class TestThreads:
         with pytest.raises(errors.NotMapped):
             machine.eenter(space, 0x1FF)
         # A va mapped to no physical page, then to a plain page.
-        space.map(0x1FF, 10**6)
+        space[0x1FF] = 10**6
         with pytest.raises(errors.NotTcsPage, match="not a protected page"):
             machine.eenter(space, 0x1FF)
-        space.map(0x1FF, machine.alloc_plain_page().pa)
+        space[0x1FF] = machine.alloc_plain_page().pa
         with pytest.raises(errors.NotTcsPage, match="not a protected page"):
             machine.eenter(space, 0x1FF)
 
     def test_cross_process_entry(self, machine):
         # A TCS created under one container's setup is usable from another.
         e, creator_space = build_enclave(machine)
-        other = AddressSpace()
-        for va, pa in e.pages.items():
-            other.map(va, pa)
-        thread = machine.eenter(other, 0x100)
+        thread = machine.eenter(dict(e.pages), 0x100)
         assert thread.enclave_id == 1
 
     def test_aex_resume_round_trip(self, machine):

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import itertools
 import math
 import random
 import statistics
@@ -575,6 +576,40 @@ def record_fields(metrics):
              r.total_ms, r.finish_ms) for r in metrics.requests]
 
 
+def whole_ms_plan(kind, head, locked=None, tail=0):
+    """A plan of a head, then, unless ``locked`` is None, a locked step and
+    a tail, each of whole ms. Its components name ``kind``, so a record
+    shows which kind of plan its request ran."""
+    if locked is None:
+        return workload_harness._Plan(
+            (float(head),), None, (),
+            types.MappingProxyType({kind: float(head)}), float(head))
+    return workload_harness._Plan(
+        (float(head),), float(locked), (float(tail),),
+        types.MappingProxyType({kind: float(head), EPC_EXPAND: float(locked),
+                                EXEC: float(tail)}),
+        float(head + locked + tail))
+
+
+def small_scope():
+    """The small scope of the tie check: the arrival times, the most
+    arrivals of a trace and the plan step lengths, all in whole ms. The
+    deep profile widens each."""
+    if settings.get_current_profile_name() == "deep":
+        return range(4), 6, range(3)
+    return range(3), 5, range(2)
+
+
+def run_both(variant, trace, params, workers, prediction=False):
+    """Whether ``run_serverless`` and the oracle agree on a run: finish
+    times, record fields and the ledger's counts."""
+    got = run_serverless(variant, trace, params, workers, prediction)
+    want = run_serverless_heaped(variant, trace, params, workers, prediction)
+    return (got.finish == want.finish
+            and record_fields(got) == record_fields(want)
+            and got.ledger.counts == want.ledger.counts)
+
+
 class TestServerlessOracle:
     @given(trace=serverless_traces(), variant=st.sampled_from(list(Variant)),
            workers=st.integers(1, 4), prediction=st.booleans(),
@@ -687,15 +722,8 @@ class TestServerlessOracle:
     def test_matches_heaped_run_on_tied_plans(self, arrivals, workers, steps):
         """Shared-enclave plans of a few whole ms, so heads, locks and
         tails tie with each other and with arrivals at every grant."""
-        plans = {}
-        for kind, (head, locked, tail) in (("pooled", steps[:3]),
-                                           ("create", steps[3:])):
-            plans[kind] = workload_harness._Plan(
-                (float(head),), float(locked), (float(tail),),
-                types.MappingProxyType({ALIAS: float(head),
-                                        EPC_EXPAND: float(locked),
-                                        EXEC: float(tail)}),
-                float(head + locked + tail))
+        plans = {"pooled": whole_ms_plan("pooled", *steps[:3]),
+                 "create": whole_ms_plan("create", *steps[3:])}
         trace = RequestTrace([float(t) for t in sorted(arrivals)], "a")
         params = default_params()
         params.t_exec = {"a": 1.0}
@@ -710,3 +738,54 @@ class TestServerlessOracle:
         assert list(got.finish) == list(want.finish)
         assert record_fields(got) == record_fields(want)
         assert got.ledger.counts == want.ledger.counts
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_matches_heaped_run_at_small_scope(self, variant):
+        """Every small instance, after Jackson's small-scope hypothesis:
+        each sorted trace of a few arrivals at a few whole ms, on 1-3
+        workers, under every plan of whole-ms steps, so arrivals, finishes,
+        grants and expiries tie in every order the loop can meet. The
+        shared enclave takes every pooled and create plan of a head, a
+        locked step and a tail; the others every plan head (a plan without
+        a lock has no tail), and ``cc_warm`` keepalives of 0 and 1 ms, with
+        and without prediction."""
+        times, most, steps = small_scope()
+        traces = [RequestTrace([float(t) for t in arrivals], "a")
+                  for k in range(1, most + 1)
+                  for arrivals in itertools.combinations_with_replacement(
+                      times, k)]
+        if variant is Variant.TEEMATE:
+            configs = [({"pooled": whole_ms_plan("pooled", *p[:3]),
+                         "create": whole_ms_plan("create", *p[3:])},
+                        0.0, False)
+                       for p in itertools.product(steps, repeat=6)]
+        elif variant is Variant.CC_WARM:
+            configs = [({"cold": whole_ms_plan("cold", cold),
+                         "warm": whole_ms_plan("warm", warm)},
+                        keepalive_s, prediction)
+                       for cold, warm in itertools.product(steps, repeat=2)
+                       for keepalive_s in (0.0, 0.001)
+                       for prediction in (False, True)]
+        else:
+            kind = "native" if variant is Variant.NATIVE else "cold"
+            configs = [({kind: whole_ms_plan(kind, head)}, 0.0, False)
+                       for head in steps]
+        params = default_params()
+        params.t_exec = {"a": 1.0}
+        plans, runs, differ = {}, 0, []
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (workload_harness, serverless_oracle):
+                mp.setattr(module, "_plan",
+                           lambda kind, exec_ms, params: plans[kind])
+            mp.setattr(workload_harness, "CostLedger", CountLedger)
+            for plans, keepalive_s, prediction in configs:
+                params.warm_keepalive_s = keepalive_s
+                for trace in traces:
+                    for workers in (1, 2, 3):
+                        runs += 1
+                        if not run_both(variant, trace, params, workers,
+                                        prediction):
+                            differ.append((dict(plans), keepalive_s,
+                                           prediction, trace.arrivals,
+                                           workers))
+        assert not differ, f"{len(differ)} of {runs} runs differ: {differ[0]}"
