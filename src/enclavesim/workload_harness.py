@@ -1,10 +1,12 @@
-"""Discrete-event driver for the serverless execution models and the
-database fork/snapshot scenario; all randomness flows from explicit seeds.
+"""Drivers for the serverless execution models and the database
+fork/snapshot scenario; all randomness flows from explicit seeds.
 
 Costs, traces and ``Metrics`` carry ms and MiB; the ``CostLedger``
 counts units of one memory figure held above a base, and a run's peak
 is ``base + peak count x figure``.
-``run_serverless`` runs a single-threaded event loop on float ms.
+``run_serverless`` is a recursion over starts on float ms, in which a
+finish that ties with a start runs first; it refuses a run in which the
+steps that end in a finish round away against their start time.
 ``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
 Python ints, rounding each duration once, and report in ms.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 import random
 import types
@@ -153,10 +156,6 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 # ---------------------------------------------------------------------------
 # Serverless scenario.
 
-# Heap event kinds. Only these points, arrivals and starts touch state
-# shared between requests.
-_ACQUIRE, _UNLOCK, _FINISH = range(3)
-
 
 class _Plan(NamedTuple):
     """The steps of one kind of request, built once per run.
@@ -214,34 +213,41 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     first arrival and is reported under ``extras``, not inside any
     request's latency; its container is the first pooled one.
 
-    A request wakes only where it touches shared state: arrival, start,
-    the EPC-expand lock (acquire, grant, unlock) and finish; its wake time
-    is the running sum of its plan's steps (``_plan``). Events run in one
-    order, by ``(time, seq)``, where ``seq`` counts events as they are
-    scheduled. They wait in three places: arrivals in the trace, read in
-    order, each with its index as its seq, so an arrival wins every tie;
-    pool grants (starts), which take no time, in a FIFO of ``(seq,
-    index)`` at the current time; and acquires, unlocks and finishes in a
-    heap of ``(time, seq, kind, index)``. Each event is dispatched by
-    where it waited. A started request's plan and units are kept by index,
-    and its finish time is stored at finish.
+    The run is a recursion over starts: the FIFO many-server queue of
+    Kiefer and Wolfowitz (Trans. AMS, 1955), with the EPC-expand lock as
+    one FIFO server (Lindley, 1952). Requests start in index order, so
+    request ``i`` starts at ``s = max(arrivals[i], s)`` or later. Before
+    it starts, every finish at or before ``s`` runs: a finish that ties
+    with a start runs first. A finish returns its units, its container or
+    a warm environment, and its worker. While every worker is busy, ``s``
+    moves to the earlier of the earliest known finish and the earliest
+    pending lock acquire. The lock is granted in ``(acquire time, index)``
+    order, at the later of the acquire and the last unlock, once the
+    acquire is at or before ``s``: a request yet to start acquires at
+    ``s`` or later, and has the larger index. A request's wake times are
+    running sums of its plan's steps (``_plan``).
 
-    A start runs at once, without a seq, when no event could run between
-    it and its turn in the FIFO: no arrival is left at ``now``, the FIFO
-    is empty and no heap event is at ``now``. Skipping its seq moves every
-    later seq down by one, so all other events keep their order. A lock
-    grant always runs at once: it only schedules the holder's unlock, and
-    the FIFO lock hands out the same holders in the same order whichever
-    events tie with that unlock. An unlock pushes the releasing request's
-    finish first and the next holder's unlock after it.
+    These are the tie rules of the event loop in
+    ``tests/serverless_oracle.py`` whenever the segment that ends in a
+    finish (a lockless plan's head, or a locked plan's tail) advances the
+    clock, since that finish was then scheduled before any start at its
+    time. A segment that does not, whose steps round away against its
+    start time (as 1,000 ms steps do past about 1e19 ms), is a
+    ``ConfigError``.
+
+    Finishes wait in a heap of bare times, and each request's finish time
+    is stored when it is known: at its start, or at its lock grant. Tied
+    finishes commute, since each returns one unit or none. Only the
+    shared-enclave model's units depend on the request: the first live
+    instance lives in the registered base and holds none (``bare``), every
+    other one a unit of ``m_teemate_per_instance``; a finish at
+    ``bare``'s finish time is taken as ``bare``'s.
 
     The model's choices are made once per run: which kinds of request a
-    start picks from, each kind's plan, the units a request holds and
-    which pool a finish refills. No plan is built that no request takes:
-    the shared enclave's ``"create"`` plan waits for the first start that
-    finds no free container. Only the shared-enclave model's units depend
-    on the request: the first live instance lives in the registered base
-    and holds none, every other one ``m_teemate_per_instance``.
+    start picks from, each kind's plan, and which pool a finish refills.
+    No plan is built that no request takes: the shared enclave's
+    ``"create"`` plan waits for the first start that finds no free
+    container.
     """
     params.validate()
 
@@ -251,9 +257,9 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     # Expiry times of idle warm environments, oldest first: finishes run
     # in time order, so they are appended sorted.
     warm_pool: Optional[deque] = None
-    # The units a request holds; the shared-enclave model sets it at each
-    # start.
-    units = 0 if variant is Variant.NATIVE else 1
+    # Whether a live request holds a unit; in the shared-enclave model,
+    # all but ``bare`` do.
+    holds = variant is not Variant.NATIVE
     unit_mib = params.m_strawman_per_request
     registration_ms = baseline_mib = 0.0
     if shared:
@@ -262,6 +268,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         unit_mib = params.m_teemate_per_instance
         free_containers = 1
         live_instances = 0
+        bare: Optional[int] = None  # the live instance that holds no unit
     elif variant is Variant.CC_WARM and not prediction:
         warm_pool = deque()
         keepalive_ms = params.warm_keepalive_s * 1000.0
@@ -279,90 +286,61 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             fixed = _plan({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
                            Variant.CC_WARM: "warm"}[variant], exec_ms, params)
 
-    plan_of: List[Optional[_Plan]] = [None] * n  # of each started request
+    plan_of: List[Optional[_Plan]] = [None] * n
     finish = array("d", [0.0]) * n
-    done = 0
-    units_of = bytearray(n)  # the units each request holds while it runs
-    events: List[Tuple[float, int, int, int]] = []
+    finishes: List[float] = []  # a heap of known finishes not yet run
+    acquires: List[Tuple[float, int]] = []  # a heap of (time, index)
     push, pop = heapq.heappush, heapq.heappop
-    fifo: deque = deque()  # starts granted at ``now``: (seq, index)
-    seq = n  # the next event's; arrival ``i`` has seq ``i``
-
     free_workers = workers
-    pool_queue: deque = deque()
-    lock_free = True
-    lock_queue: deque = deque()
+    unlocked = -math.inf  # when the lock was last released
 
-    i = 0
-    next_arrival = arrivals[0] if n else math.inf
-    while True:
-        # The next event by (time, seq): an arrival wins ties, since its
-        # seq is its index; the FIFO's head is at ``now``. When the FIFO
-        # or the heap wins, the next arrival is later than ``now``, so
-        # their branches need not check it before running a grant at once.
-        if i < n and next_arrival <= (now if fifo else events[0][0]
-                                      if events else math.inf):
-            now, idx = next_arrival, i
-            i += 1
-            next_arrival = arrivals[i] if i < n else math.inf
-            if not free_workers:
-                pool_queue.append(idx)
-                continue
-            free_workers -= 1
-            if next_arrival == now or fifo or events and events[0][0] == now:
-                fifo.append((seq, idx))
-                seq += 1
-                continue
-        elif fifo and not (events and events[0][0] == now
-                           and events[0][1] < fifo[0][0]):
-            idx = fifo.popleft()[1]
-        elif events:
-            now, _, kind, idx = pop(events)
-            if kind == _ACQUIRE:
-                if lock_free:
-                    lock_free = False
-                    push(events, (now + plan_of[idx].locked, seq, _UNLOCK,
-                                  idx))
-                    seq += 1
-                else:
-                    lock_queue.append(idx)
-                continue
-            if kind == _UNLOCK:
-                t = now
-                for duration in plan_of[idx].tail:
+    s = -math.inf
+    # After the last request, a start bound of inf runs what is left.
+    for i, arrival in enumerate(itertools.chain(arrivals, (math.inf,))):
+        if arrival > s:
+            s = arrival
+        while True:
+            while acquires and acquires[0][0] <= s:
+                acquired, j = pop(acquires)
+                plan = plan_of[j]
+                unlocked = (acquired if acquired > unlocked
+                            else unlocked) + plan.locked
+                t = unlocked
+                for duration in plan.tail:
                     t = t + duration
-                push(events, (t, seq, _FINISH, idx))
-                seq += 1
-                if lock_queue:
-                    idx = lock_queue.popleft()
-                    push(events, (now + plan_of[idx].locked, seq, _UNLOCK,
-                                  idx))
-                    seq += 1
-                else:
-                    lock_free = True
-                continue
-            finish[idx] = now
-            done += 1
-            if units_of[idx]:
-                occupy(-units_of[idx])
-            if shared:
-                live_instances -= 1
-                free_containers += 1
-            elif warm_pool is not None:
-                warm_pool.append(now + keepalive_ms)
-            if not pool_queue:
+                if t == unlocked:
+                    raise errors.ConfigError(
+                        f"the tail of a request unlocked at {unlocked} ms"
+                        " rounds away")
+                finish[j] = t
+                push(finishes, t)
+            while finishes and finishes[0] <= s:
+                t = pop(finishes)
                 free_workers += 1
-                continue
-            idx = pool_queue.popleft()
-            if fifo or events and events[0][0] == now:
-                fifo.append((seq, idx))
-                seq += 1
-                continue
-        else:
+                if shared:
+                    live_instances -= 1
+                    free_containers += 1
+                    if bare is not None and t == finish[bare]:
+                        bare = None
+                        continue
+                elif warm_pool is not None:
+                    warm_pool.append(t + keepalive_ms)
+                if holds:
+                    occupy(-1)
+            if free_workers or i == n:
+                break
+            if not (finishes or acquires):
+                raise errors.InvariantViolation("not all requests completed")
+            if acquires and not (finishes and finishes[0] <= acquires[0][0]):
+                s = acquires[0][0]
+            else:
+                s = finishes[0]
+        if i == n:
             break
 
-        # Start request ``idx`` at ``now``: take its plan and units, and
-        # run it to the lock or the end.
+        # Start request ``i`` at ``s``: take its plan and units, and run
+        # it to the lock or the end.
+        free_workers -= 1
         if shared:
             if free_containers:
                 free_containers -= 1
@@ -372,31 +350,37 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             else:
                 plan = created = _plan("create", exec_ms, params)
             live_instances += 1
-            units = int(live_instances > 1)
-        elif warm_pool is not None:
-            # Drop expired environments: later starts are later still.
-            while warm_pool and warm_pool[0] < now:
-                warm_pool.popleft()
-            if warm_pool:
-                warm_pool.popleft()
-                plan = warm
+            if live_instances == 1:
+                bare = i
             else:
-                plan = cold
+                occupy(1)
         else:
-            plan = fixed
-        if units:
-            occupy(units)
-            units_of[idx] = units
-        plan_of[idx] = plan
-        t = now
+            if warm_pool is None:
+                plan = fixed
+            else:
+                # Drop expired environments: later starts are later still.
+                while warm_pool and warm_pool[0] < s:
+                    warm_pool.popleft()
+                if warm_pool:
+                    warm_pool.popleft()
+                    plan = warm
+                else:
+                    plan = cold
+            if holds:
+                occupy(1)
+        plan_of[i] = plan
+        t = s
         for duration in plan.head:
             t = t + duration
-        push(events, (t, seq, _FINISH if plan.locked is None else _ACQUIRE,
-                      idx))
-        seq += 1
+        if plan.locked is not None:
+            push(acquires, (t, i))
+            continue
+        if t == s:
+            raise errors.ConfigError(
+                f"the head of a request started at {s} ms rounds away")
+        finish[i] = t
+        push(finishes, t)
 
-    if done != n:
-        raise errors.InvariantViolation("not all requests completed")
     return _metrics(variant.value, trace, plan_of, finish, ledger,
                     registration_ms, baseline_mib, unit_mib)
 

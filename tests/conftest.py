@@ -3,9 +3,12 @@ budget; ``--hypothesis-profile=deep`` runs ten times as many examples,
 which CI uses for the serverless and database oracles, the ledger's
 occupancy count, the fork state machine, the summary emitter and the
 launch measurements, memoized and not. The deep profile also widens the
-serverless oracle's small-scope tie check (``small_scope`` in
-``test_workload_harness.py``): arrival times 0-3 ms, up to 6 arrivals and
-plan steps of 0-2 ms."""
+serverless oracle's small scope (``small_scope`` in
+``test_workload_harness.py``) from arrival times of 0-2 ms, up to 5
+arrivals, heads and locked steps of 0-1 ms and finishing steps of 1-2 ms
+to arrival times of 0-3 ms, up to 6 arrivals, heads and locked steps of
+0-2 ms and finishing steps of 1-3 ms; its refusal sweep, whose finishing
+steps may take 0 ms, widens from 0-1 ms steps to 0-2 ms."""
 
 from hypothesis import settings
 

@@ -1,28 +1,27 @@
 """Event-by-event serverless oracle.
 
-``run_serverless_heaped`` is ``workload_harness.run_serverless`` as it
-was before arrivals left the event heap: every arrival, pool grant and
-lock grant is a heap event, each request is a ``_Job``, and each finish
-stores its time and plan in the run's columns and copies its plan's
-components into ``ledger.breakdowns[request_id]``. The harness must give
-the same ``Metrics`` and records, field for field and bit for bit. Its
-handlers match these one for one: besides the breakdowns, the shipped loop
-differs only in where arrivals and zero-delay events wait, in the trace
-and in a FIFO beside the heap, and in when plans are built. The oracle
-builds a kind's plan at its first start; the harness builds its plans
-before the loop, except the shared enclave's ``"create"`` plan.
+``run_serverless_heaped`` is ``workload_harness.run_serverless`` as an
+event loop, as it was before arrivals left the event heap: every arrival,
+pool grant and lock grant is a heap event run in ``(time, seq)`` order,
+each request is a ``_Job``, and each finish stores its time and plan in
+the run's columns and copies its plan's components into
+``ledger.breakdowns[request_id]``. On every run the harness accepts, it
+must give the same ``Metrics`` and records, field for field and bit for
+bit. The oracle builds a kind's plan at its first start; the harness
+builds its plans before its recursion, except the shared enclave's
+``"create"`` plan.
 
-The harness also runs a pool grant at once, without a seq, when no event
-could run between it and its turn: no arrival is left at its time, its
-FIFO is empty and no heap event is at its time. Here every grant is a
-heap event with a seq of its own; skipping one moves every later seq
-down by one and keeps all other events in this order. The harness runs
-every lock grant at once: the grant only schedules the holder's unlock,
-and the lock hands out the same holders in the same order whichever
-events tie with that unlock, so finish times and occupancy counts come
-out as here. A lock handed off at unlock runs ahead of the releasing
-request's finish here, so the harness pushes that finish first and the
-grant's unlock after it.
+The harness has no events: it is a recursion over starts, in index
+order, in which every finish at or before a start runs before it. That is
+this loop's order whenever the segment that ends in a finish (a lockless
+plan's head, or a locked plan's tail) advances the clock: the finish is
+then scheduled before its time comes, so its seq is smaller than that of
+any start scheduled at its time. A segment that rounds away schedules its
+finish at the current time, behind starts already waiting there, in an
+order the recursion does not keep, and the harness refuses such a run
+with a ``ConfigError``. ``stalled``, when given, collects the index of
+each request whose finishing segment took no time here: those are the
+runs the harness must refuse.
 
 The trace is one workload's sorted arrival times (``RequestTrace``), and
 each record carries that workload.
@@ -65,7 +64,8 @@ class _Job:
 
 def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                           params: CostParams, workers: int = 8,
-                          prediction: bool = False) -> Metrics:
+                          prediction: bool = False,
+                          stalled: Optional[List[int]] = None) -> Metrics:
     """Run one execution model over a trace of one workload.
 
     ``prediction`` makes every ``cc_warm`` request warm. The shared-enclave
@@ -155,6 +155,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
         t = now
         for duration in plan.head:
             t = t + duration
+        if plan.locked is None and t == now and stalled is not None:
+            stalled.append(job.idx)
         push(events, (t, next(seq),
                       _FINISH if plan.locked is None else _ACQUIRE, job))
 
@@ -184,6 +186,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
             t = now
             for duration in job.plan.tail:
                 t = t + duration
+            if t == now and stalled is not None:
+                stalled.append(job.idx)
             push(events, (t, next(seq), _FINISH, job))
         else:
             finish[job.idx] = now

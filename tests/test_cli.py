@@ -324,6 +324,25 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, segment", [("cc_cold", "head"),
+                                                ("teemate", "tail")],
+                             ids=["cc_cold", "teemate"])
+    def test_finish_that_rounds_away_exits_one(self, tmp_path, capsys, model,
+                                               segment):
+        # Requests arrive about 1e20 ms apart. Past about 1e19 ms a float's
+        # step exceeds twice a request's steps, so the segment that ends in
+        # its finish (a cold request's head, a shared-enclave request's
+        # tail after the lock) rounds away and would finish it in 0 ms.
+        cfg = self.write_cfg(tmp_path, MACRO_CFG.replace(
+            "teemate", model).replace("rate_per_s = 2", "rate_per_s = 1e-17")
+            .replace("duration_s = 10", "duration_s = 1e20"))
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the {segment} of a request ")
+        assert err.endswith(" rounds away\n") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "[serverless_macro]\nmodel = teemate\nworkload = sleep\n"
         "rate_per_s = 1000\nduration_s = 1000\nseed = 0\n",

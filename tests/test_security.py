@@ -416,8 +416,12 @@ GUARDS = {
     ("workload_harness", "_plan", "not math.isfinite(total)"):
         _HARNESS + "TestServerlessLatency::"
         "test_overflowing_request_is_a_config_error",
-    ("workload_harness", "run_serverless", "done != n"):
+    ("workload_harness", "run_serverless", "t == unlocked"):
+        _CLI + "TestMain::test_finish_that_rounds_away_exits_one[teemate]",
+    ("workload_harness", "run_serverless", "not (finishes or acquires)"):
         _HARNESS + "TestServerlessLatency::test_no_workers_completes_nothing",
+    ("workload_harness", "run_serverless", "t == s"):
+        _CLI + "TestMain::test_finish_that_rounds_away_exits_one[cc_cold]",
     ("workload_harness", "_ns", "not math.isfinite(ns)"):
         _CLI + "TestMain::"
         "test_overflowing_value_exits_one_without_output[fork]",

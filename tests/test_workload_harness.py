@@ -262,14 +262,15 @@ class TestServerlessThroughput:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_heap_pops_per_request(self, params, monkeypatch, variant):
-        """Arrivals and zero-delay grants never enter the heap: a request
-        pops only its finish, and a serialized shared-enclave request its
-        lock acquire and unlock too, whether arrivals tie or not."""
+        """Arrivals and starts never enter a heap: a request pops only its
+        finish, and a serialized shared-enclave request its lock acquire
+        too, whether arrivals tie or not. Its unlock is a sum taken at the
+        grant, not an event."""
         pops = []
         heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop",
                             lambda heap: pops.append(1) or heappop(heap))
-        per_request = 3 if variant is Variant.TEEMATE else 1
+        per_request = 2 if variant is Variant.TEEMATE else 1
         for trace, workers in ((gen_burst(64, "crypto-aes"), 64),
                                (gen_poisson(4.0, 150.0, 0, "crypto-aes"), 8)):
             pops.clear()
@@ -561,19 +562,39 @@ COSTS = st.sampled_from([100.0, 200.0, 300.0, 400.0, 0.1, 0.3, 41.7, 1234.567])
 @st.composite
 def serverless_traces(draw):
     """A Poisson trace, or arrivals tied on a 100 ms grid, of one of two
-    workloads."""
+    workloads, sometimes moved to a time where steps round: to 2^53 ms
+    they round to even ms, and to 1e16 or 1e20 ms most round away."""
     workload = draw(st.sampled_from("ab"))
     if draw(st.booleans()):
-        return gen_poisson(
+        arrivals = gen_poisson(
             draw(st.floats(1.0, 40.0)), draw(st.floats(0.05, 3.0)),
-            draw(st.integers(0, 2**32)), workload)
-    times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
-    return RequestTrace([100.0 * k for k in times], workload)
+            draw(st.integers(0, 2**32)), workload).arrivals
+    else:
+        times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
+        arrivals = [100.0 * k for k in times]
+    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 0.0, 2.0**53, 1e16, 1e20]))
+    return RequestTrace([offset + t for t in arrivals], workload)
 
 
 def record_fields(metrics):
     return [(r.request_id, r.arrival_ms, r.workload, r.components,
              r.total_ms, r.finish_ms) for r in metrics.requests]
+
+
+def assert_same_run(got, want):
+    """``run_serverless``'s ``Metrics`` equal the oracle's field for field,
+    with the same records and ledger counts."""
+    for f in dataclasses.fields(got):
+        if f.name not in ("requests", "ledger"):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert record_fields(got) == record_fields(want)
+    # The oracle also keeps each request's breakdown in the ledger.
+    ids = {r.request_id for r in want.requests}
+    assert got.ledger.breakdowns == {
+        k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
+    assert got.ledger.counts == want.ledger.counts
+    assert got.ledger.count == want.ledger.count
+    assert got.ledger.peak == want.ledger.peak
 
 
 def whole_ms_plan(kind, head, locked=None, tail=0):
@@ -591,6 +612,12 @@ def whole_ms_plan(kind, head, locked=None, tail=0):
         float(head + locked + tail))
 
 
+def ends_in_0_ms(plan):
+    """Whether the segment of a whole-ms plan that ends in a finish, its
+    head without a lock or its tail after one, takes 0 ms."""
+    return sum(plan.head if plan.locked is None else plan.tail) == 0
+
+
 def small_scope():
     """The small scope of the tie check: the arrival times, the most
     arrivals of a trace and the plan step lengths, all in whole ms. The
@@ -600,14 +627,74 @@ def small_scope():
     return range(3), 5, range(2)
 
 
-def run_both(variant, trace, params, workers, prediction=False):
-    """Whether ``run_serverless`` and the oracle agree on a run: finish
-    times, record fields and the ledger's counts."""
-    got = run_serverless(variant, trace, params, workers, prediction)
-    want = run_serverless_heaped(variant, trace, params, workers, prediction)
-    return (got.finish == want.finish
-            and record_fields(got) == record_fields(want)
-            and got.ledger.counts == want.ledger.counts)
+def small_scope_configs(variant, steps, ends):
+    """Every ``(plans, keepalive_s, prediction)`` of a model at small scope.
+    A locked plan's head and locked step take each of ``steps``, and each
+    segment that ends in a finish takes each of ``ends``. The shared
+    enclave takes every pooled and create plan of a head, a locked step
+    and a tail; the others every plan head (a plan without a lock has no
+    tail), and ``cc_warm`` keepalives of 0 and 1 ms, with and without
+    prediction."""
+    if variant is Variant.TEEMATE:
+        plans = [(head, locked, tail) for head in steps for locked in steps
+                 for tail in ends]
+        return [({"pooled": whole_ms_plan("pooled", *pooled),
+                  "create": whole_ms_plan("create", *create)}, 0.0, False)
+                for pooled, create in itertools.product(plans, repeat=2)]
+    if variant is Variant.CC_WARM:
+        return [({"cold": whole_ms_plan("cold", cold),
+                  "warm": whole_ms_plan("warm", warm)},
+                 keepalive_s, prediction)
+                for cold, warm in itertools.product(ends, repeat=2)
+                for keepalive_s in (0.0, 0.001)
+                for prediction in (False, True)]
+    kind = "native" if variant is Variant.NATIVE else "cold"
+    return [({kind: whole_ms_plan(kind, head)}, 0.0, False) for head in ends]
+
+
+def run_small_scope(variant, configs):
+    """Run ``run_serverless`` and the oracle on each config, every sorted
+    trace of a few arrivals at a few whole ms and 1-3 workers. The outcome
+    of a run is "equal" (finish times, record fields and the ledger's
+    counts), "refused" (a ``ConfigError`` where a plan the oracle ran ends
+    in 0 ms) or "differ". Returns the count of runs of each outcome, and
+    the first run of each."""
+    times, most, _ = small_scope()
+    traces = [RequestTrace([float(t) for t in arrivals], "a")
+              for k in range(1, most + 1)
+              for arrivals in itertools.combinations_with_replacement(
+                  times, k)]
+    params = default_params()
+    params.t_exec = {"a": 1.0}
+    counts = dict.fromkeys(("equal", "refused", "differ"), 0)
+    plans, first = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (workload_harness, serverless_oracle):
+            mp.setattr(module, "_plan",
+                       lambda kind, exec_ms, params: plans[kind])
+        mp.setattr(workload_harness, "CostLedger", CountLedger)
+        for plans, keepalive_s, prediction in configs:
+            params.warm_keepalive_s = keepalive_s
+            for trace in traces:
+                for workers in (1, 2, 3):
+                    want = run_serverless_heaped(variant, trace, params,
+                                                 workers, prediction)
+                    stalls = any(map(ends_in_0_ms, want.plans))
+                    try:
+                        got = run_serverless(variant, trace, params,
+                                             workers, prediction)
+                    except errors.ConfigError:
+                        outcome = "refused" if stalls else "differ"
+                    else:
+                        same = (got.finish == want.finish
+                                and record_fields(got) == record_fields(want)
+                                and got.ledger.counts == want.ledger.counts)
+                        outcome = "equal" if same and not stalls else "differ"
+                    counts[outcome] += 1
+                    first.setdefault(outcome, (dict(plans), keepalive_s,
+                                               prediction, trace.arrivals,
+                                               workers))
+    return counts, first
 
 
 class TestServerlessOracle:
@@ -628,22 +715,18 @@ class TestServerlessOracle:
              load_shared=100.0, exec_a=1e308, exec_b=100.0, alias=2.7,
              tcs_op=0.1, alloc_per_page=0.0625)
     # A same-time burst on three workers with integer costs: a finish ties
-    # with the start it grants and with a finish scheduled before that
-    # start. Were the start run at once, the occupancy counts would come
-    # in another order.
+    # with the start it frees a worker for and with a finish scheduled
+    # before that start. Were the start run first, the occupancy counts
+    # would come in another order.
     @example(trace=RequestTrace([0.0] * 5, "a"),
              variant=Variant.TEEMATE, workers=3, prediction=False,
              serialized=False, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
-    # The boundaries of running a pool grant at once. Each example below
-    # fails on a copy whose starts always run at once, except the third,
-    # which fails on one that pushes the handed-off lock's unlock ahead of
-    # the releasing request's finish.
     # A cold request finishes at 400 ms as the next arrives on the free
-    # worker: its start waits for the finish, and takes the warm
-    # environment the finish leaves.
+    # worker: the finish runs first, and the start takes the warm
+    # environment it leaves.
     @example(trace=RequestTrace([0.0, 400.0], "a"),
              variant=Variant.CC_WARM, workers=2, prediction=False,
              serialized=False, keepalive_s=0.0,
@@ -652,17 +735,25 @@ class TestServerlessOracle:
              tcs_op=0.5, alloc_per_page=0.015625)
     # Four shared-enclave requests queue for the lock. At 303 ms the
     # third unlocks and hands the lock on as the pooled container's
-    # request finishes and a fifth request arrives: the arrival's start
-    # waits for the finish.
+    # request finishes and a fifth request arrives: the finish runs before
+    # the start, which takes the container it frees.
     @example(trace=RequestTrace([0.0] * 4 + [303.0], "a"),
              variant=Variant.TEEMATE, workers=5, prediction=False,
              serialized=True, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
-    # At 1e20 ms every step rounds away, so each event lands on the
-    # arrivals' time. An unlock's tail takes no time: the lock it hands
-    # on runs at once, and its unlock follows this request's finish.
+    # At 2^53 ms a float holds only even ms, so every step rounds, but
+    # each segment still advances the clock: the lock's handoffs and the
+    # finishes land on rounded times, and no run is refused.
+    @example(trace=RequestTrace([2.0**53] * 3, "a"),
+             variant=Variant.TEEMATE, workers=2, prediction=False,
+             serialized=True, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.1031)
+    # At 1e20 ms every step rounds away, so the tail after the lock takes
+    # no time: the run is refused.
     @example(trace=RequestTrace([1e20] * 3, "a"),
              variant=Variant.TEEMATE, workers=2, prediction=False,
              serialized=True, keepalive_s=0.0,
@@ -670,8 +761,7 @@ class TestServerlessOracle:
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
     # A same-time burst at 1e20 ms on fewer workers than requests: each
-    # whole plan is a head that rounds away, so the first finish ties
-    # with the second, and the start it grants waits for it.
+    # whole plan is a head that rounds away, so the run is refused.
     @example(trace=RequestTrace([1e20] * 3, "a"),
              variant=Variant.CC_COLD, workers=2, prediction=False,
              serialized=False, keepalive_s=0.0,
@@ -684,6 +774,9 @@ class TestServerlessOracle:
                                 create, enclave, load_cold, load_shared,
                                 exec_a, exec_b, alias, tcs_op,
                                 alloc_per_page):
+        """The harness refuses a run exactly when the oracle runs a
+        segment that ends in a finish in 0 ms, and gives the oracle's
+        ``Metrics`` on every other run."""
         params = default_params()
         params.t_container_create = create
         params.t_enclave_create = enclave
@@ -695,23 +788,19 @@ class TestServerlessOracle:
         params.t_epc_alloc_per_page = alloc_per_page
         params.epc_alloc_serialized = serialized
         params.warm_keepalive_s = keepalive_s
+        stalled = []
+        want = run_serverless_heaped(variant, trace, params, workers,
+                                     prediction, stalled)
         # Hypothesis refuses function-scoped fixtures such as monkeypatch.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workload_harness, "CostLedger", CountLedger)
+            if stalled:
+                with pytest.raises(errors.ConfigError, match="rounds away"):
+                    run_serverless(variant, trace, params, workers,
+                                   prediction)
+                return
             got = run_serverless(variant, trace, params, workers, prediction)
-        want = run_serverless_heaped(variant, trace, params, workers,
-                                     prediction)
-        for f in dataclasses.fields(got):
-            if f.name not in ("requests", "ledger"):
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert record_fields(got) == record_fields(want)
-        # The oracle also keeps each request's breakdown in the ledger.
-        ids = {r.request_id for r in want.requests}
-        assert got.ledger.breakdowns == {
-            k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
-        assert got.ledger.counts == want.ledger.counts
-        assert got.ledger.count == want.ledger.count
-        assert got.ledger.peak == want.ledger.peak
+        assert_same_run(got, want)
 
     @given(arrivals=st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]),
                              min_size=4, max_size=10),
@@ -721,7 +810,9 @@ class TestServerlessOracle:
     @settings(deadline=None)
     def test_matches_heaped_run_on_tied_plans(self, arrivals, workers, steps):
         """Shared-enclave plans of a few whole ms, so heads, locks and
-        tails tie with each other and with arrivals at every grant."""
+        tails tie with each other and with arrivals at every grant. A run
+        is refused exactly when a plan the oracle ran ends in a 0 ms
+        segment; every other run gives the oracle's ``Metrics``."""
         plans = {"pooled": whole_ms_plan("pooled", *steps[:3]),
                  "create": whole_ms_plan("create", *steps[3:])}
         trace = RequestTrace([float(t) for t in sorted(arrivals)], "a")
@@ -732,60 +823,40 @@ class TestServerlessOracle:
                 mp.setattr(module, "_plan",
                            lambda kind, exec_ms, params: plans[kind])
             mp.setattr(workload_harness, "CostLedger", CountLedger)
-            got = run_serverless(Variant.TEEMATE, trace, params, workers)
             want = run_serverless_heaped(Variant.TEEMATE, trace, params,
                                          workers)
-        assert list(got.finish) == list(want.finish)
-        assert record_fields(got) == record_fields(want)
-        assert got.ledger.counts == want.ledger.counts
+            if any(map(ends_in_0_ms, want.plans)):
+                with pytest.raises(errors.ConfigError, match="rounds away"):
+                    run_serverless(Variant.TEEMATE, trace, params, workers)
+                return
+            got = run_serverless(Variant.TEEMATE, trace, params, workers)
+        assert_same_run(got, want)
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_matches_heaped_run_at_small_scope(self, variant):
         """Every small instance, after Jackson's small-scope hypothesis:
         each sorted trace of a few arrivals at a few whole ms, on 1-3
         workers, under every plan of whole-ms steps, so arrivals, finishes,
-        grants and expiries tie in every order the loop can meet. The
-        shared enclave takes every pooled and create plan of a head, a
-        locked step and a tail; the others every plan head (a plan without
-        a lock has no tail), and ``cc_warm`` keepalives of 0 and 1 ms, with
-        and without prediction."""
-        times, most, steps = small_scope()
-        traces = [RequestTrace([float(t) for t in arrivals], "a")
-                  for k in range(1, most + 1)
-                  for arrivals in itertools.combinations_with_replacement(
-                      times, k)]
-        if variant is Variant.TEEMATE:
-            configs = [({"pooled": whole_ms_plan("pooled", *p[:3]),
-                         "create": whole_ms_plan("create", *p[3:])},
-                        0.0, False)
-                       for p in itertools.product(steps, repeat=6)]
-        elif variant is Variant.CC_WARM:
-            configs = [({"cold": whole_ms_plan("cold", cold),
-                         "warm": whole_ms_plan("warm", warm)},
-                        keepalive_s, prediction)
-                       for cold, warm in itertools.product(steps, repeat=2)
-                       for keepalive_s in (0.0, 0.001)
-                       for prediction in (False, True)]
-        else:
-            kind = "native" if variant is Variant.NATIVE else "cold"
-            configs = [({kind: whole_ms_plan(kind, head)}, 0.0, False)
-                       for head in steps]
-        params = default_params()
-        params.t_exec = {"a": 1.0}
-        plans, runs, differ = {}, 0, []
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (workload_harness, serverless_oracle):
-                mp.setattr(module, "_plan",
-                           lambda kind, exec_ms, params: plans[kind])
-            mp.setattr(workload_harness, "CostLedger", CountLedger)
-            for plans, keepalive_s, prediction in configs:
-                params.warm_keepalive_s = keepalive_s
-                for trace in traces:
-                    for workers in (1, 2, 3):
-                        runs += 1
-                        if not run_both(variant, trace, params, workers,
-                                        prediction):
-                            differ.append((dict(plans), keepalive_s,
-                                           prediction, trace.arrivals,
-                                           workers))
-        assert not differ, f"{len(differ)} of {runs} runs differ: {differ[0]}"
+        lock grants and expiries tie in every order a run can meet. Heads
+        and locked steps may take 0 ms; a segment that ends in a finish
+        takes 1 ms or more, so no run is refused."""
+        _, _, steps = small_scope()
+        counts, first = run_small_scope(variant, small_scope_configs(
+            variant, steps, [step + 1 for step in steps]))
+        runs = sum(counts.values())
+        assert counts["equal"] == runs, \
+            f"{runs - counts['equal']} of {runs} runs differ or are " \
+            f"refused: {first}"
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_refuses_exactly_the_0_ms_finishes_at_small_scope(self, variant):
+        """The small scope with 0 ms segments that end in a finish: a run
+        is refused exactly when a plan the oracle ran ends in one, and
+        every other run equals the oracle's."""
+        _, _, steps = small_scope()
+        counts, first = run_small_scope(variant, small_scope_configs(
+            variant, steps, steps))
+        runs = sum(counts.values())
+        assert not counts["differ"], \
+            f"{counts['differ']} of {runs} runs differ: {first['differ']}"
+        assert counts["equal"] and counts["refused"]
