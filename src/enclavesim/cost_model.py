@@ -153,9 +153,10 @@ def default_params() -> CostParams:
 
 
 class CostLedger:
-    """Per-experiment record of latency components and of EPC occupancy
-    as an int count of held units of one figure: ``count`` and its
-    ``peak``."""
+    """The database run's record of its fork's latency components and of
+    its EPC occupancy as an int count of held units of one figure:
+    ``count`` and its ``peak``. A serverless run counts its units from its
+    busy workers and keeps no ledger."""
 
     def __init__(self):
         self.breakdowns: Dict[object, Dict[str, float]] = {}
@@ -176,17 +177,22 @@ class CostLedger:
             self.peak = self.count
 
     def peak_mib(self, base_mib: float, unit_mib: float) -> float:
-        """``base_mib + peak * unit_mib``, once every unit is back; a
-        config error if the figures cannot be summed in a float."""
+        """``occupancy_mib`` of the peak, once every unit is back."""
         if self.count:
             raise errors.InvariantViolation(f"{self.count} units not returned")
-        peak_mib = base_mib + self.peak * unit_mib
-        if not math.isfinite(peak_mib):
-            raise errors.ConfigError(f"peak occupancy is {peak_mib} MiB")
-        if self.peak and peak_mib == base_mib:
-            raise errors.ConfigError(
-                f"{unit_mib} MiB units round away against {base_mib} MiB")
-        return peak_mib
+        return occupancy_mib(base_mib, self.peak, unit_mib)
+
+
+def occupancy_mib(base_mib: float, units: int, unit_mib: float) -> float:
+    """``base_mib + units * unit_mib``; a config error if the figures
+    cannot be summed in a float."""
+    mib = base_mib + units * unit_mib
+    if not math.isfinite(mib):
+        raise errors.ConfigError(f"peak occupancy is {mib} MiB")
+    if units and mib == base_mib:
+        raise errors.ConfigError(
+            f"{unit_mib} MiB units round away against {base_mib} MiB")
+    return mib
 
 
 def sum_in_order(values: Iterable[float]) -> float:

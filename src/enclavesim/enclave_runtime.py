@@ -91,13 +91,13 @@ class ForkPair:
 class EnclaveRuntime:
     """One shared enclave plus the software that manages sharing inside it."""
 
-    def __init__(self, machine: Machine, kernel: Kernel, enclave_id: int = 1,
+    def __init__(self, machine: Machine, kernel: Kernel,
                  fs_root: str = "/app"):
         self.machine = machine
         self.kernel = kernel
         self.creator: Container = kernel.create_container(fs_root)
-        self.enclave: Enclave = machine.ecreate(enclave_id)
-        self.enclave_id = enclave_id
+        self.enclave: Enclave = machine.ecreate(1)
+        self.enclave_id = 1
         # The kernel's TCS table, {tcs va: holder pid or None} in EADD
         # order, filled by ``runtime_init``.
         self.tcs_table: Dict[int, Optional[int]] = {}
@@ -324,7 +324,7 @@ class EnclaveRuntime:
                       content_digest([content]))
         self.files[name] = row
         owner = self.kernel.containers[instance.owner_pid]
-        self.kernel.hostfs.put(owner.fs_root, name, content)
+        self.kernel.hostfs[owner.fs_root, name] = bytes(content)
 
     def fs_open(self, pid: int, name: str) -> bytes:
         """Open with an in-enclave integrity check against the caller's
@@ -332,7 +332,7 @@ class EnclaveRuntime:
         content is caught here."""
         row = self._owned_row(pid, name)
         outside = self.kernel.hostfs.get(
-            self.kernel.containers[pid].fs_root, name)
+            (self.kernel.containers[pid].fs_root, name))
         if outside is None or content_digest([outside]) != row.digest:
             raise errors.FsIntegrityMismatch(
                 f"file {name!r} diverged in caller's namespace")
@@ -343,7 +343,7 @@ class EnclaveRuntime:
         row.content = bytearray(content)
         row.digest = content_digest([content])
         owner = self.kernel.containers[pid]
-        self.kernel.hostfs.put(owner.fs_root, name, content)
+        self.kernel.hostfs[owner.fs_root, name] = bytes(content)
 
     def _owned_row(self, pid: int, name: str) -> FileRow:
         row = self.files.get(name)
@@ -389,7 +389,7 @@ class EnclaveRuntime:
             self.attach_container(child)
             self.enter(child.pid)
         except BaseException:
-            self.kernel.destroy_container(child.pid)
+            del self.kernel.containers[child.pid]
             raise
         pair = ForkPair(parent_pid, child.pid,
                         {parent_pid: (parent, {}), child.pid: (child, {})})
@@ -498,4 +498,4 @@ class EnclaveRuntime:
                 page_table.pop(copy_va, None)
         pair.views = {}
         self.fork_pair = None
-        self.kernel.destroy_container(pair.child_pid)
+        del self.kernel.containers[pair.child_pid]

@@ -1,10 +1,12 @@
-"""Untrusted kernel model: containers, enclave-sharing bookkeeping
-(mapping records, aliasing, TCS table) and adversary operations.
+"""Untrusted kernel model: containers, host files and enclave-sharing
+bookkeeping (mapping records, aliasing, TCS table).
 
-A container's page table is a plain ``{va: pa}`` dict, and a TCS table is
-a ``{tcs va: holder pid or None}`` dict in EADD order. The kernel is a
+A container's page table is a plain ``{va: pa}`` dict, a TCS table is a
+``{tcs va: holder pid or None}`` dict in EADD order, and the host files
+are one ``{(namespace root, name): content}`` dict. The kernel is a
 passive state bag driven by the simulation; it is omnipotent over page
-tables but never over EPCM state.
+tables, namespace roots and host files, which an adversary writes
+directly, but never over EPCM state.
 """
 
 from __future__ import annotations
@@ -34,24 +36,12 @@ class MappingRecord:
     entries: Tuple[Tuple[int, int], ...]
 
 
-class HostFilesystem:
-    """Per-namespace view of host-side files, fully attacker controlled."""
-
-    def __init__(self):
-        self.roots: Dict[str, Dict[str, bytes]] = {}
-
-    def put(self, fs_root: str, name: str, content: bytes) -> None:
-        self.roots.setdefault(fs_root, {})[name] = bytes(content)
-
-    def get(self, fs_root: str, name: str) -> Optional[bytes]:
-        return self.roots.get(fs_root, {}).get(name)
-
-
 class Kernel:
     def __init__(self, machine: Machine):
         self.machine = machine
         self.containers: Dict[int, Container] = {}
-        self.hostfs = HostFilesystem()
+        # Host-side files, fully attacker controlled.
+        self.hostfs: Dict[Tuple[str, str], bytes] = {}
         self._next_pid = 1
 
     # -- containers ---------------------------------------------------------
@@ -61,11 +51,6 @@ class Kernel:
         self._next_pid += 1
         self.containers[container.pid] = container
         return container
-
-    def destroy_container(self, pid: int) -> None:
-        """Drop a container and its page table; enclave pages it aliased
-        stay with their owner."""
-        del self.containers[pid]
 
     # -- enclave sharing ----------------------------------------------------
 
@@ -105,14 +90,3 @@ class Kernel:
         if table[tcs_va] is None:
             raise errors.NotHeld(f"tcs {tcs_va:#x} is not held")
         table[tcs_va] = None
-
-    # -- adversary operations ------------------------------------------------
-
-    def adversary_remap(self, page_table: Dict[int, int], va: int,
-                        wrong_pa: int) -> None:
-        """Unconstrained page-table mutation (page remapping attack)."""
-        page_table[va] = wrong_pa
-
-    def adversary_swap_environment(self, pid: int, wrong_fs_root: str) -> None:
-        """Run the victim's next enclave entry under a different namespace."""
-        self.containers[pid].fs_root = wrong_fs_root

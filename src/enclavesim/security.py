@@ -129,9 +129,8 @@ def random_adversary_schedules(n_schedules: int = 1000,
                     except (errors.Fault, errors.IsolationFault):
                         pass  # writer's own view was remapped: caught
                 elif op == 1:  # adversary remap to an arbitrary physical page
-                    kernel.adversary_remap(
-                        container.page_table, va,
-                        all_pas[_randbelow(rng, len(all_pas))])
+                    container.page_table[va] = all_pas[
+                        _randbelow(rng, len(all_pas))]
                 elif op == 2:  # kernel restores the honest mapping
                     container.page_table[va] = honest[va]
                 else:  # read through the runtime's sandboxed path
@@ -236,8 +235,8 @@ def environment_swap_detection(n_cases: int = 50,
 
         divergent = bytearray(secret)
         divergent[_randbelow(rng, len(divergent))] ^= 0xFF
-        kernel.hostfs.put("/root-evil", "secret.bin", bytes(divergent))
-        kernel.adversary_swap_environment(runtime.creator.pid, "/root-evil")
+        kernel.hostfs["/root-evil", "secret.bin"] = bytes(divergent)
+        runtime.creator.fs_root = "/root-evil"
         try:
             runtime.fs_open(runtime.creator.pid, "secret.bin")
             failures.append(f"case {case}: divergent swap not detected")
@@ -245,8 +244,8 @@ def environment_swap_detection(n_cases: int = 50,
             pass
 
         # Identical content under the swapped root is indistinguishable.
-        kernel.hostfs.put("/root-same", "secret.bin", secret)
-        kernel.adversary_swap_environment(runtime.creator.pid, "/root-same")
+        kernel.hostfs["/root-same", "secret.bin"] = secret
+        runtime.creator.fs_root = "/root-same"
         if runtime.fs_open(runtime.creator.pid, "secret.bin") != secret:
             failures.append(f"case {case}: identical swap corrupted read")
     return n_cases, failures

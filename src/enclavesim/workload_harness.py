@@ -1,9 +1,10 @@
 """Drivers for the serverless execution models and the database
 fork/snapshot scenario; all randomness flows from explicit seeds.
 
-Costs, traces and ``Metrics`` carry ms and MiB; the ``CostLedger``
-counts units of one memory figure held above a base, and a run's peak
-is ``base + peak count x figure``.
+Costs, traces and ``Metrics`` carry ms and MiB. A run counts units of
+one memory figure held above a base (a serverless run from its busy
+workers, a database run in a ``CostLedger``), and its peak is
+``base + peak count x figure`` (``occupancy_mib``).
 ``run_serverless`` is a recursion over starts on float ms, in which a
 finish that ties with a start runs first; it refuses a run in which the
 steps that end in a finish round away against their start time.
@@ -40,6 +41,7 @@ from .cost_model import (
     INSTANCE_LOAD,
     CostLedger,
     CostParams,
+    occupancy_mib,
     percentiles,
     sum_in_order,
 )
@@ -218,8 +220,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     one FIFO server (Lindley, 1952). Requests start in index order, so
     request ``i`` starts at ``s = max(arrivals[i], s)`` or later. Before
     it starts, every finish at or before ``s`` runs: a finish that ties
-    with a start runs first. A finish returns its units, its container or
-    a warm environment, and its worker. While every worker is busy, ``s``
+    with a start runs first. A finish frees its worker, then clears
+    ``bare`` or leaves a warm environment. While every worker is busy, ``s``
     moves to the earlier of the earliest known finish and the earliest
     pending lock acquire. The lock is granted in ``(acquire time, index)``
     order, at the later of the acquire and the last unlock, once the
@@ -236,39 +238,36 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     ``ConfigError``.
 
     Finishes wait in a heap of bare times, and each request's finish time
-    is stored when it is known: at its start, or at its lock grant. Tied
-    finishes commute, since each returns one unit or none. Only the
-    shared-enclave model's units depend on the request: the first live
-    instance lives in the registered base and holds none (``bare``), every
-    other one a unit of ``m_teemate_per_instance``; a finish at
-    ``bare``'s finish time is taken as ``bare``'s.
+    is stored when it is known: at its start, or at its lock grant. The
+    units held follow from the ``busy`` workers at each start, and only
+    their running maximum is kept: a confidential container holds one
+    unit per request in service, a native request none, and a shared
+    enclave one of ``m_teemate_per_instance`` per live instance but
+    ``bare``, the first, which lives in the registered base. Tied
+    finishes commute: a finish at ``bare``'s finish time is taken as
+    ``bare``'s. A start takes a pooled container while ``busy``, itself
+    included, is at most the count of containers created so far.
 
     The model's choices are made once per run: which kinds of request a
-    start picks from, each kind's plan, and which pool a finish refills.
-    No plan is built that no request takes: the shared enclave's
-    ``"create"`` plan waits for the first start that finds no free
-    container.
+    start picks from, each kind's plan, and whether a finish leaves a
+    warm environment. No plan is built that no request takes: the shared
+    enclave's ``"create"`` plan waits for the first start that finds no
+    free container.
     """
     params.validate()
 
-    ledger = CostLedger()
-    occupy = ledger.occupy
     shared = variant is Variant.TEEMATE
     # Expiry times of idle warm environments, oldest first: finishes run
     # in time order, so they are appended sorted.
     warm_pool: Optional[deque] = None
-    # Whether a live request holds a unit; in the shared-enclave model,
-    # all but ``bare`` do.
-    holds = variant is not Variant.NATIVE
+    bare: Optional[int] = None  # the live instance that holds no unit
     unit_mib = params.m_strawman_per_request
     registration_ms = baseline_mib = 0.0
     if shared:
         registration_ms = params.t_container_create + params.t_enclave_create
         baseline_mib = params.m_teemate_base
         unit_mib = params.m_teemate_per_instance
-        free_containers = 1
-        live_instances = 0
-        bare: Optional[int] = None  # the live instance that holds no unit
+        containers = 1  # the registered one
     elif variant is Variant.CC_WARM and not prediction:
         warm_pool = deque()
         keepalive_ms = params.warm_keepalive_s * 1000.0
@@ -292,6 +291,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     acquires: List[Tuple[float, int]] = []  # a heap of (time, index)
     push, pop = heapq.heappush, heapq.heappop
     free_workers = workers
+    peak = 0  # the most units held at once
     unlocked = -math.inf  # when the lock was last released
 
     s = -math.inf
@@ -317,16 +317,10 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             while finishes and finishes[0] <= s:
                 t = pop(finishes)
                 free_workers += 1
-                if shared:
-                    live_instances -= 1
-                    free_containers += 1
-                    if bare is not None and t == finish[bare]:
-                        bare = None
-                        continue
+                if bare is not None and t == finish[bare]:
+                    bare = None
                 elif warm_pool is not None:
                     warm_pool.append(t + keepalive_ms)
-                if holds:
-                    occupy(-1)
             if free_workers or i == n:
                 break
             if not (finishes or acquires):
@@ -338,22 +332,19 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         if i == n:
             break
 
-        # Start request ``i`` at ``s``: take its plan and units, and run
-        # it to the lock or the end.
+        # Start request ``i`` at ``s``: take its plan, count the units
+        # held, and run it to the lock or the end.
         free_workers -= 1
+        busy = held = workers - free_workers
         if shared:
-            if free_containers:
-                free_containers -= 1
-                plan = pooled
-            elif created is not None:
-                plan = created
-            else:
-                plan = created = _plan("create", exec_ms, params)
-            live_instances += 1
-            if live_instances == 1:
+            if busy == 1:
                 bare = i
-            else:
-                occupy(1)
+            if busy <= containers:
+                plan = pooled
+            else:  # every container is in use: create one
+                containers += 1
+                plan = created = created or _plan("create", exec_ms, params)
+            held -= bare is not None
         else:
             if warm_pool is None:
                 plan = fixed
@@ -366,8 +357,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     plan = warm
                 else:
                     plan = cold
-            if holds:
-                occupy(1)
+        if held > peak:
+            peak = held
         plan_of[i] = plan
         t = s
         for duration in plan.head:
@@ -381,14 +372,16 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         finish[i] = t
         push(finishes, t)
 
-    return _metrics(variant.value, trace, plan_of, finish, ledger,
+    # A native request holds no unit.
+    return _metrics(variant.value, trace, plan_of, finish,
+                    0 if variant is Variant.NATIVE else peak,
                     registration_ms, baseline_mib, unit_mib)
 
 
 def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
-             finish: array, ledger: CostLedger, registration_ms: float,
+             finish: array, peak: int, registration_ms: float,
              baseline_mib: float, unit_mib: float) -> Metrics:
-    peak_mib = ledger.peak_mib(baseline_mib, unit_mib)
+    peak_mib = occupancy_mib(baseline_mib, peak, unit_mib)
     latencies = [plan.total for plan in plans]
     count = len(finish)
     # Summed in request order, as ``sum_in_order`` needs; one sorted copy
@@ -414,10 +407,9 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
         extras={
             "registration_ms": registration_ms,
             "baseline_mib": baseline_mib,
-            # ``peak_mib`` checked that every unit came back.
+            # Every request finished, so every unit came back.
             "final_mib": baseline_mib,
         },
-        ledger=ledger,
     )
 
 

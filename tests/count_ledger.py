@@ -1,9 +1,11 @@
-"""A ledger for the oracle tests that also keeps each occupancy count.
+"""A ledger for the database oracle tests that also keeps each occupancy
+count.
 
 ``CostLedger`` keeps only the current count of held units and its peak.
 ``CountLedger`` also lists every count a change sets, in order, so the
-oracle tests can compare the whole sequence. The tests put it in place of
-``workload_harness.CostLedger`` with ``monkeypatch``.
+database oracle tests can compare the whole sequence. The tests put it in
+place of ``workload_harness.CostLedger`` with ``monkeypatch``; a
+serverless run keeps no ledger.
 """
 
 from typing import List

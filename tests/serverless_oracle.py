@@ -3,13 +3,14 @@
 ``run_serverless_heaped`` is ``workload_harness.run_serverless`` as an
 event loop, as it was before arrivals left the event heap: every arrival,
 pool grant and lock grant is a heap event run in ``(time, seq)`` order,
-each request is a ``_Job``, and each finish stores its time and plan in
-the run's columns and copies its plan's components into
-``ledger.breakdowns[request_id]``. On every run the harness accepts, it
-must give the same ``Metrics`` and records, field for field and bit for
-bit. The oracle builds a kind's plan at its first start; the harness
-builds its plans before its recursion, except the shared enclave's
-``"create"`` plan.
+each request is a ``_Job`` that takes its units of memory at its start
+and returns them at its finish, and each finish stores its time and plan
+in the run's columns. The harness derives its units from its busy
+workers instead, so the jobs' units are the independent reference for
+its peak. On every run the harness accepts, it must give the same
+``Metrics`` and records, field for field and bit for bit. The oracle
+builds a kind's plan at its first start; the harness builds its plans
+before its recursion, except the shared enclave's ``"create"`` plan.
 
 The harness has no events: it is a recursion over starts, in index
 order, in which every finish at or before a start runs before it. That is
@@ -43,8 +44,6 @@ from enclavesim.workload_harness import (
     _metrics,
     _plan,
 )
-
-from count_ledger import CountLedger
 
 # Event kinds. Only these points touch state shared between requests.
 _ARRIVE, _START, _ACQUIRE, _LOCKED, _UNLOCK, _FINISH = range(6)
@@ -81,15 +80,12 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     points its steps touch nothing shared; the wake time is their running
     sum from the current time. Each kind of request is planned when its
     first request starts (``_plan``), in a table keyed by kind; at finish
-    the request's plan and finish time go into the run's columns, and the
-    ledger keeps a copy of the plan's components as the request's
-    breakdown. Grants from the pool or the lock are separate zero-delay
+    the request's plan and finish time go into the run's columns. Grants from the pool or the lock are separate zero-delay
     events.
     """
     params.validate()
 
-    ledger = CountLedger()
-    breakdowns = ledger.breakdowns
+    held = peak = 0  # units of memory held now, and at most
     n = len(trace.arrivals)
     plan_of: List[Optional[_Plan]] = [None] * n
     finish = array("d", [0.0]) * n
@@ -120,7 +116,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     def start(job: _Job, now: float) -> None:
         """Pick the request's plan, take its units of memory and run its
         steps up to the lock or the end."""
-        nonlocal free_containers, live_instances
+        nonlocal free_containers, live_instances, held, peak
         if variant is Variant.NATIVE:
             kind = "native"
         elif variant is Variant.CC_COLD:
@@ -150,8 +146,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
             plan = plans[kind] = _plan(kind, params.exec_ms(trace.workload),
                                        params)
         job.plan = plan
-        if job.units:
-            ledger.occupy(job.units)
+        held += job.units
+        peak = max(peak, held)
         t = now
         for duration in plan.head:
             t = t + duration
@@ -192,9 +188,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
         else:
             finish[job.idx] = now
             plan_of[job.idx] = job.plan
-            breakdowns[str(job.idx)] = dict(job.plan.components)
-            if job.units:
-                ledger.occupy(-job.units)
+            held -= job.units
             if variant is Variant.TEEMATE:
                 live_instances -= 1
                 free_containers += 1
@@ -208,5 +202,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
 
     if done != n:
         raise errors.InvariantViolation("not all requests completed")
-    return _metrics(variant.value, trace, plan_of, finish, ledger,
+    if held:
+        raise errors.InvariantViolation(f"{held} units not returned")
+    return _metrics(variant.value, trace, plan_of, finish, peak,
                     registration_ms, baseline_mib, unit_mib)

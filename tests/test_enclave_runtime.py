@@ -112,8 +112,7 @@ class TestThreads:
         runtime.attach_container(other)
         # The kernel points the second container's first TCS va at a
         # runtime page: the hardware refuses the entry.
-        kernel.adversary_remap(other.page_table, TCS_BASE,
-                               runtime.enclave.pages[RUNTIME_BASE])
+        other.page_table[TCS_BASE] = runtime.enclave.pages[RUNTIME_BASE]
         with pytest.raises(errors.EpcmMismatch):
             runtime.enter(other.pid)
         assert other.pid not in runtime.threads
@@ -218,11 +217,11 @@ class TestInstances:
     def test_remapped_backing_detected(self, rt):
         # Kernel swaps an enclave-private page for a plain one; the sandbox
         # check refuses the access even though translation succeeds.
-        machine, kernel, runtime = rt
+        machine, _, runtime = rt
         instance = runtime.instance_create(runtime.creator.pid, 1)
         va = instance.region[0]
         plain = machine.alloc_plain_page(b"outside")
-        kernel.adversary_remap(runtime.creator.page_table, va, plain.pa)
+        runtime.creator.page_table[va] = plain.pa
         with pytest.raises((errors.IsolationFault, errors.Fault)):
             runtime.instance_access(instance, va, Access.READ)
 
@@ -481,7 +480,7 @@ class TestFilesystem:
         with pytest.raises(errors.IsolationFault, match="destroyed"):
             runtime.fs_create(gone, "f", b"x")
         assert runtime.files == {}
-        assert kernel.hostfs.get(runtime.creator.fs_root, "f") is None
+        assert (runtime.creator.fs_root, "f") not in kernel.hostfs
         # The name stays free for a live instance.
         runtime.fs_create(self.make_instance(rt), "f", b"live")
         assert runtime.fs_open(runtime.creator.pid, "f") == b"live"
@@ -497,15 +496,15 @@ class TestFilesystem:
         _, kernel, runtime = rt
         instance = self.make_instance(rt)
         runtime.fs_create(instance, "a.txt", b"secret")
-        kernel.hostfs.put("/evil", "a.txt", b"sEcret")
-        kernel.adversary_swap_environment(runtime.creator.pid, "/evil")
+        kernel.hostfs["/evil", "a.txt"] = b"sEcret"
+        runtime.creator.fs_root = "/evil"
         with pytest.raises(errors.FsIntegrityMismatch):
             runtime.fs_open(runtime.creator.pid, "a.txt")
 
     def test_swapped_namespace_lacks_the_file(self, rt):
-        _, kernel, runtime = rt
+        _, _, runtime = rt
         runtime.fs_create(self.make_instance(rt), "a.txt", b"secret")
-        kernel.adversary_swap_environment(runtime.creator.pid, "/empty")
+        runtime.creator.fs_root = "/empty"
         with pytest.raises(errors.FsIntegrityMismatch):
             runtime.fs_open(runtime.creator.pid, "a.txt")
 
@@ -513,8 +512,8 @@ class TestFilesystem:
         _, kernel, runtime = rt
         instance = self.make_instance(rt)
         runtime.fs_create(instance, "a.txt", b"secret")
-        kernel.hostfs.put("/same", "a.txt", b"secret")
-        kernel.adversary_swap_environment(runtime.creator.pid, "/same")
+        kernel.hostfs["/same", "a.txt"] = b"secret"
+        runtime.creator.fs_root = "/same"
         assert runtime.fs_open(runtime.creator.pid, "a.txt") == b"secret"
 
 
@@ -603,7 +602,7 @@ class TestForkCow:
     def remap_child_to_plain(self, machine, runtime, pair):
         plain = machine.alloc_plain_page(b"attacker")
         child = runtime.kernel.containers[pair.child_pid]
-        runtime.kernel.adversary_remap(child.page_table, DB_BASE, plain.pa)
+        child.page_table[DB_BASE] = plain.pa
 
     def test_cow_read_rejects_plain_backing(self):
         machine, runtime, pair = build_forked_runtime(2)

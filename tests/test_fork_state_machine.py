@@ -184,7 +184,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
                      self.vas[(page + 1) % N_PAGES]],
                  "runtime": self.runtime.enclave.pages[RUNTIME_BASE]}[onto]
         child = self.runtime.kernel.containers[self.pair.child_pid]
-        self.runtime.kernel.adversary_remap(child.page_table, va, wrong)
+        child.page_table[va] = wrong
         self.remapped = va
 
     @precondition(lambda self: self.remapped is not None)

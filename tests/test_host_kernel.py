@@ -38,7 +38,7 @@ class TestContainers:
         _, creator = make_enclave(machine, kernel)
         other = kernel.create_container("/b")
         other.page_table.update(creator.page_table)
-        kernel.destroy_container(other.pid)
+        del kernel.containers[other.pid]
         assert other.pid not in kernel.containers
         assert machine.translate_access(creator.page_table, 0x10, 1)
 
@@ -150,7 +150,7 @@ class TestTcsTable:
 class TestAdversary:
     def test_remap_epc_page_faults(self, machine, kernel):
         enclave, creator = make_enclave(machine, kernel, n_pages=2)
-        kernel.adversary_remap(creator.page_table, 0x10, enclave.pages[0x11])
+        creator.page_table[0x10] = enclave.pages[0x11]
         with pytest.raises(errors.EpcmMismatch):
             machine.translate_access(creator.page_table, 0x10, 1)
 
@@ -159,10 +159,5 @@ class TestAdversary:
         a = machine.alloc_plain_page(b"a")
         b = machine.alloc_plain_page(b"b")
         creator.page_table[0x300] = a.pa
-        kernel.adversary_remap(creator.page_table, 0x300, b.pa)
+        creator.page_table[0x300] = b.pa
         assert machine.translate_access(creator.page_table, 0x300, None) is b
-
-    def test_swap_environment_changes_fs_root(self, machine, kernel):
-        _, creator = make_enclave(machine, kernel)
-        kernel.adversary_swap_environment(creator.pid, "/evil")
-        assert kernel.containers[creator.pid].fs_root == "/evil"

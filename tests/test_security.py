@@ -393,10 +393,9 @@ GUARDS = {
         _COST + "TestLedgerCharges::test_negative_duration_rejected",
     ("cost_model", "CostLedger.peak_mib", "self.count"):
         _COST + "TestLedgerOccupancy::test_leak_is_an_invariant_violation",
-    ("cost_model", "CostLedger.peak_mib", "not math.isfinite(peak_mib)"):
+    ("cost_model", "occupancy_mib", "not math.isfinite(mib)"):
         _COST + "TestLedgerOccupancy::test_overflow_to_inf_is_a_config_error",
-    ("cost_model", "CostLedger.peak_mib",
-     "self.peak and peak_mib == base_mib"):
+    ("cost_model", "occupancy_mib", "units and mib == base_mib"):
         _COST + "TestLedgerOccupancy::test_absorbed_change_is_a_config_error",
 
     # workload_harness

@@ -215,7 +215,8 @@ class TestServerlessMemory:
     @pytest.mark.parametrize("variant", [Variant.TEEMATE, Variant.CC_COLD])
     def test_run_holds_little_per_request(self, params, variant):
         # A run holds its columns, a finish time and a plan reference per
-        # request, 16 B; the ledger must add nothing per request.
+        # request, 16 B; counting the units it holds adds nothing per
+        # request.
         n = 4000
         trace = gen_burst(n, "sleep")
         tracemalloc.start()
@@ -583,18 +584,10 @@ def record_fields(metrics):
 
 def assert_same_run(got, want):
     """``run_serverless``'s ``Metrics`` equal the oracle's field for field,
-    with the same records and ledger counts."""
+    ``peak_epc_mib`` too, with the same records."""
     for f in dataclasses.fields(got):
-        if f.name not in ("requests", "ledger"):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert record_fields(got) == record_fields(want)
-    # The oracle also keeps each request's breakdown in the ledger.
-    ids = {r.request_id for r in want.requests}
-    assert got.ledger.breakdowns == {
-        k: v for k, v in want.ledger.breakdowns.items() if k not in ids}
-    assert got.ledger.counts == want.ledger.counts
-    assert got.ledger.count == want.ledger.count
-    assert got.ledger.peak == want.ledger.peak
 
 
 def whole_ms_plan(kind, head, locked=None, tail=0):
@@ -655,8 +648,8 @@ def small_scope_configs(variant, steps, ends):
 def run_small_scope(variant, configs):
     """Run ``run_serverless`` and the oracle on each config, every sorted
     trace of a few arrivals at a few whole ms and 1-3 workers. The outcome
-    of a run is "equal" (finish times, record fields and the ledger's
-    counts), "refused" (a ``ConfigError`` where a plan the oracle ran ends
+    of a run is "equal" (finish times, record fields and the peak),
+    "refused" (a ``ConfigError`` where a plan the oracle ran ends
     in 0 ms) or "differ". Returns the count of runs of each outcome, and
     the first run of each."""
     times, most, _ = small_scope()
@@ -672,7 +665,6 @@ def run_small_scope(variant, configs):
         for module in (workload_harness, serverless_oracle):
             mp.setattr(module, "_plan",
                        lambda kind, exec_ms, params: plans[kind])
-        mp.setattr(workload_harness, "CostLedger", CountLedger)
         for plans, keepalive_s, prediction in configs:
             params.warm_keepalive_s = keepalive_s
             for trace in traces:
@@ -688,7 +680,7 @@ def run_small_scope(variant, configs):
                     else:
                         same = (got.finish == want.finish
                                 and record_fields(got) == record_fields(want)
-                                and got.ledger.counts == want.ledger.counts)
+                                and got.peak_epc_mib == want.peak_epc_mib)
                         outcome = "equal" if same and not stalls else "differ"
                     counts[outcome] += 1
                     first.setdefault(outcome, (dict(plans), keepalive_s,
@@ -716,8 +708,7 @@ class TestServerlessOracle:
              tcs_op=0.1, alloc_per_page=0.0625)
     # A same-time burst on three workers with integer costs: a finish ties
     # with the start it frees a worker for and with a finish scheduled
-    # before that start. Were the start run first, the occupancy counts
-    # would come in another order.
+    # before that start.
     @example(trace=RequestTrace([0.0] * 5, "a"),
              variant=Variant.TEEMATE, workers=3, prediction=False,
              serialized=False, keepalive_s=0.0,
@@ -791,15 +782,11 @@ class TestServerlessOracle:
         stalled = []
         want = run_serverless_heaped(variant, trace, params, workers,
                                      prediction, stalled)
-        # Hypothesis refuses function-scoped fixtures such as monkeypatch.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(workload_harness, "CostLedger", CountLedger)
-            if stalled:
-                with pytest.raises(errors.ConfigError, match="rounds away"):
-                    run_serverless(variant, trace, params, workers,
-                                   prediction)
-                return
-            got = run_serverless(variant, trace, params, workers, prediction)
+        if stalled:
+            with pytest.raises(errors.ConfigError, match="rounds away"):
+                run_serverless(variant, trace, params, workers, prediction)
+            return
+        got = run_serverless(variant, trace, params, workers, prediction)
         assert_same_run(got, want)
 
     @given(arrivals=st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]),
@@ -822,7 +809,6 @@ class TestServerlessOracle:
             for module in (workload_harness, serverless_oracle):
                 mp.setattr(module, "_plan",
                            lambda kind, exec_ms, params: plans[kind])
-            mp.setattr(workload_harness, "CostLedger", CountLedger)
             want = run_serverless_heaped(Variant.TEEMATE, trace, params,
                                          workers)
             if any(map(ends_in_0_ms, want.plans)):
