@@ -8,10 +8,8 @@ directory, 2 invariant violation (including failed security probes).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
-import json
 import math
 import os
 import sys
@@ -301,9 +299,9 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
 def _json_text(obj: dict, indent: str = "\n") -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` writes it, where ``indent`` starts each line of
-    the dict's nesting level: str keys, and dict, str, bool, int or float
-    values. A float that is not finite is a config error: finite costs
-    and sizes whose sums overflow (queueing, memory)."""
+    the dict's nesting level: str keys, and dict, str, list of str, bool,
+    int or float values. A float that is not finite is a config error:
+    finite costs and sizes whose sums overflow (queueing, memory)."""
     if not obj:
         return "{}"
     inner = indent + "  "
@@ -320,6 +318,11 @@ def _json_text(obj: dict, indent: str = "\n") -> str:
             text = _json_text(value, inner)
         elif isinstance(value, str):
             text = encode_basestring_ascii(value)
+        elif isinstance(value, list):
+            nested = inner + "  "
+            text = ("[" + nested + ("," + nested).join(
+                map(encode_basestring_ascii, value)) + inner + "]"
+                    if value else "[]")
         elif isinstance(value, bool):
             text = "true" if value else "false"
         else:
@@ -451,14 +454,13 @@ def run_security_suite(config: ScenarioConfig, out_dir: str) -> int:
         all_ok = all_ok and not failures
     summary["all_detected"] = all_ok
     with _rewrite(os.path.join(out_dir, "summary.json")) as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(_json_text(summary) + "\n")
+    # Probe names need no quoting; rows end in "\r\n" as csv.writer's.
     with _rewrite(os.path.join(out_dir, "metrics.csv"),
                   newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["probe", "trials", "failures"])
+        handle.write("probe,trials,failures\r\n")
         for name, (trials, failures) in outcome.items():
-            writer.writerow([name, trials, len(failures)])
+            handle.write(f"{name},{trials},{len(failures)}\r\n")
     return 0 if all_ok else 2
 
 

@@ -6,18 +6,19 @@ The sandbox is a bounds-checked region model (the isolation *contract*,
 not an instruction-level SFI). A va is enclave-private if and only if the
 enclave maps it: every page the runtime EADDs is mapped through
 ``_eadd_mapped`` into a container's page table (a plain ``{va: pa}``
-dict), and every page it EREMOVEs is unmapped with it. Every access
-translates through ``Machine.translate_access`` as the shared enclave, so
-a TCS page refuses ``read`` and ``write``; only ``enter`` and ``resume``
-use it. An instance is live while ``EnclaveRuntime.instances`` holds it.
-Copy-on-write privatizes pages on the writer side only; the other side
-keeps reading the original page.
+dict), and every page it EREMOVEs is unmapped with it or goes with the
+container that mapped it. Every access translates through
+``Machine.translate_access`` as the shared enclave, so a TCS page refuses
+``read`` and ``write``; only ``enter`` and ``resume`` use it. An instance
+is live while ``EnclaveRuntime.instances`` holds it. A copy-on-write fork
+keeps its copies in the child's view only: the parent writes the original
+pages in place, so retiring the child folds nothing back.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import errors
@@ -74,17 +75,19 @@ class FileRow:
 
 @dataclass
 class ForkPair:
-    """A live copy-on-write fork: one view per member, keyed by pid, for
-    the parent and the child only. A view is the member's container and
-    its private copies, ``{db va: copy va}``. A db page is shared while
-    neither side's map holds it; each side reads its copy where it has one
-    and the original page otherwise. ``dirty_count`` counts the copies.
-    The pair is live while it holds views: retiring it empties ``views``,
-    so no pid has a view of it."""
+    """A live copy-on-write fork. ``page_tables`` holds the members' page
+    tables by pid, the parent's and the child's only. ``copies`` maps a db
+    va to its copy va, and every copy belongs to the child's view: the
+    parent reads and writes the original pages, the child its copy where
+    it has one and the original otherwise. A db page is shared while it
+    has no copy. ``dirty_count`` counts the copies. The pair is live while
+    it holds page tables: retiring it empties both maps, so no pid has a
+    view of it."""
 
     parent_pid: int
     child_pid: int
-    views: Dict[int, Tuple[Container, Dict[int, int]]]
+    page_tables: Dict[int, Dict[int, int]]
+    copies: Dict[int, int] = field(default_factory=dict)
     dirty_count: int = 0
 
 
@@ -116,10 +119,10 @@ class EnclaveRuntime:
     # -- setup --------------------------------------------------------------
 
     def _eadd_mapped(self, container: Container, va: int, content: bytes,
-                     page_type: PageType = PageType.REGULAR) -> int:
-        pa, _ = self.machine.eadd(self.enclave, va, content, page_type)
+                     page_type: PageType = PageType.REGULAR) -> PhysicalPage:
+        pa, page = self.machine.eadd(self.enclave, va, content, page_type)
         container.page_table[va] = pa
-        return pa
+        return page
 
     def runtime_init(self, runtime_pages: int, tcs_count: int = 8) -> bytes:
         """Measure and launch the shared enclave: runtime image + TCS pages."""
@@ -391,16 +394,16 @@ class EnclaveRuntime:
         except BaseException:
             del self.kernel.containers[child.pid]
             raise
-        pair = ForkPair(parent_pid, child.pid,
-                        {parent_pid: (parent, {}), child.pid: (child, {})})
+        pair = ForkPair(parent_pid, child.pid, {
+            parent_pid: parent.page_table, child.pid: child.page_table})
         self.fork_pair = pair
         return pair
 
     @staticmethod
     def _no_view(pair: ForkPair, pid: int) -> errors.Fault:
         """The fault for a pid with no view of the pair: a retired pair
-        (which keeps no views) first, then a pid in neither role."""
-        if not pair.views:
+        (which keeps no page tables) first, then a pid in neither role."""
+        if not pair.page_tables:
             return errors.PairRetired(f"fork pair of child {pair.child_pid} "
                                       f"is retired")
         return errors.NotForkMember(f"pid {pid} is not in the fork pair of "
@@ -408,53 +411,48 @@ class EnclaveRuntime:
 
     def cow_write(self, pair: ForkPair, writer_pid: int, va: int,
                   value: bytes, offset: int = 0) -> None:
-        """Write through the writer's view of a db page. A repeat write
-        makes one translation (the write), as does a write to a page the
-        other side privatized (it writes the original). The first write to
-        a shared page makes two: it resolves the original page, copies it
-        once into a fresh private page recorded in the writer's map, then
-        writes the copy. The write's span is checked before anything is
-        privatized. A retired pair, then a pid in neither role, is refused
-        before anything is privatized."""
-        view = pair.views.get(writer_pid)
-        if view is None:
+        """Write through the writer's view of a db page: the parent writes
+        the original in place, the child its copy. The first write to a
+        page by either side makes two translations: it checks the span,
+        resolves the original through the writer's table and EADDs a copy
+        of it into the child's table, recorded in ``copies`` once the EADD
+        succeeds, then writes. A repeat write makes one. A retired pair,
+        then a pid in neither role, is refused before anything is
+        copied."""
+        page_table = pair.page_tables.get(writer_pid)
+        if page_table is None:
             raise self._no_view(pair, writer_pid)
-        container, copies = view
         if not (DB_BASE <= va < DB_BASE + self.db_pages):
             raise errors.IsolationFault(f"va {va:#x} outside the db extent")
-        page_table = container.page_table
-        target = copies.get(va)
-        if target is None:
-            other = (pair.child_pid if writer_pid == pair.parent_pid
-                     else pair.parent_pid)
-            if va in pair.views[other][1]:
-                # The other side privatized already; write the original.
-                target = va
-            else:
-                # First write since fork: privatize on the writer side only.
-                check_span(offset, len(value))
-                original = self._resolve(page_table, va)
-                target = self._next_copy_va
-                self._next_copy_va += 1
-                self._eadd_mapped(container, target, original.content)
-                copies[va] = target
-                pair.dirty_count += 1
-        self._resolve(page_table, target).write(value, offset)
+        copy_va = pair.copies.get(va)
+        if copy_va is None:
+            check_span(offset, len(value))
+            original = self._resolve(page_table, va)
+            copy_va = self._next_copy_va
+            copy = self._eadd_mapped(self.kernel.containers[pair.child_pid],
+                                     copy_va, original.content)
+            copy._digest = original._digest  # the same bytes
+            self._next_copy_va = copy_va + 1
+            pair.copies[va] = copy_va
+            pair.dirty_count += 1
+        if writer_pid == pair.child_pid:
+            va = copy_va
+        self._resolve(page_table, va).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation."""
-        view = pair.views.get(pid)
-        if view is None:
+        page_table = pair.page_tables.get(pid)
+        if page_table is None:
             raise self._no_view(pair, pid)
-        container, copies = view
-        return bytes(self._resolve(container.page_table,
-                                   copies.get(va, va)).content)
+        if pid == pair.child_pid:
+            va = pair.copies.get(va, va)
+        return bytes(self._resolve(page_table, va).content)
 
     def snapshot(self, pair: ForkPair, child_pid: int) -> bytes:
         """Digest ``child_pid``'s view of the full db extent, read through
-        its own map, then retire the pair's child: its TCS is released,
-        every private copy is freed and its container is destroyed. A fault
-        while digesting (a remapped va) still retires the child before it
+        its own table, then retire the pair's child: its TCS is released,
+        every copy is freed and its container is destroyed. A fault while
+        digesting (a remapped va) still retires the child before it
         propagates.
 
         The digest is two-level: SHA-256 over the SHA-256 of each page the
@@ -462,11 +460,10 @@ class EnclaveRuntime:
         one translation and passes the sandbox check; only pages written
         since their last digest are rehashed. A retired pair, then a pid in
         neither role, is refused before anything is read or retired."""
-        view = pair.views.get(child_pid)
-        if view is None:
+        page_table = pair.page_tables.get(child_pid)
+        if page_table is None:
             raise self._no_view(pair, child_pid)
-        container, copies = view
-        page_table = container.page_table
+        copies = pair.copies if child_pid == pair.child_pid else {}
         resolve, get, digests = self._resolve, copies.get, []
         try:
             for va in self._db_range():
@@ -477,25 +474,18 @@ class EnclaveRuntime:
             self._retire_child(pair)
 
     def _retire_child(self, pair: ForkPair) -> None:
-        """Exit the pair's child, walk the two maps, then destroy the child.
-        The parent's copies are folded back onto their original pages, so
-        the parent's view survives; then every copy of both maps is freed,
-        so occupancy returns exactly to the pre-fork level. The retired
-        pair keeps no views, and a new fork may start. A child suspended by
-        an AEX is resumed first, since only a live thread can exit."""
+        """Exit the pair's child, free its copies, then destroy its
+        container. The parent wrote the originals in place, so nothing is
+        folded back, and occupancy returns exactly to the pre-fork level.
+        The retired pair keeps no page tables or copies, and a new fork may
+        start. A child suspended by an AEX is resumed first, since only a
+        live thread can exit."""
         if not self.threads[pair.child_pid].live:
             self.resume(pair.child_pid)
         self.exit(pair.child_pid)
-        machine, enclave = self.machine, self.enclave
-        pages, enclave_pages = machine.pages, enclave.pages
-        for va, copy_va in pair.views[pair.parent_pid][1].items():
-            pages[enclave_pages[va]].write(
-                pages[enclave_pages[copy_va]].content)
-        for holder, copies in pair.views.values():
-            page_table = holder.page_table
-            for copy_va in copies.values():
-                machine.eremove(enclave, copy_va)
-                page_table.pop(copy_va, None)
-        pair.views = {}
+        eremove, enclave = self.machine.eremove, self.enclave
+        for copy_va in pair.copies.values():
+            eremove(enclave, copy_va)
+        pair.page_tables, pair.copies = {}, {}
         self.fork_pair = None
         del self.kernel.containers[pair.child_pid]

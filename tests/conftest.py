@@ -8,7 +8,10 @@ serverless oracle's small scope (``small_scope`` in
 arrivals, heads and locked steps of 0-1 ms and finishing steps of 1-2 ms
 to arrival times of 0-3 ms, up to 6 arrivals, heads and locked steps of
 0-2 ms and finishing steps of 1-3 ms; its refusal sweep, whose finishing
-steps may take 0 ms, widens from 0-1 ms steps to 0-2 ms."""
+steps may take 0 ms, widens from 0-1 ms steps to 0-2 ms. It widens the
+small-scope fork walk (``fork_scopes`` in ``test_enclave_runtime.py``)
+from every sequence of 1-4 accesses on 2 database pages to 1-5 accesses
+on 2 pages and 1-4 on 3."""
 
 from hypothesis import settings
 

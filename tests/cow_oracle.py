@@ -110,7 +110,7 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
         return f"seed {seed}: container count not restored after snapshot"
     if machine.epc_used != baseline:
         return f"seed {seed}: occupancy not restored after snapshot"
-    # Parent's view must survive the merge.
+    # The parent wrote the original pages in place; they hold its view.
     for va in runtime.db_vas():
         got = bytes(machine.pages[runtime.enclave.pages[va]].content)
         if got != oracle.read(parent, va):
@@ -120,8 +120,8 @@ def run_cow_trial(seed, max_pages=16, max_ops=200):
 
 def run_multi_cycle_trial(seed, cycles=6, n_pages=12, ops_per_cycle=40):
     """Repeated fork -> random cow_write/cow_read -> snapshot cycles on one
-    runtime. Each cycle's oracle forks from the parent's view after the
-    previous cycle's writes were folded back, and each snapshot is compared
+    runtime. Each cycle's oracle forks from the parent's view, which the
+    previous cycle's parent wrote in place, and each snapshot is compared
     with ``expected_snapshot`` of that cycle's child view. Returns None on
     success, else a message."""
     rng = random.Random(seed)
@@ -144,5 +144,5 @@ def run_multi_cycle_trial(seed, cycles=6, n_pages=12, ops_per_cycle=40):
         for va in vas:
             page = machine.pages[runtime.enclave.pages[va]]
             if page.content != parent_view[va]:
-                return f"seed {seed} cycle {cycle}: fold-back lost {va:#x}"
+                return f"seed {seed} cycle {cycle}: parent view lost {va:#x}"
     return None

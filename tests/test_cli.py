@@ -777,7 +777,7 @@ JSON_LEAVES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e308,
                      -1e308, 0.1, 1 / 3]),
-    JSON_KEYS)
+    JSON_KEYS, st.lists(JSON_KEYS, max_size=3))
 JSON_DICTS = st.dictionaries(JSON_KEYS, st.recursive(
     JSON_LEAVES, lambda children: st.dictionaries(JSON_KEYS, children,
                                                   max_size=4),
@@ -792,7 +792,8 @@ class TestSummaryEmitter:
     @given(summary=JSON_DICTS)
     @example(summary={})
     @example(summary={"a": {"b": {}}, "c": {}, "zero": -0.0, "tiny": 5e-324,
-                      "big": 1e16, "huge": 1e308, "yes": True, "n": 7})
+                      "big": 1e16, "huge": 1e308, "yes": True, "n": 7,
+                      "none": [], "some": {"list": ["x", "\u00e9"]}})
     @settings(deadline=None)
     def test_equals_json_dumps(self, summary):
         assert cli._json_text(summary) == json.dumps(

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 
 import pytest
+from hypothesis import settings
 
 from enclavesim import errors
 from enclavesim.enclave_runtime import (
@@ -17,12 +19,13 @@ from enclavesim.sgx_core import (
     EnclaveThread,
     Machine,
     PAGE_SIZE,
-    PhysicalPage,
 )
 
 from cow_oracle import (
+    EagerForkOracle,
     build_db_runtime,
     build_forked_runtime,
+    expected_snapshot,
     run_cow_trial,
     run_multi_cycle_trial,
 )
@@ -517,21 +520,15 @@ class TestFilesystem:
         assert runtime.fs_open(runtime.creator.pid, "a.txt") == b"secret"
 
 
-def private_copies(pair):
-    """Every private copy of the pair, keyed by (pid, db va)."""
-    return {(pid, va): copy_va for pid, (_, copies) in pair.views.items()
-            for va, copy_va in copies.items()}
-
-
 class TestForkCow:
     def test_fork_copies_nothing(self):
         machine, runtime = build_db_runtime(8)
         used = machine.epc_used
         pair = runtime.fork_cow(runtime.creator.pid)
         assert pair.dirty_count == 0 and machine.epc_used == used
-        # All 8 pages are shared: neither member's map holds a copy.
-        assert set(pair.views) == {pair.parent_pid, pair.child_pid}
-        assert private_copies(pair) == {}
+        # All 8 pages are shared: the pair holds no copy.
+        assert set(pair.page_tables) == {pair.parent_pid, pair.child_pid}
+        assert pair.copies == {}
 
     def test_first_write_privatizes_one_page(self):
         machine, runtime, pair = build_forked_runtime(4)
@@ -564,7 +561,7 @@ class TestForkCow:
             runtime.cow_write(pair, pair.child_pid, DB_BASE + i, b"c")
             runtime.cow_write(pair, pair.parent_pid, DB_BASE + i, b"p")
         runtime.snapshot(pair, pair.child_pid)
-        assert machine.epc_used == baseline and not pair.views
+        assert machine.epc_used == baseline and not pair.page_tables
         machine.check_epc_conservation()
 
     def test_retired_pair_refuses_cow_write(self):
@@ -573,7 +570,7 @@ class TestForkCow:
         used = machine.epc_used
         with pytest.raises(errors.Fault):
             runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"late")
-        assert machine.epc_used == used and private_copies(pair) == {}
+        assert machine.epc_used == used and pair.copies == {}
         runtime.check_invariants()
 
     def test_retired_pair_refuses_cow_read(self):
@@ -599,10 +596,10 @@ class TestForkCow:
         d2 = runtime2.snapshot(pair2, pair2.child_pid)
         assert d1 != d2
 
-    def remap_child_to_plain(self, machine, runtime, pair):
+    def remap_child_to_plain(self, machine, runtime, pair, va=DB_BASE):
         plain = machine.alloc_plain_page(b"attacker")
         child = runtime.kernel.containers[pair.child_pid]
-        child.page_table[DB_BASE] = plain.pa
+        child.page_table[va] = plain.pa
 
     def test_cow_read_rejects_plain_backing(self):
         machine, runtime, pair = build_forked_runtime(2)
@@ -616,7 +613,7 @@ class TestForkCow:
         self.remap_child_to_plain(machine, runtime, pair)
         with pytest.raises(errors.IsolationFault):
             runtime.cow_write(pair, pair.child_pid, DB_BASE, b"x")
-        assert private_copies(pair) == {} and pair.dirty_count == 0
+        assert pair.copies == {} and pair.dirty_count == 0
         assert machine.epc_used == used
 
     def test_snapshot_rejects_plain_backing(self):
@@ -626,15 +623,17 @@ class TestForkCow:
             runtime.snapshot(pair, pair.child_pid)
 
     def test_faulting_snapshot_still_retires_child(self):
-        machine, runtime = build_db_runtime(2)
+        machine, runtime = build_db_runtime(3)
         pre_fork_used = machine.epc_used
         pair = runtime.fork_cow(runtime.creator.pid)
         runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"parent")
         runtime.cow_write(pair, pair.child_pid, DB_BASE + 1, b"child")
-        self.remap_child_to_plain(machine, runtime, pair)
+        # The child reads its copies of both written pages, so the
+        # remapped va is one that no side wrote.
+        self.remap_child_to_plain(machine, runtime, pair, DB_BASE + 2)
         with pytest.raises(errors.IsolationFault):
             runtime.snapshot(pair, pair.child_pid)
-        assert not pair.views
+        assert not pair.page_tables
         assert pair.child_pid not in runtime.threads
         assert pair.child_pid not in runtime.kernel.containers
         assert machine.epc_used == pre_fork_used
@@ -654,7 +653,7 @@ class TestForkCow:
                 method(pair, outsider.pid, *args)
             assert isinstance(caught.value, errors.NotForkMember)
         assert machine.epc_used == used and pair.dirty_count == 0
-        assert pair.views and private_copies(pair) == {}
+        assert pair.page_tables and pair.copies == {}
         # The pair still works, and the outsider's bytes reached no view.
         runtime.snapshot(pair, pair.child_pid)
         page = machine.pages[runtime.enclave.pages[DB_BASE]]
@@ -666,7 +665,7 @@ class TestForkCow:
         # private copy; plain reads and writes there must fault.
         machine, runtime, pair = build_forked_runtime(2)
         runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child-secret")
-        (copy_va,) = pair.views[pair.child_pid][1].values()
+        (copy_va,) = pair.copies.values()
         assert copy_va == COPY_BASE
         outsider = runtime.kernel.create_container("/b")
         runtime.attach_container(outsider)
@@ -691,21 +690,23 @@ class TestForkCow:
         runtime.cow_write(pair, parent, DB_BASE, b"pair A")
         state = (machine.epc_used, len(runtime.kernel.containers),
                  free_rows(runtime.tcs_table))
-        # Two live pairs would share the originals: pair A's fold-back
-        # would reach pair B's child. The second fork is refused.
+        # Two live pairs would share the originals: pair A's parent writes
+        # them in place, under pair B's child. The second fork is refused.
         with pytest.raises(errors.Fault) as caught:
             runtime.fork_cow(parent)
         assert isinstance(caught.value, errors.ForkInProgress)
         assert (machine.epc_used, len(runtime.kernel.containers),
                 free_rows(runtime.tcs_table)) == state
         if faulting:
-            self.remap_child_to_plain(machine, runtime, pair)
+            # The child reads its copy of the written page, so the remapped
+            # va is one that no side wrote.
+            self.remap_child_to_plain(machine, runtime, pair, DB_BASE + 1)
             with pytest.raises(errors.IsolationFault):
                 runtime.snapshot(pair, pair.child_pid)
         else:
             runtime.snapshot(pair, pair.child_pid)
-        # Retiring frees the slot: the next fork starts from pair A's
-        # folded-back bytes.
+        # Retiring frees the slot: the next fork starts from the bytes
+        # pair A's parent wrote.
         second = runtime.fork_cow(parent)
         assert runtime.cow_read(second, second.child_pid,
                                 DB_BASE)[:6] == b"pair A"
@@ -721,7 +722,7 @@ class TestForkCow:
         runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child")
         runtime.suspend(pair.child_pid)
         runtime.snapshot(pair, pair.child_pid)
-        assert not pair.views and machine.epc_used == used
+        assert not pair.page_tables and machine.epc_used == used
         assert free_rows(runtime.tcs_table) == 3
         runtime.check_invariants()
         second = runtime.fork_cow(runtime.creator.pid)
@@ -757,7 +758,7 @@ class TestForkCow:
         for va in (RUNTIME_BASE, DB_BASE + 2):
             with pytest.raises(errors.IsolationFault, match="db extent"):
                 runtime.cow_write(pair, pair.child_pid, va, b"x")
-        assert private_copies(pair) == {} and machine.epc_used == used
+        assert pair.copies == {} and machine.epc_used == used
         runtime.snapshot(pair, pair.child_pid)
 
     def test_fork_requires_live_parent_thread(self):
@@ -787,33 +788,26 @@ class TestForkCow:
         assert page.digest() != stale
         assert page.digest() == hashlib.sha256(page.content).digest()
 
-    def test_fold_back_drops_cached_digest(self):
-        machine, runtime, pair = build_forked_runtime(2)
+    def test_parent_first_write_keeps_the_childs_bytes(self):
+        machine, runtime, pair = build_forked_runtime(1)
         original = machine.pages[runtime.enclave.pages[DB_BASE]]
+        before, digest = bytes(original.content), original.digest()
         runtime.cow_write(pair, pair.parent_pid, DB_BASE, b"parent")
-        # The parent wrote a private copy; the original is unchanged.
-        stale = original.digest()
-        runtime.snapshot(pair, pair.child_pid)
+        # The child's copy holds the pre-write bytes and their cached
+        # digest; the parent wrote the original in place, which dropped
+        # the original's digest.
+        copy = machine.pages[runtime.enclave.pages[pair.copies[DB_BASE]]]
+        assert copy.content == before
+        assert copy._digest == digest == hashlib.sha256(before).digest()
         assert original.content[:6] == b"parent"
-        assert original.digest() != stale
         assert original.digest() == hashlib.sha256(original.content).digest()
+        assert runtime.cow_read(pair, pair.child_pid, DB_BASE) == before
+        assert runtime.snapshot(pair, pair.child_pid) == hashlib.sha256(
+            digest).digest()
 
     def test_repeated_snapshots_match_hashlib_digest(self):
         for seed in range(20):
             assert run_multi_cycle_trial(seed) is None
-
-    def test_stale_fold_back_fails_repeated_snapshots(self, monkeypatch):
-        write = PhysicalPage.write
-
-        def write_keeping_stale_digest(page, data, offset=0):
-            # Only the fold-back writes whole pages: it keeps the old digest.
-            if len(data) == PAGE_SIZE:
-                page.content[:] = data
-            else:
-                write(page, data, offset)
-
-        monkeypatch.setattr(PhysicalPage, "write", write_keeping_stale_digest)
-        assert run_multi_cycle_trial(0) is not None
 
     def test_write_rejects_negative_offset(self):
         machine, runtime = build_db_runtime(1)
@@ -832,16 +826,103 @@ class TestForkCow:
         for pid in (pair.child_pid, pair.parent_pid):
             with pytest.raises(ValueError):
                 runtime.cow_write(pair, pid, DB_BASE, value, offset)
-        assert private_copies(pair) == {} and pair.dirty_count == 0
+        assert pair.copies == {} and pair.dirty_count == 0
         assert machine.epc_used == used
-        # The page is still shared: the next valid write privatizes it.
+        # The page is still shared: the next valid write copies it.
         runtime.cow_write(pair, pair.child_pid, DB_BASE, b"ok")
         assert pair.dirty_count == 1 and machine.epc_used == used + 1
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    def test_first_write_at_epc_capacity_copies_nothing(self, side):
+        machine, runtime = build_db_runtime(2)
+        machine.epc_capacity_pages = machine.epc_used
+        pair = runtime.fork_cow(runtime.creator.pid)
+        pids = [pair.parent_pid, pair.child_pid]
+        if side == "child":
+            pids.reverse()
+        writer, other = pids
+        used = machine.epc_used
+
+        def views():
+            return [[runtime.cow_read(pair, pid, va)
+                     for va in runtime.db_vas()] for pid in pids]
+
+        before = views()
+        with pytest.raises(errors.OutOfEpc):
+            runtime.cow_write(pair, writer, DB_BASE, b"full")
+        assert pair.copies == {} and pair.dirty_count == 0
+        assert machine.epc_used == used and views() == before
+        # The page is still shared: with room for one copy, the write
+        # copies it and the other side keeps the original bytes.
+        machine.epc_capacity_pages += 1
+        runtime.cow_write(pair, writer, DB_BASE, b"room")
+        assert list(pair.copies) == [DB_BASE] and pair.dirty_count == 1
+        assert runtime.cow_read(pair, writer, DB_BASE)[:4] == b"room"
+        assert runtime.cow_read(pair, other, DB_BASE) == before[1][0]
+        runtime.snapshot(pair, pair.child_pid)
+        assert machine.epc_used == used
+        runtime.check_invariants()
 
     def test_random_interleavings_match_eager_oracle(self):
         # Oracle-backed sample; the acceptance suite runs the full 500.
         for seed in range(60):
             assert run_cow_trial(seed) is None
+
+
+def fork_scopes():
+    """The small scopes of the fork check, as (db pages, most accesses).
+    The deep profile widens the walk to 5 accesses, and to 3 pages."""
+    if settings.get_current_profile_name() == "deep":
+        return [(2, 5), (3, 4)]
+    return [(2, 4)]
+
+
+class TestForkSmallScope:
+    """Every short access sequence, after Jackson's small-scope hypothesis:
+    an access is a side, a read or a write, and a page, so first and
+    repeat writes by either side meet reads of both sides in every order.
+    Each sequence is one fork/snapshot cycle on one long-lived runtime,
+    checked step by step against the eager oracle."""
+
+    @pytest.mark.parametrize("n_pages, most", fork_scopes())
+    def test_every_sequence_matches_eager_oracle(self, n_pages, most):
+        machine, runtime = build_db_runtime(n_pages)
+        vas = runtime.db_vas()
+        baseline = machine.epc_used
+
+        def originals():
+            return {va: bytes(machine.pages[runtime.enclave.pages[va]]
+                              .content) for va in vas}
+
+        parent_view = originals()
+        accesses = list(itertools.product(("parent", "child"),
+                                          (False, True), vas))
+        sequences = [sequence for k in range(1, most + 1)
+                     for sequence in itertools.product(accesses, repeat=k)]
+        assert len(sequences) == sum(
+            (4 * n_pages) ** k for k in range(1, most + 1))
+        for cycle, sequence in enumerate(sequences):
+            pair = runtime.fork_cow(runtime.creator.pid)
+            oracle = EagerForkOracle(parent_view)
+            oracle.fork(pair.parent_pid, pair.child_pid)
+            for step, (side, write, va) in enumerate(sequence):
+                pid = pair.parent_pid if side == "parent" else pair.child_pid
+                if write:
+                    # Distinct bytes per cycle, side and step.
+                    value = f"{cycle}{side}{step}".encode()
+                    runtime.cow_write(pair, pid, va, value)
+                    oracle.write(pid, va, value)
+                else:
+                    assert (runtime.cow_read(pair, pid, va)
+                            == oracle.read(pid, va)), (sequence, step)
+                assert (machine.epc_used - baseline
+                        == pair.dirty_count), (sequence, step)
+            assert runtime.snapshot(pair, pair.child_pid) == \
+                expected_snapshot(oracle, pair.child_pid, vas), sequence
+            parent_view = {va: oracle.read(pair.parent_pid, va)
+                           for va in vas}
+            assert originals() == parent_view, sequence
+            assert machine.epc_used == baseline, sequence
 
 
 class _PagesIterated(Exception):
@@ -897,7 +978,8 @@ class TestTranslationsPerAccess:
             (runtime.cow_write, (child, DB_BASE, b"first"), 2),
             (runtime.cow_write, (child, DB_BASE, b"again", 9), 1),
             (runtime.cow_read, (child, DB_BASE), 1),
-            # The child privatized the page: the parent writes the original.
+            # The child's first write copied the page: the parent writes
+            # the original.
             (runtime.cow_write, (parent, DB_BASE, b"parent"), 1),
             (runtime.cow_write, (parent, DB_BASE + 1, b"first"), 2),
             (runtime.cow_write, (parent, DB_BASE + 1, b"again"), 1),
@@ -907,6 +989,8 @@ class TestTranslationsPerAccess:
         for method, args, want in steps:
             assert translations(method, *args) == want, (method, args)
         assert pair.dirty_count == 2
-        copy_va = private_copies(pair)[(child, DB_BASE)]
+        # Both first writes copied a page for the child, which reads its
+        # copies of both.
+        copies = [pair.copies[DB_BASE], pair.copies[DB_BASE + 1]]
         assert translations(runtime.snapshot, child) == 8
-        assert vas == [copy_va] + [DB_BASE + i for i in range(1, 8)]
+        assert vas == copies + [DB_BASE + i for i in range(2, 8)]

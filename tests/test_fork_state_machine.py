@@ -4,9 +4,9 @@ Hypothesis drives fork, ``cow_write``, ``cow_read`` and ``snapshot`` on one
 long-lived runtime, mixed with accesses by an attached container that is
 in neither role, accesses to a retired pair, a second fork while a pair is
 live, an AEX of the child, and the kernel remapping and restoring one of
-the child's database vas. Every byte a view
-returns is predicted by ``EagerForkOracle``; every refused call must leave
-the oracle, the pair and the EPC as they were.
+the child's database vas or the copy va of a written page. Every byte a
+view returns is predicted by ``EagerForkOracle``; every refused call must
+leave the oracle, the pair and the EPC as they were.
 """
 
 from hypothesis import settings, strategies as st
@@ -24,8 +24,8 @@ from enclavesim.sgx_core import PAGE_SIZE
 from cow_oracle import EagerForkOracle, build_db_runtime, expected_snapshot
 
 N_PAGES = 4
-# A remapped child va resolves to a plain page (the sandbox check) or to
-# another enclave page (the EPCM va check).
+# A remapped child va, a db va or a copy va, resolves to a plain page (the
+# sandbox check) or to another enclave page (the EPCM va check).
 REMAP_TARGETS = ("plain", "db", "runtime")
 FAULTS = (errors.Fault, errors.IsolationFault)
 
@@ -46,8 +46,8 @@ class ForkCycleMachine(RuleBasedStateMachine):
         self.plain = self.machine.alloc_plain_page(b"attacker")
         self.baseline = self.machine.epc_used
         self.pair = self.oracle = self.retired = None
-        # db va -> the pid whose write privatized it in the live pair.
-        self.first_writer = {}
+        # The db vas either side wrote in the live pair: each has a copy.
+        self.written = set()
         self.remapped = None
         # Start with a live pair, so that every rule can run from step one.
         self.fork()
@@ -60,10 +60,10 @@ class ForkCycleMachine(RuleBasedStateMachine):
         return pair.parent_pid if side == "parent" else pair.child_pid
 
     def _blocked(self, pid, va):
-        """The child's access at its remapped va faults unless it reads
-        or writes its own copy there."""
-        return (pid == self.pair.child_pid and va == self.remapped
-                and self.first_writer.get(va) != pid)
+        """The child's access faults where it reaches the remapped va: its
+        copy of a written page, else the db va."""
+        reached = self.pair.copies[va] if va in self.written else va
+        return pid == self.pair.child_pid and reached == self.remapped
 
     def _expect(self, error, call):
         """Run ``call``; it must raise ``error`` (None: must not raise)."""
@@ -90,7 +90,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
         self.pair = fork_cow(parent)
         self.oracle = EagerForkOracle(self.parent_view)
         self.oracle.fork(self.pair.parent_pid, self.pair.child_pid)
-        self.first_writer = {}
+        self.written = set()
 
     @precondition(lambda self: self.pair is not None)
     @rule()
@@ -102,8 +102,9 @@ class ForkCycleMachine(RuleBasedStateMachine):
             self._expect(FAULTS, lambda: self.runtime.snapshot(pair, child))
         else:
             assert self.runtime.snapshot(pair, child) == want
-        # Retired either way; the parent's writes were folded back.
-        assert not pair.views and child not in self.runtime.kernel.containers
+        # Retired either way; the parent wrote the original pages in place.
+        assert not pair.page_tables
+        assert child not in self.runtime.kernel.containers
         self.parent_view = {va: self.oracle.read(pair.parent_pid, va)
                             for va in self.vas}
         for va in self.vas:
@@ -118,9 +119,8 @@ class ForkCycleMachine(RuleBasedStateMachine):
     def cow_write(self, side, page, offset, value):
         pid, va = self._pid(side), self.vas[page]
         bad_span = offset + len(value) > PAGE_SIZE
-        owner = self.first_writer.get(va)
         blocked = self._blocked(pid, va)
-        if owner is None:
+        if va not in self.written:
             # A shared page: the span is checked before anything else.
             error = ValueError if bad_span else (FAULTS if blocked else None)
         else:
@@ -129,7 +129,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
             self.pair, pid, va, value, offset))
         if error is None:
             self.oracle.write(pid, va, value, offset)
-            self.first_writer.setdefault(va, pid)
+            self.written.add(va)
 
     @precondition(lambda self: self.pair is not None)
     @rule(side=sides, page=pages)
@@ -147,7 +147,7 @@ class ForkCycleMachine(RuleBasedStateMachine):
           page=pages)
     def outsider_access(self, call, page):
         """An attached container in neither role is refused; nothing it
-        sends reaches a view or privatizes a page."""
+        sends reaches a view or copies a page."""
         self._refused(self.pair, self.outsider.pid, call, page,
                       errors.NotForkMember)
 
@@ -178,7 +178,18 @@ class ForkCycleMachine(RuleBasedStateMachine):
                   and self.remapped is None)
     @rule(page=pages, onto=st.sampled_from(REMAP_TARGETS))
     def remap_child(self, page, onto):
-        va = self.vas[page]
+        self._remap(self.vas[page], page, onto)
+
+    @precondition(lambda self: self.pair is not None and self.written
+                  and self.remapped is None)
+    @rule(page=pages, onto=st.sampled_from(REMAP_TARGETS))
+    def remap_child_copy(self, page, onto):
+        """Remap the child's copy va of a written page."""
+        written = sorted(self.written)
+        self._remap(self.pair.copies[written[page % len(written)]], page,
+                    onto)
+
+    def _remap(self, va, page, onto):
         wrong = {"plain": self.plain.pa,
                  "db": self.runtime.enclave.pages[
                      self.vas[(page + 1) % N_PAGES]],
@@ -205,7 +216,8 @@ class ForkCycleMachine(RuleBasedStateMachine):
         if self.pair is None:
             assert used == self.baseline
         else:
-            assert self.pair.dirty_count == len(self.first_writer)
+            assert set(self.pair.copies) == self.written
+            assert self.pair.dirty_count == len(self.written)
             assert used == self.baseline + self.pair.dirty_count
 
 

@@ -361,14 +361,14 @@ GUARDS = {
     ("enclave_runtime", "EnclaveRuntime.fork_cow",
      "not self.threads[parent_pid].live"):
         _RUNTIME + "TestForkCow::test_fork_refuses_a_suspended_parent",
-    ("enclave_runtime", "EnclaveRuntime.cow_write", "view is None"):
+    ("enclave_runtime", "EnclaveRuntime.cow_write", "page_table is None"):
         _RUNTIME + "TestForkCow::test_retired_pair_refuses_cow_write",
     ("enclave_runtime", "EnclaveRuntime.cow_write",
      "not (DB_BASE <= va < DB_BASE + self.db_pages)"):
         _RUNTIME + "TestForkCow::test_cow_write_outside_the_db_extent",
-    ("enclave_runtime", "EnclaveRuntime.cow_read", "view is None"):
+    ("enclave_runtime", "EnclaveRuntime.cow_read", "page_table is None"):
         _RUNTIME + "TestForkCow::test_retired_pair_refuses_cow_read",
-    ("enclave_runtime", "EnclaveRuntime.snapshot", "view is None"):
+    ("enclave_runtime", "EnclaveRuntime.snapshot", "page_table is None"):
         _RUNTIME + "TestForkCow::test_second_snapshot_raises_a_fault",
 
     # cost_model
