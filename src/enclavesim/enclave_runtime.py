@@ -440,10 +440,14 @@ class EnclaveRuntime:
         self._resolve(page_table, va).write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
-        """The pid's view of a db page, through one translation."""
+        """The pid's view of a db page, through one translation. A retired
+        pair, then a pid in neither role, then a va outside the db extent
+        (a copy va among them) is refused."""
         page_table = pair.page_tables.get(pid)
         if page_table is None:
             raise self._no_view(pair, pid)
+        if not (DB_BASE <= va < DB_BASE + self.db_pages):
+            raise errors.IsolationFault(f"va {va:#x} outside the db extent")
         if pid == pair.child_pid:
             va = pair.copies.get(va, va)
         return bytes(self._resolve(page_table, va).content)
@@ -458,13 +462,17 @@ class EnclaveRuntime:
         The digest is two-level: SHA-256 over the SHA-256 of each page the
         child sees, in va order, fed as one joined string. Each page makes
         one translation and passes the sandbox check; only pages written
-        since their last digest are rehashed. A retired pair, then a pid in
-        neither role, is refused before anything is read or retired."""
+        since their last digest are rehashed. A retired pair, then any pid
+        but the child's (the parent's too), is refused before anything is
+        read or retired."""
         page_table = pair.page_tables.get(child_pid)
         if page_table is None:
             raise self._no_view(pair, child_pid)
-        copies = pair.copies if child_pid == pair.child_pid else {}
-        resolve, get, digests = self._resolve, copies.get, []
+        if child_pid != pair.child_pid:
+            raise errors.NotForkMember(
+                f"pid {child_pid} is not the child {pair.child_pid} of the "
+                f"fork pair")
+        resolve, get, digests = self._resolve, pair.copies.get, []
         try:
             for va in self._db_range():
                 page = resolve(page_table, get(va, va))

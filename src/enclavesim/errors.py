@@ -83,8 +83,8 @@ class PairRetired(Fault):
 
 
 class NotForkMember(Fault):
-    """Copy-on-write access or snapshot by a pid that is neither the fork
-    pair's parent nor its child."""
+    """Copy-on-write access by a pid that is neither the fork pair's
+    parent nor its child, or a snapshot by any pid but the child's."""
 
 
 class ForkInProgress(Fault):

@@ -9,7 +9,9 @@ workers, a database run in a ``CostLedger``), and its peak is
 finish that ties with a start runs first; it refuses a run in which the
 steps that end in a finish round away against their start time.
 ``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
-Python ints, rounding each duration once, and report in ms.
+Python ints, rounding each duration once, and report in ms. The clock
+crosses a stretch of equal requests in one floor division, and the
+copy-on-write window a block of requests at a time.
 
 A run keeps its requests as columns, not objects: the trace's arrival
 list, a shared plan per request and an ``array('d')`` of finish times,
@@ -295,7 +297,10 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     unlocked = -math.inf  # when the lock was last released
 
     s = -math.inf
-    # After the last request, a start bound of inf runs what is left.
+    # After the last request, a start at inf grants the pending lock
+    # acquires, which sets the last finish times, and ends the run. The
+    # finishes left in the heap would only free workers and warm
+    # environments, and nothing reads those after the last start.
     for i, arrival in enumerate(itertools.chain(arrivals, (math.inf,))):
         if arrival > s:
             s = arrival
@@ -314,6 +319,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                         " rounds away")
                 finish[j] = t
                 push(finishes, t)
+            if i == n:
+                break
             while finishes and finishes[0] <= s:
                 t = pop(finishes)
                 free_workers += 1
@@ -321,7 +328,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     bare = None
                 elif warm_pool is not None:
                     warm_pool.append(t + keepalive_ms)
-            if free_workers or i == n:
+            if free_workers:
                 break
             if not (finishes or acquires):
                 raise errors.InvariantViolation("not all requests completed")
@@ -484,7 +491,9 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     Requests run back to back on ``db_cycle``'s clock of whole ns. Only
     the shared-enclave model's requests between the fork's end and the end
     of the snapshot window can copy a page, so only they draw random
-    numbers and run one by one. ``dirty`` holds one byte per database page.
+    numbers, each in turn. The clock moves once per block of them: a block
+    holds as many requests as fit before the window's end if each copies
+    a page, and at least one. ``dirty`` holds one byte per database page.
     Every other stretch (requests that end by the fork's start, the
     full-copy model's window and the tail after the window) is one floor
     division. Above the base (the database and its runtime) the ledger
@@ -528,39 +537,46 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
         served_window += max(0, (window_end - t) // exec_ns)
     else:
         # The copy-on-write window: each request draws, and a write to a
-        # page not yet copied copies it first. Only the last request can
-        # end past window_end, or past end, so the loop only moves the
-        # clock and the sums are settled once after it.
+        # page not yet copied copies it first. It is served in blocks of
+        # ``m`` requests that end by window_end even if each copies a
+        # page, so inside a block a request only draws and marks its page,
+        # and the clock moves once per block. Only a one-request block can
+        # end past window_end, or past end, and only the last; the sums
+        # are settled once after the loop.
         rng = random.Random(seed)
         draw, bits = rng.random, rng.getrandbits
         # ``randrange(db_pages)``'s own draw, inlined: ``k`` random bits,
         # drawn again while they fall past the last page.
         k = db_pages.bit_length()
         cow_ns = _ns(params.t_cow_copy, "a page copy")
+        most = exec_ns + cow_ns  # the longest a request takes
         dirty = bytearray(db_pages)
         window_start = t
         while t < window_end:
             start = t
-            t += exec_ns
-            if draw() < write_ratio:
-                page = bits(k)
-                while page >= db_pages:
+            m = (window_end - t) // most or 1
+            copied = copies
+            for _ in itertools.repeat(None, m):
+                if draw() < write_ratio:
                     page = bits(k)
-                if not dirty[page]:
-                    dirty[page] = 1
-                    copies += 1
-                    t += cow_ns
+                    while page >= db_pages:
+                        page = bits(k)
+                    if not dirty[page]:
+                        dirty[page] = 1
+                        copies += 1
+            t += m * exec_ns + (copies - copied) * cow_ns
         if t > window_start:
             # Each request took exec_ns, and each copy cow_ns more. All
             # but the last end inside the window, which ends by ``end``.
-            before = (t - window_start - copies * cow_ns) // exec_ns - 1
-            served_total += before
-            served_window += before
-            service_ns += start - window_start
+            served = (t - window_start - copies * cow_ns) // exec_ns
             if t <= end:
-                served_total += 1
-                service_ns += t - start
-                served_window += t <= window_end
+                served_total += served
+                served_window += served - (t > window_end)
+                service_ns += t - window_start
+            else:  # the last request, a block of one, started at ``start``
+                served_total += served - 1
+                served_window += served - 1
+                service_ns += start - window_start
     # The rest copy no page: the tail past window_end and, in the
     # full-copy model, its window too.
     n = max(0, (end - t) // exec_ns)

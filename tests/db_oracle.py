@@ -2,8 +2,9 @@
 
 ``run_database_stepwise`` serves every request in its own loop iteration
 on a clock of whole nanoseconds and adds each service time to the running
-sums one at a time. The floor divisions in ``workload_harness.run_database``
-must give the same ``Metrics``, field for field.
+sums one at a time. The floor divisions and the copy-on-write window's
+blocks in ``workload_harness.run_database`` must give the same
+``Metrics``, field for field.
 
 The oracle takes the same counts of held units as the harness, into a
 ledger that records each count, and keeps its own ``(time, level)``

@@ -761,6 +761,42 @@ class TestForkCow:
         assert pair.copies == {} and machine.epc_used == used
         runtime.snapshot(pair, pair.child_pid)
 
+    def test_cow_read_outside_the_db_extent(self):
+        machine, runtime = build_db_runtime(2)
+        pair = runtime.fork_cow(runtime.creator.pid)
+        runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child")
+        (copy_va,) = pair.copies.values()
+        # The runtime image, past the extent's end, and the child's copy,
+        # which the child reaches only through its db va.
+        for pid in (pair.parent_pid, pair.child_pid):
+            for va in (RUNTIME_BASE, DB_BASE + 2, copy_va):
+                with pytest.raises(errors.IsolationFault, match="db extent"):
+                    runtime.cow_read(pair, pid, va)
+        assert runtime.cow_read(pair, pair.child_pid, DB_BASE)[:5] == b"child"
+        runtime.snapshot(pair, pair.child_pid)
+
+    def test_parent_snapshot_is_refused(self):
+        machine, runtime = build_db_runtime(3)
+        oracle = EagerForkOracle({va: runtime.read(runtime.creator.pid, va)
+                                  for va in runtime.db_vas()})
+        pair = runtime.fork_cow(runtime.creator.pid)
+        oracle.fork(pair.parent_pid, pair.child_pid)
+        for pid, va, value in ((pair.child_pid, DB_BASE, b"child"),
+                               (pair.parent_pid, DB_BASE + 1, b"parent")):
+            runtime.cow_write(pair, pid, va, value)
+            oracle.write(pid, va, value)
+        used, copies = machine.epc_used, dict(pair.copies)
+        with pytest.raises(errors.NotForkMember):
+            runtime.snapshot(pair, pair.parent_pid)
+        # Nothing was read or retired: the pair is live and unchanged.
+        assert runtime.fork_pair is pair and pair.copies == copies
+        assert set(pair.page_tables) == {pair.parent_pid, pair.child_pid}
+        assert pair.child_pid in runtime.kernel.containers
+        assert machine.epc_used == used
+        assert runtime.snapshot(pair, pair.child_pid) == expected_snapshot(
+            oracle, pair.child_pid, runtime.db_vas())
+        runtime.check_invariants()
+
     def test_fork_requires_live_parent_thread(self):
         machine = Machine(epc_capacity_pages=64)
         kernel = Kernel(machine)

@@ -2,11 +2,12 @@
 
 Hypothesis drives fork, ``cow_write``, ``cow_read`` and ``snapshot`` on one
 long-lived runtime, mixed with accesses by an attached container that is
-in neither role, accesses to a retired pair, a second fork while a pair is
-live, an AEX of the child, and the kernel remapping and restoring one of
-the child's database vas or the copy va of a written page. Every byte a
-view returns is predicted by ``EagerForkOracle``; every refused call must
-leave the oracle, the pair and the EPC as they were.
+in neither role, snapshots by the parent, accesses to a retired pair, a
+second fork while a pair is live, an AEX of the child, and the kernel
+remapping and restoring one of the child's database vas or the copy va of
+a written page. Every byte a view returns is predicted by
+``EagerForkOracle``; every refused call must leave the oracle, the pair
+and the EPC as they were.
 """
 
 from hypothesis import settings, strategies as st
@@ -150,6 +151,15 @@ class ForkCycleMachine(RuleBasedStateMachine):
         sends reaches a view or copies a page."""
         self._refused(self.pair, self.outsider.pid, call, page,
                       errors.NotForkMember)
+
+    @precondition(lambda self: self.pair is not None)
+    @rule()
+    def parent_snapshot(self):
+        """Only the child snapshots: the parent's snapshot reads and
+        retires nothing, and the pair stays live."""
+        self._refused(self.pair, self.pair.parent_pid, "snapshot", 0,
+                      errors.NotForkMember)
+        assert self.runtime.fork_pair is self.pair and self.pair.page_tables
 
     @precondition(lambda self: self.retired is not None)
     @rule(call=st.sampled_from(("cow_write", "cow_read", "snapshot")),

@@ -368,8 +368,14 @@ GUARDS = {
         _RUNTIME + "TestForkCow::test_cow_write_outside_the_db_extent",
     ("enclave_runtime", "EnclaveRuntime.cow_read", "page_table is None"):
         _RUNTIME + "TestForkCow::test_retired_pair_refuses_cow_read",
+    ("enclave_runtime", "EnclaveRuntime.cow_read",
+     "not (DB_BASE <= va < DB_BASE + self.db_pages)"):
+        _RUNTIME + "TestForkCow::test_cow_read_outside_the_db_extent",
     ("enclave_runtime", "EnclaveRuntime.snapshot", "page_table is None"):
         _RUNTIME + "TestForkCow::test_second_snapshot_raises_a_fault",
+    ("enclave_runtime", "EnclaveRuntime.snapshot",
+     "child_pid != pair.child_pid"):
+        _RUNTIME + "TestForkCow::test_parent_snapshot_is_refused",
 
     # cost_model
     ("cost_model", "CostParams.validate", "getattr(self, name) <= 0"):

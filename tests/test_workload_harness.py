@@ -31,6 +31,7 @@ from enclavesim.workload_harness import (
     DbModel,
     RequestTrace,
     Variant,
+    db_cycle,
     gen_burst,
     gen_bursts,
     gen_poisson,
@@ -265,18 +266,25 @@ class TestServerlessThroughput:
     def test_heap_pops_per_request(self, params, monkeypatch, variant):
         """Arrivals and starts never enter a heap: a request pops only its
         finish, and a serialized shared-enclave request its lock acquire
-        too, whether arrivals tie or not. Its unlock is a sum taken at the
-        grant, not an event."""
+        too. Its unlock is a sum taken at the grant, not an event. The run
+        ends at its last lock grant, so a finish that no later start
+        passes is never popped: a burst on as many workers pops none, and
+        a trace whose last arrival comes after every finish pops all but
+        the last request's."""
         pops = []
         heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop",
                             lambda heap: pops.append(1) or heappop(heap))
-        per_request = 2 if variant is Variant.TEEMATE else 1
-        for trace, workers in ((gen_burst(64, "crypto-aes"), 64),
-                               (gen_poisson(4.0, 150.0, 0, "crypto-aes"), 8)):
-            pops.clear()
-            run_serverless(variant, trace, params, workers)
-            assert len(pops) == per_request * len(trace.arrivals)
+        serialized = variant is Variant.TEEMATE
+        run_serverless(variant, gen_burst(64, "crypto-aes"), params, 64)
+        assert len(pops) == (64 if serialized else 0)
+        poisson = gen_poisson(4.0, 150.0, 0, "crypto-aes")
+        last = max(run_serverless(variant, poisson, params, 8).finish)
+        trace = RequestTrace(poisson.arrivals + [last + 1.0], "crypto-aes")
+        pops.clear()
+        run_serverless(variant, trace, params, 8)
+        per_request = 2 if serialized else 1
+        assert len(pops) == per_request * len(trace.arrivals) - 1
 
 
 def service_ms(variant, params):
@@ -431,6 +439,15 @@ def observed(metrics):
     return fields
 
 
+def db_small_scope():
+    """The small scope of the database walk: the longest copy-on-write
+    window, in requests that each copy a page, and the seeds. The deep
+    profile widens both."""
+    if settings.get_current_profile_name() == "deep":
+        return 8, range(6)
+    return 5, range(3)
+
+
 class TestDatabaseOracle:
     @given(model=st.sampled_from(list(DbModel)),
            db_mib=st.floats(0.01, 16.0),
@@ -485,6 +502,30 @@ class TestDatabaseOracle:
             mp.setattr(workload_harness, "CostLedger", CountLedger)
             got = run_database(*args)
         assert observed(got) == observed(run_database_stepwise(*args))
+
+    def test_small_scope_matches_stepwise_run(self, monkeypatch):
+        """Every short copy-on-write window on a 3-page database: 1 to
+        ``most`` requests long if each copies a page, in a run that ends
+        half a request before the window's end (so on it), on it, or half
+        a request after it."""
+        monkeypatch.setattr(workload_harness, "CostLedger", CountLedger)
+        most, seeds = db_small_scope()
+        params = default_params()
+        db_mib = 3 * params.page_mib
+        for exec_ms, cow_ms, requests in itertools.product(
+                (0.5, 1.0), (0.0, 0.5, 1.0), range(1, most + 1)):
+            params.t_db_exec, params.t_cow_copy = exec_ms, cow_ms
+            window_ms = requests * (exec_ms + cow_ms)
+            params.snapshot_write_mib_per_s = db_mib / window_ms * 1000.0
+            cycle = db_cycle(DbModel.TEEMATE, db_mib, 0.0, 0.0, params)
+            assert cycle.window_end - cycle.fork_end == round(window_ms * 1e6)
+            for shift, write_ratio, seed in itertools.product(
+                    (-0.5, 0.0, 0.5), (0.0, 0.5, 1.0), seeds):
+                duration_s = (cycle.window_end / 1e6 + shift * exec_ms) / 1e3
+                args = (DbModel.TEEMATE, db_mib, write_ratio, 0.0,
+                        duration_s, seed, params)
+                assert (observed(run_database(*args))
+                        == observed(run_database_stepwise(*args))), args
 
     def test_peak_between_includes_carry_in(self):
         timeline = [(0.0, 100.0), (5.0, 60.0)]
