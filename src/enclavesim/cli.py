@@ -301,7 +301,7 @@ def _json_text(obj: dict, indent: str = "\n") -> str:
     allow_nan=False)`` writes it, where ``indent`` starts each line of
     the dict's nesting level: str keys, and dict, str, list of str, bool,
     int or float values. A float that is not finite is a config error:
-    finite costs and sizes whose sums overflow (queueing, memory)."""
+    finite costs and sizes whose sums overflow (a registration, memory)."""
     if not obj:
         return "{}"
     inner = indent + "  "
@@ -423,7 +423,7 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                         components = plan.components
                         tail = tails[id(plan)] = tail_format % (
                             *[components.get(c, 0.0) for c in COMPONENTS],
-                            plan.total)
+                            plan.total_ms)
                     end = row + len(list(run))
                     parts += (prefix, (tail + prefix).join(
                         trace_heads[row:end]), tail)

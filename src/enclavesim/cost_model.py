@@ -14,11 +14,9 @@ the system being modeled:
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import errors
 
@@ -193,13 +191,6 @@ def occupancy_mib(base_mib: float, units: int, unit_mib: float) -> float:
         raise errors.ConfigError(
             f"{unit_mib} MiB units round away against {base_mib} MiB")
     return mib
-
-
-def sum_in_order(values: Iterable[float]) -> float:
-    """The float sum of ``values`` added left to right from 0.0, which is
-    what builtin ``sum`` gave before Python 3.12; from 3.12 it compensates
-    for rounding, so its last bit can differ."""
-    return functools.reduce(operator.add, values, 0.0)
 
 
 def percentiles(values: List[float], *qs: float) -> Tuple[float, ...]:

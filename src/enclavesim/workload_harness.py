@@ -1,20 +1,15 @@
 """Drivers for the serverless execution models and the database
 fork/snapshot scenario; all randomness flows from explicit seeds.
 
-Costs, traces and ``Metrics`` carry ms and MiB. A run counts units of
-one memory figure held above a base (a serverless run from its busy
-workers, a database run in a ``CostLedger``), and its peak is
+Costs, traces and statistics are in ms and MiB; both scenarios run on a
+clock of whole ns in ``[0, 2^63)``, as Python ints, rounding each
+duration once (``_ns``), so every sum of times is exact. A run counts
+units of one memory figure held above a base (a serverless run from its
+busy workers, a database run in a ``CostLedger``), and its peak is
 ``base + peak count x figure`` (``occupancy_mib``).
-``run_serverless`` is a recursion over starts on float ms, in which a
-finish that ties with a start runs first; it refuses a run in which the
-steps that end in a finish round away against their start time.
-``run_database`` and ``DbCycle`` keep a clock of whole nanoseconds as
-Python ints, rounding each duration once, and report in ms. The clock
-crosses a stretch of equal requests in one floor division, and the
-copy-on-write window a block of requests at a time.
 
 A run keeps its requests as columns, not objects: the trace's arrival
-list, a shared plan per request and an ``array('d')`` of finish times,
+list, a shared plan per request and an ``array('q')`` of finish times,
 about 16 B per request. ``Metrics.requests`` builds ``RequestRecord``s
 from them only when it is read.
 """
@@ -45,8 +40,21 @@ from .cost_model import (
     CostParams,
     occupancy_mib,
     percentiles,
-    sum_in_order,
 )
+
+CLOCK_END_NS = 2**63  # every simulated time fits an ``array('q')``
+
+
+def _ns(ms: float, what: str) -> int:
+    """A duration of ``ms``, rounded once to whole nanoseconds."""
+    ns = ms * 1e6
+    if not math.isfinite(ns):
+        raise errors.ConfigError(f"{what} takes {ms} ms")
+    return round(ns)
+
+
+def _ms(ns: int) -> float:
+    return ns / 1_000_000  # one correctly rounded division of two ints
 
 
 class Variant(enum.Enum):
@@ -63,16 +71,23 @@ class DbModel(enum.Enum):
 
 @dataclass
 class RequestTrace:
-    """Arrival times in ms, sorted, of requests to one workload."""
+    """Arrival times in ms, sorted and on the clock, of requests to one
+    workload, fixed once built: every run shares them in ``arrivals_ns``."""
     arrivals: List[float]
     workload: str
+    arrivals_ns: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrivals = self.arrivals
-        if any(t < 0 for t in arrivals):
-            raise errors.InvariantViolation("negative arrival time")
-        if any(a > b for a, b in zip(arrivals, arrivals[1:])):
+        if arrivals != sorted(arrivals):
             raise errors.InvariantViolation("arrivals must be sorted")
+        # Sorted, all are on the clock if the ends are and none is NaN.
+        if arrivals and not (0 <= arrivals[0]
+                             and arrivals[-1] * 1e6 < CLOCK_END_NS
+                             and not any(map(math.isnan, arrivals))):
+            raise errors.InvariantViolation(
+                "an arrival time is outside the clock's range")
+        self.arrivals_ns = array("q", [round(t * 1e6) for t in arrivals])
 
 
 @dataclass(slots=True)
@@ -91,9 +106,9 @@ class RequestRecord:
 @dataclass
 class Metrics:
     """A run's statistics and its requests as columns. Request ``i``
-    arrived at ``arrivals[i]`` (the trace's own list), ran ``plans[i]``
-    and finished at ``finish[i]``; its id is ``ids[i]``, or ``str(i)``
-    when ``ids`` is None."""
+    arrived at ``arrivals[i]`` ms (the trace's own list), ran ``plans[i]``
+    and finished at ``finish[i]``, in whole ns on the run's clock; its id
+    is ``ids[i]``, or ``str(i)`` when ``ids`` is None."""
     model: str
     workload: str
     arrivals: Sequence[float]
@@ -115,7 +130,7 @@ class Metrics:
         """A record per request, built from the columns on each read."""
         ids = self.ids or map(str, range(len(self.finish)))
         return [RequestRecord(request_id, arrival, self.workload,
-                              plan.components, plan.total, finish)
+                              plan.components, plan.total_ms, _ms(finish))
                 for request_id, arrival, plan, finish in zip(
                     ids, self.arrivals, self.plans, self.finish)]
 
@@ -143,8 +158,9 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
         raise errors.InvariantViolation(
             f"arrival rate must be positive and finite, not {rate_per_s}")
     horizon = duration_s * 1000.0
-    if not math.isfinite(horizon):  # no arrival would pass it
-        raise errors.ConfigError(f"duration_s * 1000 = {horizon} ms")
+    if not 0 <= horizon * 1e6 < CLOCK_END_NS:  # then so is every arrival
+        raise errors.ConfigError(
+            f"a horizon of {horizon} ms is outside the clock's range")
     rng = random.Random(seed)
     arrivals: List[float] = []
     t = 0.0
@@ -162,23 +178,29 @@ def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
 
 
 class _Plan(NamedTuple):
-    """The steps of one kind of request, built once per run.
-
+    """The steps of one kind of request, built once per run, in ns:
     ``head`` runs from the start, ``locked`` (None if the EPC-expand step
-    is not serialized) holds the lock and ``tail`` runs after it.
-    ``components`` is read-only: every request of the kind shares it.
-    """
-    head: Tuple[float, ...]
-    locked: Optional[float]
-    tail: Tuple[float, ...]
+    is not serialized) holds the lock and ``tail`` runs after it to the
+    finish; a plan without a lock is all tail. ``components`` holds the
+    steps in ms, unrounded, and is read-only: every request of the kind
+    shares it."""
+    head: int
+    locked: Optional[int]
+    tail: int
     components: Mapping[str, float]
-    total: float
+    total: int
+
+    @property
+    def total_ms(self) -> float:
+        return _ms(self.total)
 
 
 def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     """Plan a request of ``kind``: native, cold or warm (a confidential
     container without or with a warm environment), or a shared-enclave
-    request that takes a pooled container or creates one."""
+    request that takes a pooled container or creates one. A tail of 0 ns
+    is refused: the finish would tie with the time it is scheduled at, an
+    order ``run_serverless`` does not keep."""
     create = params.t_container_create
     if kind == "native":
         steps = [(CONTAINER_CREATE, create),
@@ -197,15 +219,24 @@ def _plan(kind: str, exec_ms: float, params: CostParams) -> _Plan:
     steps.append((EXEC, exec_ms))
     # No component repeats, and ``CostParams.validate`` makes none negative.
     components = types.MappingProxyType(dict(steps))
-    durations = tuple(duration for _, duration in steps)
-    total = sum_in_order(components.values())
-    if not math.isfinite(total):
-        raise errors.ConfigError(f"a {kind} request takes {total} ms")
+    durations = [_ns(ms, f"the {component} of a {kind} request")
+                 for component, ms in steps]
+    head, locked, tail = 0, None, sum(durations)
     if params.epc_alloc_serialized and EPC_EXPAND in components:
-        lock = [component for component, _ in steps].index(EPC_EXPAND)
-        return _Plan(durations[:lock], durations[lock], durations[lock + 1:],
-                     components, total)
-    return _Plan(durations, None, (), components, total)
+        lock = list(components).index(EPC_EXPAND)
+        head, locked, tail = (sum(durations[:lock]), durations[lock],
+                              sum(durations[lock + 1:]))
+    if tail == 0:
+        raise errors.ConfigError(
+            f"the steps that end a {kind} request round to 0 ns")
+    return _Plan(head, locked, tail, components, sum(durations))
+
+
+def _check_clock(last_ns: int, n: int, longest: _Plan) -> None:
+    if last_ns + n * longest.total >= CLOCK_END_NS:
+        raise errors.ConfigError(
+            f"{n} requests of up to {longest.total} ns after {last_ns} ns "
+            "could finish past the clock's range")
 
 
 def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
@@ -228,16 +259,15 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     pending lock acquire. The lock is granted in ``(acquire time, index)``
     order, at the later of the acquire and the last unlock, once the
     acquire is at or before ``s``: a request yet to start acquires at
-    ``s`` or later, and has the larger index. A request's wake times are
-    running sums of its plan's steps (``_plan``).
+    ``s`` or later, and has the larger index. These are the tie rules of
+    the event loop in ``tests/serverless_oracle.py``, since a plan's tail,
+    which ends in its finish, takes 1 ns or more.
 
-    These are the tie rules of the event loop in
-    ``tests/serverless_oracle.py`` whenever the segment that ends in a
-    finish (a lockless plan's head, or a locked plan's tail) advances the
-    clock, since that finish was then scheduled before any start at its
-    time. A segment that does not, whose steps round away against its
-    start time (as 1,000 ms steps do past about 1e19 ms), is a
-    ``ConfigError``.
+    Every request is done by the last arrival plus ``n`` times the
+    longest plan a request takes: while one waits, another runs a step.
+    A run in which that leaves the clock is a ``ConfigError``
+    (``_check_clock``), checked before the first start and again when
+    the shared enclave's ``"create"`` plan is built.
 
     Finishes wait in a heap of bare times, and each request's finish time
     is stored when it is known: at its start, or at its lock grant. The
@@ -252,9 +282,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
 
     The model's choices are made once per run: which kinds of request a
     start picks from, each kind's plan, and whether a finish leaves a
-    warm environment. No plan is built that no request takes: the shared
-    enclave's ``"create"`` plan waits for the first start that finds no
-    free container.
+    warm environment. No plan is built that no request takes: the
+    ``"create"`` and warm plans wait for their first start.
     """
     params.validate()
 
@@ -272,36 +301,38 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         containers = 1  # the registered one
     elif variant is Variant.CC_WARM and not prediction:
         warm_pool = deque()
-        keepalive_ms = params.warm_keepalive_s * 1000.0
+        # An environment kept past the clock's end never expires.
+        keepalive = round(min(CLOCK_END_NS, params.warm_keepalive_s * 1e9))
 
-    arrivals = trace.arrivals
+    arrivals = trace.arrivals_ns
     n = len(arrivals)
+    warm = created = None  # built at their first start
     if n:  # a trace with no arrivals builds no plan
         exec_ms = params.exec_ms(trace.workload)
         if shared:
-            pooled, created = _plan("pooled", exec_ms, params), None
-        elif warm_pool is not None:
-            cold = _plan("cold", exec_ms, params)
-            warm = _plan("warm", exec_ms, params)
-        else:
-            fixed = _plan({Variant.NATIVE: "native", Variant.CC_COLD: "cold",
-                           Variant.CC_WARM: "warm"}[variant], exec_ms, params)
+            longest = pooled = _plan("pooled", exec_ms, params)
+        elif warm_pool is not None:  # warm runs cold's last step only
+            longest = cold = _plan("cold", exec_ms, params)
+        else:  # native, cold or warm
+            kind = variant.value.removeprefix("cc_")
+            longest = fixed = _plan(kind, exec_ms, params)
+        _check_clock(arrivals[-1], n, longest)
 
     plan_of: List[Optional[_Plan]] = [None] * n
-    finish = array("d", [0.0]) * n
-    finishes: List[float] = []  # a heap of known finishes not yet run
-    acquires: List[Tuple[float, int]] = []  # a heap of (time, index)
+    finish = array("q", [0]) * n
+    finishes: List[int] = []  # a heap of known finishes not yet run
+    acquires: List[Tuple[int, int]] = []  # a heap of (time, index)
     push, pop = heapq.heappush, heapq.heappop
     free_workers = workers
     peak = 0  # the most units held at once
-    unlocked = -math.inf  # when the lock was last released
+    unlocked = 0  # when the lock was last released
 
-    s = -math.inf
-    # After the last request, a start at inf grants the pending lock
-    # acquires, which sets the last finish times, and ends the run. The
+    s = 0
+    # After the last request, a start at the clock's end grants the
+    # pending lock acquires, which sets the last finish times. The
     # finishes left in the heap would only free workers and warm
-    # environments, and nothing reads those after the last start.
-    for i, arrival in enumerate(itertools.chain(arrivals, (math.inf,))):
+    # environments, which nothing reads after the last start.
+    for i, arrival in enumerate(itertools.chain(arrivals, (CLOCK_END_NS,))):
         if arrival > s:
             s = arrival
         while True:
@@ -310,14 +341,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 plan = plan_of[j]
                 unlocked = (acquired if acquired > unlocked
                             else unlocked) + plan.locked
-                t = unlocked
-                for duration in plan.tail:
-                    t = t + duration
-                if t == unlocked:
-                    raise errors.ConfigError(
-                        f"the tail of a request unlocked at {unlocked} ms"
-                        " rounds away")
-                finish[j] = t
+                finish[j] = t = unlocked + plan.tail
                 push(finishes, t)
             if i == n:
                 break
@@ -327,7 +351,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 if bare is not None and t == finish[bare]:
                     bare = None
                 elif warm_pool is not None:
-                    warm_pool.append(t + keepalive_ms)
+                    warm_pool.append(t + keepalive)
             if free_workers:
                 break
             if not (finishes or acquires):
@@ -350,7 +374,10 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 plan = pooled
             else:  # every container is in use: create one
                 containers += 1
-                plan = created = created or _plan("create", exec_ms, params)
+                if created is None:
+                    created = _plan("create", exec_ms, params)
+                    _check_clock(arrivals[-1], n, created)
+                plan = created
             held -= bare is not None
         else:
             if warm_pool is None:
@@ -361,22 +388,16 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     warm_pool.popleft()
                 if warm_pool:
                     warm_pool.popleft()
-                    plan = warm
+                    plan = warm = warm or _plan("warm", exec_ms, params)
                 else:
                     plan = cold
         if held > peak:
             peak = held
         plan_of[i] = plan
-        t = s
-        for duration in plan.head:
-            t = t + duration
         if plan.locked is not None:
-            push(acquires, (t, i))
+            push(acquires, (s + plan.head, i))
             continue
-        if t == s:
-            raise errors.ConfigError(
-                f"the head of a request started at {s} ms rounds away")
-        finish[i] = t
+        finish[i] = t = s + plan.tail
         push(finishes, t)
 
     # A native request holds no unit.
@@ -391,13 +412,13 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
     peak_mib = occupancy_mib(baseline_mib, peak, unit_mib)
     latencies = [plan.total for plan in plans]
     count = len(finish)
-    # Summed in request order, as ``sum_in_order`` needs; one sorted copy
-    # gives both percentiles.
-    mean = sum_in_order(latencies) / count if count else 0.0
-    p50, p99 = percentiles(latencies, 50, 99)
+    # Exact sums of ns, each rounded once; one sorted copy gives both
+    # percentiles.
+    mean = sum(latencies) / (count * 1_000_000) if count else 0.0
+    p50, p99 = map(_ms, percentiles(latencies, 50, 99))
     # The trace is sorted, so its first request arrives first.
-    completion = max(finish) - trace.arrivals[0] if count else 0.0
-    throughput = count / (completion / 1000.0) if completion > 0 else 0.0
+    completion = max(finish) - trace.arrivals_ns[0] if count else 0
+    throughput = count * 1_000_000_000 / completion if completion else 0.0
     return Metrics(
         model=model_name,
         workload=trace.workload,
@@ -410,7 +431,7 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
         p99_ms=p99,
         peak_epc_mib=peak_mib,
         throughput_rps=throughput,
-        completion_time_ms=completion,
+        completion_time_ms=_ms(completion),
         extras={
             "registration_ms": registration_ms,
             "baseline_mib": baseline_mib,
@@ -421,21 +442,7 @@ def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
 
 
 # ---------------------------------------------------------------------------
-# Database scenario. Its clock counts whole simulated nanoseconds as Python
-# ints, so a stretch of equal requests is one floor division. Costs come
-# in, and outputs go out, in ms and MiB.
-
-def _ns(ms: float, what: str) -> int:
-    """A duration of ``ms``, rounded once to whole nanoseconds."""
-    ns = ms * 1e6
-    if not math.isfinite(ns):
-        raise errors.ConfigError(f"{what} takes {ms} ms")
-    return round(ns)
-
-
-def _ms(ns: int) -> float:
-    return ns / 1_000_000  # one correctly rounded division of two ints
-
+# Database scenario.
 
 class DbCycle(NamedTuple):
     """One fork/snapshot cycle; each time and duration in whole ns."""
@@ -498,7 +505,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     full-copy model's window and the tail after the window) is one floor
     division. Above the base (the database and its runtime) the ledger
     counts one unit, a full copy of both, or one ``page_mib`` per copied
-    page. ``Metrics``, its extras and the fork row are in ms and MiB.
+    page. The statistics, the extras and the fork row are in ms and MiB.
     """
     if db_mib <= 0:
         raise errors.InvariantViolation("db size must be positive")
@@ -593,7 +600,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
     for component, ns in fork_components.items():
         ledger.charge(component, _ms(ns), "fork")
     fork = types.MappingProxyType(dict(ledger.breakdowns["fork"]))
-    fork_ms = sum_in_order(fork.values())
+    fork_ns = fork_end - fork_start  # the sum of its components
 
     completion_ms = _ms(end)
     window_s = _ms(window_end - fork_start) / 1000.0
@@ -601,8 +608,8 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
         model=model.value,
         workload="db-fork",
         arrivals=[_ms(fork_start)],
-        plans=[_Plan(tuple(fork.values()), None, (), fork, fork_ms)],
-        finish=array("d", [_ms(fork_end)]),
+        plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
+        finish=array("q", [fork_end]),
         count=served_total,
         mean_latency_ms=(_ms(service_ns) / served_total if served_total
                          else 0.0),
@@ -612,7 +619,7 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
         throughput_rps=served_total / (completion_ms / 1000.0),
         completion_time_ms=completion_ms,
         extras={
-            "fork_latency_ms": fork_ms,
+            "fork_latency_ms": _ms(fork_ns),
             "snapshot_window_s": window_s,
             "snapshot_window_throughput_rps": served_window / window_s,
             # Occupancy only rises until the window closes, so the

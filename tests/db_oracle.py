@@ -18,7 +18,7 @@ from array import array
 from typing import List, Optional, Tuple
 
 from enclavesim import errors
-from enclavesim.cost_model import CostParams, sum_in_order
+from enclavesim.cost_model import CostParams
 from enclavesim.workload_harness import (
     DbModel,
     Metrics,
@@ -120,7 +120,7 @@ def run_database_stepwise(model: DbModel, db_mib: float,
     for component, ns in fork_components.items():
         ledger.charge(component, ns / 10**6, "fork")
     fork = types.MappingProxyType(dict(ledger.breakdowns["fork"]))
-    fork_ms = sum_in_order(fork.values())
+    fork_ns = sum(fork_components.values())
 
     completion_ms = end / 10**6
     window_s = (window_end - fork_start) / 10**6 / 1000.0
@@ -128,8 +128,8 @@ def run_database_stepwise(model: DbModel, db_mib: float,
         model=model.value,
         workload="db-fork",
         arrivals=[fork_start / 10**6],
-        plans=[_Plan(tuple(fork.values()), None, (), fork, fork_ms)],
-        finish=array("d", [fork_end / 10**6]),
+        plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
+        finish=array("q", [fork_end]),
         ids=("fork",),
         count=served_total,
         mean_latency_ms=(service_ns / 10**6 / served_total if served_total
@@ -140,7 +140,7 @@ def run_database_stepwise(model: DbModel, db_mib: float,
         throughput_rps=served_total / (completion_ms / 1000.0),
         completion_time_ms=completion_ms,
         extras={
-            "fork_latency_ms": fork_ms,
+            "fork_latency_ms": fork_ns / 10**6,
             "snapshot_window_s": window_s,
             "snapshot_window_throughput_rps": served_window / window_s,
             "snapshot_peak_mib": snapshot_peak,

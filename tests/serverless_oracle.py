@@ -7,22 +7,25 @@ each request is a ``_Job`` that takes its units of memory at its start
 and returns them at its finish, and each finish stores its time and plan
 in the run's columns. The harness derives its units from its busy
 workers instead, so the jobs' units are the independent reference for
-its peak. On every run the harness accepts, it must give the same
-``Metrics`` and records, field for field and bit for bit. The oracle
-builds a kind's plan at its first start; the harness builds its plans
-before its recursion, except the shared enclave's ``"create"`` plan.
+its peak. Both keep a clock of whole ns as Python ints. On every run the
+harness accepts, it must give the same ``Metrics`` and records, field for
+field and bit for bit, and it must refuse every run this loop refuses.
+The oracle builds a kind's plan at its first start; the harness builds
+its plans before its recursion, except the shared enclave's ``"create"``
+plan and ``cc_warm``'s warm plan.
 
 The harness has no events: it is a recursion over starts, in index
 order, in which every finish at or before a start runs before it. That is
-this loop's order whenever the segment that ends in a finish (a lockless
-plan's head, or a locked plan's tail) advances the clock: the finish is
-then scheduled before its time comes, so its seq is smaller than that of
-any start scheduled at its time. A segment that rounds away schedules its
-finish at the current time, behind starts already waiting there, in an
-order the recursion does not keep, and the harness refuses such a run
-with a ``ConfigError``. ``stalled``, when given, collects the index of
-each request whose finishing segment took no time here: those are the
-runs the harness must refuse.
+this loop's order since a plan's tail, the steps that end in its finish
+(all of a plan without a lock), takes 1 ns or more: the finish is
+scheduled before its time comes, so its seq is smaller than that of any
+start scheduled at its time. A tail of 0 ns would schedule its finish at
+the current time, behind starts already waiting there, in an order the
+recursion does not keep; ``_plan``, which both share, refuses it.
+
+A run is refused, after it ends here, if its last arrival plus ``n``
+times the longest plan a request took reaches the clock's end
+(``CLOCK_END_NS``): the bound the harness checks before it starts.
 
 The trace is one workload's sorted arrival times (``RequestTrace``), and
 each record carries that workload.
@@ -37,6 +40,7 @@ from typing import Dict, List, Optional
 from enclavesim import errors
 from enclavesim.cost_model import CostParams
 from enclavesim.workload_harness import (
+    CLOCK_END_NS,
     Metrics,
     RequestTrace,
     Variant,
@@ -63,8 +67,7 @@ class _Job:
 
 def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                           params: CostParams, workers: int = 8,
-                          prediction: bool = False,
-                          stalled: Optional[List[int]] = None) -> Metrics:
+                          prediction: bool = False) -> Metrics:
     """Run one execution model over a trace of one workload.
 
     ``prediction`` makes every ``cc_warm`` request warm. The shared-enclave
@@ -77,20 +80,20 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     request wakes only where it touches shared state: on arrival (worker
     pool), at start (warm pool, free containers, occupancy), at the
     EPC-expand lock (acquire, grant, unlock) and at finish. Between those
-    points its steps touch nothing shared; the wake time is their running
-    sum from the current time. Each kind of request is planned when its
+    points its steps touch nothing shared; the wake time is the current
+    time plus the plan's head or tail. Each kind of request is planned when its
     first request starts (``_plan``), in a table keyed by kind; at finish
-    the request's plan and finish time go into the run's columns. Grants from the pool or the lock are separate zero-delay
-    events.
+    the request's plan and finish time go into the run's columns. Grants
+    from the pool or the lock are separate zero-delay events.
     """
     params.validate()
 
     held = peak = 0  # units of memory held now, and at most
     n = len(trace.arrivals)
     plan_of: List[Optional[_Plan]] = [None] * n
-    finish = array("d", [0.0]) * n
+    finish = [0] * n  # whole ns, unbounded until the range check
     events = [(arrival, idx, _ARRIVE, _Job(idx))
-              for idx, arrival in enumerate(trace.arrivals)]
+              for idx, arrival in enumerate(trace.arrivals_ns)]
     heapq.heapify(events)
     push = heapq.heappush
     seq = itertools.count(len(events))
@@ -101,7 +104,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     lock_queue: deque = deque()
     free_containers = 0
     live_instances = 0
-    warm_pool: List[float] = []  # expiry times of idle warm environments
+    warm_pool: List[int] = []  # expiry times of idle warm environments
     done = 0
     plans: Dict[str, _Plan] = {}
 
@@ -113,7 +116,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
         unit_mib = params.m_teemate_per_instance
         free_containers = 1
 
-    def start(job: _Job, now: float) -> None:
+    def start(job: _Job, now: int) -> None:
         """Pick the request's plan, take its units of memory and run its
         steps up to the lock or the end."""
         nonlocal free_containers, live_instances, held, peak
@@ -148,13 +151,10 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
         job.plan = plan
         held += job.units
         peak = max(peak, held)
-        t = now
-        for duration in plan.head:
-            t = t + duration
-        if plan.locked is None and t == now and stalled is not None:
-            stalled.append(job.idx)
-        push(events, (t, next(seq),
-                      _FINISH if plan.locked is None else _ACQUIRE, job))
+        if plan.locked is None:
+            push(events, (now + plan.tail, next(seq), _FINISH, job))
+        else:
+            push(events, (now + plan.head, next(seq), _ACQUIRE, job))
 
     while events:
         now, _, kind, job = heapq.heappop(events)
@@ -179,12 +179,7 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                 push(events, (now, next(seq), _LOCKED, lock_queue.popleft()))
             else:
                 lock_free = True
-            t = now
-            for duration in job.plan.tail:
-                t = t + duration
-            if t == now and stalled is not None:
-                stalled.append(job.idx)
-            push(events, (t, next(seq), _FINISH, job))
+            push(events, (now + job.plan.tail, next(seq), _FINISH, job))
         else:
             finish[job.idx] = now
             plan_of[job.idx] = job.plan
@@ -193,7 +188,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
                 live_instances -= 1
                 free_containers += 1
             elif variant is Variant.CC_WARM and not prediction:
-                warm_pool.append(now + params.warm_keepalive_s * 1000.0)
+                warm_pool.append(now + round(min(
+                    CLOCK_END_NS, params.warm_keepalive_s * 1e9)))
             if pool_queue:
                 push(events, (now, next(seq), _START, pool_queue.popleft()))
             else:
@@ -204,5 +200,8 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
         raise errors.InvariantViolation("not all requests completed")
     if held:
         raise errors.InvariantViolation(f"{held} units not returned")
-    return _metrics(variant.value, trace, plan_of, finish, peak,
+    if n and trace.arrivals_ns[-1] + n * max(
+            plan.total for plan in plan_of) >= CLOCK_END_NS:
+        raise errors.ConfigError("a finish could pass the clock's range")
+    return _metrics(variant.value, trace, plan_of, array("q", finish), peak,
                     registration_ms, baseline_mib, unit_mib)

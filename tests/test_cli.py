@@ -324,23 +324,40 @@ class TestMain:
         assert main([cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("model, segment", [("cc_cold", "head"),
-                                                ("teemate", "tail")],
-                             ids=["cc_cold", "teemate"])
-    def test_finish_that_rounds_away_exits_one(self, tmp_path, capsys, model,
-                                               segment):
-        # Requests arrive about 1e20 ms apart. Past about 1e19 ms a float's
-        # step exceeds twice a request's steps, so the segment that ends in
-        # its finish (a cold request's head, a shared-enclave request's
-        # tail after the lock) rounds away and would finish it in 0 ms.
-        cfg = self.write_cfg(tmp_path, MACRO_CFG.replace(
-            "teemate", model).replace("rate_per_s = 2", "rate_per_s = 1e-17")
-            .replace("duration_s = 10", "duration_s = 1e20"))
+    @pytest.mark.parametrize("text", [
+        # Arrivals over 4e18 ms, past the clock's range.
+        MACRO_CFG.replace("teemate", "cc_cold, native, teemate")
+        .replace("rate_per_s = 2", "rate_per_s = 2.5e-13")
+        .replace("duration_s = 10", "duration_s = 4e15"),
+        # One request of 1e13 ms, which would finish past it.
+        LATENCY_CFG + "t_exec.crypto-aes = 1e13\n",
+    ], ids=["horizon", "finishes"])
+    def test_run_off_the_clock_exits_one(self, tmp_path, capsys, text):
+        # The clock counts whole ns below 2^63, about 9.2e12 ms.
+        cfg = self.write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main([cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: the {segment} of a request ")
-        assert err.endswith(" rounds away\n") and err.count("\n") == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "outside the clock's range" in err \
+            or "past the clock's range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (MACRO_CFG + "prediction = maybe\n", "expected a boolean"),
+        (MACRO_CFG.replace("model = teemate", "model = foo"),
+         "unknown serverless model 'foo'"),
+        (DB_CFG.replace("model = strawman, teemate", "model = strawman, foo"),
+         "unknown database model 'foo'"),
+    ], ids=["prediction", "serverless-model", "database-model"])
+    def test_unknown_value_exits_one_with_one_error_line(
+            self, tmp_path, capsys, text, message):
+        cfg = self.write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
@@ -374,9 +391,13 @@ class TestMain:
         "n_requests = 2\nworkers = 1\nseed = 0\nt_exec.sleep = 1e308\n",
         MACRO_CFG.replace("rate_per_s = 2", "rate_per_s = 1e-304").replace(
             "duration_s = 10", "duration_s = 1e306"),
+        # The shared enclave's registration sums to inf ms; its requests
+        # take pooled containers and run.
+        "[serverless_latency]\nmodel = teemate\nworkload = sleep\n"
+        "seed = 0\nt_container_create = 1e308\nt_enclave_create = 1e308\n",
     ], ids=["request-total", "epc-expand", "db-epc-expand",
             "instance-pages", "db-pages",
-            "fork", "queued-finish", "poisson-horizon"])
+            "fork", "queued-finish", "poisson-horizon", "registration"])
     def test_overflowing_value_exits_one_without_output(self, tmp_path,
                                                         text):
         cfg = self.write_cfg(tmp_path, text)
@@ -386,9 +407,10 @@ class TestMain:
 
     @pytest.mark.parametrize("text, count", [
         # The one request takes the pooled container: the plan of a
-        # request that creates one would take inf ms.
+        # request that creates one would have a 1e308 ms step, which has
+        # no value in ns.
         ("[serverless_latency]\nmodel = teemate\nworkload = sleep\n"
-         "seed = 0\nt_container_create = 1e308\nt_exec.sleep = 1e308\n", 1),
+         "seed = 0\nt_container_create = 1e308\n", 1),
         # No request arrives, so no cold request is planned.
         ("[serverless_macro]\nmodel = cc_cold\nworkload = sleep\n"
          "rate_per_s = 1e-6\nduration_s = 1\nseed = 0\n"
@@ -633,14 +655,15 @@ class TestMain:
 
     def test_summary_error_leaves_earlier_outputs_unchanged(self, tmp_path,
                                                              capsys):
-        # The second request finishes at 2e308 ms, so its latency is not
-        # finite; the summary is built before any output is opened.
-        text = ("[serverless_latency]\nmodel = native\nworkload = sleep\n"
+        # The shared enclave's registration sums to inf ms, which the
+        # summary refuses; it is built before any output is opened.
+        text = ("[serverless_latency]\nmodel = teemate\nworkload = sleep\n"
                 "n_requests = 2\nworkers = 1\nseed = 0\n")
         out = tmp_path / "out"
         assert main([self.write_cfg(tmp_path, text), "--out", str(out)]) == 0
         earlier = [(out / name).read_bytes() for name in OUTPUTS]
-        cfg = self.write_cfg(tmp_path, text + "t_exec.sleep = 1e308\n")
+        cfg = self.write_cfg(tmp_path, text + "t_container_create = 1e308\n"
+                             "t_enclave_create = 1e308\n")
         assert main([cfg, "--out", str(out)]) == 1
         assert "a summary value is not finite" in capsys.readouterr().err
         assert [(out / name).read_bytes() for name in OUTPUTS] == earlier

@@ -13,7 +13,6 @@ from enclavesim.cost_model import (
     WORKLOADS,
     default_params,
     percentiles,
-    sum_in_order,
 )
 
 
@@ -82,18 +81,6 @@ class TestLedgerCharges:
         ledger.charge(EPC_EXPAND, 7.0, 2)
         assert ledger.breakdowns == {1: {EPC_EXPAND: 5.0},
                                      2: {EPC_EXPAND: 7.0}}
-
-
-class TestSumInOrder:
-    def test_adds_left_to_right(self):
-        # Each 1.0 rounds away against 2**53 on its own; a compensated
-        # sum (builtin ``sum`` from Python 3.12, ``math.fsum``) keeps both.
-        values = [2.0 ** 53, 1.0, 1.0]
-        assert sum_in_order(values) == 2.0 ** 53
-        assert sum_in_order(values[1:] + values[:1]) == 2.0 ** 53 + 2.0
-
-    def test_empty_is_zero(self):
-        assert sum_in_order([]) == 0.0
 
 
 class TestLedgerOccupancy:

@@ -405,31 +405,33 @@ GUARDS = {
         _COST + "TestLedgerOccupancy::test_absorbed_change_is_a_config_error",
 
     # workload_harness
+    ("workload_harness", "_ns", "not math.isfinite(ns)"):
+        _CLI + "TestMain::"
+        "test_overflowing_value_exits_one_without_output[fork]",
     ("workload_harness", "RequestTrace.__post_init__",
-     "any(t < 0 for t in arrivals)"):
-        _HARNESS + "TestTraces::test_trace_rejects_negative",
+     "arrivals and not (0 <= arrivals[0] and arrivals[-1] * 1e6 < "
+     "CLOCK_END_NS and not any(map(math.isnan, arrivals)))"):
+        _HARNESS + "TestTraces::"
+        "test_trace_rejects_an_arrival_off_the_clock[nan-inside]",
     ("workload_harness", "RequestTrace.__post_init__",
-     "any(a > b for a, b in zip(arrivals, arrivals[1:]))"):
+     "arrivals != sorted(arrivals)"):
         _HARNESS + "TestTraces::test_trace_rejects_unsorted",
     ("workload_harness", "gen_burst", "n < 1"):
         _HARNESS + "TestTraces::test_burst_rejects_zero",
     ("workload_harness", "gen_poisson", "not 0 < rate_per_s < math.inf"):
         _HARNESS + "TestTraces::"
         "test_poisson_rejects_a_rate_that_is_not_finite[nan]",
-    ("workload_harness", "gen_poisson", "not math.isfinite(horizon)"):
+    ("workload_harness", "gen_poisson",
+     "not 0 <= horizon * 1e6 < CLOCK_END_NS"):
         _HARNESS + "TestTraces::test_poisson_rejects_an_infinite_horizon",
-    ("workload_harness", "_plan", "not math.isfinite(total)"):
-        _HARNESS + "TestServerlessLatency::"
-        "test_overflowing_request_is_a_config_error",
-    ("workload_harness", "run_serverless", "t == unlocked"):
-        _CLI + "TestMain::test_finish_that_rounds_away_exits_one[teemate]",
+    ("workload_harness", "_plan", "tail == 0"):
+        _HARNESS + "TestServerlessOracle::"
+        "test_refuses_exactly_the_plans_that_finish_in_0_ns[native]",
+    ("workload_harness", "_check_clock",
+     "last_ns + n * longest.total >= CLOCK_END_NS"):
+        _CLI + "TestMain::test_run_off_the_clock_exits_one[finishes]",
     ("workload_harness", "run_serverless", "not (finishes or acquires)"):
         _HARNESS + "TestServerlessLatency::test_no_workers_completes_nothing",
-    ("workload_harness", "run_serverless", "t == s"):
-        _CLI + "TestMain::test_finish_that_rounds_away_exits_one[cc_cold]",
-    ("workload_harness", "_ns", "not math.isfinite(ns)"):
-        _CLI + "TestMain::"
-        "test_overflowing_value_exits_one_without_output[fork]",
     ("workload_harness", "db_cycle", "exec_ns == 0"):
         _CLI + "TestMain::"
         "test_oversized_run_exits_one_before_simulating[sub-ns-request]",
@@ -491,7 +493,7 @@ GUARDS = {
         "test_oversized_run_exits_one_before_simulating[macro-arrivals]",
     ("cli", "_json_text", "not math.isfinite(value)"):
         _CLI + "TestMain::"
-        "test_overflowing_value_exits_one_without_output[queued-finish]",
+        "test_overflowing_value_exits_one_without_output[registration]",
     ("cli", "run_security_suite", "config.schedules > MAX_SCHEDULES"):
         _CLI + "TestMain::test_too_many_schedules_exit_one_before_probing",
     ("cli", "_check_out_dir", "not os.path.isdir(path)"):

@@ -28,6 +28,7 @@ from enclavesim.cost_model import (
 )
 from enclavesim.enclave_runtime import DB_BASE
 from enclavesim.workload_harness import (
+    CLOCK_END_NS,
     DbModel,
     RequestTrace,
     Variant,
@@ -105,6 +106,27 @@ class TestTraces:
         with pytest.raises(errors.InvariantViolation):
             RequestTrace([-1.0], "a")
 
+    @pytest.mark.parametrize("arrivals", [
+        [0.0, math.nan, 1.0], [math.nan], [0.0, math.inf],
+        [0.0, CLOCK_END_NS / 1e6],
+    ], ids=["nan-inside", "nan", "inf", "clock-end"])
+    def test_trace_rejects_an_arrival_off_the_clock(self, arrivals):
+        # No comparison holds for NaN, so a NaN between sorted arrivals
+        # passes the sort check.
+        with pytest.raises(errors.InvariantViolation, match="clock's range"):
+            RequestTrace(arrivals, "a")
+
+    def test_trace_holds_its_arrivals_in_ns(self):
+        # Each rounded once, half to even; 9e12 ms is 9e18 ns, near the
+        # clock's end.
+        trace = RequestTrace([0.0, 4e-7, 5e-7, 1.5, 9e12], "a")
+        assert list(trace.arrivals_ns) == [0, 0, 0, 1_500_000, 9 * 10**18]
+
+    def test_poisson_rejects_a_horizon_past_the_clock(self, bounded):
+        # 1e10 s is past the clock's 2^63 ns, about 9.2e9 s.
+        with pytest.raises(errors.ConfigError, match="clock's range"):
+            gen_poisson(1e-9, 1e10, 0, "sleep")
+
     def test_poisson_deterministic_per_seed(self):
         a = gen_poisson(10.0, 5.0, 42, "sleep")
         b = gen_poisson(10.0, 5.0, 42, "sleep")
@@ -163,6 +185,13 @@ class TestServerlessLatency:
         assert ENCLAVE_CREATE in cold.components
         assert warm.components == {"exec": params.exec_ms("sleep")}
 
+    def test_warm_pool_kept_past_the_clock_never_expires(self, params):
+        # 1e306 s is past the clock's end, and no float ms holds it.
+        params.warm_keepalive_s = 1e306
+        trace = RequestTrace([0.0, 9e12], "sleep")
+        m = run_serverless(Variant.CC_WARM, trace, params)
+        assert m.requests[1].components == {"exec": params.exec_ms("sleep")}
+
     def test_warm_pool_expires(self, params):
         params.warm_keepalive_s = 30
         trace = RequestTrace([0.0, 50000.0], "sleep")
@@ -184,6 +213,34 @@ class TestServerlessLatency:
         params.t_container_create = params.t_enclave_create = 1e308
         with pytest.raises(errors.ConfigError, match="cold request"):
             run_serverless(Variant.CC_COLD, gen_burst(1, "sleep"), params)
+
+    @pytest.mark.parametrize("n, margin_ms, refused", [
+        (1, 1795.0, False), (1, 1775.0, True),
+        (2, 3580.0, False), (2, 3560.0, True)])
+    def test_run_that_could_finish_past_the_clock_is_refused(
+            self, params, n, margin_ms, refused):
+        # A native sleep request takes 1,785 ms. A run is refused if its
+        # last arrival plus n times that reaches 2^63 ns, even when, as
+        # here on n workers, each request would finish 1,785 ms after it.
+        trace = RequestTrace([CLOCK_END_NS / 1e6 - margin_ms] * n, "sleep")
+        finish = trace.arrivals_ns[-1] + 1_785_000_000
+        assert (trace.arrivals_ns[-1] + n * 1_785_000_000
+                >= CLOCK_END_NS) == refused
+        if refused:
+            with pytest.raises(errors.ConfigError, match="clock's range"):
+                run_serverless(Variant.NATIVE, trace, params, workers=n)
+        else:
+            m = run_serverless(Variant.NATIVE, trace, params, workers=n)
+            assert list(m.finish) == [finish] * n
+
+    def test_a_created_container_rechecks_the_clock(self, params):
+        # Two shared-enclave requests 5,000 ms before the clock's end: two
+        # pooled plans (2,142.8 ms each) fit, but a created container's
+        # plan (2,727.8 ms) is checked when the second start builds it.
+        trace = RequestTrace([CLOCK_END_NS / 1e6 - 5000.0] * 2, "sleep")
+        assert run_serverless(Variant.TEEMATE, trace, params, 1).count == 2
+        with pytest.raises(errors.ConfigError, match="clock's range"):
+            run_serverless(Variant.TEEMATE, trace, params, 2)
 
     def test_no_workers_completes_nothing(self, params):
         with pytest.raises(errors.InvariantViolation, match="not all"):
@@ -279,7 +336,7 @@ class TestServerlessThroughput:
         run_serverless(variant, gen_burst(64, "crypto-aes"), params, 64)
         assert len(pops) == (64 if serialized else 0)
         poisson = gen_poisson(4.0, 150.0, 0, "crypto-aes")
-        last = max(run_serverless(variant, poisson, params, 8).finish)
+        last = max(run_serverless(variant, poisson, params, 8).finish) / 1e6
         trace = RequestTrace(poisson.arrivals + [last + 1.0], "crypto-aes")
         pops.clear()
         run_serverless(variant, trace, params, 8)
@@ -573,7 +630,7 @@ class TestDatabaseOnRuntime:
     """The writes of a 4 MiB shared-enclave window, as the database oracle
     draws them, made as parent writes through ``fork_cow`` on a runtime of
     1,024 database pages: the runtime copies the pages ``run_database``
-    counts and takes the EPC it reports (ROADMAP item 10, step 0)."""
+    counts and takes the EPC it reports (ROADMAP item 13)."""
 
     def test_window_writes_match_the_runtime(self, params):
         # A 400 ms window: about 800 requests, half of them writes, so a
@@ -597,15 +654,19 @@ class TestDatabaseOnRuntime:
 
 
 # Integer costs make finishes land on arrivals, grants and each other; the
-# others are not dyadic, so their sums round.
+# others are not whole ns, so each step rounds.
 COSTS = st.sampled_from([100.0, 200.0, 300.0, 400.0, 0.1, 0.3, 41.7, 1234.567])
+
+# Offsets that move a trace near the clock's end: 1e7 ms before it every
+# run fits its range; 1e4 ms before it, a run of a few requests fits and a
+# longer one is refused.
+NEAR_THE_END_MS = [CLOCK_END_NS / 1e6 - 1e7, CLOCK_END_NS / 1e6 - 1e4]
 
 
 @st.composite
 def serverless_traces(draw):
     """A Poisson trace, or arrivals tied on a 100 ms grid, of one of two
-    workloads, sometimes moved to a time where steps round: to 2^53 ms
-    they round to even ms, and to 1e16 or 1e20 ms most round away."""
+    workloads, sometimes moved near the clock's end."""
     workload = draw(st.sampled_from("ab"))
     if draw(st.booleans()):
         arrivals = gen_poisson(
@@ -614,7 +675,7 @@ def serverless_traces(draw):
     else:
         times = sorted(draw(st.lists(st.integers(0, 8), max_size=40)))
         arrivals = [100.0 * k for k in times]
-    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 0.0, 2.0**53, 1e16, 1e20]))
+    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 0.0, *NEAR_THE_END_MS]))
     return RequestTrace([offset + t for t in arrivals], workload)
 
 
@@ -631,25 +692,23 @@ def assert_same_run(got, want):
     assert record_fields(got) == record_fields(want)
 
 
+MS = 10**6  # ns
+
+
 def whole_ms_plan(kind, head, locked=None, tail=0):
     """A plan of a head, then, unless ``locked`` is None, a locked step and
-    a tail, each of whole ms. Its components name ``kind``, so a record
-    shows which kind of plan its request ran."""
+    a tail, each of whole ms; without a lock, the head is all the plan's
+    tail. Its components name ``kind``, so a record shows which kind of
+    plan its request ran."""
     if locked is None:
         return workload_harness._Plan(
-            (float(head),), None, (),
-            types.MappingProxyType({kind: float(head)}), float(head))
+            0, None, head * MS,
+            types.MappingProxyType({kind: float(head)}), head * MS)
     return workload_harness._Plan(
-        (float(head),), float(locked), (float(tail),),
+        head * MS, locked * MS, tail * MS,
         types.MappingProxyType({kind: float(head), EPC_EXPAND: float(locked),
                                 EXEC: float(tail)}),
-        float(head + locked + tail))
-
-
-def ends_in_0_ms(plan):
-    """Whether the segment of a whole-ms plan that ends in a finish, its
-    head without a lock or its tail after one, takes 0 ms."""
-    return sum(plan.head if plan.locked is None else plan.tail) == 0
+        (head + locked + tail) * MS)
 
 
 def small_scope():
@@ -661,14 +720,15 @@ def small_scope():
     return range(3), 5, range(2)
 
 
-def small_scope_configs(variant, steps, ends):
+def small_scope_configs(variant, steps):
     """Every ``(plans, keepalive_s, prediction)`` of a model at small scope.
     A locked plan's head and locked step take each of ``steps``, and each
-    segment that ends in a finish takes each of ``ends``. The shared
-    enclave takes every pooled and create plan of a head, a locked step
-    and a tail; the others every plan head (a plan without a lock has no
-    tail), and ``cc_warm`` keepalives of 0 and 1 ms, with and without
-    prediction."""
+    tail, the steps that end in a finish, one more than each, since
+    ``_plan`` refuses one of 0 ns. The shared enclave takes every pooled
+    and create plan of a head, a locked step and a tail; the others every
+    plan without a lock, which is all tail, and ``cc_warm`` keepalives of
+    0 and 1 ms, with and without prediction."""
+    ends = [step + 1 for step in steps]
     if variant is Variant.TEEMATE:
         plans = [(head, locked, tail) for head in steps for locked in steps
                  for tail in ends]
@@ -688,11 +748,9 @@ def small_scope_configs(variant, steps, ends):
 
 def run_small_scope(variant, configs):
     """Run ``run_serverless`` and the oracle on each config, every sorted
-    trace of a few arrivals at a few whole ms and 1-3 workers. The outcome
-    of a run is "equal" (finish times, record fields and the peak),
-    "refused" (a ``ConfigError`` where a plan the oracle ran ends
-    in 0 ms) or "differ". Returns the count of runs of each outcome, and
-    the first run of each."""
+    trace of a few arrivals at a few whole ms and 1-3 workers. Returns the
+    count of runs and the first whose finish times, record fields or peak
+    differ from the oracle's, or None."""
     times, most, _ = small_scope()
     traces = [RequestTrace([float(t) for t in arrivals], "a")
               for k in range(1, most + 1)
@@ -700,8 +758,8 @@ def run_small_scope(variant, configs):
                   times, k)]
     params = default_params()
     params.t_exec = {"a": 1.0}
-    counts = dict.fromkeys(("equal", "refused", "differ"), 0)
-    plans, first = {}, {}
+    runs, first = 0, None
+    plans = {}
     with pytest.MonkeyPatch.context() as mp:
         for module in (workload_harness, serverless_oracle):
             mp.setattr(module, "_plan",
@@ -712,22 +770,56 @@ def run_small_scope(variant, configs):
                 for workers in (1, 2, 3):
                     want = run_serverless_heaped(variant, trace, params,
                                                  workers, prediction)
-                    stalls = any(map(ends_in_0_ms, want.plans))
-                    try:
-                        got = run_serverless(variant, trace, params,
-                                             workers, prediction)
-                    except errors.ConfigError:
-                        outcome = "refused" if stalls else "differ"
-                    else:
-                        same = (got.finish == want.finish
-                                and record_fields(got) == record_fields(want)
-                                and got.peak_epc_mib == want.peak_epc_mib)
-                        outcome = "equal" if same and not stalls else "differ"
-                    counts[outcome] += 1
-                    first.setdefault(outcome, (dict(plans), keepalive_s,
-                                               prediction, trace.arrivals,
-                                               workers))
-    return counts, first
+                    got = run_serverless(variant, trace, params, workers,
+                                         prediction)
+                    runs += 1
+                    same = (got.finish == want.finish
+                            and record_fields(got) == record_fields(want)
+                            and got.peak_epc_mib == want.peak_epc_mib)
+                    if first is None and not same:
+                        first = (dict(plans), keepalive_s, prediction,
+                                 trace.arrivals, workers)
+    return runs, first
+
+
+# Steps that round to 0 ns and to 1 ns.
+SUB_NS_MS, ONE_NS_MS = 1e-7, 1e-6
+
+# Per model, runs of ``(arrivals in ms, workers, prediction)`` and the
+# kinds of plan their requests take: after a cold request of a few ns,
+# a request at 1 ms takes its warm environment, and a second request on
+# a second worker creates a container.
+PLAN_RUNS = {
+    Variant.NATIVE: [(([0.0], 1, False), {"native"})],
+    Variant.CC_COLD: [(([0.0], 1, False), {"cold"})],
+    Variant.CC_WARM: [(([0.0], 1, False), {"cold"}),
+                      (([0.0, 1.0], 1, False), {"cold", "warm"}),
+                      (([0.0], 1, True), {"warm"})],
+    Variant.TEEMATE: [(([0.0], 1, False), {"pooled"}),
+                      (([0.0, 0.0], 2, False), {"pooled", "create"})],
+}
+
+
+def finishing_ns(kind, params):
+    """The tail of a ``kind`` plan, the steps that end in its finish, in
+    ns with each step rounded once: the steps after the lock, or all of a
+    plan without one."""
+    def ns(ms):
+        return round(ms * 1e6)
+
+    end = ns(params.exec_ms("a"))
+    if kind in ("pooled", "create"):
+        end += ns(params.t_instance_load_teemate)
+        if params.epc_alloc_serialized:
+            return end
+        create = params.t_container_create if kind == "create" else 0.0
+        return end + sum(map(ns, (create, params.t_alias + params.t_tcs_op,
+                                  params.t_epc_expand)))
+    return end + sum(map(ns, {
+        "native": (params.t_container_create, params.t_instance_load_cold),
+        "cold": (params.t_container_create, params.t_enclave_create,
+                 params.t_instance_load_cold),
+        "warm": ()}[kind]))
 
 
 class TestServerlessOracle:
@@ -740,7 +832,7 @@ class TestServerlessOracle:
            alias=st.sampled_from([2.32, 2.5, 2.7, 3.01]),
            tcs_op=st.sampled_from([0.5, 0.1]),
            alloc_per_page=st.sampled_from([0.0625, 0.015625, 0.1031]))
-    # The second request finishes at infinity, after the last arrival.
+    # A step of 1e308 ms has no value in ns: both refuse its plan.
     @example(trace=RequestTrace([0.0, 0.0], "a"),
              variant=Variant.NATIVE, workers=1, prediction=False,
              serialized=True, keepalive_s=0.0,
@@ -775,26 +867,25 @@ class TestServerlessOracle:
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
-    # At 2^53 ms a float holds only even ms, so every step rounds, but
-    # each segment still advances the clock: the lock's handoffs and the
-    # finishes land on rounded times, and no run is refused.
-    @example(trace=RequestTrace([2.0**53] * 3, "a"),
+    # Three shared-enclave requests of up to 962.84 ms, 1e4 ms before the
+    # clock's end: the lock's handoffs and the finishes stay in its range.
+    @example(trace=RequestTrace([CLOCK_END_NS / 1e6 - 1e4] * 3, "a"),
              variant=Variant.TEEMATE, workers=2, prediction=False,
              serialized=True, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.1031)
-    # At 1e20 ms every step rounds away, so the tail after the lock takes
-    # no time: the run is refused.
-    @example(trace=RequestTrace([1e20] * 3, "a"),
+    # 1e3 ms before it, three pooled plans of 303 ms fit, but three of
+    # the 403 ms plan that the second start creates a container with
+    # could finish past it: both refuse the run.
+    @example(trace=RequestTrace([CLOCK_END_NS / 1e6 - 1e3] * 3, "a"),
              variant=Variant.TEEMATE, workers=2, prediction=False,
              serialized=True, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
              tcs_op=0.5, alloc_per_page=0.015625)
-    # A same-time burst at 1e20 ms on fewer workers than requests: each
-    # whole plan is a head that rounds away, so the run is refused.
-    @example(trace=RequestTrace([1e20] * 3, "a"),
+    # Three cold requests of 400 ms, 1e3 ms before the end: refused.
+    @example(trace=RequestTrace([CLOCK_END_NS / 1e6 - 1e3] * 3, "a"),
              variant=Variant.CC_COLD, workers=2, prediction=False,
              serialized=False, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
@@ -806,9 +897,8 @@ class TestServerlessOracle:
                                 create, enclave, load_cold, load_shared,
                                 exec_a, exec_b, alias, tcs_op,
                                 alloc_per_page):
-        """The harness refuses a run exactly when the oracle runs a
-        segment that ends in a finish in 0 ms, and gives the oracle's
-        ``Metrics`` on every other run."""
+        """The harness refuses exactly the runs the oracle refuses, and
+        gives the oracle's ``Metrics`` on every other run."""
         params = default_params()
         params.t_container_create = create
         params.t_enclave_create = enclave
@@ -820,11 +910,11 @@ class TestServerlessOracle:
         params.t_epc_alloc_per_page = alloc_per_page
         params.epc_alloc_serialized = serialized
         params.warm_keepalive_s = keepalive_s
-        stalled = []
-        want = run_serverless_heaped(variant, trace, params, workers,
-                                     prediction, stalled)
-        if stalled:
-            with pytest.raises(errors.ConfigError, match="rounds away"):
+        try:
+            want = run_serverless_heaped(variant, trace, params, workers,
+                                         prediction)
+        except errors.ConfigError:
+            with pytest.raises(errors.ConfigError):
                 run_serverless(variant, trace, params, workers, prediction)
             return
         got = run_serverless(variant, trace, params, workers, prediction)
@@ -833,16 +923,19 @@ class TestServerlessOracle:
     @given(arrivals=st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]),
                              min_size=4, max_size=10),
            workers=st.integers(1, 5),
-           steps=st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=6,
-                          max_size=6))
+           steps=st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=4,
+                          max_size=4),
+           tails=st.lists(st.sampled_from([1, 2, 3]), min_size=2,
+                          max_size=2))
     @settings(deadline=None)
-    def test_matches_heaped_run_on_tied_plans(self, arrivals, workers, steps):
+    def test_matches_heaped_run_on_tied_plans(self, arrivals, workers, steps,
+                                              tails):
         """Shared-enclave plans of a few whole ms, so heads, locks and
-        tails tie with each other and with arrivals at every grant. A run
-        is refused exactly when a plan the oracle ran ends in a 0 ms
-        segment; every other run gives the oracle's ``Metrics``."""
-        plans = {"pooled": whole_ms_plan("pooled", *steps[:3]),
-                 "create": whole_ms_plan("create", *steps[3:])}
+        tails tie with each other and with arrivals at every grant. Heads
+        and locked steps may take 0 ms, tails 1 ms or more, as ``_plan``
+        requires; every run gives the oracle's ``Metrics``."""
+        plans = {"pooled": whole_ms_plan("pooled", *steps[:2], tails[0]),
+                 "create": whole_ms_plan("create", *steps[2:], tails[1])}
         trace = RequestTrace([float(t) for t in sorted(arrivals)], "a")
         params = default_params()
         params.t_exec = {"a": 1.0}
@@ -852,10 +945,6 @@ class TestServerlessOracle:
                            lambda kind, exec_ms, params: plans[kind])
             want = run_serverless_heaped(Variant.TEEMATE, trace, params,
                                          workers)
-            if any(map(ends_in_0_ms, want.plans)):
-                with pytest.raises(errors.ConfigError, match="rounds away"):
-                    run_serverless(Variant.TEEMATE, trace, params, workers)
-                return
             got = run_serverless(Variant.TEEMATE, trace, params, workers)
         assert_same_run(got, want)
 
@@ -865,25 +954,43 @@ class TestServerlessOracle:
         each sorted trace of a few arrivals at a few whole ms, on 1-3
         workers, under every plan of whole-ms steps, so arrivals, finishes,
         lock grants and expiries tie in every order a run can meet. Heads
-        and locked steps may take 0 ms; a segment that ends in a finish
-        takes 1 ms or more, so no run is refused."""
+        and locked steps may take 0 ms; a tail, which ends in a finish,
+        takes 1 ms or more."""
         _, _, steps = small_scope()
-        counts, first = run_small_scope(variant, small_scope_configs(
-            variant, steps, [step + 1 for step in steps]))
-        runs = sum(counts.values())
-        assert counts["equal"] == runs, \
-            f"{runs - counts['equal']} of {runs} runs differ or are " \
-            f"refused: {first}"
+        runs, first = run_small_scope(variant,
+                                      small_scope_configs(variant, steps))
+        assert first is None, f"of {runs} runs, this one differs: {first}"
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_refuses_exactly_the_0_ms_finishes_at_small_scope(self, variant):
-        """The small scope with 0 ms segments that end in a finish: a run
-        is refused exactly when a plan the oracle ran ends in one, and
-        every other run equals the oracle's."""
-        _, _, steps = small_scope()
-        counts, first = run_small_scope(variant, small_scope_configs(
-            variant, steps, steps))
-        runs = sum(counts.values())
-        assert not counts["differ"], \
-            f"{counts['differ']} of {runs} runs differ: {first['differ']}"
-        assert counts["equal"] and counts["refused"]
+    def test_refuses_exactly_the_plans_that_finish_in_0_ns(self, variant):
+        """Every run of ``PLAN_RUNS`` with each step of 0.1 ns or 1 ns,
+        the EPC-expand lock on and off: the harness and the oracle each
+        refuse a run exactly when one of its requests takes a plan whose
+        tail (the steps after the lock, or all of a plan without one)
+        rounds to 0 ns, and give equal ``Metrics`` otherwise. A plan that
+        no request takes refuses nothing, since it is not built."""
+        params = default_params()
+        refusals = set()
+        for steps in itertools.product((SUB_NS_MS, ONE_NS_MS), repeat=5):
+            (params.t_container_create, params.t_enclave_create,
+             params.t_instance_load_cold, params.t_instance_load_teemate,
+             exec_ms) = steps
+            params.t_exec = {"a": exec_ms}
+            for serialized in (True, False):
+                params.epc_alloc_serialized = serialized
+                for (arrivals, workers, prediction), kinds in \
+                        PLAN_RUNS[variant]:
+                    trace = RequestTrace(arrivals, "a")
+                    args = (variant, trace, params, workers, prediction)
+                    refused = any(finishing_ns(kind, params) == 0
+                                  for kind in kinds)
+                    refusals.add(refused)
+                    if not refused:
+                        assert_same_run(run_serverless(*args),
+                                        run_serverless_heaped(*args))
+                        continue
+                    for run in (run_serverless, run_serverless_heaped):
+                        with pytest.raises(errors.ConfigError,
+                                           match="round to 0 ns"):
+                            run(*args)
+        assert refusals == {False, True}
