@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
@@ -396,8 +395,8 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
     # trace and the tail of its plan. Every model runs the same trace, and
     # a config's bursts share one arrival list (``gen_bursts``), so each
     # list's heads are formatted once, and each plan's tail once. A run of
-    # requests with equal plans is one join. Keys are ids of objects that
-    # ``results`` holds, so they stay unique.
+    # requests with one plan (``Metrics.spans``) is one join per chunk.
+    # Keys are ids of objects that ``results`` holds, so they stay unique.
     tail_format = ",%.6f" * (len(COMPONENTS) + 1) + "\r\n"
     tails: Dict[int, str] = {}
     heads: Dict[Tuple[int, Optional[Tuple[str, ...]]], List[str]] = {}
@@ -412,22 +411,26 @@ def write_outputs(config: ScenarioConfig, results: Dict[str, Metrics],
                     "%s,%.6f" % row for row in zip(
                         metrics.ids or range(len(metrics.arrivals)),
                         metrics.arrivals)]
-            plans = metrics.plans
             prefix = label + "/"
-            for start in range(0, len(plans), CSV_CHUNK_ROWS):
-                parts = []
-                row = start
-                for plan, run in groupby(plans[start:start + CSV_CHUNK_ROWS]):
-                    tail = tails.get(id(plan))
-                    if tail is None:
-                        components = plan.components
-                        tail = tails[id(plan)] = tail_format % (
-                            *[components.get(c, 0.0) for c in COMPONENTS],
-                            plan.total_ms)
-                    end = row + len(list(run))
-                    parts += (prefix, (tail + prefix).join(
-                        trace_heads[row:end]), tail)
-                    row = end
+            parts, room = [], CSV_CHUNK_ROWS  # a chunk, and rows it has room for
+            for first, end, plan in metrics.spans():
+                tail = tails.get(id(plan))
+                if tail is None:
+                    components = plan.components
+                    tail = tails[id(plan)] = tail_format % (
+                        *[components.get(c, 0.0) for c in COMPONENTS],
+                        plan.total_ms)
+                joint = tail + prefix
+                while first < end:
+                    stop = min(end, first + room)
+                    parts += (prefix, joint.join(trace_heads[first:stop]),
+                              tail)
+                    room -= stop - first
+                    first = stop
+                    if not room:
+                        handle.writelines(parts)
+                        parts, room = [], CSV_CHUNK_ROWS
+            if parts:
                 handle.writelines(parts)
 
     summary_path = os.path.join(out_dir, "summary.json")

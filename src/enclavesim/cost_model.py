@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from . import errors
 
@@ -192,15 +192,3 @@ def occupancy_mib(base_mib: float, units: int, unit_mib: float) -> float:
             f"{unit_mib} MiB units round away against {base_mib} MiB")
     return mib
 
-
-def percentiles(values: List[float], *qs: float) -> Tuple[float, ...]:
-    """For each q in [0, 100], the element at index
-    ``round(q / 100 * (n - 1))`` of one sorted copy; ``round`` halves to
-    even, and an empty list gives 0.0. Not nearest-rank: p99 of 1..64 is
-    63 and p50 of 1..100 is 51."""
-    if not values:
-        return (0.0,) * len(qs)
-    ordered = sorted(values)
-    last = len(ordered) - 1
-    return tuple(ordered[max(0, min(last, int(round(q / 100.0 * last))))]
-                 for q in qs)

@@ -9,13 +9,18 @@ busy workers, a database run in a ``CostLedger``), and its peak is
 ``base + peak count x figure`` (``occupancy_mib``).
 
 A run keeps its requests as columns, not objects: the trace's arrival
-list, a shared plan per request and an ``array('q')`` of finish times,
-about 16 B per request. ``Metrics.requests`` builds ``RequestRecord``s
-from them only when it is read.
+list and an ``array('q')`` of finish times, about 8 B per request. Its
+plans are kept as runs of requests that took one plan: each run's first
+index, in an ``array('q')``, and its plan, 16 B a run. Only a start that
+takes a plan other than the one before it opens a run, so a 64-request
+burst keeps one or two. Its statistics read the runs, and
+``Metrics.requests`` builds ``RequestRecord``s from the columns only
+when it is read.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 import itertools
@@ -25,8 +30,8 @@ import types
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import errors
 from .cost_model import (
@@ -39,7 +44,6 @@ from .cost_model import (
     CostLedger,
     CostParams,
     occupancy_mib,
-    percentiles,
 )
 
 CLOCK_END_NS = 2**63  # every simulated time fits an ``array('q')``
@@ -106,13 +110,16 @@ class RequestRecord:
 @dataclass
 class Metrics:
     """A run's statistics and its requests as columns. Request ``i``
-    arrived at ``arrivals[i]`` ms (the trace's own list), ran ``plans[i]``
-    and finished at ``finish[i]``, in whole ns on the run's clock; its id
-    is ``ids[i]``, or ``str(i)`` when ``ids`` is None."""
+    arrived at ``arrivals[i]`` ms (the trace's own list) and finished at
+    ``finish[i]``, in whole ns on the run's clock; its id is ``ids[i]``,
+    or ``str(i)`` when ``ids`` is None. The plans are kept as runs:
+    requests from ``run_firsts[k]`` (the first is 0) up to the next run's
+    first, or to the last request, ran ``run_plans[k]`` (``spans``)."""
     model: str
     workload: str
     arrivals: Sequence[float]
-    plans: Sequence[_Plan]
+    run_firsts: array
+    run_plans: List[_Plan]
     finish: array
     count: int
     mean_latency_ms: float
@@ -125,14 +132,29 @@ class Metrics:
     ledger: Optional[CostLedger] = None
     ids: Optional[Tuple[str, ...]] = None
 
+    def spans(self) -> Iterator[Tuple[int, int, _Plan]]:
+        """Each run as ``(first, end, plan)``: requests ``first`` to
+        ``end - 1`` ran ``plan``."""
+        return _spans(self.run_firsts, self.run_plans, len(self.finish))
+
     @property
     def requests(self) -> List[RequestRecord]:
         """A record per request, built from the columns on each read."""
         ids = self.ids or map(str, range(len(self.finish)))
+        plans = itertools.chain.from_iterable(
+            itertools.repeat(plan, end - first)
+            for first, end, plan in self.spans())
         return [RequestRecord(request_id, arrival, self.workload,
                               plan.components, plan.total_ms, _ms(finish))
                 for request_id, arrival, plan, finish in zip(
-                    ids, self.arrivals, self.plans, self.finish)]
+                    ids, self.arrivals, plans, self.finish)]
+
+
+def _spans(firsts: array, plans: List[_Plan],
+           n: int) -> Iterator[Tuple[int, int, _Plan]]:
+    """The runs of ``n`` requests as ``(first, end, plan)``."""
+    ends = itertools.chain(itertools.islice(firsts, 1, None), (n,))
+    return zip(firsts, ends, plans)
 
 
 def gen_burst(n: int, workload: str) -> RequestTrace:
@@ -143,11 +165,15 @@ def gen_burst(n: int, workload: str) -> RequestTrace:
 
 def gen_bursts(n: int, workloads: Sequence[str]) -> Dict[str, RequestTrace]:
     """A burst of ``n`` requests to each workload. A burst's arrivals do
-    not depend on its workload, so the traces share one arrival list, and
-    ``cli.write_outputs`` formats its rows' heads once."""
-    arrivals = gen_burst(n, "").arrivals
-    return {workload: RequestTrace(arrivals, workload)
-            for workload in workloads}
+    not depend on its workload, so one trace is checked and converted,
+    and each workload gets a copy that shares its ``arrivals`` and
+    ``arrivals_ns``; ``cli.write_outputs`` formats its rows' heads once."""
+    burst = gen_burst(n, "")
+    traces = {}
+    for workload in workloads:
+        trace = traces[workload] = copy.copy(burst)
+        trace.workload = workload
+    return traces
 
 
 def gen_poisson(rate_per_s: float, duration_s: float, seed: int,
@@ -270,7 +296,10 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     the shared enclave's ``"create"`` plan is built.
 
     Finishes wait in a heap of bare times, and each request's finish time
-    is stored when it is known: at its start, or at its lock grant. The
+    is stored when it is known: at its start, or at its lock grant. A
+    start that takes a plan other than the previous start's opens a run
+    (``Metrics.run_firsts``), and a pending lock acquire carries its plan.
+    The
     units held follow from the ``busy`` workers at each start, and only
     their running maximum is kept: a confidential container holds one
     unit per request in service, a native request none, and a shared
@@ -318,10 +347,12 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             longest = fixed = _plan(kind, exec_ms, params)
         _check_clock(arrivals[-1], n, longest)
 
-    plan_of: List[Optional[_Plan]] = [None] * n
+    run_firsts = array("q")
+    run_plans: List[_Plan] = []
+    previous = None  # the plan of the latest start
     finish = array("q", [0]) * n
     finishes: List[int] = []  # a heap of known finishes not yet run
-    acquires: List[Tuple[int, int]] = []  # a heap of (time, index)
+    acquires: List[Tuple[int, int, _Plan]] = []  # (time, index, plan)
     push, pop = heapq.heappush, heapq.heappop
     free_workers = workers
     peak = 0  # the most units held at once
@@ -337,8 +368,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
             s = arrival
         while True:
             while acquires and acquires[0][0] <= s:
-                acquired, j = pop(acquires)
-                plan = plan_of[j]
+                acquired, j, plan = pop(acquires)
                 unlocked = (acquired if acquired > unlocked
                             else unlocked) + plan.locked
                 finish[j] = t = unlocked + plan.tail
@@ -393,37 +423,73 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     plan = cold
         if held > peak:
             peak = held
-        plan_of[i] = plan
+        if plan is not previous:
+            run_firsts.append(i)
+            run_plans.append(plan)
+            previous = plan
         if plan.locked is not None:
-            push(acquires, (s + plan.head, i))
+            push(acquires, (s + plan.head, i, plan))
             continue
         finish[i] = t = s + plan.tail
         push(finishes, t)
 
+    # The last start's finish is never popped, and every popped finish
+    # came at or before that start, so the latest finish is in the heap.
     # A native request holds no unit.
-    return _metrics(variant.value, trace, plan_of, finish,
+    return _metrics(variant.value, trace, run_firsts, run_plans, finish,
+                    max(finishes, default=0),
                     0 if variant is Variant.NATIVE else peak,
                     registration_ms, baseline_mib, unit_mib)
 
 
-def _metrics(model_name: str, trace: RequestTrace, plans: List[_Plan],
-             finish: array, peak: int, registration_ms: float,
-             baseline_mib: float, unit_mib: float) -> Metrics:
+def _nth(sized: List[Tuple[int, int]], k: int) -> int:
+    """The ``k``-th (from 0) of the totals that ``sized``'s ``(total,
+    count)`` pairs, sorted by total, hold ``count`` times each, or the
+    last if there are fewer. ``sized`` is not empty."""
+    for total, count in sized:
+        k -= count
+        if k < 0:
+            break
+    return total
+
+
+def _metrics(model_name: str, trace: RequestTrace, run_firsts: array,
+             run_plans: List[_Plan], finish: array, last_finish: int,
+             peak: int, registration_ms: float, baseline_mib: float,
+             unit_mib: float) -> Metrics:
+    """The statistics of a run whose requests finished at ``finish`` and
+    ran the plans of the runs ``run_firsts`` and ``run_plans`` (as in
+    ``Metrics``); ``last_finish`` is the latest finish.
+
+    The latencies are the plans' totals, counted per total from the runs,
+    so no per-request list is built: the mean is an exact sum of ns
+    divided once, and p50 and p99 are the totals at index ``round(q / 100
+    * (n - 1))`` of the n latencies in sorted order (``round`` halves to
+    even), not nearest-rank: p99 of 64 distinct totals is the 63rd, and
+    p50 of 100 the 51st. A run without requests reads 0.0."""
     peak_mib = occupancy_mib(baseline_mib, peak, unit_mib)
-    latencies = [plan.total for plan in plans]
     count = len(finish)
-    # Exact sums of ns, each rounded once; one sorted copy gives both
-    # percentiles.
-    mean = sum(latencies) / (count * 1_000_000) if count else 0.0
-    p50, p99 = map(_ms, percentiles(latencies, 50, 99))
-    # The trace is sorted, so its first request arrives first.
-    completion = max(finish) - trace.arrivals_ns[0] if count else 0
+    mean = p50 = p99 = 0.0
+    completion = 0
+    if count:
+        # The count of requests of each total, by total.
+        counts: Dict[int, int] = {}
+        for first, end, plan in _spans(run_firsts, run_plans, count):
+            counts[plan.total] = counts.get(plan.total, 0) + end - first
+        sized = sorted(counts.items())
+        mean = sum([total * k for total, k in sized]) / (count * 1_000_000)
+        last = count - 1  # q / 100 is 0.5 and 0.99
+        p50 = _ms(_nth(sized, round(0.5 * last)))
+        p99 = _ms(_nth(sized, round(0.99 * last)))
+        # The trace is sorted, so its first request arrives first.
+        completion = last_finish - trace.arrivals_ns[0]
     throughput = count * 1_000_000_000 / completion if completion else 0.0
     return Metrics(
         model=model_name,
         workload=trace.workload,
         arrivals=trace.arrivals,
-        plans=plans,
+        run_firsts=run_firsts,
+        run_plans=run_plans,
         finish=finish,
         count=count,
         mean_latency_ms=mean,
@@ -608,7 +674,8 @@ def run_database(model: DbModel, db_mib: float, write_ratio: float,
         model=model.value,
         workload="db-fork",
         arrivals=[_ms(fork_start)],
-        plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
+        run_firsts=array("q", [0]),
+        run_plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
         finish=array("q", [fork_end]),
         count=served_total,
         mean_latency_ms=(_ms(service_ns) / served_total if served_total

@@ -128,7 +128,8 @@ def run_database_stepwise(model: DbModel, db_mib: float,
         model=model.value,
         workload="db-fork",
         arrivals=[fork_start / 10**6],
-        plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
+        run_firsts=array("q", [0]),
+        run_plans=[_Plan(0, None, fork_ns, fork, fork_ns)],
         finish=array("q", [fork_end]),
         ids=("fork",),
         count=served_total,

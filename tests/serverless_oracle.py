@@ -12,7 +12,11 @@ harness accepts, it must give the same ``Metrics`` and records, field for
 field and bit for bit, and it must refuse every run this loop refuses.
 The oracle builds a kind's plan at its first start; the harness builds
 its plans before its recursion, except the shared enclave's ``"create"``
-plan and ``cc_warm``'s warm plan.
+plan and ``cc_warm``'s warm plan. The oracle keeps a plan per request and
+takes its completion from ``max(finish)``; it folds its plans into runs
+(``Metrics.run_firsts`` and ``run_plans``) only to call ``_metrics``,
+which the harness calls with the runs it keeps and the latest finish
+left in its heap.
 
 The harness has no events: it is a recursion over starts, in index
 order, in which every finish at or before a start runs before it. That is
@@ -203,5 +207,9 @@ def run_serverless_heaped(variant: Variant, trace: RequestTrace,
     if n and trace.arrivals_ns[-1] + n * max(
             plan.total for plan in plan_of) >= CLOCK_END_NS:
         raise errors.ConfigError("a finish could pass the clock's range")
-    return _metrics(variant.value, trace, plan_of, array("q", finish), peak,
-                    registration_ms, baseline_mib, unit_mib)
+    firsts = [i for i in range(n)
+              if i == 0 or plan_of[i] is not plan_of[i - 1]]
+    return _metrics(variant.value, trace, array("q", firsts),
+                    [plan_of[i] for i in firsts], array("q", finish),
+                    max(finish, default=0), peak, registration_ms,
+                    baseline_mib, unit_mib)

@@ -499,6 +499,20 @@ class TestMain:
         assert not out.exists()
         assert "'crypto-aes' must be positive" in capsys.readouterr().err
 
+    def test_simulation_error_exits_two_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        # A SimError that is neither a ConfigError nor an
+        # InvariantViolation, raised from the simulation.
+        def fail(config):
+            raise errors.SimError("the run stopped")
+
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        cfg = self.write_cfg(tmp_path, LATENCY_CFG)
+        out = tmp_path / "out"
+        assert main([cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "simulation error: the run stopped\n"
+        assert not out.exists()
+
     def test_negative_copy_cost_exits_two(self, tmp_path):
         cfg = self.write_cfg(tmp_path, DB_CFG + "t_cow_copy = -0.1\n")
         assert main([cfg, "--out", str(tmp_path / "out")]) == 2

@@ -12,7 +12,6 @@ from enclavesim.cost_model import (
     EPC_EXPAND,
     WORKLOADS,
     default_params,
-    percentiles,
 )
 
 
@@ -132,23 +131,3 @@ class TestLedgerOccupancy:
         with pytest.raises(errors.ConfigError):
             ledger.peak_mib(0.0, 1e308)
 
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentiles([], 50, 99) == (0.0, 0.0)
-
-    def test_median_of_odd_list(self):
-        assert percentiles([3.0, 1.0, 2.0], 50) == (2.0,)
-
-    def test_extremes(self):
-        values = [float(v) for v in range(10)]
-        assert percentiles(values, 0, 100) == (0.0, 9.0)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-           st.floats(0, 100), st.floats(0, 100))
-    def test_result_is_member_and_order_free(self, values, q, r):
-        got = percentiles(values, q, r)
-        assert all(value in values for value in got)
-        assert percentiles(list(reversed(values)), q, r) == got
-        # One sort serves every q.
-        assert got == percentiles(values, q) + percentiles(values, r)

@@ -7,6 +7,7 @@ import statistics
 import time
 import tracemalloc
 import types
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +79,18 @@ class TestTraces:
         assert traces["sleep"].arrivals is traces["uploader"].arrivals
         with pytest.raises(errors.InvariantViolation):
             gen_bursts(0, ["sleep"])
+
+    def test_bursts_convert_their_arrivals_once(self, monkeypatch):
+        traces = gen_bursts(64, ["sleep", "uploader", "crypto-aes"])
+        assert len({id(t.arrivals_ns) for t in traces.values()}) == 1
+        assert list(traces["uploader"].arrivals_ns) == [0] * 64
+        # One trace is checked and converted, whatever the workload count.
+        inits = []
+        post_init = RequestTrace.__post_init__
+        monkeypatch.setattr(RequestTrace, "__post_init__",
+                            lambda trace: inits.append(1) or post_init(trace))
+        gen_bursts(8, ["sleep", "uploader", "crypto-aes"])
+        assert len(inits) == 1
 
     def test_poisson_rejects_zero_rate(self):
         # Only zero: without the check a negative rate would draw arrivals
@@ -286,6 +299,115 @@ class TestServerlessMemory:
             tracemalloc.stop()
         assert metrics.count == n
         assert held / n < 32
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_run_keeps_its_plans_as_runs(self, params, variant):
+        # A finish time per request, 8 B, and a handful of plan runs.
+        n = 4000
+        trace = gen_burst(n, "sleep")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metrics = run_serverless(variant, trace, params, workers=64)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert metrics.count == n
+        assert held / n < 12
+
+
+class TestPlanRuns:
+    @pytest.mark.parametrize("variant, firsts", [
+        (Variant.NATIVE, [0]), (Variant.CC_COLD, [0]), (Variant.CC_WARM, [0]),
+        # The registered container serves the first request, and each of
+        # the other 63 creates one.
+        (Variant.TEEMATE, [0, 1]),
+    ], ids=["native", "cc_cold", "cc_warm", "teemate"])
+    def test_a_burst_keeps_one_run_per_plan(self, params, variant, firsts):
+        m = run_serverless(variant, gen_burst(64, "sleep"), params, 64)
+        assert list(m.run_firsts) == firsts
+        spans = list(m.spans())
+        assert [end for _, end, _ in spans] == firsts[1:] + [64]
+        records = m.requests
+        for first, end, plan in spans:
+            assert all(r.components is plan.components
+                       for r in records[first:end])
+
+    def test_a_plan_change_opens_a_run(self, params):
+        # Warm environments kept 1 s: a request 1 s after the first
+        # finishes runs cold, and the two after it warm.
+        params.warm_keepalive_s = 1.0
+        alone = run_serverless(Variant.CC_WARM, gen_burst(1, "sleep"),
+                               params, 1)
+        done = alone.completion_time_ms
+        trace = RequestTrace([0.0, done + 1001.0, done + 1002.0,
+                              2 * done + 1003.0], "sleep")
+        m = run_serverless(Variant.CC_WARM, trace, params, 1)
+        assert list(m.run_firsts) == [0, 2]
+        cold, warm = m.run_plans
+        assert [r.components for r in m.requests] == [
+            cold.components] * 2 + [warm.components] * 2
+        assert list(warm.components) == [EXEC]
+
+    def test_a_run_without_requests_keeps_no_run(self, params):
+        m = run_serverless(Variant.TEEMATE, RequestTrace([], "sleep"), params)
+        assert not m.run_firsts and not m.run_plans
+        assert list(m.spans()) == [] and m.requests == []
+
+
+def expanded_statistics(latencies):
+    """Mean, p50 and p99 in ms of a per-request list of latencies in ns,
+    by the rule the harness's percentiles always kept: the element at
+    index ``int(round(q / 100 * (n - 1)))`` of one sorted copy, and 0.0
+    for an empty list."""
+    if not latencies:
+        return 0.0, 0.0, 0.0
+    ordered = sorted(latencies)
+    last = len(ordered) - 1
+    p50, p99 = (ordered[max(0, min(last, int(round(q / 100.0 * last))))]
+                for q in (50, 99))
+    return (sum(latencies) / (len(latencies) * 1_000_000),
+            p50 / 1_000_000, p99 / 1_000_000)
+
+
+def run_statistics(sized_runs):
+    """``_metrics``' mean, p50 and p99 of runs of ``(total ns, count)``,
+    each of its own plan, with the per-request latencies they expand to."""
+    firsts, plans, latencies = array("q"), [], []
+    for total, count in sized_runs:
+        firsts.append(len(latencies))
+        plans.append(workload_harness._Plan(
+            0, None, total, types.MappingProxyType({}), total))
+        latencies += [total] * count
+    n = len(latencies)
+    m = workload_harness._metrics("native", RequestTrace([0.0] * n, "a"),
+                                  firsts, plans, array("q", [1] * n), 1, 0,
+                                  0.0, 0.0, 1.0)
+    return (m.mean_latency_ms, m.p50_ms, m.p99_ms), latencies
+
+
+class TestRunStatistics:
+    @given(st.lists(st.tuples(st.integers(1, 10**13), st.integers(1, 70)),
+                    max_size=8))
+    @example([(5, 2), (5, 3), (1, 4)])  # tied totals in two runs
+    def test_equals_expanded_list_statistics(self, sized_runs):
+        got, latencies = run_statistics(sized_runs)
+        assert got == expanded_statistics(latencies)
+
+    def test_empty_run(self):
+        assert run_statistics([]) == ((0.0, 0.0, 0.0), [])
+
+    def test_median_of_odd_count(self):
+        (_, p50, _), _ = run_statistics(
+            [(3_000_000, 1), (1_000_000, 1), (2_000_000, 1)])
+        assert p50 == 2.0
+
+    def test_p99_of_64_distinct_totals_is_the_63rd(self):
+        # Not nearest-rank, which gives the 64th: round(0.99 * 63) is 62.
+        # round(0.5 * 63) halves to even, 32: the median is the 33rd.
+        (_, p50, p99), _ = run_statistics(
+            [(k * 1_000_000, 1) for k in range(64, 0, -1)])
+        assert (p50, p99) == (33.0, 63.0)
 
 
 class TestServerlessThroughput:
