@@ -8,6 +8,16 @@ units of one memory figure held above a base (a serverless run from its
 busy workers, a database run in a ``CostLedger``), and its peak is
 ``base + peak count x figure`` (``occupancy_mib``).
 
+A serverless model takes one of two paths, picked once per run. When
+every request takes one plan (``native``, ``cc_cold``, and ``cc_warm``
+under prediction), each takes the same time from start to finish and
+starts no earlier than the one before it, so finishes come in start
+order: request ``i`` waits only on request ``i - workers``, and the run
+keeps no heap (``_one_plan_run``). Unpredicted ``cc_warm``, whose warm
+and cold requests finish out of start order, and ``teemate``, whose
+requests queue for the EPC-expand lock, keep a heap of finishes and one
+of lock acquires (``_general_run``).
+
 A run keeps its requests as columns, not objects: the trace's arrival
 list and an ``array('q')`` of finish times, about 8 B per request. Its
 plans are kept as runs of requests that took one plan: each run's first
@@ -272,50 +282,134 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     ``prediction`` makes every ``cc_warm`` request warm. The shared-enclave
     registration (container and enclave creation) completes before the
     first arrival and is reported under ``extras``, not inside any
-    request's latency; its container is the first pooled one.
+    request's latency; its container is the first pooled one. A run needs
+    a worker: fewer than one is an ``InvariantViolation``.
 
     The run is a recursion over starts: the FIFO many-server queue of
     Kiefer and Wolfowitz (Trans. AMS, 1955), with the EPC-expand lock as
-    one FIFO server (Lindley, 1952). Requests start in index order, so
-    request ``i`` starts at ``s = max(arrivals[i], s)`` or later. Before
-    it starts, every finish at or before ``s`` runs: a finish that ties
-    with a start runs first. A finish frees its worker, then clears
-    ``bare`` or leaves a warm environment. While every worker is busy, ``s``
-    moves to the earlier of the earliest known finish and the earliest
-    pending lock acquire. The lock is granted in ``(acquire time, index)``
-    order, at the later of the acquire and the last unlock, once the
-    acquire is at or before ``s``: a request yet to start acquires at
-    ``s`` or later, and has the larger index. These are the tie rules of
-    the event loop in ``tests/serverless_oracle.py``, since a plan's tail,
-    which ends in its finish, takes 1 ns or more.
+    one FIFO server (Lindley, 1952). Requests start in index order, and a
+    finish that ties with a start runs first. The model picks one of two
+    paths once per run:
+
+    - ``native``, ``cc_cold``, and ``cc_warm`` under ``prediction``: every
+      request takes one plan, which holds no lock (``_one_plan_run``). A
+      later start then finishes later, so finishes come in start order,
+      and request ``i`` waits only on request ``i - workers``.
+    - ``cc_warm`` without ``prediction``, whose warm and cold plans
+      finish out of start order, and ``teemate``, whose requests hold the
+      lock (``_general_run``).
 
     Every request is done by the last arrival plus ``n`` times the
     longest plan a request takes: while one waits, another runs a step.
     A run in which that leaves the clock is a ``ConfigError``
     (``_check_clock``), checked before the first start and again when
     the shared enclave's ``"create"`` plan is built.
+    """
+    params.validate()
+    if workers < 1:
+        raise errors.InvariantViolation(
+            f"not all requests complete on {workers} workers")
+    if variant is Variant.TEEMATE or (variant is Variant.CC_WARM
+                                      and not prediction):
+        return _general_run(variant, trace, params, workers)
+    return _one_plan_run(variant, trace, params, workers)
+
+
+def _one_plan_run(variant: Variant, trace: RequestTrace, params: CostParams,
+                  workers: int) -> Metrics:
+    """A run in which every request takes one plan without a lock: the
+    FIFO many-server recursion on one service time, which is Lindley's
+    single-server recursion lagged by ``workers``.
+
+    Each request takes ``tail`` from its start to its finish, and starts
+    no earlier than the one before it, so finishes come in start order.
+    The first ``workers`` requests start at their arrivals, and request
+    ``i`` after them at ``max(arrivals[i], finish[i - workers])``: the
+    worker of request ``i - workers`` is the first to come free, and a
+    finish at a start's time runs first. No heap is kept. A confidential
+    container holds one unit per request in service (``_most_busy``); a
+    native request holds none."""
+    arrivals = trace.arrivals_ns
+    n = len(arrivals)
+    unit_mib = params.m_strawman_per_request
+    if not n:  # a trace with no arrivals builds no plan
+        return _metrics(variant.value, trace, array("q"), [], array("q"), 0,
+                        0, 0.0, 0.0, unit_mib)
+    plan = _plan(variant.value.removeprefix("cc_"),
+                 params.exec_ms(trace.workload), params)
+    _check_clock(arrivals[-1], n, plan)
+    tail = plan.tail
+    finish = [arrival + tail for arrival in arrivals[:workers]]
+    append = finish.append
+    # ``zip`` reads ``finish`` as it grows: the arrival of request i pairs
+    # with the finish of request i - workers.
+    for arrival, freed in zip(arrivals[workers:], finish):
+        append((arrival if arrival > freed else freed) + tail)
+    peak = (0 if variant is Variant.NATIVE
+            else _most_busy(finish, tail, min(n, workers)))
+    return _metrics(variant.value, trace, array("q", [0]), [plan],
+                    array("q", finish), finish[-1], peak, 0.0, 0.0, unit_mib)
+
+
+def _most_busy(finish: List[int], tail: int, most: int) -> int:
+    """The most requests in service at a start, of requests that started
+    at ``finish[i] - tail`` in index order and finish in that order, or
+    ``most`` as soon as that many are. A finish at a start's time is done
+    before it, and no request is done at its own start, so the pointer
+    ``end`` stays at or before the request that starts."""
+    busy = peak = 0
+    ends = iter(finish)
+    end = next(ends)
+    for start in finish:
+        start -= tail
+        while end <= start:
+            busy -= 1
+            end = next(ends)
+        busy += 1
+        if busy > peak:
+            peak = busy
+            if peak == most:
+                break
+    return peak
+
+
+def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
+                 workers: int) -> Metrics:
+    """A run whose requests may take more than one plan: ``cc_warm``
+    without prediction, warm or cold, and ``teemate``, pooled or creating
+    a container, and holding the lock.
+
+    Request ``i`` starts at ``s = max(arrivals[i], s)`` or later. Before
+    it starts, every finish at or before ``s`` runs. A finish frees its
+    worker, then clears ``bare`` or leaves a warm environment. While every
+    worker is busy, ``s`` moves to the earlier of the earliest known
+    finish and the earliest pending lock acquire; with at least one
+    worker, a busy pool always has one or the other. The lock is granted
+    in ``(acquire time, index)`` order, at the later of the acquire and
+    the last unlock, once the acquire is at or before ``s``: a request
+    yet to start acquires at ``s`` or later, and has the larger index.
+    These are the tie rules of the event loop in
+    ``tests/serverless_oracle.py``, since a plan's tail, which ends in its
+    finish, takes 1 ns or more.
 
     Finishes wait in a heap of bare times, and each request's finish time
     is stored when it is known: at its start, or at its lock grant. A
     start that takes a plan other than the previous start's opens a run
     (``Metrics.run_firsts``), and a pending lock acquire carries its plan.
-    The
-    units held follow from the ``busy`` workers at each start, and only
-    their running maximum is kept: a confidential container holds one
-    unit per request in service, a native request none, and a shared
-    enclave one of ``m_teemate_per_instance`` per live instance but
-    ``bare``, the first, which lives in the registered base. Tied
-    finishes commute: a finish at ``bare``'s finish time is taken as
-    ``bare``'s. A start takes a pooled container while ``busy``, itself
-    included, is at most the count of containers created so far.
+    The units held follow from the ``busy`` workers at each start, and
+    only their running maximum is kept: a confidential container holds
+    one unit per request in service, and a shared enclave one of
+    ``m_teemate_per_instance`` per live instance but ``bare``, the first,
+    which lives in the registered base. Tied finishes commute: a finish
+    at ``bare``'s finish time is taken as ``bare``'s. A start takes a
+    pooled container while ``busy``, itself included, is at most the
+    count of containers created so far.
 
     The model's choices are made once per run: which kinds of request a
-    start picks from, each kind's plan, and whether a finish leaves a
-    warm environment. No plan is built that no request takes: the
-    ``"create"`` and warm plans wait for their first start.
+    start picks from, and whether a finish leaves a warm environment. No
+    plan is built that no request takes: the ``"create"`` and warm plans
+    wait for their first start.
     """
-    params.validate()
-
     shared = variant is Variant.TEEMATE
     # Expiry times of idle warm environments, oldest first: finishes run
     # in time order, so they are appended sorted.
@@ -328,7 +422,7 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         baseline_mib = params.m_teemate_base
         unit_mib = params.m_teemate_per_instance
         containers = 1  # the registered one
-    elif variant is Variant.CC_WARM and not prediction:
+    else:
         warm_pool = deque()
         # An environment kept past the clock's end never expires.
         keepalive = round(min(CLOCK_END_NS, params.warm_keepalive_s * 1e9))
@@ -340,11 +434,8 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
         exec_ms = params.exec_ms(trace.workload)
         if shared:
             longest = pooled = _plan("pooled", exec_ms, params)
-        elif warm_pool is not None:  # warm runs cold's last step only
+        else:  # warm runs cold's last step only
             longest = cold = _plan("cold", exec_ms, params)
-        else:  # native, cold or warm
-            kind = variant.value.removeprefix("cc_")
-            longest = fixed = _plan(kind, exec_ms, params)
         _check_clock(arrivals[-1], n, longest)
 
     run_firsts = array("q")
@@ -384,8 +475,6 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                     warm_pool.append(t + keepalive)
             if free_workers:
                 break
-            if not (finishes or acquires):
-                raise errors.InvariantViolation("not all requests completed")
             if acquires and not (finishes and finishes[0] <= acquires[0][0]):
                 s = acquires[0][0]
             else:
@@ -410,17 +499,14 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
                 plan = created
             held -= bare is not None
         else:
-            if warm_pool is None:
-                plan = fixed
+            # Drop expired environments: later starts are later still.
+            while warm_pool and warm_pool[0] < s:
+                warm_pool.popleft()
+            if warm_pool:
+                warm_pool.popleft()
+                plan = warm = warm or _plan("warm", exec_ms, params)
             else:
-                # Drop expired environments: later starts are later still.
-                while warm_pool and warm_pool[0] < s:
-                    warm_pool.popleft()
-                if warm_pool:
-                    warm_pool.popleft()
-                    plan = warm = warm or _plan("warm", exec_ms, params)
-                else:
-                    plan = cold
+                plan = cold
         if held > peak:
             peak = held
         if plan is not previous:
@@ -435,11 +521,9 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
 
     # The last start's finish is never popped, and every popped finish
     # came at or before that start, so the latest finish is in the heap.
-    # A native request holds no unit.
     return _metrics(variant.value, trace, run_firsts, run_plans, finish,
-                    max(finishes, default=0),
-                    0 if variant is Variant.NATIVE else peak,
-                    registration_ms, baseline_mib, unit_mib)
+                    max(finishes, default=0), peak, registration_ms,
+                    baseline_mib, unit_mib)
 
 
 def _nth(sized: List[Tuple[int, int]], k: int) -> int:

@@ -15,8 +15,7 @@ its plans before its recursion, except the shared enclave's ``"create"``
 plan and ``cc_warm``'s warm plan. The oracle keeps a plan per request and
 takes its completion from ``max(finish)``; it folds its plans into runs
 (``Metrics.run_firsts`` and ``run_plans``) only to call ``_metrics``,
-which the harness calls with the runs it keeps and the latest finish
-left in its heap.
+which the harness calls with the runs it keeps and its latest finish.
 
 The harness has no events: it is a recursion over starts, in index
 order, in which every finish at or before a start runs before it. That is
@@ -25,7 +24,10 @@ this loop's order since a plan's tail, the steps that end in its finish
 scheduled before its time comes, so its seq is smaller than that of any
 start scheduled at its time. A tail of 0 ns would schedule its finish at
 the current time, behind starts already waiting there, in an order the
-recursion does not keep; ``_plan``, which both share, refuses it.
+recursion does not keep; ``_plan``, which both share, refuses it. When
+every request takes one plan, the harness keeps no heap either: request
+``i`` starts at the later of its arrival and the finish of request ``i -
+workers``, which this loop must match on every tie.
 
 A run is refused, after it ends here, if its last arrival plus ``n``
 times the longest plan a request took reaches the clock's end

@@ -430,7 +430,7 @@ GUARDS = {
     ("workload_harness", "_check_clock",
      "last_ns + n * longest.total >= CLOCK_END_NS"):
         _CLI + "TestMain::test_run_off_the_clock_exits_one[finishes]",
-    ("workload_harness", "run_serverless", "not (finishes or acquires)"):
+    ("workload_harness", "run_serverless", "workers < 1"):
         _HARNESS + "TestServerlessLatency::test_no_workers_completes_nothing",
     ("workload_harness", "db_cycle", "exec_ns == 0"):
         _CLI + "TestMain::"
@@ -576,6 +576,41 @@ def test_remap_enumeration_reaches_the_sandbox_check(monkeypatch):
     _, failures = remap_enumeration(n_pages=4, n_spaces=3)
     # The plain page read at each of the 4 vas in each of the 3 spaces.
     assert len(failures) == 4 * 3
+
+
+# Probe checks that no guard's mutant reaches: each must report when the
+# code it checks goes wrong, so each has a mutant of its own.
+
+def test_remap_enumeration_reports_wrong_honest_bytes(monkeypatch):
+    # Each database page is filled with the next page's bytes.
+    monkeypatch.setattr(EnclaveRuntime, "load_db", _mutant(
+        EnclaveRuntime, "load_db", "content = fill(i)",
+        "content = fill(i + 1)"))
+    _, failures = remap_enumeration(n_pages=4, n_spaces=3)
+    # Each of the 4 honest mappings in each of the 3 spaces.
+    assert len(failures) == 4 * 3
+    assert all(failure.endswith("read wrong bytes") for failure in failures)
+
+
+def test_adversary_schedules_report_an_unaborted_host_read(monkeypatch):
+    # The hardware lets non-enclave mode read a protected page.
+    monkeypatch.setattr(Machine, "translate_access", _mutant(
+        Machine, "translate_access", "if page.enclave_id is None:",
+        "if page.enclave_id is None or enclave_id is None:"))
+    trials, failures = random_adversary_schedules(20, seed=0)
+    # Only the host read at the end of each schedule notices.
+    assert len(failures) == trials
+    assert all(failure.endswith("not aborted") for failure in failures)
+
+
+def test_environment_swap_reports_a_corrupted_identical_read(monkeypatch):
+    # An open returns the file's digest, not its content.
+    monkeypatch.setattr(EnclaveRuntime, "fs_open", _mutant(
+        EnclaveRuntime, "fs_open", "return bytes(row.content)",
+        "return bytes(row.digest)"))
+    trials, failures = environment_swap_detection(10, seed=0)
+    assert failures == [f"case {case}: identical swap corrupted read"
+                        for case in range(trials)]
 
 
 # (leak, class, method, its EPC bookkeeping step, text that drops it)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
@@ -292,8 +293,12 @@ class TestServerlessMemory:
         trace = gen_burst(n, "sleep")
         tracemalloc.start()
         try:
+            gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             metrics = run_serverless(variant, trace, params, workers=64)
+            # A full collection also empties CPython's free lists, so a
+            # temporary the run dropped is not counted as held.
+            gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -307,8 +312,12 @@ class TestServerlessMemory:
         trace = gen_burst(n, "sleep")
         tracemalloc.start()
         try:
+            gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             metrics = run_serverless(variant, trace, params, workers=64)
+            # A full collection also empties CPython's free lists, so a
+            # temporary the run dropped is not counted as held.
+            gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -443,27 +452,44 @@ class TestServerlessThroughput:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_heap_pops_per_request(self, params, monkeypatch, variant):
-        """Arrivals and starts never enter a heap: a request pops only its
-        finish, and a serialized shared-enclave request its lock acquire
-        too. Its unlock is a sum taken at the grant, not an event. The run
-        ends at its last lock grant, so a finish that no later start
-        passes is never popped: a burst on as many workers pops none, and
-        a trace whose last arrival comes after every finish pops all but
-        the last request's."""
+        """A one-plan run (``native``, ``cc_cold``) keeps no heap and pops
+        nothing. In the general run, arrivals and starts never enter a
+        heap: a request pops only its finish, and a serialized
+        shared-enclave request its lock acquire too. Its unlock is a sum
+        taken at the grant, not an event. The run ends at its last lock
+        grant, so a finish that no later start passes is never popped: a
+        burst on as many workers pops none, and a trace whose last
+        arrival comes after every finish pops all but the last
+        request's."""
         pops = []
         heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop",
                             lambda heap: pops.append(1) or heappop(heap))
-        serialized = variant is Variant.TEEMATE
+        per_request = {Variant.NATIVE: 0, Variant.CC_COLD: 0,
+                       Variant.CC_WARM: 1, Variant.TEEMATE: 2}[variant]
         run_serverless(variant, gen_burst(64, "crypto-aes"), params, 64)
-        assert len(pops) == (64 if serialized else 0)
+        assert len(pops) == (64 if variant is Variant.TEEMATE else 0)
         poisson = gen_poisson(4.0, 150.0, 0, "crypto-aes")
         last = max(run_serverless(variant, poisson, params, 8).finish) / 1e6
         trace = RequestTrace(poisson.arrivals + [last + 1.0], "crypto-aes")
+        assert len(trace.arrivals) == 586
         pops.clear()
         run_serverless(variant, trace, params, 8)
-        per_request = 2 if serialized else 1
-        assert len(pops) == per_request * len(trace.arrivals) - 1
+        assert len(pops) == (per_request * 586 - 1 if per_request else 0)
+
+    def test_predicted_warm_run_pops_nothing(self, params, monkeypatch):
+        # Under prediction every cc_warm request takes the warm plan, so
+        # the run takes the one-plan path.
+        pops = []
+        heappop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop",
+                            lambda heap: pops.append(1) or heappop(heap))
+        for trace, workers in ((gen_burst(64, "crypto-aes"), 64),
+                               (gen_poisson(4.0, 150.0, 0, "crypto-aes"), 8)):
+            m = run_serverless(Variant.CC_WARM, trace, params, workers,
+                               prediction=True)
+            assert m.count == len(trace.arrivals)
+        assert pops == []
 
 
 def service_ms(variant, params):
@@ -1009,6 +1035,40 @@ class TestServerlessOracle:
     # Three cold requests of 400 ms, 1e3 ms before the end: refused.
     @example(trace=RequestTrace([CLOCK_END_NS / 1e6 - 1e3] * 3, "a"),
              variant=Variant.CC_COLD, workers=2, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # The one-plan recursion's edges, on 100 ms steps. A native request
+    # takes 300 ms: the third arrives at 300 ms, exactly as the first
+    # finishes, and takes its worker at once.
+    @example(trace=RequestTrace([0.0, 0.0, 300.0], "a"),
+             variant=Variant.NATIVE, workers=2, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # Fewer requests than workers: none waits. The third arrives at
+    # 400 ms as the first two finish, so at most two are in service.
+    @example(trace=RequestTrace([0.0, 0.0, 400.0], "a"),
+             variant=Variant.CC_COLD, workers=4, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # One worker: Lindley's recursion itself, cold requests of 400 ms
+    # with arrivals at, before and after the previous finish.
+    @example(trace=RequestTrace([0.0, 400.0, 400.0, 500.0, 1700.0], "a"),
+             variant=Variant.CC_COLD, workers=1, prediction=False,
+             serialized=False, keepalive_s=0.0,
+             create=100.0, enclave=100.0, load_cold=100.0,
+             load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
+             tcs_op=0.5, alloc_per_page=0.015625)
+    # Predicted warm requests of 100 ms on a 100 ms grid: every start
+    # after the second ties with a finish.
+    @example(trace=RequestTrace([0.0, 0.0, 100.0, 100.0, 100.0, 200.0,
+                                 300.0], "a"),
+             variant=Variant.CC_WARM, workers=2, prediction=True,
              serialized=False, keepalive_s=0.0,
              create=100.0, enclave=100.0, load_cold=100.0,
              load_shared=100.0, exec_a=100.0, exec_b=100.0, alias=2.5,
