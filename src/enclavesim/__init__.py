@@ -2,16 +2,6 @@
 memory/thread model, an untrusted kernel, an in-enclave runtime, and a
 calibrated cost model driving serverless and database experiments."""
 
-from . import (  # noqa: F401
-    cost_model,
-    enclave_runtime,
-    errors,
-    host_kernel,
-    security,
-    sgx_core,
-    workload_harness,
-)
-
 __all__ = [
     "cost_model",
     "enclave_runtime",

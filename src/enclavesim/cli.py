@@ -8,17 +8,16 @@ directory, 2 invariant violation (including failed security probes).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
-from . import errors, security
+from . import errors
 from .cost_model import COMPONENTS, WORKLOADS, CostParams, default_params
 from .workload_harness import (
     DbModel,
@@ -132,11 +131,11 @@ class ScenarioConfig:
 # field to ``parse(value)``. The key is the field's name unless a "key"
 # entry in its metadata names another.
 _CONFIG_KEYS = {f.metadata.get("key", f.name): (f.name, f.metadata["parse"])
-                for f in dataclasses.fields(ScenarioConfig) if f.metadata}
+                for f in fields(ScenarioConfig) if f.metadata}
 # CostParams field -> parser of an override; t_exec is set per workload.
 _PARAM_FIELDS = {f.name: (_parse_bool if isinstance(f.default, bool)
                           else _parse_float)
-                 for f in dataclasses.fields(CostParams)}
+                 for f in fields(CostParams)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -443,6 +442,8 @@ def run_security_suite(config: ScenarioConfig, out_dir: str) -> int:
     if config.schedules > MAX_SCHEDULES:
         raise errors.ConfigError(
             f"{config.schedules} schedules exceeds {MAX_SCHEDULES}")
+    # The one scenario that runs the enclave model is the one that loads it.
+    from . import security
     outcome = security.run_all(config.seed, config.schedules)
     os.makedirs(out_dir, exist_ok=True)
     summary = {"scenario": "security_suite", "seed": config.seed,

@@ -90,6 +90,8 @@ class CostParams:
             raise errors.UnknownKey(f"no exec time for workload {workload!r}")
 
     def validate(self) -> None:
+        # Each check is written ``not value > 0`` (or ``>= 0``): NaN fails
+        # every comparison, so it must fail the check too.
         for name in ("t_container_create", "t_enclave_create", "t_alias",
                      "t_tcs_op", "t_epc_alloc_per_page",
                      "t_instance_load_cold", "t_instance_load_teemate",
@@ -97,9 +99,9 @@ class CostParams:
                      "m_teemate_per_instance", "page_mib",
                      "t_fork_copy_per_mib", "t_fork_child_setup", "t_db_exec",
                      "snapshot_write_mib_per_s"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise errors.InvariantViolation(f"{name} must be positive")
-        if self.t_cow_copy < 0:
+        if not self.t_cow_copy >= 0:
             # A negative copy cost could stop the copy-on-write window's
             # clock while it copies pages.
             raise errors.InvariantViolation("t_cow_copy must be >= 0")
@@ -107,13 +109,13 @@ class CostParams:
         # occupancy from the peak.
         for name in ("m_db_runtime_strawman", "m_db_runtime_teemate",
                      "warm_keepalive_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise errors.InvariantViolation(f"{name} must be >= 0")
         if not 2.32 <= self.t_alias <= 3.01:
             raise errors.InvariantViolation(
                 "t_alias outside the calibrated 2.32-3.01 ms band")
         for workload, value in self.t_exec.items():
-            if value <= 0:
+            if not value > 0:
                 raise errors.InvariantViolation(
                     f"exec time for {workload!r} must be positive")
         # Finite values whose derived costs overflow are a config error.

@@ -4,6 +4,9 @@ import dataclasses
 import errno
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +27,8 @@ from enclavesim.cli import (
 from enclavesim.cost_model import COMPONENTS, WORKLOADS, CostParams
 
 from peak_memory import PEAK_BYTES_PER_REQUEST, traced_peak
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LATENCY_CFG = """\
 # latency comparison
@@ -715,6 +720,48 @@ class TestPeakMemory:
         # 20,000 requests take about 2 s traced; CI runs 200,000.
         n = 20_000
         assert traced_peak(n, str(tmp_path)) <= PEAK_BYTES_PER_REQUEST * n
+
+
+class TestFreshProcess:
+    """What a new interpreter loads: a serverless or database run never
+    imports the enclave model, which only the security suite runs."""
+
+    ENCLAVE_MODEL = ("enclavesim.sgx_core", "enclavesim.host_kernel",
+                     "enclavesim.enclave_runtime", "enclavesim.security")
+    RUN_BOTH = """\
+import json, sys
+from enclavesim import cli
+codes = [cli.main([cfg, "--out", out]) for cfg, out in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
+"""
+
+    def python(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_scenario_runs_leave_the_enclave_model_unloaded(self, tmp_path):
+        four_models = MACRO_CFG.replace("teemate",
+                                        "native, cc_cold, cc_warm, teemate")
+        runs = []
+        for name, text in [("macro", four_models), ("db", DB_CFG)]:
+            (tmp_path / f"{name}.cfg").write_text(text)
+            runs.append((str(tmp_path / f"{name}.cfg"), str(tmp_path / name)))
+        done = self.python("-c", self.RUN_BOTH, json.dumps(runs))
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0, 0]
+        assert "enclavesim.workload_harness" in result["loaded"]
+        assert set(self.ENCLAVE_MODEL).isdisjoint(result["loaded"])
+
+    def test_security_suite_runs_as_a_module(self, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE_CFG.format(20))
+        out = tmp_path / "out"
+        done = self.python("-m", "enclavesim.cli", str(cfg), "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["all_detected"] is True
 
 
 def _reject_constant(name):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -38,6 +39,21 @@ class TestParams:
         params = default_params()
         params.t_container_create = -1.0
         with pytest.raises(errors.InvariantViolation):
+            params.validate()
+
+    # Every comparison with NaN is false, so each check is written to
+    # fail it: a NaN warm_keepalive_s would keep a warm instance forever.
+    @pytest.mark.parametrize("name", [
+        *(f.name for f in dataclasses.fields(CostParams)
+          if isinstance(f.default, float)), "t_exec"])
+    def test_nan_rejected(self, name):
+        params = default_params()
+        if name == "t_exec":
+            params.t_exec["sleep"] = math.nan
+        else:
+            setattr(params, name, math.nan)
+        with pytest.raises(errors.InvariantViolation,
+                           match="sleep" if name == "t_exec" else name):
             params.validate()
 
     def test_unknown_workload(self):

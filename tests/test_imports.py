@@ -6,6 +6,7 @@ A name an ``import`` binds must be read somewhere in its module, or be
 listed in the module's ``__all__`` (a re-export). A private name (one
 leading underscore) that a module defines at its top level, as a
 constant, function or class, must be read somewhere in that module.
+Each name in the package's ``__all__`` must be a module of the package.
 
 A function or method the package defines must be loaded by name
 somewhere in ``src/`` or ``bench/``, and so must a ``self.<attr>`` that
@@ -36,12 +37,20 @@ TEST_ONLY_READERS = {
 }
 
 
+def exported_names(tree):
+    """The names that the ``__all__ = [...]`` assignments of ``tree``
+    list."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def unused_imports(source: str):
     """The names ``source``'s imports bind that it never reads, each with
     the line of its import, in order."""
     tree = ast.parse(source)
     bound = []
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound += [((alias.asname or alias.name.partition(".")[0]),
@@ -49,10 +58,7 @@ def unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [(alias.asname or alias.name, node.lineno)
                       for alias in node.names]
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
-            exported |= set(ast.literal_eval(node.value))
+    exported = exported_names(tree)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(name, line) for name, line in sorted(bound, key=lambda b: b[1])
             if name not in read and name not in exported]
@@ -96,6 +102,15 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_all_names_only_package_modules():
+    # The package's __init__ imports nothing, so a stale entry would
+    # break only ``from enclavesim import *``.
+    init = PACKAGE / "__init__.py"
+    exported = exported_names(ast.parse(init.read_text()))
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert exported and sorted(exported - modules) == []
 
 
 def test_unread_private_names_are_found():

@@ -378,15 +378,15 @@ GUARDS = {
         _RUNTIME + "TestForkCow::test_parent_snapshot_is_refused",
 
     # cost_model
-    ("cost_model", "CostParams.validate", "getattr(self, name) <= 0"):
+    ("cost_model", "CostParams.validate", "not getattr(self, name) > 0"):
         _COST + "TestParams::test_negative_component_rejected",
-    ("cost_model", "CostParams.validate", "self.t_cow_copy < 0"):
+    ("cost_model", "CostParams.validate", "not self.t_cow_copy >= 0"):
         _CLI + "TestMain::test_negative_copy_cost_exits_two",
-    ("cost_model", "CostParams.validate", "getattr(self, name) < 0"):
+    ("cost_model", "CostParams.validate", "not getattr(self, name) >= 0"):
         _CLI + "TestMain::test_negative_figure_exits_two[strawman-runtime]",
     ("cost_model", "CostParams.validate", "not 2.32 <= self.t_alias <= 3.01"):
         _COST + "TestParams::test_alias_band_enforced",
-    ("cost_model", "CostParams.validate", "value <= 0"):
+    ("cost_model", "CostParams.validate", "not value > 0"):
         _CLI + "TestMain::test_non_positive_exec_time_exits_two",
     ("cost_model", "CostParams.validate", "not math.isfinite(pages)"):
         _CLI + "TestMain::"

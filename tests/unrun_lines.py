@@ -8,8 +8,7 @@ executable line of those modules (a line that some code object's
 statement is stale and fails too. Run from the repository root, on
 Python 3.11 (where tracing costs about 3x):
 
-    PYTHONPATH=src python tests/unrun_lines.py \\
-        src/enclavesim/workload_harness.py tests/test_workload_harness.py
+    PYTHONPATH=src python tests/unrun_lines.py src/enclavesim/*.py tests
 
 which names each unrun statement and each stale row and exits 1 if there
 is one, or with pytest's code if a test fails. The arguments that name a
@@ -31,19 +30,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # in the tests the gate runs. A statement is named by its text on one line
 # (a compound statement by its header), as ``statements`` gives it.
 ALLOWED = {
-    ("workload_harness.py", "db_cycle",
-     'raise errors.ConfigError( f"t_db_exec = {params.t_db_exec} ms rounds '
-     'to 0 ns")'):
-        "reached through the CLI by tests/test_cli.py::TestMain::"
-        "test_oversized_run_exits_one_before_simulating[sub-ns-request]",
-    ("workload_harness.py", "db_cycle",
-     'raise errors.ConfigError(f"db_mib / page_mib = {pages} pages")'):
-        "reached through the CLI by tests/test_cli.py::TestMain::"
-        "test_overflowing_value_exits_one_without_output[db-pages]",
-    ("workload_harness.py", "db_cycle",
-     'raise errors.ConfigError("the snapshot window rounds to 0 ns")'):
-        "reached through the CLI by tests/test_cli.py::TestMain::"
-        "test_zero_ns_snapshot_window_exits_one",
+    ("cli.py", "", "sys.exit(main())"):
+        "runs only under python -m, in a child process that the tracer "
+        "cannot see; tests/test_cli.py::TestFreshProcess and CI's rerun "
+        "step run it that way",
 }
 
 
