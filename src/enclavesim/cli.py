@@ -23,11 +23,11 @@ from .workload_harness import (
     DbModel,
     Metrics,
     Variant,
+    _run_serverless,
     db_cycle,
     gen_bursts,
     gen_poisson,
     run_database,
-    run_serverless,
 )
 
 SCENARIOS = {
@@ -289,8 +289,8 @@ def run_scenario(config: ScenarioConfig) -> Dict[str, Metrics]:
     for name, variant in zip(config.models, variants):
         for workload, trace in traces.items():
             label = f"{name}:{workload}" if config.workload == "all" else name
-            results[label] = run_serverless(variant, trace, params, workers,
-                                            config.prediction)
+            results[label] = _run_serverless(variant, trace, params, workers,
+                                             config.prediction)
     return results
 
 

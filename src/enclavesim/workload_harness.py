@@ -8,15 +8,14 @@ units of one memory figure held above a base (a serverless run from its
 busy workers, a database run in a ``CostLedger``), and its peak is
 ``base + peak count x figure`` (``occupancy_mib``).
 
-A serverless model takes one of two paths, picked once per run. When
-every request takes one plan (``native``, ``cc_cold``, and ``cc_warm``
-under prediction), each takes the same time from start to finish and
-starts no earlier than the one before it, so finishes come in start
-order: request ``i`` waits only on request ``i - workers``, and the run
-keeps no heap (``_one_plan_run``). Unpredicted ``cc_warm``, whose warm
-and cold requests finish out of start order, and ``teemate``, whose
-requests queue for the EPC-expand lock, keep a heap of finishes and one
-of lock acquires (``_general_run``).
+A serverless run is a recursion over starts. Where the rest of a run
+takes one plan, finishes come in start order: request ``i`` waits only
+on the ``workers``-th finish before it, and no heap is kept
+(``_lag_run``), in ``native``, ``cc_cold`` and predicted ``cc_warm``
+from the first request. Unpredicted ``cc_warm``, warm or cold, and
+``teemate``, whose requests also queue for the EPC-expand lock, keep a
+heap of finishes and one of acquires until the run settles, and a burst
+on as many workers keeps none (``_general_run``).
 
 A run keeps its requests as columns, not objects: the trace's arrival
 list and an ``array('q')`` of finish times, about 8 B per request. Its
@@ -288,16 +287,13 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     The run is a recursion over starts: the FIFO many-server queue of
     Kiefer and Wolfowitz (Trans. AMS, 1955), with the EPC-expand lock as
     one FIFO server (Lindley, 1952). Requests start in index order, and a
-    finish that ties with a start runs first. The model picks one of two
-    paths once per run:
-
-    - ``native``, ``cc_cold``, and ``cc_warm`` under ``prediction``: every
-      request takes one plan, which holds no lock (``_one_plan_run``). A
-      later start then finishes later, so finishes come in start order,
-      and request ``i`` waits only on request ``i - workers``.
-    - ``cc_warm`` without ``prediction``, whose warm and cold plans
-      finish out of start order, and ``teemate``, whose requests hold the
-      lock (``_general_run``).
+    finish that ties with a start runs first. Where the rest of a run
+    takes one plan, finishes come in start order, and request ``i``
+    waits only on the ``workers``-th finish before it (``_lag_run``):
+    ``native``, ``cc_cold`` and predicted ``cc_warm`` from the first
+    request (``_one_plan_run``), and unpredicted ``cc_warm`` and
+    ``teemate`` once a heap of finishes has run them until the run
+    settles, or from the first request of a burst (``_general_run``).
 
     Every request is done by the last arrival plus ``n`` times the
     longest plan a request takes: while one waits, another runs a step.
@@ -306,6 +302,12 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     the shared enclave's ``"create"`` plan is built.
     """
     params.validate()
+    return _run_serverless(variant, trace, params, workers, prediction)
+
+
+def _run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
+                    workers: int, prediction: bool) -> Metrics:
+    """``run_serverless`` without checking ``params`` again."""
     if workers < 1:
         raise errors.InvariantViolation(
             f"not all requests complete on {workers} workers")
@@ -315,62 +317,83 @@ def run_serverless(variant: Variant, trace: RequestTrace, params: CostParams,
     return _one_plan_run(variant, trace, params, workers)
 
 
-def _one_plan_run(variant: Variant, trace: RequestTrace, params: CostParams,
-                  workers: int) -> Metrics:
-    """A run in which every request takes one plan without a lock: the
-    FIFO many-server recursion on one service time, which is Lindley's
-    single-server recursion lagged by ``workers``.
+def _lag_run(arrivals: Sequence[int], free: List[int], plan: _Plan,
+             unlocked: int, keepalive: Optional[int] = None) -> int:
+    """Run ``arrivals``' requests on ``plan``: request ``k`` starts at
+    ``max(arrivals[k], free[k])``, and its lock is granted at the later
+    of its acquire and ``unlocked``, the last unlock, which is returned.
+    ``free``, the sorted times at which workers come free, takes each
+    finish; while it stays sorted, this is the heaped run. A
+    ``keepalive`` stops the run before a start more than that after its
+    ``free`` time, whose warm environment has expired."""
+    head, locked, tail = plan.head, plan.locked, plan.tail
+    lock = locked is not None
+    expiring = keepalive is not None
+    append = free.append
+    # ``zip`` reads ``free`` as it grows.
+    for arrival, freed in zip(arrivals, free):
+        if arrival > freed:
+            if expiring and arrival - freed > keepalive:
+                break
+            freed = arrival
+        if lock:
+            freed += head
+            unlocked = (freed if freed > unlocked else unlocked) + locked
+            freed = unlocked
+        append(freed + tail)
+    return unlocked
 
-    Each request takes ``tail`` from its start to its finish, and starts
-    no earlier than the one before it, so finishes come in start order.
-    The first ``workers`` requests start at their arrivals, and request
-    ``i`` after them at ``max(arrivals[i], finish[i - workers])``: the
-    worker of request ``i - workers`` is the first to come free, and a
-    finish at a start's time runs first. No heap is kept. A confidential
-    container holds one unit per request in service (``_most_busy``); a
-    native request holds none."""
+
+def _most_busy(starts: Iterator[int], free: List[int], busy: int, peak: int,
+               most: int, lone: int = 0, bare: int = -1) -> int:
+    """The most units held at ``starts``, or ``peak`` if more, or ``most``
+    once that many are. ``busy`` workers are busy until times in
+    ``free``, sorted, which holds each start's finish too; ``end`` stays
+    at the first time past the start. A request in service holds a unit,
+    but a shared enclave's bare instance, a start that makes ``lone`` (1)
+    in service, holds none until ``bare``, its finish."""
+    ends = iter(free)
+    end = next(ends)
+    for start in starts:
+        while end <= start:
+            busy -= 1
+            end = next(ends)
+        busy += 1
+        if busy == lone:  # every other worker is free: ``end`` is its own
+            bare = end
+        held = busy - (bare > start)
+        if held > peak:
+            peak = held
+            if peak == most:
+                break
+    return peak
+
+
+def _one_plan_run(variant: Variant, trace: RequestTrace, params: CostParams,
+                  workers: int, plan: Optional[_Plan] = None) -> Metrics:
+    """A run in which every request takes the variant's plan, or ``plan``,
+    without a lock: the first ``workers`` start at their arrivals. A
+    confidential container holds one unit per request in service (all of
+    the first ``workers`` if none is done by the last one's start)."""
     arrivals = trace.arrivals_ns
     n = len(arrivals)
     unit_mib = params.m_strawman_per_request
     if not n:  # a trace with no arrivals builds no plan
         return _metrics(variant.value, trace, array("q"), [], array("q"), 0,
                         0, 0.0, 0.0, unit_mib)
-    plan = _plan(variant.value.removeprefix("cc_"),
-                 params.exec_ms(trace.workload), params)
-    _check_clock(arrivals[-1], n, plan)
+    if plan is None:
+        plan = _plan(variant.value.removeprefix("cc_"),
+                     params.exec_ms(trace.workload), params)
+        _check_clock(arrivals[-1], n, plan)
     tail = plan.tail
-    finish = [arrival + tail for arrival in arrivals[:workers]]
-    append = finish.append
-    # ``zip`` reads ``finish`` as it grows: the arrival of request i pairs
-    # with the finish of request i - workers.
-    for arrival, freed in zip(arrivals[workers:], finish):
-        append((arrival if arrival > freed else freed) + tail)
-    peak = (0 if variant is Variant.NATIVE
-            else _most_busy(finish, tail, min(n, workers)))
+    free = [arrival + tail for arrival in arrivals[:workers]]
+    if n > workers:
+        _lag_run(arrivals[workers:], free, plan, 0)
+    m = min(n, workers)
+    peak = (0 if variant is Variant.NATIVE else m if free[0] > arrivals[m - 1]
+            else _most_busy((finish - tail for finish in free), free, 0, 0, m))
     return _metrics(variant.value, trace, array("q", [0]), [plan],
-                    array("q", finish), finish[-1], peak, 0.0, 0.0, unit_mib)
-
-
-def _most_busy(finish: List[int], tail: int, most: int) -> int:
-    """The most requests in service at a start, of requests that started
-    at ``finish[i] - tail`` in index order and finish in that order, or
-    ``most`` as soon as that many are. A finish at a start's time is done
-    before it, and no request is done at its own start, so the pointer
-    ``end`` stays at or before the request that starts."""
-    busy = peak = 0
-    ends = iter(finish)
-    end = next(ends)
-    for start in finish:
-        start -= tail
-        while end <= start:
-            busy -= 1
-            end = next(ends)
-        busy += 1
-        if busy > peak:
-            peak = busy
-            if peak == most:
-                break
-    return peak
+                    array("q", free), free[-1], peak, 0.0, 0.0, unit_mib)
 
 
 def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
@@ -405,13 +428,24 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
     pooled container while ``busy``, itself included, is at most the
     count of containers created so far.
 
+    The run settles when every later start takes one plan (every
+    container exists and no pending acquire comes after a later one, or
+    every worker is busy or keeps a warm environment) and no finish so
+    far (``last``) is later than the earliest a later start can have.
+    ``_lag_run`` runs the rest, from the idle workers' times (``s``, or
+    the finish that left each warm environment, which the start that
+    takes that worker takes) and the pending finishes; where such an
+    environment has expired, the heap takes the run back for good. A
+    burst on as many workers whose first finish comes after the last
+    arrival keeps no heap: each start is cold, or creates a container.
+
     The model's choices are made once per run: which kinds of request a
     start picks from, and whether a finish leaves a warm environment. No
     plan is built that no request takes: the ``"create"`` and warm plans
     wait for their first start.
     """
     shared = variant is Variant.TEEMATE
-    # Expiry times of idle warm environments, oldest first: finishes run
+    # Finish times of idle warm environments, oldest first: finishes run
     # in time order, so they are appended sorted.
     warm_pool: Optional[deque] = None
     bare: Optional[int] = None  # the live instance that holds no unit
@@ -437,6 +471,23 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
         else:  # warm runs cold's last step only
             longest = cold = _plan("cold", exec_ms, params)
         _check_clock(arrivals[-1], n, longest)
+        # A burst: the first start, alone, finishes after the last arrival.
+        if 1 < n <= workers and arrivals[0] + longest.total > arrivals[-1]:
+            if not shared:
+                return _one_plan_run(variant, trace, params, workers, cold)
+            created = _plan("create", exec_ms, params)
+            _check_clock(arrivals[-1], n, created)
+            # Out-of-order acquires, or a finish by the last arrival, bail.
+            if arrivals[1] + created.head >= arrivals[0] + pooled.head:
+                free = [0] * n
+                _lag_run(arrivals[1:], free, created,
+                         _lag_run(arrivals[:1], free, pooled, 0))
+                finish = array("q", free[n:])
+                if min(finish) > arrivals[-1]:
+                    return _metrics(variant.value, trace, array("q", [0, 1]),
+                                    [pooled, created], finish, max(finish),
+                                    n - 1, registration_ms, baseline_mib,
+                                    unit_mib)
 
     run_firsts = array("q")
     run_plans: List[_Plan] = []
@@ -447,23 +498,33 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
     push, pop = heapq.heappush, heapq.heappop
     free_workers = workers
     peak = 0  # the most units held at once
-    unlocked = 0  # when the lock was last released
+    unlocked = last = late = 0  # the last unlock, finish, created acquire
+    settling = True  # until an expired environment hands the run back
+
+    def grant(due: int) -> None:
+        """Grant the lock to each pending acquire at or before ``due``."""
+        nonlocal unlocked, last
+        while acquires and acquires[0][0] <= due:
+            acquired, j, plan = pop(acquires)
+            unlocked = (acquired if acquired > unlocked
+                        else unlocked) + plan.locked
+            finish[j] = t = unlocked + plan.tail
+            push(finishes, t)
+            if t > last:
+                last = t
 
     s = 0
     # After the last request, a start at the clock's end grants the
     # pending lock acquires, which sets the last finish times. The
     # finishes left in the heap would only free workers and warm
     # environments, which nothing reads after the last start.
-    for i, arrival in enumerate(itertools.chain(arrivals, (CLOCK_END_NS,))):
+    requests = enumerate(itertools.chain(arrivals, (CLOCK_END_NS,)))
+    for i, arrival in requests:
         if arrival > s:
             s = arrival
         while True:
-            while acquires and acquires[0][0] <= s:
-                acquired, j, plan = pop(acquires)
-                unlocked = (acquired if acquired > unlocked
-                            else unlocked) + plan.locked
-                finish[j] = t = unlocked + plan.tail
-                push(finishes, t)
+            if acquires:
+                grant(s)
             if i == n:
                 break
             while finishes and finishes[0] <= s:
@@ -472,7 +533,7 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
                 if bare is not None and t == finish[bare]:
                     bare = None
                 elif warm_pool is not None:
-                    warm_pool.append(t + keepalive)
+                    warm_pool.append(t)
             if free_workers:
                 break
             if acquires and not (finishes and finishes[0] <= acquires[0][0]):
@@ -497,10 +558,12 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
                     created = _plan("create", exec_ms, params)
                     _check_clock(arrivals[-1], n, created)
                 plan = created
+                late = s + plan.head
             held -= bare is not None
         else:
             # Drop expired environments: later starts are later still.
-            while warm_pool and warm_pool[0] < s:
+            oldest = s - keepalive
+            while warm_pool and warm_pool[0] < oldest:
                 warm_pool.popleft()
             if warm_pool:
                 warm_pool.popleft()
@@ -515,15 +578,51 @@ def _general_run(variant: Variant, trace: RequestTrace, params: CostParams,
             previous = plan
         if plan.locked is not None:
             push(acquires, (s + plan.head, i, plan))
-            continue
-        finish[i] = t = s + plan.tail
-        push(finishes, t)
+        else:
+            finish[i] = t = s + plan.tail
+            push(finishes, t)
+            if t > last:
+                last = t
 
-    # The last start's finish is never popped, and every popped finish
-    # came at or before that start, so the latest finish is in the heap.
+        if not settling or not (
+                containers == workers and late <= s + pooled.head if shared
+                else warm is not None and busy + len(warm_pool) == workers):
+            continue
+        grant(CLOCK_END_NS)  # no acquire to come is earlier
+        plan = pooled if shared else warm
+        if last > (s + plan.tail if plan.locked is None else max(
+                s + plan.head, unlocked) + plan.locked + plan.tail):
+            continue
+        first = i + 1  # settled: the recursion runs the rest
+        rest = arrivals[first:]
+        free = list(warm_pool) if warm_pool is not None else [s] * free_workers
+        free += sorted(finishes)
+        unlocked = _lag_run(rest, free, plan, unlocked,
+                            None if shared else keepalive)
+        k = len(free) - workers  # the requests it ran
+        del rest[k:]
+        if peak < workers:
+            peak = _most_busy(map(max, rest, free), free, workers, peak,
+                              workers, shared,
+                              -1 if bare is None else finish[bare])
+        if k and plan is not previous:
+            run_firsts.append(first)
+            run_plans.append(plan)
+            previous = plan
+        finish[first:first + k] = array("q", free[workers:])
+        last = free[-1]
+        if first + k == n:
+            break
+        # Request ``first + k``'s environment has expired: the heap runs
+        # it, each worker busy until its latest time (sorted: a heap).
+        finishes = free[k:]
+        free_workers = 0
+        warm_pool.clear()
+        settling = False
+        next(itertools.islice(requests, k, k), None)  # skip those run
+
     return _metrics(variant.value, trace, run_firsts, run_plans, finish,
-                    max(finishes, default=0), peak, registration_ms,
-                    baseline_mib, unit_mib)
+                    last, peak, registration_ms, baseline_mib, unit_mib)
 
 
 def _nth(sized: List[Tuple[int, int]], k: int) -> int:

@@ -24,10 +24,16 @@ this loop's order since a plan's tail, the steps that end in its finish
 scheduled before its time comes, so its seq is smaller than that of any
 start scheduled at its time. A tail of 0 ns would schedule its finish at
 the current time, behind starts already waiting there, in an order the
-recursion does not keep; ``_plan``, which both share, refuses it. When
-every request takes one plan, the harness keeps no heap either: request
-``i`` starts at the later of its arrival and the finish of request ``i -
-workers``, which this loop must match on every tie.
+recursion does not keep; ``_plan``, which both share, refuses it. Where
+the rest of a run takes one plan, the harness keeps no heap either: a
+request starts at the later of its arrival and the ``workers``-th finish
+before it, and takes the lock after the one before it, which this loop
+must match on every tie. That holds from the first request when every
+request takes one plan, and in a burst on as many workers in which
+nothing finishes by the last arrival; in the general run, from the start
+at which it settles (every later one pooled or warm, and no finish so far
+later than a later start's), until a warm environment it relies on has
+expired and the heap takes the run back.
 
 A run is refused, after it ends here, if its last arrival plus ``n``
 times the longest plan a request took reaches the clock's end

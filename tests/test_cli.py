@@ -301,7 +301,7 @@ class TestMain:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulation started")
 
-        for name in ("gen_poisson", "gen_bursts", "run_serverless",
+        for name in ("gen_poisson", "gen_bursts", "_run_serverless",
                      "run_database"):
             monkeypatch.setattr(f"enclavesim.cli.{name}", no_simulation)
         cfg = self.write_cfg(tmp_path, text)
@@ -590,7 +590,7 @@ class TestMain:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulation started")
 
-        monkeypatch.setattr("enclavesim.cli.run_serverless", no_simulation)
+        monkeypatch.setattr("enclavesim.cli._run_serverless", no_simulation)
         monkeypatch.setattr("enclavesim.security.run_all", no_simulation)
         cfg = self.write_cfg(tmp_path, text)
         taken = tmp_path / "taken"

@@ -430,7 +430,7 @@ GUARDS = {
     ("workload_harness", "_check_clock",
      "last_ns + n * longest.total >= CLOCK_END_NS"):
         _CLI + "TestMain::test_run_off_the_clock_exits_one[finishes]",
-    ("workload_harness", "run_serverless", "workers < 1"):
+    ("workload_harness", "_run_serverless", "workers < 1"):
         _HARNESS + "TestServerlessLatency::test_no_workers_completes_nothing",
     ("workload_harness", "db_cycle", "exec_ns == 0"):
         _CLI + "TestMain::"

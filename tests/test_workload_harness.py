@@ -453,29 +453,26 @@ class TestServerlessThroughput:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_heap_pops_per_request(self, params, monkeypatch, variant):
         """A one-plan run (``native``, ``cc_cold``) keeps no heap and pops
-        nothing. In the general run, arrivals and starts never enter a
-        heap: a request pops only its finish, and a serialized
-        shared-enclave request its lock acquire too. Its unlock is a sum
-        taken at the grant, not an event. The run ends at its last lock
-        grant, so a finish that no later start passes is never popped: a
-        burst on as many workers pops none, and a trace whose last
-        arrival comes after every finish pops all but the last
-        request's."""
+        nothing, and neither does a burst on as many workers, in which
+        nothing finishes by the last arrival. The general run keeps its
+        heap only until the run settles, then hands the rest to the
+        lag-``workers`` recursion: on 586 sweep-like requests ``cc_warm``
+        pops 3 finishes (585 before the hand-off) and ``teemate`` 10
+        finishes and lock acquires (1,171)."""
         pops = []
         heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop",
                             lambda heap: pops.append(1) or heappop(heap))
-        per_request = {Variant.NATIVE: 0, Variant.CC_COLD: 0,
-                       Variant.CC_WARM: 1, Variant.TEEMATE: 2}[variant]
         run_serverless(variant, gen_burst(64, "crypto-aes"), params, 64)
-        assert len(pops) == (64 if variant is Variant.TEEMATE else 0)
+        assert pops == []
         poisson = gen_poisson(4.0, 150.0, 0, "crypto-aes")
         last = max(run_serverless(variant, poisson, params, 8).finish) / 1e6
         trace = RequestTrace(poisson.arrivals + [last + 1.0], "crypto-aes")
         assert len(trace.arrivals) == 586
         pops.clear()
         run_serverless(variant, trace, params, 8)
-        assert len(pops) == (per_request * 586 - 1 if per_request else 0)
+        assert len(pops) == {Variant.NATIVE: 0, Variant.CC_COLD: 0,
+                             Variant.CC_WARM: 3, Variant.TEEMATE: 10}[variant]
 
     def test_predicted_warm_run_pops_nothing(self, params, monkeypatch):
         # Under prediction every cc_warm request takes the warm plan, so
@@ -868,6 +865,39 @@ def small_scope():
     return range(3), 5, range(2)
 
 
+def hand_off_seeds():
+    """The seeds of the hand-off check's Poisson traces; the deep profile
+    widens them from 0-19 to 0-199."""
+    return range(200 if settings.get_current_profile_name() == "deep" else 20)
+
+
+def run_naming_exit(variant, trace, params, workers):
+    """``run_serverless``'s ``Metrics`` and how its general run ended:
+    ``"burst"`` if its heap never held a finish or an acquire, ``"heap"``
+    if the heap ran every request, ``"settled"`` if it handed the rest to
+    the lag-``workers`` recursion, which ran to the last request, and
+    ``"expired"`` if that recursion stopped at an expired environment. A
+    recursion run before the first push is the burst entry's."""
+    pushes, handed = [], []
+    lag_run, heappush = workload_harness._lag_run, heapq.heappush
+
+    def lag_run_recorded(arrivals, free, plan, unlocked, keepalive=None):
+        before = len(free)
+        unlocked = lag_run(arrivals, free, plan, unlocked, keepalive)
+        if pushes:
+            handed.append(len(free) - before == len(arrivals))
+        return unlocked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload_harness, "_lag_run", lag_run_recorded)
+        mp.setattr(heapq, "heappush",
+                   lambda heap, item: pushes.append(1) or heappush(heap, item))
+        got = run_serverless(variant, trace, params, workers)
+    kind = ("burst" if not pushes else "heap" if not handed
+            else "settled" if handed[-1] else "expired")
+    return got, kind
+
+
 def small_scope_configs(variant, steps):
     """Every ``(plans, keepalive_s, prediction)`` of a model at small scope.
     A locked plan's head and locked step take each of ``steps``, and each
@@ -1129,6 +1159,41 @@ class TestServerlessOracle:
                                          workers)
             got = run_serverless(Variant.TEEMATE, trace, params, workers)
         assert_same_run(got, want)
+
+    @pytest.mark.parametrize("variant", [Variant.CC_WARM, Variant.TEEMATE],
+                             ids=lambda v: v.value)
+    def test_matches_heaped_run_after_hand_off(self, variant):
+        """Sweep-like traces of each workload, 4 requests/s for 150 s on 8
+        workers, settle after a few starts and hand the rest to the
+        lag-``workers`` recursion; with warm environments kept 2 s, not
+        30 s, some ``cc_warm`` runs expire one and go back to the heap.
+        The lock, which only ``teemate`` reads, is on in the 30 s config
+        and off in the 2 s one, whose keepalive only ``cc_warm`` reads. A
+        burst on as many workers keeps no heap, and one whose arrivals
+        straddle the first finish bails out of the burst entry. Every run
+        gives the oracle's ``Metrics``, and each exit is reached."""
+        params = default_params()
+        first_kind = "pooled" if variant is Variant.TEEMATE else "cold"
+        traces = []
+        for workload in params.t_exec:
+            first_ms = workload_harness._plan(
+                first_kind, params.exec_ms(workload), params).total / 1e6
+            traces += [gen_burst(8, workload),
+                       RequestTrace([0.0] * 4 + [first_ms] * 4, workload)]
+            traces += [gen_poisson(4.0, 150.0, seed, workload)
+                       for seed in hand_off_seeds()]
+        kinds = set()
+        for serialized, keepalive_s in ((True, 30.0), (False, 2.0)):
+            params.epc_alloc_serialized = serialized
+            params.warm_keepalive_s = keepalive_s
+            for trace in traces:
+                got, kind = run_naming_exit(variant, trace, params, 8)
+                assert_same_run(got, run_serverless_heaped(variant, trace,
+                                                           params, 8))
+                kinds.add(kind)
+        assert kinds == ({"burst", "heap", "settled", "expired"}
+                         if variant is Variant.CC_WARM
+                         else {"burst", "heap", "settled"})
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_matches_heaped_run_at_small_scope(self, variant):
