@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
@@ -103,39 +102,43 @@ def _parse_models(raw: str) -> List[str]:
     return models
 
 
-@dataclass
 class ScenarioConfig:
-    scenario: str
-    seed: int = field(metadata={"parse": int})
-    models: List[str] = field(default_factory=list, metadata={
-        "key": "model", "parse": _parse_models})
-    workload: str = field(default="", metadata={"parse": str})
-    n_requests: int = field(default=1, metadata={"parse": _parse_count})
-    rate_per_s: float = field(default=1.0,
-                              metadata={"parse": _parse_positive})
-    duration_s: float = field(default=60.0,
-                              metadata={"parse": _parse_positive})
-    workers: Optional[int] = field(default=None,
-                                   metadata={"parse": _parse_count})
-    prediction: bool = field(default=False, metadata={"parse": _parse_bool})
-    db_mib: float = field(default=128.0, metadata={"parse": _parse_positive})
-    write_ratio: float = field(default=0.3, metadata={
-        "parse": lambda raw: _parse_float(raw, 0.0, 1.0)})
-    snapshot_interval_s: float = field(default=2.0, metadata={
-        "parse": lambda raw: _parse_float(raw, 0.0)})
-    schedules: int = field(default=1000, metadata={"parse": _parse_count})
-    overrides: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("scenario", "seed", "models", "workload", "n_requests",
+                 "rate_per_s", "duration_s", "workers", "prediction",
+                 "db_mib", "write_ratio", "snapshot_interval_s", "schedules",
+                 "overrides")
+
+    def __init__(self, scenario: str, seed: int):
+        self.scenario, self.seed = scenario, seed
+        self.models: List[str] = []
+        # Serverless runs; a database run reads ``duration_s`` too.
+        self.workload, self.n_requests, self.workers = "", 1, None
+        self.rate_per_s, self.duration_s, self.prediction = 1.0, 60.0, False
+        # Database runs, then the security suite.
+        self.db_mib, self.write_ratio = 128.0, 0.3
+        self.snapshot_interval_s, self.schedules = 2.0, 1000
+        self.overrides: Dict[str, object] = {}
 
 
 # Config key -> (ScenarioConfig field, parser): ``key = value`` sets the
-# field to ``parse(value)``. The key is the field's name unless a "key"
-# entry in its metadata names another.
-_CONFIG_KEYS = {f.metadata.get("key", f.name): (f.name, f.metadata["parse"])
-                for f in fields(ScenarioConfig) if f.metadata}
-# CostParams field -> parser of an override; t_exec is set per workload.
-_PARAM_FIELDS = {f.name: (_parse_bool if isinstance(f.default, bool)
-                          else _parse_float)
-                 for f in fields(CostParams)}
+# field to ``parse(value)``.
+_CONFIG_KEYS = {
+    "seed": ("seed", int), "model": ("models", _parse_models),
+    "workload": ("workload", str), "n_requests": ("n_requests", _parse_count),
+    "rate_per_s": ("rate_per_s", _parse_positive),
+    "duration_s": ("duration_s", _parse_positive),
+    "workers": ("workers", _parse_count),
+    "prediction": ("prediction", _parse_bool),
+    "db_mib": ("db_mib", _parse_positive),
+    "write_ratio": ("write_ratio",
+                    lambda raw: _parse_float(raw, 0.0, 1.0)),
+    "snapshot_interval_s": ("snapshot_interval_s",
+                            lambda raw: _parse_float(raw, 0.0)),
+    "schedules": ("schedules", _parse_count)}
+# CostParams field -> parser of an override, by the type of its default;
+# t_exec is set per workload.
+_PARAM_FIELDS = {name: _parse_bool if isinstance(value, bool) else _parse_float
+                 for name, value in vars(CostParams()).items()}
 
 
 def parse_config(text: str) -> ScenarioConfig:

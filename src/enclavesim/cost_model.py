@@ -15,7 +15,6 @@ the system being modeled:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict
 
 from . import errors
@@ -46,33 +45,33 @@ WORKLOADS = (
 )
 
 
-@dataclass
 class CostParams:
-    # Serverless-side latency components.
-    t_container_create: float = 585.0
-    t_enclave_create: float = 10000.0
-    t_alias: float = 2.7
-    t_tcs_op: float = 0.1
-    t_epc_alloc_per_page: float = 0.115625
-    t_instance_load_cold: float = 200.0
-    t_instance_load_teemate: float = 400.0
-    t_exec: Dict[str, float] = field(default_factory=dict)
-    epc_alloc_serialized: bool = True
-    # Memory figures.
-    m_strawman_per_request: float = 114.0
-    m_teemate_base: float = 207.0
-    m_teemate_per_instance: float = 25.0
-    page_mib: float = PAGE_MIB
-    # Database scenario.
-    t_fork_copy_per_mib: float = 20.0
-    t_fork_child_setup: float = 22.2
-    t_db_exec: float = 0.5
-    t_cow_copy: float = 0.05
-    snapshot_write_mib_per_s: float = 100.0
-    m_db_runtime_strawman: float = 114.0
-    m_db_runtime_teemate: float = 207.0
-    # Warm-pool policy.
-    warm_keepalive_s: float = 30.0
+    def __init__(self):
+        # Serverless-side latency components.
+        self.t_container_create = 585.0
+        self.t_enclave_create = 10000.0
+        self.t_alias = 2.7
+        self.t_tcs_op = 0.1
+        self.t_epc_alloc_per_page = 0.115625
+        self.t_instance_load_cold = 200.0
+        self.t_instance_load_teemate = 400.0
+        self.t_exec: Dict[str, float] = {}
+        self.epc_alloc_serialized = True
+        # Memory figures.
+        self.m_strawman_per_request = 114.0
+        self.m_teemate_base = 207.0
+        self.m_teemate_per_instance = 25.0
+        self.page_mib = PAGE_MIB
+        # Database scenario.
+        self.t_fork_copy_per_mib = 20.0
+        self.t_fork_child_setup = 22.2
+        self.t_db_exec = 0.5
+        self.t_cow_copy = 0.05
+        self.snapshot_write_mib_per_s = 100.0
+        self.m_db_runtime_strawman = 114.0
+        self.m_db_runtime_teemate = 207.0
+        # Warm-pool policy.
+        self.warm_keepalive_s = 30.0
 
     @property
     def instance_pages(self) -> int:

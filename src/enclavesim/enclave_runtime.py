@@ -18,8 +18,7 @@ pages in place, so retiring the child folds nothing back.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import errors
 from .host_kernel import Container, Kernel
@@ -52,8 +51,7 @@ class Access(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
-class FunctionInstance:
+class FunctionInstance(NamedTuple):
     instance_id: int
     owner_pid: int
     region: Tuple[int, int]  # (base va, length in pages)
@@ -63,17 +61,17 @@ class FunctionInstance:
         return range(base, base + length)
 
 
-@dataclass
 class FileRow:
     """A file of the in-memory file system. Its owner instance is live:
     ``instance_destroy`` drops the rows of the instance it destroys."""
+    __slots__ = ("owner_instance", "content", "digest")
 
-    owner_instance: int
-    content: bytearray
-    digest: bytes
+    def __init__(self, owner_instance: int, content: bytearray,
+                 digest: bytes):
+        self.owner_instance, self.content, self.digest = (
+            owner_instance, content, digest)
 
 
-@dataclass
 class ForkPair:
     """A live copy-on-write fork. ``page_tables`` holds the members' page
     tables by pid, the parent's and the child's only. ``copies`` maps a db
@@ -83,12 +81,14 @@ class ForkPair:
     has no copy. ``dirty_count`` counts the copies. The pair is live while
     it holds page tables: retiring it empties both maps, so no pid has a
     view of it."""
+    __slots__ = ("parent_pid", "child_pid", "page_tables", "copies",
+                 "dirty_count")
 
-    parent_pid: int
-    child_pid: int
-    page_tables: Dict[int, Dict[int, int]]
-    copies: Dict[int, int] = field(default_factory=dict)
-    dirty_count: int = 0
+    def __init__(self, parent_pid: int, child_pid: int,
+                 page_tables: Dict[int, Dict[int, int]]):
+        self.parent_pid, self.child_pid = parent_pid, child_pid
+        self.page_tables, self.dirty_count = page_tables, 0
+        self.copies: Dict[int, int] = {}
 
 
 class EnclaveRuntime:

@@ -11,22 +11,20 @@ directly, but never over EPCM state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import errors
 from .sgx_core import Enclave, Machine
 
 
-@dataclass
 class Container:
-    pid: int
-    page_table: Dict[int, int]  # va -> pa
-    fs_root: str
+    __slots__ = ("pid", "page_table", "fs_root")
+
+    def __init__(self, pid: int, page_table: Dict[int, int], fs_root: str):
+        self.pid, self.page_table, self.fs_root = pid, page_table, fs_root
 
 
-@dataclass(frozen=True)
-class MappingRecord:
+class MappingRecord(NamedTuple):
     """Immutable snapshot of an enclave's (va, pa) pairs at record time.
 
     Pages added after the snapshot are not included; callers re-record

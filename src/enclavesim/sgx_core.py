@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from . import errors
@@ -83,19 +82,19 @@ class PageType(enum.Enum):
 _TCS = PageType.TCS
 
 
-@dataclass(slots=True)
 class PhysicalPage:
     """One physical page. An EPC page holds its EPCM entry: the va and
     enclave it was added to, and its page type; a plain page has none (all
     three None). Its content changes only through ``write``, which drops the
     cached digest, so ``digest`` rehashes a page only after a write."""
+    __slots__ = ("pa", "content", "va", "enclave_id", "page_type", "_digest")
 
-    pa: int
-    content: bytearray
-    va: Optional[int] = None
-    enclave_id: Optional[int] = None
-    page_type: Optional[PageType] = None
-    _digest: Optional[bytes] = field(default=None, repr=False, compare=False)
+    def __init__(self, pa: int, content: bytearray, va: Optional[int] = None,
+                 enclave_id: Optional[int] = None,
+                 page_type: Optional[PageType] = None):
+        self.pa, self.content, self.va = pa, content, va
+        self.enclave_id, self.page_type = enclave_id, page_type
+        self._digest: Optional[bytes] = None
 
     def digest(self) -> bytes:
         """SHA-256 of the content, computed on first use and cached."""
@@ -111,41 +110,43 @@ class PhysicalPage:
         self._digest = None
 
 
-@dataclass
 class TcsPage:
     """A TCS page's thread-binding state, ``busy`` while a thread (live or
     suspended by an AEX) is bound to it. ``entry`` holds the registers
     ``eenter`` starts a thread with, set once at EADD: the first 8 bytes
     of the SHA-256 of its entry point ``"oentry:<tcs va in hex>"``,
     little-endian, then three zeros."""
+    __slots__ = ("tcs_va", "entry", "busy", "saved_context")
 
-    tcs_va: int
-    entry: Tuple[int, int, int, int]
-    busy: bool = False
-    saved_context: Optional[Tuple[int, int, int, int]] = None
+    def __init__(self, tcs_va: int, entry: Tuple[int, int, int, int]):
+        self.tcs_va, self.entry, self.busy = tcs_va, entry, False
+        self.saved_context: Optional[Tuple[int, int, int, int]] = None
 
 
-@dataclass
 class EnclaveThread:
-    enclave_id: int
-    tcs_va: int
-    registers: Tuple[int, int, int, int]
-    live: bool = True
+    __slots__ = ("enclave_id", "tcs_va", "registers", "live")
+
+    def __init__(self, enclave_id: int, tcs_va: int,
+                 registers: Tuple[int, int, int, int]):
+        self.enclave_id, self.tcs_va = enclave_id, tcs_va
+        self.registers, self.live = registers, True
 
 
-@dataclass
 class Enclave:
     """An enclave's pages and TCS table. ``_hash`` is its running launch
     measurement, a state shared with other enclaves (the empty state or one
     from the module's memo), which ``eadd`` replaces and never updates."""
+    __slots__ = ("enclave_id", "pages", "tcs_table", "measurement",
+                 "initialized", "_hash")
 
-    enclave_id: int
-    pages: Dict[int, int] = field(default_factory=dict)  # va -> pa
-    # tcs va -> TCS, in EADD order.
-    tcs_table: Dict[int, TcsPage] = field(default_factory=dict)
-    measurement: Optional[bytes] = None
-    initialized: bool = False
-    _hash: hashlib._Hash = field(default=_EMPTY, repr=False, compare=False)
+    def __init__(self, enclave_id: int):
+        self.enclave_id = enclave_id
+        self.pages: Dict[int, int] = {}  # va -> pa
+        # tcs va -> TCS, in EADD order.
+        self.tcs_table: Dict[int, TcsPage] = {}
+        self.measurement: Optional[bytes] = None
+        self.initialized = False
+        self._hash: hashlib._Hash = _EMPTY
 
 
 class Machine:

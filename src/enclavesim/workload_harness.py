@@ -38,7 +38,6 @@ import random
 import types
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -82,16 +81,12 @@ class DbModel(enum.Enum):
     TEEMATE = "teemate"
 
 
-@dataclass
 class RequestTrace:
     """Arrival times in ms, sorted and on the clock, of requests to one
     workload, fixed once built: every run shares them in ``arrivals_ns``."""
-    arrivals: List[float]
-    workload: str
-    arrivals_ns: array = field(init=False, repr=False, compare=False)
+    __slots__ = ("arrivals", "workload", "arrivals_ns")
 
-    def __post_init__(self):
-        arrivals = self.arrivals
+    def __init__(self, arrivals: List[float], workload: str):
         if arrivals != sorted(arrivals):
             raise errors.InvariantViolation("arrivals must be sorted")
         # Sorted, all are on the clock if the ends are and none is NaN.
@@ -100,11 +95,11 @@ class RequestTrace:
                              and not any(map(math.isnan, arrivals))):
             raise errors.InvariantViolation(
                 "an arrival time is outside the clock's range")
+        self.arrivals, self.workload = arrivals, workload
         self.arrivals_ns = array("q", [round(t * 1e6) for t in arrivals])
 
 
-@dataclass(slots=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One served request, as ``Metrics.requests`` builds it: its
     ``components`` is its plan's read-only mapping, shared by every
     request of that kind."""
@@ -116,7 +111,6 @@ class RequestRecord:
     finish_ms: float
 
 
-@dataclass
 class Metrics:
     """A run's statistics and its requests as columns. Request ``i``
     arrived at ``arrivals[i]`` ms (the trace's own list) and finished at
@@ -124,22 +118,25 @@ class Metrics:
     or ``str(i)`` when ``ids`` is None. The plans are kept as runs:
     requests from ``run_firsts[k]`` (the first is 0) up to the next run's
     first, or to the last request, ran ``run_plans[k]`` (``spans``)."""
-    model: str
-    workload: str
-    arrivals: Sequence[float]
-    run_firsts: array
-    run_plans: List[_Plan]
-    finish: array
-    count: int
-    mean_latency_ms: float
-    p50_ms: float
-    p99_ms: float
-    peak_epc_mib: float
-    throughput_rps: float
-    completion_time_ms: float
-    extras: Dict[str, float] = field(default_factory=dict)
-    ledger: Optional[CostLedger] = None
-    ids: Optional[Tuple[str, ...]] = None
+    __slots__ = ("model", "workload", "arrivals", "run_firsts", "run_plans",
+                 "finish", "count", "mean_latency_ms", "p50_ms", "p99_ms",
+                 "peak_epc_mib", "throughput_rps", "completion_time_ms",
+                 "extras", "ledger", "ids")
+
+    def __init__(self, model: str, workload: str, arrivals: Sequence[float],
+                 run_firsts: array, run_plans: List[_Plan], finish: array,
+                 count: int, mean_latency_ms: float, p50_ms: float,
+                 p99_ms: float, peak_epc_mib: float, throughput_rps: float,
+                 completion_time_ms: float, extras: Dict[str, float],
+                 ledger: Optional[CostLedger] = None,
+                 ids: Optional[Tuple[str, ...]] = None):
+        self.model, self.workload, self.arrivals = model, workload, arrivals
+        self.run_firsts, self.run_plans = run_firsts, run_plans
+        self.finish, self.count, self.ids = finish, count, ids
+        self.mean_latency_ms, self.p50_ms = mean_latency_ms, p50_ms
+        self.p99_ms, self.peak_epc_mib = p99_ms, peak_epc_mib
+        self.throughput_rps, self.extras = throughput_rps, extras
+        self.completion_time_ms, self.ledger = completion_time_ms, ledger
 
     def spans(self) -> Iterator[Tuple[int, int, _Plan]]:
         """Each run as ``(first, end, plan)``: requests ``first`` to

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import errno
 import json
 import math
@@ -71,6 +70,37 @@ seed = 1
 
 SUITE_CFG = "[security_suite]\nseed = 1\nschedules = {}\n"
 
+# Each config key, its ScenarioConfig field and its parser, or for a
+# bounded float the name of its bounds in BOUNDED_FLOATS.
+CONFIG_KEYS = [
+    ("seed", "seed", int),
+    ("model", "models", cli._parse_models),
+    ("workload", "workload", str),
+    ("n_requests", "n_requests", cli._parse_count),
+    ("rate_per_s", "rate_per_s", cli._parse_positive),
+    ("duration_s", "duration_s", cli._parse_positive),
+    ("workers", "workers", cli._parse_count),
+    ("prediction", "prediction", cli._parse_bool),
+    ("db_mib", "db_mib", cli._parse_positive),
+    ("write_ratio", "write_ratio", "[0, 1]"),
+    ("snapshot_interval_s", "snapshot_interval_s", ">= 0"),
+    ("schedules", "schedules", cli._parse_count),
+]
+# Bounds -> (values taken, values refused).
+BOUNDED_FLOATS = {"[0, 1]": (["0", "0.3", "1"], ["-0.1", "1.5", "nan"]),
+                  ">= 0": (["0", "2", "1e9"], ["-1", "-1e-9", "inf"])}
+# Each CostParams field that a config key can override, in order. One
+# parses as a bool, the rest as floats; t_exec only per workload.
+PARAM_FIELDS = [
+    "t_container_create", "t_enclave_create", "t_alias", "t_tcs_op",
+    "t_epc_alloc_per_page", "t_instance_load_cold",
+    "t_instance_load_teemate", "t_exec", "epc_alloc_serialized",
+    "m_strawman_per_request", "m_teemate_base", "m_teemate_per_instance",
+    "page_mib", "t_fork_copy_per_mib", "t_fork_child_setup", "t_db_exec",
+    "t_cow_copy", "snapshot_write_mib_per_s", "m_db_runtime_strawman",
+    "m_db_runtime_teemate", "warm_keepalive_s",
+]
+
 
 class TestParseConfig:
     def test_valid_latency_config(self):
@@ -107,6 +137,34 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(errors.UnknownKey):
             parse_config("[security_suite]\nseed = 1\nfrobnicate = 2\n")
+
+    def test_config_keys_are_pinned(self):
+        # Key -> (ScenarioConfig field, parser). A named parser must be
+        # that function; a bounded float must take and refuse its bounds.
+        assert [(key, name) for key, (name, _) in cli._CONFIG_KEYS.items()] \
+            == [(key, name) for key, name, _ in CONFIG_KEYS]
+        for key, _, want in CONFIG_KEYS:
+            parse = cli._CONFIG_KEYS[key][1]
+            if want not in BOUNDED_FLOATS:
+                assert parse is want, key
+                continue
+            taken, refused = BOUNDED_FLOATS[want]
+            assert [parse(raw) for raw in taken] == list(map(float, taken))
+            for raw in refused:
+                with pytest.raises(ValueError):
+                    parse(raw)
+
+    def test_cost_overrides_are_pinned(self):
+        want = dict.fromkeys(PARAM_FIELDS, cli._parse_float)
+        want["epc_alloc_serialized"] = cli._parse_bool
+        assert list(cli._PARAM_FIELDS.items()) == list(want.items())
+        config = parse_config(LATENCY_CFG + "epc_alloc_serialized = off\n")
+        assert config.overrides["epc_alloc_serialized"] is False
+        with pytest.raises(errors.ParseError, match="boolean"):
+            parse_config(LATENCY_CFG + "epc_alloc_serialized = 0.5\n")
+        # t_exec is a field, but its times are set per workload.
+        with pytest.raises(errors.UnknownKey, match="t_exec.<workload>"):
+            parse_config(LATENCY_CFG + "t_exec = 5\n")
 
     def test_key_outside_scenario(self):
         with pytest.raises(errors.UnknownKey):
@@ -724,11 +782,14 @@ class TestPeakMemory:
 
 class TestFreshProcess:
     """What a new interpreter loads: a serverless or database run never
-    imports the enclave model, which only the security suite runs."""
+    imports the enclave model, which only the security suite runs, and no
+    run imports ``dataclasses`` or the ``inspect`` it loads."""
 
     ENCLAVE_MODEL = ("enclavesim.sgx_core", "enclavesim.host_kernel",
                      "enclavesim.enclave_runtime", "enclavesim.security")
-    RUN_BOTH = """\
+    FOUR_MODELS = MACRO_CFG.replace("teemate",
+                                    "native, cc_cold, cc_warm, teemate")
+    RUN = """\
 import json, sys
 from enclavesim import cli
 codes = [cli.main([cfg, "--out", out]) for cfg, out in json.loads(sys.argv[1])]
@@ -741,18 +802,28 @@ print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
                               capture_output=True, text=True, timeout=60)
 
     def test_scenario_runs_leave_the_enclave_model_unloaded(self, tmp_path):
-        four_models = MACRO_CFG.replace("teemate",
-                                        "native, cc_cold, cc_warm, teemate")
         runs = []
-        for name, text in [("macro", four_models), ("db", DB_CFG)]:
+        for name, text in [("macro", self.FOUR_MODELS), ("db", DB_CFG)]:
             (tmp_path / f"{name}.cfg").write_text(text)
             runs.append((str(tmp_path / f"{name}.cfg"), str(tmp_path / name)))
-        done = self.python("-c", self.RUN_BOTH, json.dumps(runs))
+        done = self.python("-c", self.RUN, json.dumps(runs))
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)
         assert result["codes"] == [0, 0]
         assert "enclavesim.workload_harness" in result["loaded"]
         assert set(self.ENCLAVE_MODEL).isdisjoint(result["loaded"])
+
+    @pytest.mark.parametrize(
+        "text", [FOUR_MODELS, DB_CFG, SUITE_CFG.format(20)],
+        ids=["macro", "database", "suite"])
+    def test_a_run_loads_no_dataclasses(self, tmp_path, text):
+        (tmp_path / "run.cfg").write_text(text)
+        run = [(str(tmp_path / "run.cfg"), str(tmp_path / "out"))]
+        done = self.python("-c", self.RUN, json.dumps(run))
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0]
+        assert {"dataclasses", "inspect"}.isdisjoint(result["loaded"])
 
     def test_security_suite_runs_as_a_module(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
@@ -773,8 +844,8 @@ NUMBERS = st.one_of(
                      "1e-320", "1e-307", "-0.0", "nan", "inf", "2.7", "x"]),
     st.integers(-3, 100).map(str),
     st.floats().map(repr))
-PARAM_KEYS = [f.name for f in dataclasses.fields(CostParams)
-              if f.name != "t_exec"] + ["t_exec.sleep", "t_exec.bogus"]
+PARAM_KEYS = [name for name in vars(CostParams())
+              if name != "t_exec"] + ["t_exec.sleep", "t_exec.bogus"]
 SERVERLESS_MODELS = ["native", "cc_cold", "cc_warm", "teemate"]
 # Values that mostly pass parsing, so most runs reach the simulation.
 VALID = {

@@ -408,12 +408,12 @@ GUARDS = {
     ("workload_harness", "_ns", "not math.isfinite(ns)"):
         _CLI + "TestMain::"
         "test_overflowing_value_exits_one_without_output[fork]",
-    ("workload_harness", "RequestTrace.__post_init__",
+    ("workload_harness", "RequestTrace.__init__",
      "arrivals and not (0 <= arrivals[0] and arrivals[-1] * 1e6 < "
      "CLOCK_END_NS and not any(map(math.isnan, arrivals)))"):
         _HARNESS + "TestTraces::"
         "test_trace_rejects_an_arrival_off_the_clock[nan-inside]",
-    ("workload_harness", "RequestTrace.__post_init__",
+    ("workload_harness", "RequestTrace.__init__",
      "arrivals != sorted(arrivals)"):
         _HARNESS + "TestTraces::test_trace_rejects_unsorted",
     ("workload_harness", "gen_burst", "n < 1"):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import heapq
 import itertools
@@ -87,9 +86,9 @@ class TestTraces:
         assert list(traces["uploader"].arrivals_ns) == [0] * 64
         # One trace is checked and converted, whatever the workload count.
         inits = []
-        post_init = RequestTrace.__post_init__
-        monkeypatch.setattr(RequestTrace, "__post_init__",
-                            lambda trace: inits.append(1) or post_init(trace))
+        init = RequestTrace.__init__
+        monkeypatch.setattr(RequestTrace, "__init__", lambda trace, *args:
+                            inits.append(1) or init(trace, *args))
         gen_bursts(8, ["sleep", "uploader", "crypto-aes"])
         assert len(inits) == 1
 
@@ -635,8 +634,8 @@ class TestDirtyPageOracle:
 
 def observed(metrics):
     """Every field of ``metrics`` and of its ledger, for ``==``."""
-    fields = {f.name: getattr(metrics, f.name)
-              for f in dataclasses.fields(metrics) if f.name != "ledger"}
+    fields = {name: getattr(metrics, name)
+              for name in metrics.__slots__ if name != "ledger"}
     fields["ledger"] = vars(metrics.ledger)
     return fields
 
@@ -832,8 +831,8 @@ def record_fields(metrics):
 def assert_same_run(got, want):
     """``run_serverless``'s ``Metrics`` equal the oracle's field for field,
     ``peak_epc_mib`` too, with the same records."""
-    for f in dataclasses.fields(got):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in got.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
     assert record_fields(got) == record_fields(want)
 
 
