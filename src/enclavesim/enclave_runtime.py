@@ -138,7 +138,13 @@ class EnclaveRuntime:
     # -- enclave threads ----------------------------------------------------
 
     def enter(self, pid: int) -> EnclaveThread:
+        """Bind a free TCS to ``pid``. A pid holds at most one enclave
+        thread, live or suspended, so a second entry is refused before any
+        TCS is taken."""
         container = self.kernel.containers[pid]
+        if pid in self.threads:
+            raise errors.SimError(f"pid {pid} already holds an enclave "
+                                  f"thread")
         tcs_va = self.kernel.tcs_acquire(self.tcs_table, pid)
         try:
             thread = self.machine.eenter(container.page_table, tcs_va)
@@ -384,7 +390,8 @@ class EnclaveRuntime:
         if self.fork_pair is not None:
             raise errors.ForkInProgress(
                 f"fork pair of child {self.fork_pair.child_pid} is live")
-        if not self.threads[parent_pid].live:
+        if not (parent_pid in self.threads
+                and self.threads[parent_pid].live):
             raise errors.SimError("parent holds no live enclave thread")
         parent = self.kernel.containers[parent_pid]
         child = self.kernel.create_container(parent.fs_root)
@@ -412,13 +419,14 @@ class EnclaveRuntime:
     def cow_write(self, pair: ForkPair, writer_pid: int, va: int,
                   value: bytes, offset: int = 0) -> None:
         """Write through the writer's view of a db page: the parent writes
-        the original in place, the child its copy. The first write to a
-        page by either side makes two translations: it checks the span,
-        resolves the original through the writer's table and EADDs a copy
-        of it into the child's table, recorded in ``copies`` once the EADD
-        succeeds, then writes. A repeat write makes one. A retired pair,
-        then a pid in neither role, is refused before anything is
-        copied."""
+        the original in place, the child its copy. Each write makes one
+        translation. The first write to a page by either side checks the
+        span, resolves the original through the writer's table and EADDs a
+        copy of it into the child's table, recorded in ``copies`` once the
+        EADD succeeds, then writes the page it holds: the original for the
+        parent, the fresh copy for the child. A repeat write resolves the
+        writer's page. A retired pair, then a pid in neither role, is
+        refused before anything is copied."""
         page_table = pair.page_tables.get(writer_pid)
         if page_table is None:
             raise self._no_view(pair, writer_pid)
@@ -435,9 +443,11 @@ class EnclaveRuntime:
             self._next_copy_va = copy_va + 1
             pair.copies[va] = copy_va
             pair.dirty_count += 1
-        if writer_pid == pair.child_pid:
-            va = copy_va
-        self._resolve(page_table, va).write(value, offset)
+            page = copy if writer_pid == pair.child_pid else original
+        else:
+            page = self._resolve(
+                page_table, copy_va if writer_pid == pair.child_pid else va)
+        page.write(value, offset)
 
     def cow_read(self, pair: ForkPair, pid: int, va: int) -> bytes:
         """The pid's view of a db page, through one translation. A retired
@@ -487,10 +497,13 @@ class EnclaveRuntime:
         folded back, and occupancy returns exactly to the pre-fork level.
         The retired pair keeps no page tables or copies, and a new fork may
         start. A child suspended by an AEX is resumed first, since only a
-        live thread can exit."""
-        if not self.threads[pair.child_pid].live:
-            self.resume(pair.child_pid)
-        self.exit(pair.child_pid)
+        live thread can exit; a child that already left its thread has
+        none to exit, and is retired all the same."""
+        thread = self.threads.get(pair.child_pid)
+        if thread is not None:
+            if not thread.live:
+                self.resume(pair.child_pid)
+            self.exit(pair.child_pid)
         eremove, enclave = self.machine.eremove, self.enclave
         for copy_va in pair.copies.values():
             eremove(enclave, copy_va)

@@ -25,13 +25,14 @@ class Container:
 
 
 class MappingRecord(NamedTuple):
-    """Immutable snapshot of an enclave's (va, pa) pairs at record time.
+    """A copy of an enclave's ``{va: pa}`` page map taken at record time.
 
-    Pages added after the snapshot are not included; callers re-record
-    explicitly when they need them aliased.
+    Pages added after the copy are not included; callers re-record
+    explicitly when they need them aliased. The map is a plain dict, so
+    ``alias_enclave`` merges it with one ``update``; nothing writes it.
     """
 
-    entries: Tuple[Tuple[int, int], ...]
+    entries: Dict[int, int]
 
 
 class Kernel:
@@ -57,14 +58,13 @@ class Kernel:
             raise errors.EnclaveNotInitialized(
                 f"enclave {enclave.enclave_id} not initialized")
         # EADD order: deterministic, and alias_enclave needs no va order.
-        entries = tuple(enclave.pages.items())
-        return MappingRecord(entries)
+        return MappingRecord(dict(enclave.pages))
 
     def alias_enclave(self, target: Container, record: MappingRecord) -> None:
         """Insert the recorded mappings into the target's page table so it
         resolves every recorded va to the same physical page as the origin."""
         table = target.page_table
-        mappings = dict(record.entries)
+        mappings = record.entries
         for va in sorted(table.keys() & mappings.keys()):
             if table[va] != mappings[va]:
                 raise errors.VaConflict(

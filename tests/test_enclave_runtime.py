@@ -88,6 +88,25 @@ class TestThreads:
         assert pid not in runtime.threads
         assert free_rows(runtime.tcs_table) == 4
 
+    def test_second_enter_of_a_pid_is_refused(self, rt):
+        # Live, then suspended: either way the pid holds its thread, and a
+        # second entry takes no TCS.
+        _, _, runtime = rt
+        pid = runtime.creator.pid
+        thread = runtime.enter(pid)
+        holders = dict(runtime.tcs_table)
+        for suspended in (False, True):
+            if suspended:
+                runtime.suspend(pid)
+            with pytest.raises(errors.SimError, match="already holds"):
+                runtime.enter(pid)
+            assert runtime.threads == {pid: thread}
+            assert runtime.tcs_table == holders
+            runtime.check_invariants()
+        runtime.resume(pid)
+        runtime.exit(pid)
+        assert runtime.threads == {} and free_rows(runtime.tcs_table) == 4
+
     def test_check_invariants_names_a_removed_tcs(self):
         # The untrusted kernel EREMOVEs a TCS page its table still lists.
         machine = Machine()
@@ -728,6 +747,21 @@ class TestForkCow:
         second = runtime.fork_cow(runtime.creator.pid)
         runtime.snapshot(second, second.child_pid)
 
+    def test_snapshot_retires_a_child_that_exited(self):
+        machine, runtime = build_db_runtime(2)
+        used = machine.epc_used
+        pair = runtime.fork_cow(runtime.creator.pid)
+        runtime.cow_write(pair, pair.child_pid, DB_BASE, b"child")
+        runtime.exit(pair.child_pid)
+        runtime.snapshot(pair, pair.child_pid)
+        assert not pair.page_tables and runtime.fork_pair is None
+        assert pair.child_pid not in runtime.kernel.containers
+        assert machine.epc_used == used
+        assert free_rows(runtime.tcs_table) == 3
+        runtime.check_invariants()
+        second = runtime.fork_cow(runtime.creator.pid)
+        runtime.snapshot(second, second.child_pid)
+
     @pytest.mark.parametrize("tcs_count", [1, 2],
                              ids=["no-free-tcs", "tcs-busy"])
     def test_refused_fork_leaves_no_child(self, tcs_count):
@@ -803,18 +837,28 @@ class TestForkCow:
         runtime = EnclaveRuntime(machine, kernel)
         runtime.runtime_init(runtime_pages=1, tcs_count=4)
         runtime.load_db(2)
-        with pytest.raises(KeyError):
+        with pytest.raises(errors.SimError, match="no live enclave thread"):
             runtime.fork_cow(runtime.creator.pid)
+        assert list(kernel.containers) == [runtime.creator.pid]
 
     def test_fork_refuses_a_suspended_parent(self):
         machine, runtime = build_db_runtime(2)
         parent = runtime.creator.pid
-        runtime.suspend(parent)
         containers = dict(runtime.kernel.containers)
-        with pytest.raises(errors.SimError, match="no live enclave thread"):
-            runtime.fork_cow(parent)
-        assert runtime.kernel.containers == containers
-        assert runtime.fork_pair is None
+
+        def refused():
+            with pytest.raises(errors.SimError,
+                               match="no live enclave thread"):
+                runtime.fork_cow(parent)
+            assert runtime.kernel.containers == containers
+            assert runtime.fork_pair is None
+
+        runtime.suspend(parent)
+        refused()
+        # Resumed, then left its thread: the parent holds none.
+        runtime.resume(parent)
+        runtime.exit(parent)
+        refused()
 
     def test_write_drops_cached_digest(self):
         machine, runtime = build_db_runtime(2)
@@ -989,8 +1033,10 @@ class TestInvariantCost:
 
 class TestTranslationsPerAccess:
     """Every copy-on-write access is translated by the hardware model: one
-    translation per ``cow_read``, per repeat ``cow_write`` and per snapshot
-    page, two per first ``cow_write``."""
+    translation per ``cow_read``, per ``cow_write`` and per snapshot page.
+    A first ``cow_write`` writes the page it resolved (the parent's
+    original) or the copy it added (the child's) without a second
+    translation."""
 
     def test_one_fork_snapshot_cycle(self, monkeypatch):
         machine, runtime, pair = build_forked_runtime(8)
@@ -1011,13 +1057,13 @@ class TestTranslationsPerAccess:
         parent, child = pair.parent_pid, pair.child_pid
         steps = [
             (runtime.cow_read, (child, DB_BASE), 1),
-            (runtime.cow_write, (child, DB_BASE, b"first"), 2),
+            (runtime.cow_write, (child, DB_BASE, b"first"), 1),
             (runtime.cow_write, (child, DB_BASE, b"again", 9), 1),
             (runtime.cow_read, (child, DB_BASE), 1),
             # The child's first write copied the page: the parent writes
             # the original.
             (runtime.cow_write, (parent, DB_BASE, b"parent"), 1),
-            (runtime.cow_write, (parent, DB_BASE + 1, b"first"), 2),
+            (runtime.cow_write, (parent, DB_BASE + 1, b"first"), 1),
             (runtime.cow_write, (parent, DB_BASE + 1, b"again"), 1),
             (runtime.cow_read, (parent, DB_BASE + 1), 1),
             (runtime.cow_read, (child, DB_BASE + 1), 1),

@@ -3,11 +3,11 @@
 Hypothesis drives fork, ``cow_write``, ``cow_read`` and ``snapshot`` on one
 long-lived runtime, mixed with accesses by an attached container that is
 in neither role, snapshots by the parent, accesses to a retired pair, a
-second fork while a pair is live, an AEX of the child, and the kernel
-remapping and restoring one of the child's database vas or the copy va of
-a written page. Every byte a view returns is predicted by
-``EagerForkOracle``; every refused call must leave the oracle, the pair
-and the EPC as they were.
+second fork while a pair is live, an AEX of the child, the child leaving
+its thread before the snapshot, and the kernel remapping and restoring
+one of the child's database vas or the copy va of a written page. Every
+byte a view returns is predicted by ``EagerForkOracle``; every refused
+call must leave the oracle, the pair and the EPC as they were.
 """
 
 from hypothesis import settings, strategies as st
@@ -175,12 +175,22 @@ class ForkCycleMachine(RuleBasedStateMachine):
         self._expect(error, lambda: getattr(self.runtime, call)(
             pair, pid, *args))
 
-    @precondition(lambda self: self.pair is not None
-                  and self.runtime.threads[self.pair.child_pid].live)
+    def _child_live(self):
+        thread = self.runtime.threads.get(self.pair.child_pid)
+        return thread is not None and thread.live
+
+    @precondition(lambda self: self.pair is not None and self._child_live())
     @rule()
     def suspend_child(self):
         """An AEX of the child: the snapshot must still retire it."""
         self.runtime.suspend(self.pair.child_pid)
+
+    @precondition(lambda self: self.pair is not None and self._child_live())
+    @rule()
+    def exit_child(self):
+        """The child leaves its thread: its views stay, and the snapshot
+        must still retire it."""
+        self.runtime.exit(self.pair.child_pid)
 
     # -- the kernel remaps one child va --------------------------------------
 

@@ -308,6 +308,8 @@ GUARDS = {
     ("enclave_runtime", "EnclaveRuntime.write", "va >= COPY_BASE"):
         _RUNTIME + "TestForkCow::"
         "test_copy_vas_are_unreachable_outside_the_pair",
+    ("enclave_runtime", "EnclaveRuntime.enter", "pid in self.threads"):
+        _RUNTIME + "TestThreads::test_second_enter_of_a_pid_is_refused",
     ("enclave_runtime", "EnclaveRuntime.check_invariants",
      "thread.tcs_va in live"):
         _RUNTIME + "TestThreads::test_check_invariants_flags_double_bound_tcs",
@@ -359,7 +361,7 @@ GUARDS = {
      "self.fork_pair is not None"):
         _RUNTIME + "TestForkCow::test_one_live_pair_until_retired[snapshot]",
     ("enclave_runtime", "EnclaveRuntime.fork_cow",
-     "not self.threads[parent_pid].live"):
+     "not (parent_pid in self.threads and self.threads[parent_pid].live)"):
         _RUNTIME + "TestForkCow::test_fork_refuses_a_suspended_parent",
     ("enclave_runtime", "EnclaveRuntime.cow_write", "page_table is None"):
         _RUNTIME + "TestForkCow::test_retired_pair_refuses_cow_write",
